@@ -19,8 +19,6 @@
 //                                    is the 2-thread SWSR configuration:
 //                                    k=1 stalls the one reader mid-scan and
 //                                    measures the writer alone
-//   rllsc/contended_backoff_{off,on} — the CAS-retry BackoffPolicy A/B
-//                                    under 3-thread LL/SC contention
 //
 // Stalling uses the FuzzEnv stall injector (env/fuzz_env.h): a stalled
 // thread arms a deterministic park point a couple of primitive boundaries
@@ -52,8 +50,6 @@
 #include "algo/universal.h"
 #include "algo/wait_free_sim.h"
 #include "env/fuzz_env.h"
-#include "env/rt_env.h"
-#include "rt/rllsc_rt.h"
 #include "spec/counter_spec.h"
 #include "util/alloc_probe.h"
 #include "util/bench_json.h"
@@ -254,37 +250,12 @@ void alg4_rows(util::BenchReport& report) {
   }
 }
 
-void backoff_rows(util::BenchReport& report) {
-  // The CAS-retry BackoffPolicy A/B (env/env.h): 3 threads hammering one
-  // R-LLSC cell with LL+SC pairs — the retry-heavy shape the bounded
-  // exponential backoff exists for. Pure RtEnv (the policy's production
-  // home); restored to the default afterwards so other rows are unaffected.
-  const auto saved = env::RtEnv::get_backoff();
-  for (const bool on : {false, true}) {
-    env::RtEnv::set_backoff(on ? env::BackoffPolicy{/*base_spins=*/4,
-                                                    /*max_exponent=*/8}
-                               : env::BackoffPolicy{});
-    rt::RtRllsc cell(0);
-    auto result = util::measure_throughput(
-        std::string("rllsc/contended_backoff_") + (on ? "on" : "off"),
-        kThreads, 50'000, [&](int tid, std::size_t i) {
-          benchmark::DoNotOptimize(cell.ll(tid));
-          benchmark::DoNotOptimize(
-              cell.sc(tid, static_cast<std::uint64_t>(i & 0xff)));
-        });
-    result.bytes_per_object = cell.memory_bytes();
-    report.add(std::move(result));
-  }
-  env::RtEnv::set_backoff(saved);
-}
-
 void emit_bench_json() {
   util::BenchReport report("degradation");
   universal_rows(report, /*combine=*/false);
   universal_rows(report, /*combine=*/true);
   wfs_rows(report);
   alg4_rows(report);
-  backoff_rows(report);
   report.write();
 }
 

@@ -1,7 +1,8 @@
 // Non-history-independent universal construction baseline (experiment E13),
 // written ONCE over an execution environment Env (src/env/env.h) and
-// instantiated by the simulator (src/baseline/leaky_universal.h) and by real
-// hardware (rt::RtLeakyUniversal in src/rt/baselines_rt.h).
+// instantiated by the simulator (LeakyUniversalAlg<env::SimEnv, S>, used
+// directly by the tests), by the replay backend (replay::LeakyUniversal) and
+// by real hardware (rt::RtLeakyUniversal in src/rt/baselines_rt.h).
 //
 // Prior universal constructions [Herlihy '90/'93; Fatourou–Kallimanis '11]
 // are linearizable and wait-free but leak history: "the implementation in

@@ -10,11 +10,13 @@
 // Store are single primitives. The retry loops use the environment's
 // failure-word CAS (Env::cas returns the word it observed), so a failed
 // retry costs ONE 16-byte atomic on hardware — not a CAS plus a re-read —
-// and one simulator step; the sim step-exact tests pin this sequence. The interleaved-LL entry point realizes
-// Algorithm 5's `‖` construction: between successive CAS attempts of a
-// (possibly blocking) LL, one step of the caller-provided right-hand-side
-// poll runs, and a true poll abandons the LL (leaving at most a context
-// trace, which the caller's RL erases — line 18R.2).
+// and one simulator step; the sim step-exact tests pin this sequence.
+//
+// The interleaved-LL entry point realizes Algorithm 5's `‖` construction:
+// between successive CAS attempts of a (possibly blocking) LL, one step of
+// the caller-provided right-hand-side poll runs, and a true poll abandons
+// the LL (leaving at most a context trace, which the caller's RL erases —
+// line 18R.2).
 //
 // Process identities are explicit small integers (0..63) supplied by the
 // caller, exactly as the paper's p_i; the simulator wrapper recovers them
@@ -54,12 +56,11 @@ class CasRllscAlg {
   /// expectation — one primitive per retry, no separate re-read.
   Sub<V> ll(int pid) {
     Word cur = co_await Env::cas_read(cell_);
-    for (std::uint32_t attempt = 0;; ++attempt) {
+    for (;;) {
       Word linked = cur;
       linked.ctx = util::set_bit(linked.ctx, bit(pid));
       const CasResult<Word> r = co_await Env::cas(cell_, cur, linked);
       if (r.installed) co_return cur.value;
-      Env::backoff(attempt);  // local wait only; no step (env.h)
       cur = r.observed;
     }
   }
@@ -68,9 +69,7 @@ class CasRllscAlg {
   /// attempt run one poll; a true poll abandons the LL and yields nullopt.
   /// `poll` is a nullary callable returning an awaitable of bool. The next
   /// attempt reuses the failed CAS's observed word (any write racing with
-  /// the poll just fails that CAS, which re-observes). No Env::backoff
-  /// here: a local wait before the poll would only delay noticing the bail
-  /// condition (a helped response) the `‖` construction exists to catch.
+  /// the poll just fails that CAS, which re-observes).
   template <typename Poll>
   Sub<std::optional<V>> ll_interleaved(int pid, Poll poll) {
     Word cur = co_await Env::cas_read(cell_);
@@ -95,11 +94,9 @@ class CasRllscAlg {
   /// Failed CAS attempts feed their observed word into the re-check.
   Sub<bool> sc(int pid, V desired) {
     Word cur = co_await Env::cas_read(cell_);
-    std::uint32_t attempt = 0;
     while (util::test_bit(cur.ctx, bit(pid))) {
       const CasResult<Word> r = co_await Env::cas(cell_, cur, Word{desired, 0});
       if (r.installed) co_return true;
-      Env::backoff(attempt++);
       cur = r.observed;
     }
     co_return false;
@@ -108,13 +105,11 @@ class CasRllscAlg {
   /// RL(O) — lines 14–20: removes the caller from the context; always true.
   Sub<bool> rl(int pid) {
     Word cur = co_await Env::cas_read(cell_);
-    std::uint32_t attempt = 0;
     while (util::test_bit(cur.ctx, bit(pid))) {
       Word released = cur;
       released.ctx = util::clear_bit(released.ctx, bit(pid));
       const CasResult<Word> r = co_await Env::cas(cell_, cur, released);
       if (r.installed) co_return true;
-      Env::backoff(attempt++);
       cur = r.observed;
     }
     co_return true;

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "util/bits.h"
+
 namespace hi::algo {
 
 template <typename Env>
@@ -40,13 +42,14 @@ class StrawmanQueueAlg {
         // F slot v+1 holds the paper's F[v]; slot 1 (= F[0], "empty") starts
         // at 1. Registration order fixes the mem(C) layout: F first, then
         // the slot bit-planes.
-        front_(Env::make_bin_array(ctx, "F", domain + 1, 1)) {
+        front_(Env::make_bin_array_words(ctx, "F", domain + 1,
+                                         util::one_hot_words(1))) {
     bits_per_slot_ = 1;
     while ((1u << bits_per_slot_) < domain_ + 1) ++bits_per_slot_;
     slots_.reserve(capacity_);
     for (std::size_t s = 0; s < capacity_; ++s) {
-      slots_.push_back(Env::make_bin_array(
-          ctx, ("slot" + std::to_string(s)).c_str(), bits_per_slot_, 0));
+      slots_.push_back(Env::make_bin_array_words(
+          ctx, ("slot" + std::to_string(s)).c_str(), bits_per_slot_, {}));
     }
   }
 

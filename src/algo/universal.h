@@ -301,7 +301,6 @@ class UniversalAlg {
     co_await my_cell.store(Codec::announce_op(my_op_word));  // line 4
 
     const auto poll_helped = [this, pid] { return response_ready(pid); };
-    std::uint32_t combine_waits = 0;
     for (;;) {
       const V mine = co_await my_cell.load();  // line 5
       if (Codec::is_resp(mine)) break;
@@ -318,12 +317,9 @@ class UniversalAlg {
         // flight through the announce cells, so just retry from line 5
         // (ours may be among them). Hand the core back first — on an
         // oversubscribed machine the winner may be preempted mid-phase,
-        // and hard-spinning on its record burns the slice it needs — and
-        // apply the Env's bounded backoff so losers ramp their polling
-        // down instead of hammering the head line (no step; sim no-op).
+        // and hard-spinning on its record burns the slice it needs.
         if (head_view.combining) {
           Env::relax();
-          Env::backoff(combine_waits++);
           continue;
         }
         // This mode never installs mode-B records, so head is mode A here.

@@ -25,16 +25,18 @@
 //                               per-process announce/result tables of the
 //                               leaky (non-HI) universal baseline.
 //
-// read_bit/write_bit/cas_read/cas/cas_write/read_word/write_word/cas_word
+// The 11 primitives (read_bit/write_bit, load_packed_word/or_packed_word/
+// and_packed_word, cas_read/cas/cas_write, read_word/write_word/cas_word)
 // return AWAITABLES: in the simulator each is a sim::Primitive that suspends
-// until the scheduler grants the process its step; on hardware each is a
-// Ready awaiter that executes the std::atomic operation immediately in
-// await_resume. Each awaitable costs exactly ONE primitive step — in
-// particular cas/cas_word are failure-word CASes (the result is an
-// algo::CasResult carrying the word observed at the step), so retry loops
-// cost one primitive per attempt rather than a CAS plus a re-read. The
-// peek_* functions are observer-side (never a step of the model) and are
-// what memory_image()/parity checks are built from.
+// until the scheduler grants the process its step; on hardware the
+// std::atomic operation runs inside the primitive call itself and the
+// awaitable is a detail::Done carrying only its result. Each awaitable
+// costs exactly ONE primitive step — in particular cas/cas_word are
+// failure-word CASes (the result is an algo::CasResult carrying the word
+// observed at the step), so retry loops cost one primitive per attempt
+// rather than a CAS plus a re-read. The peek_* functions are observer-side
+// (never a step of the model) and are what memory_image()/parity checks are
+// built from.
 //
 // Allocation contract: the coroutine frames behind Op/Sub are the
 // environment's cost to manage, not the algorithm's. RtEnv backs every
@@ -87,28 +89,14 @@ struct [[nodiscard]] MapAwait {
 template <typename Awaitable, typename Fn>
 MapAwait(Awaitable, Fn) -> MapAwait<Awaitable, Fn>;
 
-/// Always-ready awaiter: runs `fn` at await_resume, i.e. synchronously at
-/// the co_await site. The hardware environment's primitive shape.
-template <typename Fn>
-struct [[nodiscard]] Ready {
-  Fn fn;
-
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  auto await_resume() { return fn(); }
-};
-
-template <typename Fn>
-Ready(Fn) -> Ready<Fn>;
-
-/// An already-computed value as an awaitable. This — not Ready — is the
-/// shape the eager (rt/fuzz) environments return from every primitive: the
-/// atomic access executes inside the primitive call itself, while all
-/// argument references are trivially alive, and only the plain result value
-/// rides through the await transform. Carrying argument *captures* through
-/// nested always-ready awaiters instead (the fenced-Ready-inside-Ready
-/// pattern) was observed to miscompile under GCC 12 with -DNDEBUG: in a
-/// CAS retry loop the captured `expected` word lagged the refreshed value
+/// An already-computed value as an awaitable: the shape RtEnvT (and so
+/// FuzzEnv) returns from every primitive. The atomic access executes inside
+/// the primitive call itself, while all argument references are trivially
+/// alive, and only the plain result value rides through the await
+/// transform. Carrying argument *captures* through nested always-ready
+/// awaiters instead (an awaiter running a lambda at await_resume, nested
+/// inside another) was observed to miscompile under GCC 12 with -DNDEBUG:
+/// in a CAS retry loop the captured `expected` word lagged the refreshed value
 /// by one iteration and was transiently clobbered with bytes from a nested
 /// poll coroutine's frame, letting a stale CAS succeed and resurrect a
 /// retired flat-combining record (livelock). A value-only payload with no
@@ -190,26 +178,20 @@ struct PaddedBins {
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
+  /// One-hot initializer: bin `one_index` (1-based; 0 = none) starts at 1,
+  /// every other bin at 0 — the §4 registers' A[initial].
   static Array make(typename Env::Ctx ctx, const char* prefix,
                     std::uint32_t count, std::uint32_t one_index) {
-    return Env::make_bin_array(ctx, prefix, count, one_index);
+    return make_bits(ctx, prefix, count, util::one_hot_words(one_index));
   }
   /// Multi-word initializer: word w of `words` seeds bins 64w+1..64w+64
   /// (bit v-1 of the flat bitmap = bin v); missing trailing words read as 0
   /// and bits beyond `count` are dropped (util::init_word is the single
-  /// source of that geometry). This is THE make_bits form — the uint64_t
-  /// overload below is a convenience wrapper for ≤64-bin call sites.
+  /// source of that geometry).
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
     return Env::make_bin_array_words(ctx, prefix, count, words);
-  }
-  /// Single-word convenience overload (source compatibility for ≤64 bins;
-  /// with count > 64 the remaining bins simply start 0).
-  static Array make_bits(typename Env::Ctx ctx, const char* prefix,
-                         std::uint32_t count, std::uint64_t bits) {
-    return Env::make_bin_array_words(ctx, prefix, count,
-                                     std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t size(const Array& a) {
@@ -289,9 +271,10 @@ struct PackedBins {
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
+  /// One-hot initializer — see the PaddedBins counterpart.
   static Array make(typename Env::Ctx ctx, const char* prefix,
                     std::uint32_t count, std::uint32_t one_index) {
-    return Env::make_packed_bin_array(ctx, prefix, count, one_index);
+    return make_bits(ctx, prefix, count, util::one_hot_words(one_index));
   }
   /// Multi-word initializer — see the PaddedBins counterpart for the word
   /// geometry contract (util::init_word single-sources the tail masking).
@@ -299,13 +282,6 @@ struct PackedBins {
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
     return Env::make_packed_bin_array_words(ctx, prefix, count, words);
-  }
-  /// Single-word convenience overload (≤64-bin call sites; with count > 64
-  /// the remaining bins start 0).
-  static Array make_bits(typename Env::Ctx ctx, const char* prefix,
-                         std::uint32_t count, std::uint64_t bits) {
-    return Env::make_packed_bin_array_words(
-        ctx, prefix, count, std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t size(const Array& a) { return Env::packed_bins(a); }
@@ -419,21 +395,6 @@ typename Bins::template Sub<std::uint32_t> confirm_down(
   co_return val;
 }
 
-/// Bounded exponential backoff for CAS retry loops, configured at the Env
-/// boundary like YieldPolicy (env/fuzz_env.h). Retry loops call
-/// `Env::backoff(attempt)` after each failed CAS: attempt a waits
-/// base_spins << min(attempt, max_exponent) local spins. Purely local
-/// computation — zero shared-memory steps, zero allocations — so the sim
-/// and replay backends define it as a no-op and step-exact tests are
-/// unaffected; only RtEnv/FuzzEnv actually wait. base_spins == 0 (the
-/// default) disables it everywhere: one predictable branch on the retry
-/// path, preserving existing rt behavior unless a harness or bench opts in
-/// via RtEnv::set_backoff (process-wide; set before worker threads start).
-struct BackoffPolicy {
-  std::uint32_t base_spins = 0;   // 0 = disabled (the default)
-  std::uint32_t max_exponent = 8; // spin count caps at base_spins << this
-};
-
 /// Structural requirements every execution environment satisfies. Kept
 /// intentionally shallow (the awaitable-returning statics cannot be
 /// expressed without picking a coroutine context); the real contract is
@@ -449,7 +410,6 @@ concept ExecutionEnv = requires {
   typename E::template Op<int>;
   typename E::template Sub<int>;
   E::relax();
-  E::backoff(0u);
 };
 
 }  // namespace hi::env

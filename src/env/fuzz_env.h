@@ -16,13 +16,13 @@
 // interleavings plain stress loops rarely hit (tests/test_fuzz_rt.cpp
 // demonstrates this with a positive-control broken object).
 //
-// Design: every FuzzEnv primitive delegates to the corresponding RtEnv
-// primitive — same cell types, same atomic bodies, same eager frame-arena
-// Op/Sub tasks, same execute-at-call discipline (detail::Done in env.h) —
-// with YieldInjector::point() running immediately before and after the
-// atomic access, all inside the primitive call itself. Algorithms instantiate unchanged; the injector is thread_local
-// and costs one predictable branch when disarmed, so a disarmed FuzzEnv
-// behaves exactly like RtEnv (modulo that branch).
+// Design: FuzzEnv is RtEnvT<YieldInjector> — RtEnv's cell types, atomic
+// bodies, eager frame-arena Op/Sub tasks and execute-at-call discipline
+// (detail::Done in env.h), with the probe hook running
+// YieldInjector::point() immediately before and after each atomic access,
+// inside the primitive call. Algorithms instantiate unchanged; the injector
+// is thread_local and costs one predictable branch when disarmed, so a
+// disarmed FuzzEnv behaves exactly like RtEnv (modulo that branch).
 //
 // The injector is DETERMINISTIC per (seed, thread): the decision stream
 // comes from util::Xoshiro256, so a failing (seed, workload) pair is
@@ -31,9 +31,9 @@
 // ScheduleTrace literals instead (docs/TESTING.md).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
-#include <utility>
 
 #include "env/rt_env.h"
 #include "util/rng.h"
@@ -107,8 +107,8 @@ class YieldInjector {
   /// Perturbations (yield bursts + spin backoffs) actually injected.
   static std::uint64_t injected() { return state().injected; }
 
-  /// One perturbation point. Called by every FuzzEnv primitive immediately
-  /// before and after its atomic access.
+  /// One perturbation point — FuzzEnv's probe hook, called by every
+  /// primitive immediately before and after its atomic access.
   static void point() {
     State& s = state();
     if (!s.armed) return;
@@ -158,165 +158,10 @@ class YieldInjector {
   }
 };
 
-/// RtEnv with YieldInjector::point() fencing every primitive. Same Ctx,
-/// cell types, and task types as RtEnv, so any algo-layer body instantiates
-/// over FuzzEnv unchanged and interoperates with RtEnv storage helpers.
-struct FuzzEnv {
- private:
-  /// Runs `make` — a thunk invoking one RtEnv primitive, which executes its
-  /// atomic access eagerly and returns a Done awaiter — with the injector
-  /// immediately before and after the access (delay the access / delay the
-  /// next local step — together they cover both sides of every
-  /// inter-primitive window, including the invoke and response edges).
-  /// Everything executes synchronously inside the FuzzEnv primitive call
-  /// while every argument reference is alive; only the result-carrying Done
-  /// awaiter flows back through co_await (see detail::Done in env.h for why
-  /// no argument capture may outlive the primitive call). Defined before
-  /// the primitives: the auto return type must be deduced at their point of
-  /// use.
-  template <typename MakeFn>
-  static auto fenced(MakeFn&& make) {
-    YieldInjector::point();
-    auto done = make();
-    YieldInjector::point();
-    return done;
-  }
-
- public:
-  using Ctx = RtEnv::Ctx;
-
-  template <typename T>
-  using Op = RtEnv::Op<T>;
-  template <typename T>
-  using Sub = RtEnv::Sub<T>;
-
-  using BinArray = RtEnv::BinArray;
-  using PackedBinArray = RtEnv::PackedBinArray;
-  using Value = RtEnv::Value;
-  using Word = RtEnv::Word;
-  using CasCell = RtEnv::CasCell;
-  using WordArray = RtEnv::WordArray;
-
-  // ---- factories and observer-side peeks: no shared-memory step, no
-  // perturbation — delegate verbatim ----
-
-  static BinArray make_bin_array(Ctx ctx, const char* prefix,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    return RtEnv::make_bin_array(ctx, prefix, count, one_index);
-  }
-  static BinArray make_bin_array_words(Ctx ctx, const char* prefix,
-                                       std::uint32_t count,
-                                       std::span<const std::uint64_t> words) {
-    return RtEnv::make_bin_array_words(ctx, prefix, count, words);
-  }
-  static BinArray make_bin_array_bits(Ctx ctx, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return RtEnv::make_bin_array_bits(ctx, prefix, count, bits);
-  }
-  static std::uint8_t peek_bit(const BinArray& array, std::uint32_t index) {
-    return RtEnv::peek_bit(array, index);
-  }
-  static std::size_t bin_storage_bytes(const BinArray& array) {
-    return RtEnv::bin_storage_bytes(array);
-  }
-
-  static PackedBinArray make_packed_bin_array(Ctx ctx, const char* prefix,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    return RtEnv::make_packed_bin_array(ctx, prefix, count, one_index);
-  }
-  static PackedBinArray make_packed_bin_array_words(
-      Ctx ctx, const char* prefix, std::uint32_t count,
-      std::span<const std::uint64_t> words) {
-    return RtEnv::make_packed_bin_array_words(ctx, prefix, count, words);
-  }
-  static PackedBinArray make_packed_bin_array_bits(Ctx ctx, const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return RtEnv::make_packed_bin_array_bits(ctx, prefix, count, bits);
-  }
-  static std::uint32_t packed_bins(const PackedBinArray& array) {
-    return RtEnv::packed_bins(array);
-  }
-  static std::uint32_t packed_words(const PackedBinArray& array) {
-    return RtEnv::packed_words(array);
-  }
-  static std::uint64_t peek_packed_word(const PackedBinArray& array,
-                                        std::uint32_t w) {
-    return RtEnv::peek_packed_word(array, w);
-  }
-  static std::size_t packed_storage_bytes(const PackedBinArray& array) {
-    return RtEnv::packed_storage_bytes(array);
-  }
-
-  static CasCell make_cas(Ctx ctx, const std::string& name, Value initial) {
-    return RtEnv::make_cas(ctx, name, initial);
-  }
-  static Word peek_cas(const CasCell& cell) { return RtEnv::peek_cas(cell); }
-  static bool cas_is_lock_free(const CasCell& cell) {
-    return RtEnv::cas_is_lock_free(cell);
-  }
-  static void relax() noexcept { RtEnv::relax(); }
-  /// Backoff shares RtEnv's process-wide policy (local computation only; no
-  /// perturbation point — the injector fences shared-memory accesses, and
-  /// backoff makes none).
-  static void backoff(std::uint32_t attempt) noexcept {
-    RtEnv::backoff(attempt);
-  }
-
-  static WordArray make_word_array(Ctx ctx, const char* prefix,
-                                   std::uint32_t count, std::uint64_t initial) {
-    return RtEnv::make_word_array(ctx, prefix, count, initial);
-  }
-  static std::uint64_t peek_word(const WordArray& array, std::uint32_t index) {
-    return RtEnv::peek_word(array, index);
-  }
-
-  // ---- primitives: RtEnv's atomic bodies fenced by perturbation points ----
-
-  static auto read_bit(BinArray& array, std::uint32_t index) {
-    return fenced([&] { return RtEnv::read_bit(array, index); });
-  }
-  static auto write_bit(BinArray& array, std::uint32_t index,
-                        std::uint8_t value) {
-    return fenced([&] { return RtEnv::write_bit(array, index, value); });
-  }
-
-  static auto load_packed_word(PackedBinArray& array, std::uint32_t w) {
-    return fenced([&] { return RtEnv::load_packed_word(array, w); });
-  }
-  static auto or_packed_word(PackedBinArray& array, std::uint32_t w,
-                             std::uint64_t mask) {
-    return fenced([&] { return RtEnv::or_packed_word(array, w, mask); });
-  }
-  static auto and_packed_word(PackedBinArray& array, std::uint32_t w,
-                              std::uint64_t mask) {
-    return fenced([&] { return RtEnv::and_packed_word(array, w, mask); });
-  }
-
-  static auto cas_read(CasCell& cell) {
-    return fenced([&] { return RtEnv::cas_read(cell); });
-  }
-  static auto cas(CasCell& cell, const Word& expected, const Word& desired) {
-    return fenced([&] { return RtEnv::cas(cell, expected, desired); });
-  }
-  static auto cas_write(CasCell& cell, const Word& desired) {
-    return fenced([&] { return RtEnv::cas_write(cell, desired); });
-  }
-
-  static auto read_word(WordArray& array, std::uint32_t index) {
-    return fenced([&] { return RtEnv::read_word(array, index); });
-  }
-  static auto write_word(WordArray& array, std::uint32_t index,
-                         std::uint64_t value) {
-    return fenced([&] { return RtEnv::write_word(array, index, value); });
-  }
-  static auto cas_word(WordArray& array, std::uint32_t index,
-                       std::uint64_t expected, std::uint64_t desired) {
-    return fenced(
-        [&] { return RtEnv::cas_word(array, index, expected, desired); });
-  }
-};
+/// RtEnv with YieldInjector::point() bracketing every primitive: the same
+/// storage, task types and atomic bodies, so any algo-layer body
+/// instantiates over FuzzEnv unchanged and interoperates with RtEnv storage.
+using FuzzEnv = RtEnvT<YieldInjector>;
 
 static_assert(ExecutionEnv<FuzzEnv>);
 

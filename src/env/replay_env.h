@@ -238,21 +238,9 @@ struct ReplayEnv {
 
   using BinArray = std::vector<ReplayBinaryRegister*>;
 
-  /// Construction only — never a step of the model.
-  static BinArray make_bin_array(Ctx memory, const char* prefix,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    BinArray array;
-    array.reserve(count);
-    for (std::uint32_t v = 1; v <= count; ++v) {
-      array.push_back(&memory.make<ReplayBinaryRegister>(
-          std::string(prefix) + "[" + std::to_string(v) + "]",
-          v == one_index));
-    }
-    return array;
-  }
-
   /// Multi-word bitmap initialization (util::bin_test; same word geometry
-  /// and factory order as SimEnv). Construction only.
+  /// and factory order as SimEnv). Construction only — never a step of the
+  /// model.
   static BinArray make_bin_array_words(Ctx memory, const char* prefix,
                                        std::uint32_t count,
                                        std::span<const std::uint64_t> words) {
@@ -264,13 +252,6 @@ struct ReplayEnv {
           util::bin_test(words, v)));
     }
     return array;
-  }
-
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static BinArray make_bin_array_bits(Ctx memory, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return make_bin_array_words(memory, prefix, count,
-                                std::span<const std::uint64_t>(&bits, 1));
   }
 
   /// read(A[index]) — one seq_cst atomic load, executed at the granted step.
@@ -299,25 +280,6 @@ struct ReplayEnv {
     std::vector<ReplayPackedWordCell*> words;
   };
 
-  /// Construction only — never a step of the model.
-  static PackedBinArray make_packed_bin_array(Ctx memory, const char* prefix,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    PackedBinArray array;
-    array.bins = count;
-    const std::uint32_t nwords = util::bin_words(count);
-    array.words.reserve(nwords);
-    for (std::uint32_t w = 0; w < nwords; ++w) {
-      const std::uint64_t initial =
-          (one_index != 0 && util::bin_word(one_index) == w)
-              ? util::bin_mask(one_index)
-              : 0;
-      array.words.push_back(&memory.make<ReplayPackedWordCell>(
-          std::string(prefix) + ".w[" + std::to_string(w) + "]", initial));
-    }
-    return array;
-  }
-
   /// Multi-word bitmap initialization: word w starts from `words[w]`, tail
   /// bits beyond `count` dropped (util::init_word; same factory order and
   /// names as SimEnv). Construction only.
@@ -334,15 +296,6 @@ struct ReplayEnv {
           util::init_word(words, count, w)));
     }
     return array;
-  }
-
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static PackedBinArray make_packed_bin_array_bits(Ctx memory,
-                                                   const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return make_packed_bin_array_words(
-        memory, prefix, count, std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t packed_bins(const PackedBinArray& array) {
@@ -408,9 +361,6 @@ struct ReplayEnv {
   /// shared memory. Replay is single-stepped by the sim scheduler: no-op
   /// (yielding here would perturb nothing but wall time).
   static void relax() noexcept {}
-  /// CAS-retry backoff: no-op for the same reason (replay marches the
-  /// recorded step sequence; local waiting cannot change it).
-  static void backoff(std::uint32_t /*attempt*/) noexcept {}
 
   // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
 

@@ -13,7 +13,12 @@
 // is just the vehicle that lets the same coroutine body serve both
 // environments. Execute-at-call is deliberate, not a convenience: see the
 // detail::Done comment in env.h for the GCC miscompile that deferred
-// execution via argument-capturing Ready lambdas ran into. GCC rarely elides the coroutine frame, so without help every
+// execution via argument-capturing awaiters ran into.
+//
+// RtEnv is RtEnvT<NoProbe>. The probe hook brackets each primitive's atomic
+// access; env/fuzz_env.h instantiates it with the seeded YieldInjector.
+//
+// GCC rarely elides the coroutine frame, so without help every
 // operation/helper call would pay one heap allocation; instead EagerTask's
 // promise allocates its frame from a per-thread FrameArena (below), making
 // the steady-state hot path allocation-free. The arena lifecycle rules are
@@ -247,7 +252,36 @@ class [[nodiscard]] EagerTask {
   std::coroutine_handle<promise_type> handle_{};
 };
 
-struct RtEnv {
+/// The probe with an empty body: RtEnvT<NoProbe> (= RtEnv) compiles every
+/// primitive to its bare atomic access.
+struct NoProbe {
+  static void point() noexcept {}
+};
+
+/// The hardware environment, parameterized by a probe hook. Every one of the
+/// 11 primitives runs `Probe::point()` immediately before and after its
+/// atomic access, inside the primitive call, and only the computed result
+/// rides back through detail::ready (execute-at-call; see detail::Done in
+/// env.h). Factories, peeks and relax() never call the probe. A probe is
+/// any type with a static, argument-free `point()`: NoProbe for RtEnv,
+/// YieldInjector for FuzzEnv (env/fuzz_env.h). Storage and task types do not
+/// depend on the probe, so every instantiation shares them.
+template <typename Probe>
+struct RtEnvT {
+ private:
+  /// Runs `access` — one atomic operation — bracketed by the probe, and
+  /// wraps its result. The first point can delay the access, the second the
+  /// caller's next local step, so a perturbing probe reaches both sides of
+  /// every inter-primitive window, including the invoke and response edges.
+  template <typename Access>
+  static auto probed(Access access) {
+    Probe::point();
+    auto result = access();
+    Probe::point();
+    return detail::ready(std::move(result));
+  }
+
+ public:
   struct Ctx {};  // hardware objects own their storage; nothing to register
 
   template <typename T>
@@ -263,22 +297,9 @@ struct RtEnv {
 
   using BinArray = std::vector<rt::BinCell>;
 
-  /// Allocates `count` cache-line-padded atomic bytes; slot `one_index`
-  /// (1-based; 0 = none) starts at 1. Construction only — no shared-memory
-  /// step, and the pre-publication stores are unordered (relaxed).
-  static BinArray make_bin_array(Ctx, const char* /*prefix*/,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    BinArray array(count);
-    for (auto& cell : array) cell->store(0, std::memory_order_relaxed);
-    if (one_index != 0) {
-      array[one_index - 1]->store(1, std::memory_order_seq_cst);
-    }
-    return array;
-  }
-
-  /// As make_bin_array, but slot v starts at bit (v-1) of the flat
-  /// multi-word bitmap `words` (util::bin_test; missing trailing words read
-  /// as 0 — the §5.1 HI set's bitmap initialization). Construction only.
+  /// Allocates `count` cache-line-padded atomic bytes; slot v starts at bit
+  /// (v-1) of the flat multi-word bitmap `words` (util::bin_test; missing
+  /// trailing words read as 0). Construction only — no shared-memory step.
   static BinArray make_bin_array_words(Ctx, const char* /*prefix*/,
                                        std::uint32_t count,
                                        std::span<const std::uint64_t> words) {
@@ -290,23 +311,18 @@ struct RtEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static BinArray make_bin_array_bits(Ctx ctx, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return make_bin_array_words(ctx, prefix, count,
-                                std::span<const std::uint64_t>(&bits, 1));
-  }
-
   /// read(A[index]) — one seq_cst atomic load; models 1 binary-register-read
   /// step of the paper's model. `index` is 1-based (the paper's A[v]).
   static auto read_bit(BinArray& array, std::uint32_t index) {
-    return detail::ready(rt::bin_read(*array[index - 1]));
+    return probed([&] { return rt::bin_read(*array[index - 1]); });
   }
   /// write(A[index], value) — one seq_cst atomic store; 1 step.
   static auto write_bit(BinArray& array, std::uint32_t index,
                         std::uint8_t value) {
-    rt::bin_write(*array[index - 1], value);
-    return detail::ready(true);
+    return probed([&] {
+      rt::bin_write(*array[index - 1], value);
+      return true;
+    });
   }
   /// Observer-side peek — not an algorithm step; only meaningful at
   /// quiescence unless the caller tolerates racing reads.
@@ -327,28 +343,10 @@ struct RtEnv {
 
   using PackedBinArray = rt::PackedBits;
 
-  /// Allocates ceil(count/64) contiguous atomic words; slot `one_index`
-  /// (1-based; 0 = none) starts at 1. Construction only.
-  static PackedBinArray make_packed_bin_array(Ctx, const char* /*prefix*/,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    PackedBinArray array;
-    array.bins = count;
-    array.words = std::vector<std::atomic<std::uint64_t>>(
-        util::bin_words(count));
-    for (auto& word : array.words) {
-      word.store(0, std::memory_order_relaxed);
-    }
-    if (one_index != 0) {
-      array.words[util::bin_word(one_index)].store(util::bin_mask(one_index),
-                                                   std::memory_order_seq_cst);
-    }
-    return array;
-  }
-
-  /// As make_packed_bin_array, but word w starts from `words[w]` (bit v-1
-  /// of the flat bitmap = bin v); missing trailing words read as 0 and bits
-  /// beyond `count` are dropped (util::init_word). Construction only.
+  /// Allocates ceil(count/64) contiguous atomic words; word w starts from
+  /// `words[w]` (bit v-1 of the flat bitmap = bin v); missing trailing words
+  /// read as 0 and bits beyond `count` are dropped (util::init_word).
+  /// Construction only.
   static PackedBinArray make_packed_bin_array_words(
       Ctx, const char* /*prefix*/, std::uint32_t count,
       std::span<const std::uint64_t> words) {
@@ -364,14 +362,6 @@ struct RtEnv {
     return array;
   }
 
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static PackedBinArray make_packed_bin_array_bits(Ctx ctx, const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return make_packed_bin_array_words(
-        ctx, prefix, count, std::span<const std::uint64_t>(&bits, 1));
-  }
-
   static std::uint32_t packed_bins(const PackedBinArray& array) {
     return array.bins;
   }
@@ -381,19 +371,23 @@ struct RtEnv {
 
   /// Word load — one seq_cst atomic load; 1 step, 64 bins atomically.
   static auto load_packed_word(PackedBinArray& array, std::uint32_t w) {
-    return detail::ready(rt::packed_load(array.words[w]));
+    return probed([&] { return rt::packed_load(array.words[w]); });
   }
   /// One LOCK OR; 1 step — sets every bin in `mask`.
   static auto or_packed_word(PackedBinArray& array, std::uint32_t w,
                              std::uint64_t mask) {
-    rt::packed_or(array.words[w], mask);
-    return detail::ready(true);
+    return probed([&] {
+      rt::packed_or(array.words[w], mask);
+      return true;
+    });
   }
   /// One LOCK AND; 1 step — keeps only the bins in `mask`.
   static auto and_packed_word(PackedBinArray& array, std::uint32_t w,
                               std::uint64_t mask) {
-    rt::packed_and(array.words[w], mask);
-    return detail::ready(true);
+    return probed([&] {
+      rt::packed_and(array.words[w], mask);
+      return true;
+    });
   }
   /// Observer-side peek — not an algorithm step.
   static std::uint64_t peek_packed_word(const PackedBinArray& array,
@@ -418,18 +412,20 @@ struct RtEnv {
 
   /// Read(X) — one seq_cst 16-byte atomic load; 1 step of the model.
   static auto cas_read(CasCell& cell) {
-    return detail::ready(rt::cas128_read(cell));
+    return probed([&] { return rt::cas128_read(cell); });
   }
   /// CAS(X, expected, desired) — one CMPXCHG16B; 1 step. Failure-word
   /// semantics come for free: compare_exchange writes the current word back
   /// into `expected` on failure, and that word is returned as `observed`.
   static auto cas(CasCell& cell, const Word& expected, const Word& desired) {
-    return detail::ready(rt::cas128_cas(cell, expected, desired));
+    return probed([&] { return rt::cas128_cas(cell, expected, desired); });
   }
   /// Write(X, desired) — one seq_cst 16-byte atomic store; 1 step.
   static auto cas_write(CasCell& cell, const Word& desired) {
-    rt::cas128_write(cell, desired);
-    return detail::ready(true);
+    return probed([&] {
+      rt::cas128_write(cell, desired);
+      return true;
+    });
   }
   /// Observer-side peek — not an algorithm step.
   static Word peek_cas(const CasCell& cell) { return rt::cas128_read(cell); }
@@ -441,41 +437,6 @@ struct RtEnv {
   /// shared memory. On real threads, hand the core back so a preempted peer
   /// (e.g. a flat-combining winner mid-phase) can finish.
   static void relax() noexcept { std::this_thread::yield(); }
-
-  /// Process-wide CAS-retry backoff knob (env.h BackoffPolicy). Plain
-  /// (non-atomic) state: set it before worker threads start and leave it
-  /// for the run — benches flip it between rows, harnesses mostly leave the
-  /// disabled default.
-  static void set_backoff(BackoffPolicy policy) noexcept {
-    backoff_policy() = policy;
-  }
-  static BackoffPolicy get_backoff() noexcept { return backoff_policy(); }
-
-  /// Bounded exponential backoff after the `attempt`-th failed CAS of one
-  /// retry loop: base_spins << min(attempt, max_exponent) local pause
-  /// iterations. Purely local — no step, no shared memory, no allocation —
-  /// so the allocs_per_op == 0 steady-state contract is untouched. Disabled
-  /// (base_spins == 0) this is one predictable branch.
-  static void backoff(std::uint32_t attempt) noexcept {
-    const BackoffPolicy& policy = backoff_policy();
-    if (policy.base_spins == 0) return;
-    const std::uint32_t shift =
-        attempt < policy.max_exponent ? attempt : policy.max_exponent;
-    const std::uint64_t spins = std::uint64_t{policy.base_spins} << shift;
-    for (std::uint64_t i = 0; i < spins; ++i) {
-      // Empty asm keeps the pause loop from being optimized away (same
-      // idiom as YieldInjector's spin arm).
-      asm volatile("");
-    }
-  }
-
- private:
-  static BackoffPolicy& backoff_policy() noexcept {
-    static BackoffPolicy policy;
-    return policy;
-  }
-
- public:
 
   // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
 
@@ -493,25 +454,30 @@ struct RtEnv {
 
   /// read(W[index]) — one seq_cst atomic load; 1 step.
   static auto read_word(WordArray& array, std::uint32_t index) {
-    return detail::ready(rt::word_read(*array[index]));
+    return probed([&] { return rt::word_read(*array[index]); });
   }
   /// write(W[index], value) — one seq_cst atomic store; 1 step.
   static auto write_word(WordArray& array, std::uint32_t index,
                          std::uint64_t value) {
-    rt::word_write(*array[index], value);
-    return detail::ready(true);
+    return probed([&] {
+      rt::word_write(*array[index], value);
+      return true;
+    });
   }
   /// CAS(W[index], expected, desired) — one LOCK CMPXCHG; 1 step,
   /// failure-word semantics as for cas().
   static auto cas_word(WordArray& array, std::uint32_t index,
                        std::uint64_t expected, std::uint64_t desired) {
-    return detail::ready(rt::word_cas(*array[index], expected, desired));
+    return probed(
+        [&] { return rt::word_cas(*array[index], expected, desired); });
   }
   /// Observer-side peek — not an algorithm step.
   static std::uint64_t peek_word(const WordArray& array, std::uint32_t index) {
     return array[index]->load(std::memory_order_seq_cst);
   }
 };
+
+using RtEnv = RtEnvT<NoProbe>;
 
 static_assert(ExecutionEnv<RtEnv>);
 

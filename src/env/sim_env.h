@@ -38,26 +38,10 @@ struct SimEnv {
   using BinArray = std::vector<sim::BinaryRegister*>;
 
   /// Registers `count` binary registers named "<prefix>[1..count]" in the
-  /// Memory (which owns them); slot `one_index` (1-based; 0 = none) starts
-  /// at 1. Registration order == mem(C) layout order, as before.
-  /// Construction only — never a step of the model.
-  static BinArray make_bin_array(Ctx memory, const char* prefix,
-                                 std::uint32_t count, std::uint32_t one_index) {
-    BinArray array;
-    array.reserve(count);
-    for (std::uint32_t v = 1; v <= count; ++v) {
-      array.push_back(&memory.make<sim::BinaryRegister>(
-          std::string(prefix) + "[" + std::to_string(v) + "]",
-          v == one_index));
-    }
-    return array;
-  }
-
-  /// As make_bin_array, but slot v starts at bit (v-1) of the flat
-  /// multi-word bitmap `words` (word v/64, bit v%64 — util::bin_test) — the
-  /// bitmap initialization the §5.1 HI set needs (arbitrary initial
-  /// membership rather than a single one-hot slot). Missing trailing words
-  /// read as 0. Construction only.
+  /// Memory (which owns them); slot v starts at bit (v-1) of the flat
+  /// multi-word bitmap `words` (util::bin_test; missing trailing words read
+  /// as 0). Registration order == mem(C) layout order. Construction only —
+  /// never a step of the model.
   static BinArray make_bin_array_words(Ctx memory, const char* prefix,
                                        std::uint32_t count,
                                        std::span<const std::uint64_t> words) {
@@ -69,13 +53,6 @@ struct SimEnv {
           util::bin_test(words, v)));
     }
     return array;
-  }
-
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static BinArray make_bin_array_bits(Ctx memory, const char* prefix,
-                                      std::uint32_t count, std::uint64_t bits) {
-    return make_bin_array_words(memory, prefix, count,
-                                std::span<const std::uint64_t>(&bits, 1));
   }
 
   /// read(A[index]) — exactly 1 primitive step (the paper's binary-register
@@ -112,30 +89,10 @@ struct SimEnv {
     std::vector<sim::PackedWordCell*> words;
   };
 
-  /// Registers ceil(count/64) packed words named "<prefix>.w[0..]"; slot
-  /// `one_index` (1-based; 0 = none) starts at 1. Construction only.
-  static PackedBinArray make_packed_bin_array(Ctx memory, const char* prefix,
-                                              std::uint32_t count,
-                                              std::uint32_t one_index) {
-    PackedBinArray array;
-    array.bins = count;
-    const std::uint32_t nwords = util::bin_words(count);
-    array.words.reserve(nwords);
-    for (std::uint32_t w = 0; w < nwords; ++w) {
-      const std::uint64_t initial =
-          (one_index != 0 && util::bin_word(one_index) == w)
-              ? util::bin_mask(one_index)
-              : 0;
-      array.words.push_back(&memory.make<sim::PackedWordCell>(
-          std::string(prefix) + ".w[" + std::to_string(w) + "]", initial));
-    }
-    return array;
-  }
-
-  /// As make_packed_bin_array, but word w starts from `words[w]` (bit v-1
-  /// of the flat bitmap = bin v — the §5.1 HI set's bitmap initialization).
-  /// Missing trailing words read as 0; bits beyond `count` are dropped so
-  /// tail bins stay 0 (util::init_word). Construction only.
+  /// Registers ceil(count/64) packed words named "<prefix>.w[0..]"; word w
+  /// starts from `words[w]` (bit v-1 of the flat bitmap = bin v). Missing
+  /// trailing words read as 0; bits beyond `count` are dropped so tail bins
+  /// stay 0 (util::init_word). Construction only.
   static PackedBinArray make_packed_bin_array_words(
       Ctx memory, const char* prefix, std::uint32_t count,
       std::span<const std::uint64_t> words) {
@@ -149,15 +106,6 @@ struct SimEnv {
           util::init_word(words, count, w)));
     }
     return array;
-  }
-
-  /// Single-word convenience form (bins 1..64 from `bits`).
-  static PackedBinArray make_packed_bin_array_bits(Ctx memory,
-                                                   const char* prefix,
-                                                   std::uint32_t count,
-                                                   std::uint64_t bits) {
-    return make_packed_bin_array_words(
-        memory, prefix, count, std::span<const std::uint64_t>(&bits, 1));
   }
 
   static std::uint32_t packed_bins(const PackedBinArray& array) {
@@ -235,10 +183,6 @@ struct SimEnv {
   /// Local scheduling hint for spin retries — never a step, never touches
   /// shared memory. Meaningless under the sim scheduler: no-op.
   static void relax() noexcept {}
-  /// CAS-retry backoff (env.h BackoffPolicy) — local wall-clock waiting has
-  /// no meaning in the step model: no-op, so step-exact tests see identical
-  /// step sequences whatever policy the rt side runs with.
-  static void backoff(std::uint32_t /*attempt*/) noexcept {}
 
   // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
 

@@ -14,7 +14,7 @@
 //                      algo/leaky_universal.h (LeakyUniversalAlg),
 //                      instantiated here with RtEnv — the simulator
 //                      instantiation of the SAME body is
-//                      baseline::LeakyUniversal. Its single-frame apply()
+//                      LeakyUniversalAlg<SimEnv, S>. Its single-frame apply()
 //                      recycles through the calling thread's FrameArena
 //                      (zero steady-state heap allocations), keeping the
 //                      E14 comparison about clearing cost, not allocators.

@@ -6,6 +6,7 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace hi::util {
 
@@ -133,6 +134,15 @@ constexpr void bin_clear(std::span<std::uint64_t> words,
                          std::uint32_t v) noexcept {
   assert(bin_word(v) < words.size());
   words[bin_word(v)] &= ~bin_mask(v);
+}
+
+/// Multi-word bin initializer with only 1-based bin `v` set (v == 0: no
+/// bin set) — the one-hot start of env::PaddedBins/PackedBins::make.
+inline std::vector<std::uint64_t> one_hot_words(std::uint32_t v) {
+  if (v == 0) return {};
+  std::vector<std::uint64_t> words(bin_word(v) + 1, 0);
+  bin_set(words, v);
+  return words;
 }
 
 /// Mask of bit positions [pos, 63] (inclusive).

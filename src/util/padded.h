@@ -7,17 +7,14 @@
 #pragma once
 
 #include <cstddef>
-#include <new>
 #include <utility>
 
 namespace hi::util {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLine =
-    std::hardware_destructive_interference_size;
-#else
+/// Fixed at 64 bytes (the x86-64 line) rather than
+/// std::hardware_destructive_interference_size, whose value GCC warns may
+/// vary with -mtune and so is unfit for a layout that must stay stable.
 inline constexpr std::size_t kCacheLine = 64;
-#endif
 
 /// Wraps T so that consecutive array elements land on distinct cache lines.
 template <typename T>

@@ -1,5 +1,5 @@
 // Experiment E13: the non-HI baseline universal construction
-// (Fatourou–Kallimanis-style, src/baseline/leaky_universal.h) is
+// (Fatourou–Kallimanis-style, src/algo/leaky_universal.h) is
 // linearizable and wait-free on the same workloads as Algorithm 5 — but the
 // HI checker rejects it, and the leak is attributable: the version counter
 // reveals the operation count, and the announce/result tables reveal each
@@ -7,7 +7,7 @@
 // workloads (test_universal.cpp); this file demonstrates the separation.
 #include <gtest/gtest.h>
 
-#include "baseline/leaky_universal.h"
+#include "algo/leaky_universal.h"
 #include "core/rllsc.h"
 #include "core/universal.h"
 #include "universal_common.h"
@@ -17,14 +17,14 @@
 namespace hi {
 namespace {
 
-using baseline::LeakyUniversal;
 using spec::CounterSpec;
+using SimLeaky = algo::LeakyUniversalAlg<env::SimEnv, CounterSpec>;
 
 struct LeakySys {
   CounterSpec spec;
   sim::Memory memory;
   sim::Scheduler sched;
-  LeakyUniversal<CounterSpec> object;
+  SimLeaky object;
 
   explicit LeakySys(int n)
       : spec(1u << 20, 10), sched(n), object(memory, spec, n) {}
@@ -51,7 +51,7 @@ TEST(LeakyUniversal, LinearizableUnderRandomSchedules) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const int n = 3;
     LeakySys sys(n);
-    sim::Runner<CounterSpec, LeakyUniversal<CounterSpec>> runner(
+    sim::Runner<CounterSpec, SimLeaky> runner(
         sys.spec, sys.memory, sys.sched, sys.object,
         [&](const auto&) { return sys.object.head_state_encoded(); });
     auto result = runner.run(
@@ -92,7 +92,7 @@ TEST(LeakyUniversal, HiCheckerRejectsQuiescentPoints) {
   for (std::uint64_t seed = 1; seed <= 6 && checker.consistent(); ++seed) {
     const int n = 2;
     LeakySys sys(n);
-    sim::Runner<CounterSpec, LeakyUniversal<CounterSpec>> runner(
+    sim::Runner<CounterSpec, SimLeaky> runner(
         sys.spec, sys.memory, sys.sched, sys.object,
         [&](const auto&) { return sys.object.head_state_encoded(); });
     auto result = runner.run(

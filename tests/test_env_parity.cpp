@@ -12,8 +12,8 @@
 #include <span>
 #include <vector>
 
+#include "algo/leaky_universal.h"
 #include "algo/wait_free_sim.h"
-#include "baseline/leaky_universal.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "core/hi_set.h"
@@ -536,7 +536,8 @@ TEST(EnvParity, LeakyUniversalCounter) {
   const int n = 4;
   sim::Memory memory;
   sim::Scheduler sched(n);
-  baseline::LeakyUniversal<spec::CounterSpec> sim_obj(memory, spec, n);
+  algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec> sim_obj(memory,
+                                                                  spec, n);
   rt::RtLeakyUniversal<spec::CounterSpec> rt_obj(spec, n);
 
   util::Xoshiro256 rng(81);

@@ -38,6 +38,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <vector>
 
 #include "algo/hi_set.h"
@@ -941,6 +942,106 @@ TEST(StallRt, CombiningUniversal_StalledCombinerDocumentedBlockingWindow) {
   EXPECT_GT(completed_runs, 0)
       << "every stall point blocked the combining universal — the blocking "
          "window should be the combining-record hold, not the entire op";
+}
+
+// ---- the probe contract of RtEnvT ----
+//
+// Each of the 11 primitives calls Probe::point() exactly twice, around its
+// atomic access; factories, peeks and relax() never call it. The stall
+// ordinals rest on this count: stall_after = k parks a thread at its
+// (k+1)-th boundary, i.e. inside its (k/2 + 1)-th primitive
+// (bench_degradation's stall_after = 1 lands after the first access).
+
+struct CountingProbe {
+  static inline thread_local std::uint64_t points = 0;
+  static void point() noexcept { ++points; }
+};
+using CountingEnv = env::RtEnvT<CountingProbe>;
+
+static_assert(std::is_same_v<FuzzEnv::BinArray, env::RtEnv::BinArray>);
+static_assert(
+    std::is_same_v<FuzzEnv::PackedBinArray, env::RtEnv::PackedBinArray>);
+static_assert(std::is_same_v<FuzzEnv::CasCell, env::RtEnv::CasCell>);
+static_assert(std::is_same_v<FuzzEnv::WordArray, env::RtEnv::WordArray>);
+static_assert(std::is_same_v<FuzzEnv::Op<int>, env::RtEnv::Op<int>>);
+
+/// Probe points `call` adds on this thread.
+template <typename Call>
+std::uint64_t points_during(Call&& call) {
+  const std::uint64_t before = CountingProbe::points;
+  call();
+  return CountingProbe::points - before;
+}
+
+TEST(ProbeContract, EachPrimitiveCallsPointTwiceNothingElseCallsIt) {
+  using E = CountingEnv;
+  const std::uint64_t init[] = {0x5};
+  const std::uint64_t before = CountingProbe::points;
+  auto bins = E::make_bin_array_words(E::Ctx{}, "A", 4, init);
+  auto packed = E::make_packed_bin_array_words(E::Ctx{}, "P", 70, init);
+  auto cell = E::make_cas(E::Ctx{}, "X", 7);
+  auto words = E::make_word_array(E::Ctx{}, "W", 2, 9);
+  EXPECT_EQ(CountingProbe::points - before, 0u) << "factories";
+
+  const E::Word seen = E::peek_cas(cell);
+  const E::Word next{8, 0};
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(E::read_bit(bins, 1).await_resume(), 1u);
+            }), 2u) << "read_bit";
+  EXPECT_EQ(points_during([&] {
+              (void)E::write_bit(bins, 2, 1).await_resume();
+            }), 2u) << "write_bit";
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(E::load_packed_word(packed, 0).await_resume(), 0x5u);
+            }), 2u) << "load_packed_word";
+  EXPECT_EQ(points_during([&] {
+              (void)E::or_packed_word(packed, 1, 0x2).await_resume();
+            }), 2u) << "or_packed_word";
+  EXPECT_EQ(points_during([&] {
+              (void)E::and_packed_word(packed, 1, 0).await_resume();
+            }), 2u) << "and_packed_word";
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(E::cas_read(cell).await_resume().value, 7u);
+            }), 2u) << "cas_read";
+  EXPECT_EQ(points_during([&] {
+              EXPECT_TRUE(E::cas(cell, seen, next).await_resume().installed);
+            }), 2u) << "cas";
+  EXPECT_EQ(points_during([&] {
+              (void)E::cas_write(cell, seen).await_resume();
+            }), 2u) << "cas_write";
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(E::read_word(words, 0).await_resume(), 9u);
+            }), 2u) << "read_word";
+  EXPECT_EQ(points_during([&] {
+              (void)E::write_word(words, 1, 3).await_resume();
+            }), 2u) << "write_word";
+  EXPECT_EQ(points_during([&] {
+              EXPECT_FALSE(
+                  E::cas_word(words, 1, 0, 4).await_resume().installed);
+            }), 2u) << "cas_word";
+
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(E::peek_bit(bins, 2), 1u);
+              EXPECT_EQ(E::peek_packed_word(packed, 1), 0u);
+              EXPECT_EQ(E::peek_cas(cell).value, 7u);
+              EXPECT_EQ(E::peek_word(words, 1), 3u);
+              EXPECT_EQ(E::packed_bins(packed), 70u);
+              EXPECT_EQ(E::packed_words(packed), 2u);
+              EXPECT_GT(E::bin_storage_bytes(bins), 0u);
+              EXPECT_GT(E::packed_storage_bytes(packed), 0u);
+              (void)E::cas_is_lock_free(cell);
+              E::relax();
+            }), 0u) << "peeks, sizes and relax()";
+}
+
+TEST(ProbeContract, FuzzEnvPrimitiveIsTwoInjectorBoundaries) {
+  env::RtEnv::CasCell cell = FuzzEnv::make_cas(FuzzEnv::Ctx{}, "X", 0);
+  env::YieldInjector::arm(1, env::YieldPolicy{/*permille=*/0});
+  (void)FuzzEnv::cas_read(cell).await_resume();
+  EXPECT_EQ(env::YieldInjector::points(), 2u);
+  (void)FuzzEnv::peek_cas(cell);
+  EXPECT_EQ(env::YieldInjector::points(), 2u);
+  env::YieldInjector::disarm();
 }
 
 }  // namespace

@@ -102,7 +102,7 @@ struct SimPackedFixture {
 TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
   SimPackedFixture sys;
   // K=70 (not a multiple of 64): 2 words, tail bits stay zero.
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 70, 65);
+  SimArray a = SimBins::make(sys.memory, "A", 70, 65);
   ASSERT_EQ(env::SimEnv::packed_words(a), 2u);
   ASSERT_EQ(env::SimEnv::packed_bins(a), 70u);
   // one_index=65 lands on word 1, bit 0 (the boundary crossing).
@@ -132,16 +132,15 @@ TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
 TEST(PackedSim, BitsInitializationRoundTrip) {
   SimPackedFixture sys;
   const std::uint64_t bits = 0xdeadbeefcafef00dull;
-  SimArray a = env::SimEnv::make_packed_bin_array_bits(sys.memory, "S", 64,
-                                                       bits);
+  SimArray a = SimBins::make_bits(sys.memory, "S", 64, {&bits, 1});
   ASSERT_EQ(env::SimEnv::packed_words(a), 1u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
     EXPECT_EQ(SimBins::peek(a, v), (bits >> (v - 1)) & 1) << "bin " << v;
   }
   // Bits beyond a short domain are dropped so tail bins stay 0.
-  SimArray b = env::SimEnv::make_packed_bin_array_bits(sys.memory, "T", 10,
-                                                       ~std::uint64_t{0});
+  const std::uint64_t all = ~std::uint64_t{0};
+  SimArray b = SimBins::make_bits(sys.memory, "T", 10, {&all, 1});
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -220,7 +219,7 @@ TEST(PackedSim, MultiWordHiSetAcrossWordBoundary) {
 
 TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 130, 0);
+  SimArray a = SimBins::make(sys.memory, "A", 130, 0);
   ASSERT_EQ(env::SimEnv::packed_words(a), 3u);
   EXPECT_EQ(sys.run(op_scan_up(a, 1)), 0u);
   EXPECT_EQ(sys.run(op_scan_up(a, 128)), 0u);
@@ -230,8 +229,8 @@ TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
 
 TEST(PackedSim, ClearRangesRespectWordBoundaries) {
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array_bits(sys.memory, "A", 70,
-                                                       ~std::uint64_t{0});
+  const std::uint64_t all = ~std::uint64_t{0};
+  SimArray a = SimBins::make_bits(sys.memory, "A", 70, {&all, 1});
   for (std::uint32_t v = 65; v <= 70; ++v) {
     (void)sys.run(op_set(a, v));
   }
@@ -255,7 +254,7 @@ TEST(PackedSim, SnapshotIsThePackedWordVector) {
   // representation is itself the memory representation the HI definitions
   // compare.
   SimPackedFixture sys;
-  SimArray a = env::SimEnv::make_packed_bin_array(sys.memory, "A", 70, 3);
+  SimArray a = SimBins::make(sys.memory, "A", 70, 3);
   const auto snap = sys.memory.snapshot();
   ASSERT_EQ(snap.words.size(), 2u);
   EXPECT_EQ(snap.words[0], 4u);
@@ -267,8 +266,7 @@ TEST(PackedSim, SnapshotIsThePackedWordVector) {
 // ---- the same edge cases over RtEnv's eager atomics ----
 
 TEST(PackedRt, NonMultipleOf64SizesAndWordBoundaryBins) {
-  RtArray a = env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "A", 70,
-                                                65);
+  RtArray a = RtBins::make(env::RtEnv::Ctx{}, "A", 70, 65);
   ASSERT_EQ(env::RtEnv::packed_words(a), 2u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), 0u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 1), 1u);
@@ -296,14 +294,13 @@ TEST(PackedRt, NonMultipleOf64SizesAndWordBoundaryBins) {
 
 TEST(PackedRt, BitsInitializationRoundTrip) {
   const std::uint64_t bits = 0x123456789abcdef0ull;
-  RtArray a = env::RtEnv::make_packed_bin_array_bits(env::RtEnv::Ctx{}, "S",
-                                                     64, bits);
+  RtArray a = RtBins::make_bits(env::RtEnv::Ctx{}, "S", 64, {&bits, 1});
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
     EXPECT_EQ(RtBins::peek(a, v), (bits >> (v - 1)) & 1) << "bin " << v;
   }
-  RtArray b = env::RtEnv::make_packed_bin_array_bits(env::RtEnv::Ctx{}, "T",
-                                                     10, ~std::uint64_t{0});
+  const std::uint64_t all = ~std::uint64_t{0};
+  RtArray b = RtBins::make_bits(env::RtEnv::Ctx{}, "T", 10, {&all, 1});
   EXPECT_EQ(env::RtEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -351,10 +348,10 @@ TEST(PackedRt, MultiWordHiSetSnapshotMembers) {
 TEST(PackedRt, FootprintIsTwoCacheLinesAtK1024) {
   // The representation/bit-complexity tradeoff the packing buys: K=1024
   // bins in 128 contiguous bytes, vs 64 KiB of padded per-bit cells.
-  RtArray packed = env::RtEnv::make_packed_bin_array(env::RtEnv::Ctx{}, "A",
-                                                     1024, 1);
+  RtArray packed = RtBins::make(env::RtEnv::Ctx{}, "A", 1024, 1);
   EXPECT_EQ(RtBins::footprint_bytes(packed), 128u);
-  auto padded = env::RtEnv::make_bin_array(env::RtEnv::Ctx{}, "A", 1024, 1);
+  auto padded =
+      env::PaddedBins<env::RtEnv>::make(env::RtEnv::Ctx{}, "A", 1024, 1);
   EXPECT_EQ(env::PaddedBins<env::RtEnv>::footprint_bytes(padded),
             1024u * sizeof(rt::BinCell));
   EXPECT_GE(sizeof(rt::BinCell), 64u);

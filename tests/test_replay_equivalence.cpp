@@ -17,8 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/leaky_universal.h"
 #include "algo/universal.h"
-#include "baseline/leaky_universal.h"
 #include "baseline/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
@@ -278,13 +278,15 @@ TEST(ReplayEquivalence, LeakyUniversalRecordedSchedules) {
   {
     sim::Memory memory;
     sim::Scheduler sched(n);
-    baseline::LeakyUniversal<spec::CounterSpec> impl(memory, spec, n);
+    algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec> impl(memory, spec,
+                                                              n);
     trace = record_runner_trace(spec, memory, sched, impl, workload, 82);
   }
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(n);
-  baseline::LeakyUniversal<spec::CounterSpec> sim_impl(sim_memory, spec, n);
+  algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec> sim_impl(
+      sim_memory, spec, n);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(n);
   replay::LeakyUniversal<spec::CounterSpec> replay_impl(replay_memory, spec, n);

@@ -18,8 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/leaky_universal.h"
 #include "algo/universal.h"
-#include "baseline/leaky_universal.h"
 #include "baseline/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
@@ -349,7 +349,7 @@ TEST(ReplayFuzz, UniversalCombine) { fuzz_universal(/*combine=*/true); }
 TEST(ReplayFuzz, LeakyUniversal) {
   const spec::CounterSpec spec(1u << 20, 10);
   const int n = 3;
-  using SimLeaky = baseline::LeakyUniversal<spec::CounterSpec>;
+  using SimLeaky = algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec>;
   using ReplayLeaky = replay::LeakyUniversal<spec::CounterSpec>;
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::counter_workload(n, 3, seed);

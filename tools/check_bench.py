@@ -267,10 +267,6 @@ DEGRADATION_FAMILIES = {
     "alg4/native": 2,
 }
 
-DEGRADATION_BACKOFF_ROWS = ("rllsc/contended_backoff_off",
-                            "rllsc/contended_backoff_on")
-
-
 def check_degradation_suite(doc):
     """Graceful-degradation suite bounds (bench/bench_degradation.cpp,
     docs/FAULTS.md "Reading the degradation book"):
@@ -290,10 +286,6 @@ def check_degradation_suite(doc):
       readers pushing survivors onto the slow path is the mechanism being
       measured) and alg4/native control rows must pin exactly 0.0 (no slow
       path exists to enter).
-
-    * The rllsc/contended_backoff_{off,on} A/B pair must both be present —
-      the bounded-backoff policy is only interpretable against its own
-      control row from the same run.
     """
     failures = []
     rows = {row.get("name"): row for row in doc.get("results", [])}
@@ -323,11 +315,6 @@ def check_degradation_suite(doc):
                 failures.append(
                     f"{name}: slow_path_entry_rate={rate!r} but the native "
                     "Alg 4 register has no slow path (must pin 0.0)")
-    for name in DEGRADATION_BACKOFF_ROWS:
-        if name not in rows:
-            failures.append(
-                f"missing backoff A/B row {name!r} — the policy row is "
-                "only interpretable against its control from the same run")
     return failures
 
 
@@ -544,8 +531,7 @@ def self_test():
                            offered_load=2e5, achieved_load=2.03e5)])),
            "traffic: achieved within the 2% jitter slack passes")
 
-    # Degradation suite: sweep completeness / survivor progress / rates /
-    # the backoff A/B pair.
+    # Degradation suite: sweep completeness / survivor progress / rates.
     def _degradation_rows():
         rows = []
         for family, n in DEGRADATION_FAMILIES.items():
@@ -555,8 +541,6 @@ def self_test():
                 if rate >= 0:
                     row["slow_path_entry_rate"] = rate
                 rows.append(row)
-        rows.extend(_synthetic_row(name, threads=3)
-                    for name in DEGRADATION_BACKOFF_ROWS)
         return rows
 
     deg_good = _synthetic_doc("degradation", _degradation_rows())
@@ -588,11 +572,6 @@ def self_test():
             row["slow_path_entry_rate"] = 0.3
     expect(any("no slow path" in f for f in check_degradation_suite(deg_ctrl)),
            "degradation: an alg4 control row off the 0.0 pin fails")
-    deg_ab = _synthetic_doc("degradation", [
-        r for r in _degradation_rows()
-        if r["name"] != "rllsc/contended_backoff_on"])
-    expect(any("backoff A/B" in f for f in check_degradation_suite(deg_ab)),
-           "degradation: a missing backoff A/B row fails")
 
     # Throughput warnings.
     fresh = _synthetic_doc("registers",
