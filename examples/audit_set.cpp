@@ -13,7 +13,9 @@
 // the current membership — never of the churn that produced it.
 //
 //   $ ./examples/audit_set
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <thread>
@@ -84,11 +86,9 @@ int main() {
     const double ms =
         std::chrono::duration<double, std::milli>(elapsed).count();
     total_audit_ms += ms;
-    std::printf("audit %d: %u members enrolled, scanned %u words of shared "
+    std::printf("audit %d: %u members enrolled, scanned %zu words of shared "
                 "memory in %.2f ms\n",
-                audit + 1, count,
-                (kUsers + 63) / 64 /* == total packed words (+shard tails) */,
-                ms);
+                audit + 1, count, store.memory_bytes() / 8, ms);
   }
 
   for (auto& admin : admins) admin.join();
@@ -98,6 +98,15 @@ int main() {
   std::printf("\nfinal membership after churn: %u users; mean audit latency "
               "%.2f ms over %d mid-churn audits.\n",
               final_count, total_audit_ms / kAudits, kAudits);
+  // At quiescence the audit must count exactly the set bins in memory.
+  const std::vector<std::uint8_t> image = store.memory_image();
+  const auto set_bins = static_cast<std::size_t>(
+      std::count(image.begin(), image.end(), std::uint8_t{1}));
+  if (final_count != set_bins) {
+    std::printf("AUDIT MISMATCH: %u members audited, %zu bins set\n",
+                final_count, set_bins);
+    return 1;
+  }
   std::printf(
       "The store's memory is the concatenation of per-shard membership\n"
       "bitmaps — a pure function of WHO is enrolled now. No trace remains\n"

@@ -24,6 +24,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "env/env.h"
@@ -86,28 +87,25 @@ class HiSetAlg {
     co_return bit == 1;
   }
 
-  /// First member ≥ `from`, else 0 — Bins::scan_up forwarded without an
-  /// extra coroutine frame: one word load per 64 bins when packed, one bit
-  /// read per bin when padded. The building block of snapshot_members and
-  /// of the sharded facade's audit scan (algo/sharded_set.h).
-  typename Env::template Sub<std::uint32_t> next_member(std::uint32_t from) {
-    return Bins::scan_up(s_, from);
+  /// Every member, ascending, passed to `emit` — Bins::scan_members
+  /// forwarded without an extra coroutine frame: one word load per word
+  /// when packed, one bit read per bin when padded. The building block of
+  /// snapshot_members and of the sharded facade's audit (algo/sharded_set.h).
+  template <typename Emit>
+  typename Env::template Sub<std::uint32_t> scan_members(Emit emit) {
+    return Bins::scan_members(s_, std::move(emit));
   }
 
-  /// Snapshot(): enumerate the members ascending via iterated word scans —
-  /// one word load per 64 bins plus one reload per extra member sharing a
-  /// word (packed), one bit read per bin (padded). Each load is a single
-  /// primitive step, so the scan is NOT an atomic multi-word snapshot: it
-  /// observes every concurrently-quiescent member and linearizes per-word.
+  /// Snapshot(): enumerate the members ascending in one pass — one word
+  /// load per word (packed), one bit read per bin (padded). Each load is a
+  /// single primitive step, so the scan is NOT an atomic multi-word
+  /// snapshot: it observes every concurrently-quiescent member and
+  /// linearizes per word (members sharing a word come from one load).
   /// Appends to `out` (caller reserves capacity to keep rt paths
-  /// allocation-free); returns the member count.
+  /// allocation-free); returns out.size().
   Op<std::uint32_t> snapshot_members(std::vector<std::uint32_t>& out) {
-    std::uint32_t v = co_await Bins::scan_up(s_, 1);
-    while (v != 0) {
-      out.push_back(v);
-      if (v >= domain_) break;
-      v = co_await Bins::scan_up(s_, v + 1);
-    }
+    co_await Bins::scan_members(s_,
+                                [&out](std::uint32_t v) { out.push_back(v); });
     co_return static_cast<std::uint32_t>(out.size());
   }
 

@@ -148,22 +148,18 @@ class ShardedHiSet {
     return shards_[shard_of(key)].lookup(local_of(key));
   }
 
-  /// Audit(): enumerate the whole store's members via per-shard word scans
-  /// (HiSetAlg::snapshot_members semantics per shard — one word load per 64
-  /// bins plus one reload per extra member sharing a word). Appends GLOBAL
-  /// keys to `out`, per-shard ascending: globally sorted under kBlocked,
+  /// Audit(): enumerate the whole store's members with one
+  /// HiSetAlg::scan_members pass per shard — one word load per word, every
+  /// member of a word taken from that one load. Appends GLOBAL keys to
+  /// `out`, per-shard ascending: globally sorted under kBlocked,
   /// interleaved across shards under kStriped. Per-word linearized, not an
   /// atomic snapshot (Thm 17 caveat in the header comment). Caller reserves
   /// `out` capacity to keep rt paths allocation-free.
   Op<std::uint32_t> snapshot_members(std::vector<std::uint32_t>& out) {
     for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      const std::uint32_t limit = shards_[s].domain();
-      std::uint32_t v = co_await shards_[s].next_member(1);
-      while (v != 0) {
+      co_await shards_[s].scan_members([this, &out, s](std::uint32_t v) {
         out.push_back(global_key(s, v));
-        if (v >= limit) break;
-        v = co_await shards_[s].next_member(v + 1);
-      }
+      });
     }
     co_return static_cast<std::uint32_t>(out.size());
   }

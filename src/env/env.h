@@ -158,6 +158,7 @@ auto ready(T value) {
 //   set/clear(a, v)     1 (bit write)             1 (fetch_or/fetch_and)
 //   scan_up(a, from)    1 per bin examined        1 word load per 64 bins
 //   scan_down(a, from)  1 per bin examined        1 word load per 64 bins
+//   scan_members(a, f)  1 per bin (size(a))       1 word load per word
 //   clear_down(a, from) `from` bit writes         1 fetch_and per word
 //   clear_up(a, from)   size-from+1 bit writes    1 fetch_and per word
 //
@@ -232,6 +233,23 @@ struct PaddedBins {
       if (bit == 1) co_return j;
     }
     co_return 0;
+  }
+
+  /// Every set bin, ascending, passed to `emit` — exactly one bit read per
+  /// bin, size(a) steps whatever the membership (the §5.1 audit). Returns
+  /// the number of bins emitted.
+  template <typename Emit>
+  static Sub<std::uint32_t> scan_members(Array& a, Emit emit) {
+    const std::uint32_t limit = size(a);
+    std::uint32_t found = 0;
+    for (std::uint32_t j = 1; j <= limit; ++j) {
+      const std::uint8_t bit = co_await Env::read_bit(a, j);
+      if (bit == 1) {
+        emit(j);
+        ++found;
+      }
+    }
+    co_return found;
   }
 
   /// A[from], A[from-1], …, A[1] ← 0 — one bit write per bin, descending
@@ -337,6 +355,25 @@ struct PackedBins {
       mask = ~std::uint64_t{0};
     }
     co_return 0;
+  }
+
+  /// Every set bin, ascending, passed to `emit` — exactly one word load per
+  /// word, whatever the membership: each member is extracted from the one
+  /// loaded value (TZCNT, then clear the lowest set bit), so all members
+  /// sharing a word come from one atomic observation. Returns the number of
+  /// bins emitted.
+  template <typename Emit>
+  static Sub<std::uint32_t> scan_members(Array& a, Emit emit) {
+    const std::uint32_t nwords = Env::packed_words(a);
+    std::uint32_t found = 0;
+    for (std::uint32_t w = 0; w < nwords; ++w) {
+      std::uint64_t word = co_await Env::load_packed_word(a, w);
+      for (; word != 0; word &= word - 1) {
+        emit(w * 64 + util::lowest_set(word) + 1);
+        ++found;
+      }
+    }
+    co_return found;
   }
 
   /// A[from..1] ← 0 — ONE masked fetch_and per word, descending: the word

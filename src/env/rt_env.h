@@ -417,11 +417,19 @@ struct RtEnvT {
   /// CAS(X, expected, desired) — one CMPXCHG16B; 1 step. Failure-word
   /// semantics come for free: compare_exchange writes the current word back
   /// into `expected` on failure, and that word is returned as `observed`.
-  static auto cas(CasCell& cell, const Word& expected, const Word& desired) {
+  /// The words are taken BY VALUE. With `const Word&` parameters, gcc 12
+  /// -O2 compiled the retry loop of CasRllscAlg::ll_interleaved (a CAS, then
+  /// a poll coroutine, then `cur = r.observed`) so that each retry's
+  /// `expected` was the word observed one attempt earlier, while `desired`
+  /// was built from the current one. When head's value recurred, that stale
+  /// CAS could succeed and write an old state back: the rt universal lost or
+  /// repeated operations, or hung. Copying the words at the call leaves the
+  /// inlined CAS no reference into the coroutine frame.
+  static auto cas(CasCell& cell, Word expected, Word desired) {
     return probed([&] { return rt::cas128_cas(cell, expected, desired); });
   }
   /// Write(X, desired) — one seq_cst 16-byte atomic store; 1 step.
-  static auto cas_write(CasCell& cell, const Word& desired) {
+  static auto cas_write(CasCell& cell, Word desired) {
     return probed([&] {
       rt::cas128_write(cell, desired);
       return true;

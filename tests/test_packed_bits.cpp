@@ -4,7 +4,8 @@
 // all-zero arrays — plus the re-derived sim step-count expectations for the
 // packed §4/§5.1 hot paths (the packed analogue of the padded layout's
 // step-exact tests: one word load per 64 bins, one masked fetch_and per
-// word, so a K=70 scan is 2 steps where the padded layout pays 70).
+// word, so a K=70 scan is 2 steps where the padded layout pays 70; an
+// audit is one load per word whatever the membership).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "algo/hi_set.h"
+#include "algo/sharded_set.h"
 
 #include "core/hi_register_lockfree.h"
 #include "core/hi_set.h"
@@ -68,6 +70,12 @@ sim::OpTask<std::uint32_t> op_scan_up(SimArray& a, std::uint32_t from) {
 sim::OpTask<std::uint32_t> op_scan_down(SimArray& a, std::uint32_t from) {
   const std::uint32_t hit = co_await SimBins::scan_down(a, from);
   co_return hit;
+}
+sim::OpTask<std::uint32_t> op_scan_members(SimArray& a,
+                                           std::vector<std::uint32_t>& out) {
+  const std::uint32_t found = co_await SimBins::scan_members(
+      a, [&out](std::uint32_t v) { out.push_back(v); });
+  co_return found;
 }
 sim::OpTask<std::uint32_t> op_read(SimArray& a, std::uint32_t v) {
   const std::uint8_t bit = co_await SimBins::read(a, v);
@@ -127,6 +135,10 @@ TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
   EXPECT_EQ(sys.run(op_scan_down(a, 70)), 70u);
   EXPECT_EQ(sys.run(op_scan_down(a, 69)), 64u);
   EXPECT_EQ(sys.run(op_scan_down(a, 63)), 0u);
+
+  std::vector<std::uint32_t> members;
+  EXPECT_EQ(sys.run(op_scan_members(a, members)), 2u);
+  EXPECT_EQ(members, (std::vector<std::uint32_t>{64, 70}));
 }
 
 TEST(PackedSim, BitsInitializationRoundTrip) {
@@ -225,6 +237,9 @@ TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
   EXPECT_EQ(sys.run(op_scan_up(a, 128)), 0u);
   EXPECT_EQ(sys.run(op_scan_down(a, 130)), 0u);
   EXPECT_EQ(sys.run(op_scan_down(a, 1)), 0u);
+  std::vector<std::uint32_t> members;
+  EXPECT_EQ(sys.run(op_scan_members(a, members)), 0u);
+  EXPECT_TRUE(members.empty());
 }
 
 TEST(PackedSim, ClearRangesRespectWordBoundaries) {
@@ -467,6 +482,60 @@ TEST(PackedStepCounts, HiSetOpsAreOnePrimitiveEach) {
   const auto snap = memory.snapshot();
   ASSERT_EQ(snap.words.size(), 1u);
   EXPECT_EQ(snap.words[0], (std::uint64_t{1} << 63) | 0x4u);
+}
+
+/// Steps one solo snapshot_members costs; `members` holds its output.
+template <typename Set>
+std::uint64_t audit_steps(sim::Scheduler& sched, Set& set,
+                          std::vector<std::uint32_t>& members) {
+  members.clear();
+  const std::uint64_t before = sched.steps_of(0);
+  const std::uint32_t count =
+      sim::run_solo(sched, 0, set.snapshot_members(members));
+  EXPECT_EQ(count, members.size());
+  return sched.steps_of(0) - before;
+}
+
+TEST(PackedStepCounts, AuditIsOneLoadPerWordWhateverTheMembership) {
+  // A 130-bin set is 3 packed words. The packed audit loads each word once
+  // and takes every member of a word from that load, so it costs 3 steps
+  // with six members (three sharing word 0) and 3 steps empty. The padded
+  // audit reads each bin once: 130 steps either way.
+  constexpr std::uint32_t kDomain = 130;
+  const std::vector<std::uint32_t> keys{1, 2, 3, 64, 65, 130};
+  std::vector<std::uint64_t> seeded(util::bin_words(kDomain), 0);
+  for (const std::uint32_t k : keys) util::bin_set(seeded, k);
+
+  for (const bool empty : {false, true}) {
+    SCOPED_TRACE(empty ? "empty set" : "six members");
+    const std::span<const std::uint64_t> init =
+        empty ? std::span<const std::uint64_t>{} : seeded;
+    sim::Memory memory;
+    sim::Scheduler sched{1};
+    std::vector<std::uint32_t> members;
+
+    algo::HiSetAlgPacked<env::SimEnv> packed(memory, kDomain, init, "S");
+    EXPECT_EQ(audit_steps(sched, packed, members), 3u);
+    EXPECT_EQ(members, empty ? std::vector<std::uint32_t>{} : keys);
+
+    algo::HiSetAlgPadded<env::SimEnv> padded(memory, kDomain, init, "P");
+    EXPECT_EQ(audit_steps(sched, padded, members), kDomain);
+    EXPECT_EQ(members, empty ? std::vector<std::uint32_t>{} : keys);
+
+    // Two striped shards of 65 bins, 2 words each: the store audits in
+    // the sum of its shards' word counts, shard by shard (odd keys, then
+    // even keys), each shard ascending.
+    algo::ShardedHiSetPacked<env::SimEnv> store(
+        memory, kDomain, 2, algo::ShardPlacement::kStriped, init);
+    std::uint64_t words = 0;
+    for (std::uint32_t s = 0; s < store.shard_count(); ++s) {
+      words += util::bin_words(store.shard_domain(s));
+    }
+    ASSERT_EQ(words, 4u);
+    EXPECT_EQ(audit_steps(sched, store, members), words);
+    const std::vector<std::uint32_t> by_shard{1, 3, 65, 2, 64, 130};
+    EXPECT_EQ(members, empty ? std::vector<std::uint32_t>{} : by_shard);
+  }
 }
 
 }  // namespace
