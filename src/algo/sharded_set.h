@@ -85,10 +85,19 @@ class ShardedHiSet {
   using Shard = HiSetAlg<Env, Bins>;
 
   /// `initial_words`: flat membership bitmap over the GLOBAL key space
-  /// (bit k-1 = key k), scattered to the per-shard bitmaps through the
-  /// placement map at construction. Shard s's cells are labelled
-  /// "S<s>" on the registering backends; shards are constructed in shard
-  /// order, so object ids line up across backends for parity/replay.
+  /// (bit k-1 = key k; bits past `domain` are ignored, missing trailing
+  /// words read as 0), scattered to the per-shard bitmaps through the
+  /// placement map at construction. Shard s's cells are labelled "S<s>" on
+  /// the registering backends; shards are constructed in shard order, so
+  /// object ids line up across backends for parity/replay.
+  ///
+  /// One pass, O(words + members): every shard's initial words live in ONE
+  /// transient flat buffer (shard s owns a span of bin_words(shard_domain(s))
+  /// words), and a single walk over the set bits of `initial_words` drops
+  /// each member into its shard's span through the pure shard map. The
+  /// shards then copy their spans into shared memory. Separate per-shard
+  /// buffers cost more peak memory, and a per-shard walk over the members
+  /// pays shard_count × members map evaluations.
   ShardedHiSet(typename Env::Ctx ctx, std::uint32_t domain,
                std::uint32_t shard_count,
                ShardPlacement placement = ShardPlacement::kBlocked,
@@ -99,21 +108,32 @@ class ShardedHiSet {
         base_(domain / shard_count),
         rem_(domain % shard_count) {
     assert(domain >= 1 && shard_count >= 1 && shard_count <= domain);
-    shards_.reserve(shard_count);
-    std::vector<std::uint64_t> init;
+    // Shard s's initial words are init[offset[s] .. offset[s + 1]).
+    std::vector<std::size_t> offset(shard_count + 1, 0);
     for (std::uint32_t s = 0; s < shard_count; ++s) {
-      const std::uint32_t size = shard_domain(s);
-      init.assign(util::bin_words(size), 0);
-      if (!initial_words.empty()) {
-        for (std::uint32_t local = 1; local <= size; ++local) {
-          if (util::bin_test(initial_words, global_key(s, local))) {
-            util::bin_set(init, local);
-          }
-        }
+      offset[s + 1] = offset[s] + util::bin_words(shard_domain(s));
+    }
+    std::vector<std::uint64_t> init(offset.back(), 0);
+    const auto shard_words = [&init, &offset](std::uint32_t s) {
+      return std::span<std::uint64_t>(init).subspan(offset[s],
+                                                    offset[s + 1] - offset[s]);
+    };
+    const std::size_t seeded_words =
+        std::min<std::size_t>(initial_words.size(), util::bin_words(domain));
+    for (std::size_t w = 0; w < seeded_words; ++w) {
+      for (std::uint64_t bits = initial_words[w]; bits != 0;
+           bits &= bits - 1) {
+        const std::uint64_t key = w * 64 + util::lowest_set(bits) + 1;
+        if (key > domain_) break;  // ascending: the rest of the word too
+        const auto k = static_cast<std::uint32_t>(key);
+        util::bin_set(shard_words(shard_of(k)), local_of(k));
       }
+    }
+    shards_.reserve(shard_count);
+    for (std::uint32_t s = 0; s < shard_count; ++s) {
       const std::string prefix = "S" + std::to_string(s);
-      shards_.emplace_back(ctx, size,
-                           std::span<const std::uint64_t>(init),
+      shards_.emplace_back(ctx, shard_domain(s),
+                           std::span<const std::uint64_t>(shard_words(s)),
                            prefix.c_str());
     }
   }

@@ -29,6 +29,9 @@
 //                          comparison is semantic, via the codecs);
 //   ReplayWordCell       — 1 word, identical to sim::CasCell.
 //
+// Cell constructors store their initial values relaxed, as RtEnv's
+// factories do: construction is not a step (docs/ENV.md "Factories").
+//
 // Allocation contract: ReplayEnv coroutines are sim::OpTask/sim::SubTask —
 // ordinary heap-allocated frames, NOT FrameArena-backed EagerTasks. A
 // suspended frame must outlive arbitrarily many scheduler steps (and the
@@ -63,7 +66,7 @@ class ReplayBinaryRegister : public sim::BaseObject {
  public:
   explicit ReplayBinaryRegister(std::string name, bool initial = false)
       : BaseObject(std::move(name)) {
-    cell_->store(initial ? 1 : 0, std::memory_order_seq_cst);
+    cell_->store(initial ? 1 : 0, std::memory_order_relaxed);
   }
 
   auto read() {
@@ -102,7 +105,7 @@ class ReplayPackedWordCell : public sim::BaseObject {
  public:
   explicit ReplayPackedWordCell(std::string name, std::uint64_t initial)
       : BaseObject(std::move(name)) {
-    cell_.store(initial, std::memory_order_seq_cst);
+    cell_.store(initial, std::memory_order_relaxed);
   }
 
   auto read() {
@@ -186,7 +189,7 @@ class ReplayWordCell : public sim::BaseObject {
  public:
   explicit ReplayWordCell(std::string name, std::uint64_t initial)
       : BaseObject(std::move(name)) {
-    cell_->store(initial, std::memory_order_seq_cst);
+    cell_->store(initial, std::memory_order_relaxed);
   }
 
   auto read() {

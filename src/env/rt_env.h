@@ -3,8 +3,11 @@
 // Primitives map onto std::atomic operations with the same memory orders the
 // hand-written src/rt implementations used (seq_cst after construction —
 // the §4/§6 proofs assume atomic base objects with a total order on
-// operations), binary cells keep their per-cache-line padding, and the CAS
-// base object is the 16-byte Atomic128 word (CMPXCHG16B via -mcx16).
+// operations; the factories' initialization stores are relaxed, because an
+// object reaches other threads only through a happens-before edge such as
+// thread start — docs/ENV.md "Factories"), binary cells keep their
+// per-cache-line padding, and the CAS base object is the 16-byte Atomic128
+// word (CMPXCHG16B via -mcx16).
 //
 // Every primitive executes its atomic access inside the primitive call
 // itself and returns a detail::Done awaiter that carries only the already-
@@ -306,7 +309,7 @@ struct RtEnvT {
     BinArray array(count);
     for (std::uint32_t v = 1; v <= count; ++v) {
       array[v - 1]->store(util::bin_test(words, v) ? 1 : 0,
-                          std::memory_order_seq_cst);
+                          std::memory_order_relaxed);
     }
     return array;
   }
@@ -357,7 +360,7 @@ struct RtEnvT {
     for (std::size_t w = 0; w < array.words.size(); ++w) {
       array.words[w].store(
           util::init_word(words, count, static_cast<std::uint32_t>(w)),
-          std::memory_order_seq_cst);
+          std::memory_order_relaxed);
     }
     return array;
   }
@@ -456,7 +459,7 @@ struct RtEnvT {
   static WordArray make_word_array(Ctx, const char* /*prefix*/,
                                    std::uint32_t count, std::uint64_t initial) {
     WordArray array(count);
-    for (auto& cell : array) cell->store(initial, std::memory_order_seq_cst);
+    for (auto& cell : array) cell->store(initial, std::memory_order_relaxed);
     return array;
   }
 

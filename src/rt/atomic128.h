@@ -14,6 +14,10 @@
 #include <atomic>
 #include <cstdint>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 namespace hi::rt {
 
 struct Word128 {
@@ -41,7 +45,24 @@ class Atomic128 {
                                          std::memory_order_seq_cst);
   }
 
-  bool is_lock_free() const { return word_.is_lock_free(); }
+  /// Whether the 16-byte operations resolve to lock-free instructions. On
+  /// x86-64, libatomic's __atomic_*_16 entry points dispatch at load time to
+  /// LOCK CMPXCHG16B (and, with AVX, VMOVDQA loads) whenever CPUID.1:ECX
+  /// reports CX16, but std::atomic::is_lock_free() cannot see that dispatch
+  /// and answers false under gcc 12. So on x86-64 the CPUID bit is the
+  /// answer; elsewhere std::atomic's answer stands.
+  bool is_lock_free() const {
+#if defined(__x86_64__)
+    static const bool cx16 = [] {
+      unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+      return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+             (ecx & bit_CMPXCHG16B) != 0;
+    }();
+    return cx16;
+#else
+    return word_.is_lock_free();
+#endif
+  }
 
  private:
   std::atomic<Word128> word_{};

@@ -8,6 +8,7 @@
 // any HI property is even consulted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "spec/max_register_spec.h"
 #include "spec/register_spec.h"
 #include "spec/set_spec.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace hi {
@@ -369,6 +371,80 @@ TEST(EnvParity, ShardedHiSet) {
       EXPECT_EQ(sim_count, rt_count);
       EXPECT_EQ(sim_members, rt_members)
           << "audit diverges after op " << step;
+    }
+  }
+}
+
+/// The keys a seed bitmap names inside 1..domain, ascending, read one key
+/// at a time — the definition the constructor's bulk scatter must match.
+std::vector<std::uint32_t> seeded_keys(std::span<const std::uint64_t> seed,
+                                       std::uint32_t domain) {
+  std::vector<std::uint32_t> keys;
+  for (std::uint32_t k = 1; k <= domain; ++k) {
+    if (util::bin_test(seed, k)) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(EnvParity, ShardedSeedIsInsertsOfSeededKeys) {
+  // A store seeded with a bitmap must be, byte for byte, an empty store
+  // after inserting each seeded key, and its audit must name exactly those
+  // keys. The seeds carry bits past the domain (dropped) or fall short of
+  // the domain's word count (missing words read as 0).
+  util::Xoshiro256 rng(15);
+  const auto random_words = [&rng](std::uint32_t count) {
+    std::vector<std::uint64_t> words(count);
+    for (std::uint64_t& w : words) w = rng.next();
+    return words;
+  };
+  for (const auto placement :
+       {algo::ShardPlacement::kBlocked, algo::ShardPlacement::kStriped}) {
+    for (const std::uint32_t shards : {1u, 3u, 16u, 100u}) {
+      for (const std::uint32_t domain : {150u, 1000u, 4097u}) {
+        const std::uint32_t words = util::bin_words(domain);
+        for (const auto& seed :
+             {random_words(words + 2), random_words(words / 2)}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "placement " << static_cast<int>(placement)
+                       << ", shards " << shards << ", domain " << domain
+                       << ", seed words " << seed.size());
+          const std::vector<std::uint32_t> keys = seeded_keys(seed, domain);
+
+          sim::Memory seeded_memory;
+          sim::Memory built_memory;
+          sim::Scheduler sched(1);
+          algo::ShardedHiSetPacked<env::SimEnv> sim_seeded(
+              seeded_memory, domain, shards, placement,
+              std::span<const std::uint64_t>(seed));
+          algo::ShardedHiSetPacked<env::SimEnv> sim_built(built_memory,
+                                                          domain, shards,
+                                                          placement);
+          for (const std::uint32_t k : keys) {
+            (void)sim::run_solo(sched, 0, sim_built.insert(k));
+          }
+          std::vector<std::uint8_t> seeded_image;
+          std::vector<std::uint8_t> built_image;
+          sim_seeded.encode_memory(seeded_image);
+          sim_built.encode_memory(built_image);
+          EXPECT_EQ(seeded_image, built_image) << "sim image";
+          std::vector<std::uint32_t> sim_members;
+          (void)sim::run_solo(sched, 0,
+                              sim_seeded.snapshot_members(sim_members));
+          std::sort(sim_members.begin(), sim_members.end());
+          EXPECT_EQ(sim_members, keys) << "sim audit";
+
+          rt::RtShardedHiSet rt_seeded(domain, shards, placement,
+                                       std::span<const std::uint64_t>(seed));
+          rt::RtShardedHiSet rt_built(domain, shards, placement);
+          for (const std::uint32_t k : keys) (void)rt_built.insert(k);
+          EXPECT_EQ(rt_seeded.memory_image(), rt_built.memory_image())
+              << "rt image";
+          std::vector<std::uint32_t> rt_members;
+          (void)rt_seeded.snapshot_members(rt_members);
+          std::sort(rt_members.begin(), rt_members.end());
+          EXPECT_EQ(rt_members, keys) << "rt audit";
+        }
+      }
     }
   }
 }

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
@@ -71,10 +74,73 @@ TEST(RtRllsc, ConcurrentScsAreExclusivePerLink) {
 TEST(RtUniversal, LockFreedomReport) {
   const CounterSpec spec(1u << 24, 0);
   rt::RtUniversal<CounterSpec> object(spec, 4);
-  // Informational: on x86-64 with cmpxchg16b this is lock-free; the
-  // algorithms remain correct either way.
-  (void)object.is_lock_free();
-  SUCCEED();
+  const bool lock_free = object.is_lock_free();
+  RecordProperty("cas16_lock_free", lock_free ? 1 : 0);
+#if defined(__x86_64__)
+  // The build compiles with -mcx16, so an x86-64 host has CMPXCHG16B and
+  // libatomic resolves the 16-byte operations to it.
+  EXPECT_TRUE(lock_free) << "16-byte CAS is not lock-free on this x86-64 host";
+#endif
+}
+
+TEST(RtUniversal, IncDecRoundsStayExact) {
+  // Regression for the stale-expected CAS (see RtEnvT::cas): gcc 12 -O2
+  // once compiled the ll_interleaved retry loop so that a retry's expected
+  // word lagged one attempt behind, and a stale CAS succeeded when head's
+  // value recurred. Decrements make values recur, so every round must land
+  // exactly on rounds × threads × (incs − decs). A lost or repeated
+  // operation breaks the count; a hang trips the stall watchdog, which
+  // aborts the binary rather than leaving ctest to wait for its timeout.
+  constexpr int kThreads = 4;
+  constexpr int kIncs = 5000;
+  constexpr int kDecs = 1250;
+  constexpr int kRounds = 12;
+  constexpr auto kStall = std::chrono::seconds(20);
+  const CounterSpec spec(1u << 24, 0);
+  for (const bool combine : {false, true}) {
+    rt::RtUniversal<CounterSpec> object(spec, kThreads, true, combine);
+    for (int round = 1; round <= kRounds; ++round) {
+      std::atomic<std::uint64_t> done{0};
+      std::vector<std::thread> pool;
+      for (int pid = 0; pid < kThreads; ++pid) {
+        pool.emplace_back([&, pid] {
+          for (int i = 0; i < kIncs; ++i) {
+            (void)object.apply(pid, CounterSpec::inc());
+            done.fetch_add(1, std::memory_order_relaxed);
+          }
+          for (int i = 0; i < kDecs; ++i) {
+            (void)object.apply(pid, CounterSpec::dec());
+            done.fetch_add(1, std::memory_order_relaxed);
+          }
+        });
+      }
+      constexpr std::uint64_t kTotal = kThreads * (kIncs + kDecs);
+      std::uint64_t seen = 0;
+      auto last_progress = std::chrono::steady_clock::now();
+      while (seen < kTotal) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::uint64_t now_done = done.load(std::memory_order_relaxed);
+        const auto now = std::chrono::steady_clock::now();
+        if (now_done != seen) {
+          seen = now_done;
+          last_progress = now;
+        } else if (now - last_progress > kStall) {
+          std::fprintf(stderr,
+                       "IncDecRoundsStayExact: no operation completed for "
+                       "%lld s (combine=%d, round %d, %llu of %llu done)\n",
+                       static_cast<long long>(kStall.count()),
+                       combine ? 1 : 0, round,
+                       static_cast<unsigned long long>(seen),
+                       static_cast<unsigned long long>(kTotal));
+          std::abort();
+        }
+      }
+      for (auto& t : pool) t.join();
+      ASSERT_EQ(object.head_state_encoded(),
+                static_cast<std::uint64_t>(round) * kThreads * (kIncs - kDecs))
+          << "combine=" << combine << " round " << round;
+    }
+  }
 }
 
 TEST(RtUniversal, CounterSumsExactlyUnderContention) {
