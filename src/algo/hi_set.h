@@ -117,7 +117,7 @@ class HiSetAlg {
   }
 
   std::uint32_t domain() const { return domain_; }
-  /// Bytes of shared storage behind S (observer-side; bench provenance).
+  /// Bytes of shared storage behind S (observer-side).
   std::size_t memory_bytes() const { return Bins::footprint_bytes(s_); }
 
  private:

@@ -218,8 +218,8 @@ class LeakyUniversalAlg {
 
   int num_processes() const { return n_; }
   /// Bytes of shared storage (head + announce + result tables;
-  /// observer-side, the bench's bytes_per_object input — sizeof tracks the
-  /// cell layouts, so a future cell change is reflected automatically).
+  /// observer-side — sizeof tracks the cell layouts, so a future cell
+  /// change is reflected automatically).
   std::size_t memory_bytes() const {
     return sizeof(typename Env::CasCell) +
            (announce_.size() + result_.size()) *

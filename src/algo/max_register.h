@@ -19,8 +19,8 @@
 // ZERO shared-memory steps: it must leave no footprint, or the footprint
 // would reveal that the absorbed write happened. On RtEnv the Op frame
 // itself is arena-recycled (env/rt_env.h), so an absorbed write is also
-// heap-allocation-free — the bench's absorbed_write row measures pure
-// coroutine overhead, not the allocator.
+// heap-allocation-free: its cost is pure coroutine overhead, not the
+// allocator.
 #pragma once
 
 #include <cassert>
@@ -92,7 +92,7 @@ class HiMaxRegisterAlg {
   std::uint32_t num_values() const { return num_values_; }
   int writer_pid() const { return writer_pid_; }
   int reader_pid() const { return reader_pid_; }
-  /// Bytes of shared storage behind A (observer-side; bench provenance).
+  /// Bytes of shared storage behind A (observer-side).
   std::size_t memory_bytes() const { return Bins::footprint_bytes(a_); }
 
  private:

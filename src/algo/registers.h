@@ -91,7 +91,7 @@ class VidyasankarAlg {
   }
 
   std::uint32_t num_values() const { return num_values_; }
-  /// Bytes of shared storage behind A (observer-side; bench provenance).
+  /// Bytes of shared storage behind A (observer-side).
   std::size_t memory_bytes() const { return Bins::footprint_bytes(a_); }
 
  private:

@@ -24,8 +24,8 @@
 //
 // Every entry point is a Sub coroutine: on RtEnv its frame comes from the
 // per-thread frame arena (env/rt_env.h), so LL/SC/RL/VL/Load/Store cost
-// zero steady-state heap allocations — the rt benches' allocs_per_op field
-// pins this (docs/PERF.md).
+// zero steady-state heap allocations — RtAllocSteadyState.Rllsc pins this
+// (docs/PERF.md).
 #pragma once
 
 #include <cassert>
@@ -133,8 +133,7 @@ class CasRllscAlg {
   std::uint64_t peek_context() const { return Env::peek_cas(cell_).ctx; }
   Word peek_word() const { return Env::peek_cas(cell_); }
 
-  /// Bytes of shared storage (one CAS cell; observer-side, the bench's
-  /// bytes_per_object input).
+  /// Bytes of shared storage (one CAS cell; observer-side).
   std::size_t memory_bytes() const { return sizeof(typename Env::CasCell); }
 
   bool is_lock_free() const { return Env::cas_is_lock_free(cell_); }

@@ -231,8 +231,9 @@ class ShardedHiSet {
   std::uint32_t domain() const { return domain_; }
   std::uint32_t shard_count() const { return shard_count_; }
   ShardPlacement placement() const { return placement_; }
-  /// Bytes of shared storage across all shards (observer-side; the bench's
-  /// bytes_per_object input — ~domain/8 plus per-shard tail-word rounding).
+  /// Bytes of shared storage across all shards (observer-side): 8 bytes
+  /// per started 64 keys of each shard, so exactly domain/8 when every
+  /// shard's key count is a multiple of 64 (RtShardedFootprint.*).
   std::size_t memory_bytes() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) total += shard.memory_bytes();

@@ -507,8 +507,8 @@ class UniversalAlg {
 
   bool is_lock_free() const { return head_.is_lock_free(); }
   int num_processes() const { return n_; }
-  /// Bytes of shared storage (head + announce cells; observer-side, the
-  /// bench's bytes_per_object input — sizeof tracks the cell layout, so a
+  /// Bytes of shared storage (head + announce cells; observer-side,
+  /// perfbench's mem_bytes — sizeof tracks the cell layout, so a
   /// future cell change is reflected automatically).
   std::size_t memory_bytes() const {
     return (1 + announce_.size()) * sizeof(Cell);
@@ -537,7 +537,7 @@ class UniversalAlg {
   // Per-process local variable priority_i; padded so hardware threads do not
   // false-share (a scheduler-local no-op in the simulator).
   std::deque<util::Padded<int>> priority_;
-  // Per-process batch statistics (bench instrumentation, not part of the
+  // Per-process batch statistics (instrumentation, not part of the
   // shared-memory image): padded and owner-written like priority_.
   std::deque<util::Padded<std::uint64_t>> batches_installed_;
   std::deque<util::Padded<std::uint64_t>> ops_combined_;

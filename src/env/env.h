@@ -41,8 +41,8 @@
 // Allocation contract: the coroutine frames behind Op/Sub are the
 // environment's cost to manage, not the algorithm's. RtEnv backs every
 // EagerTask frame with a per-thread recycling arena so the hardware fast
-// path is allocation-free in steady state (allocs_per_op == 0 in every
-// BENCH_*.json; see docs/PERF.md); SimEnv frames are ordinary heap
+// path is allocation-free in steady state (tests/test_rt_alloc.cpp; see
+// docs/PERF.md); SimEnv frames are ordinary heap
 // allocations, fine for model checking. Algorithm bodies should still keep
 // helper-call chains shallow — at most one live Sub per nesting level —
 // because a frame is recycled only when its task is destroyed.

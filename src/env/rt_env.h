@@ -25,8 +25,8 @@
 // operation/helper call would pay one heap allocation; instead EagerTask's
 // promise allocates its frame from a per-thread FrameArena (below), making
 // the steady-state hot path allocation-free. The arena lifecycle rules are
-// documented in docs/ENV.md; tests/test_rt_alloc.cpp and the allocs_per_op
-// field of every BENCH_*.json (docs/PERF.md) enforce the zero.
+// documented in docs/ENV.md; tests/test_rt_alloc.cpp enforces the zero and
+// perfbench reports it as env.allocs_per_op (docs/PERF.md).
 #pragma once
 
 #include <array>
@@ -397,7 +397,7 @@ struct RtEnvT {
                                         std::uint32_t w) {
     return array.words[w].load(std::memory_order_seq_cst);
   }
-  /// Actual bytes of shared storage (the bench's bytes_per_object input).
+  /// Actual bytes of shared storage (observer-side).
   static std::size_t packed_storage_bytes(const PackedBinArray& array) {
     return array.words.size() * sizeof(std::atomic<std::uint64_t>);
   }

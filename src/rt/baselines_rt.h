@@ -111,7 +111,7 @@ class RtLeakyUniversal {
   }
   std::uint64_t peek_announce(int pid) const { return alg_.peek_announce(pid); }
   std::uint64_t peek_result(int pid) const { return alg_.peek_result(pid); }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (observer-side).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

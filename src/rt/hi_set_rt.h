@@ -26,8 +26,8 @@ namespace hi::rt {
 /// lookup = load; still one seq_cst atomic per op, still perfect HI). The
 /// `RtHiSetPadded` alias keeps the per-element padded layout instantiable:
 /// disjoint-element writers never share a cache line there, whereas the
-/// packed word serializes them — the padded-vs-packed tradeoff the bench's
-/// layout rows quantify (docs/PERF.md).
+/// packed word serializes them — the padded-vs-packed tradeoff
+/// (docs/PERF.md).
 template <typename Bins>
 class RtHiSetT {
  public:
@@ -47,7 +47,7 @@ class RtHiSetT {
   }
 
   std::uint32_t domain() const { return alg_.domain(); }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (observer-side).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

@@ -26,7 +26,7 @@ namespace hi::rt {
 /// Default layout: env::PackedBins — a K=1024 max register is 2 cache
 /// lines and ReadMax costs O(m/64) word loads instead of O(m) padded-cell
 /// loads. The `RtMaxRegisterPadded` alias keeps the padded-per-bit layout
-/// instantiable for the layout-comparison bench rows (docs/PERF.md).
+/// instantiable for layout comparisons (docs/PERF.md).
 template <typename Bins>
 class RtMaxRegisterT {
  public:
@@ -51,7 +51,7 @@ class RtMaxRegisterT {
   }
 
   std::uint32_t num_values() const { return alg_.num_values(); }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (observer-side).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

@@ -10,8 +10,8 @@
 // word load per 64 bins, clearing passes one masked fetch_and per word —
 // so a K=1024 register occupies 2 cache lines instead of 64 KiB and its
 // hot-path scans cost O(K/64) loads. The `*Padded` aliases keep the
-// padded-per-bit layout instantiable for the layout-comparison bench rows
-// (docs/PERF.md "padded vs packed"). The simulator instantiations of the
+// padded-per-bit layout instantiable for layout comparisons
+// (docs/PERF.md, "Layers perfbench does not reach yet"). The simulator instantiations of the
 // SAME bodies are in src/core; memory_image() here reports abstract bins,
 // which match the simulator's mem(C)-derived bin image after identical
 // operation sequences regardless of layout (tests/test_env_parity.cpp).
@@ -19,7 +19,7 @@
 // Each call consumes its EagerTask on the calling thread, so every
 // coroutine frame — including the scan Sub frames — recycles through that
 // thread's FrameArena: steady-state reads and writes perform zero heap
-// allocations (tests/test_rt_alloc.cpp, BENCH_registers.json allocs_per_op).
+// allocations (tests/test_rt_alloc.cpp).
 #pragma once
 
 #include <cassert>
@@ -50,7 +50,7 @@ class RtVidyasankarRegisterT {
     alg_.encode_memory(image);
     return image;
   }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (observer-side).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

@@ -9,7 +9,7 @@
 // paper's p_i. Every wrapper consumes its EagerTask synchronously, so the
 // coroutine frames recycle through the calling thread's FrameArena —
 // LL/SC/RL cost their atomics and zero steady-state heap allocations
-// (BENCH_rllsc.json allocs_per_op).
+// (tests/test_rt_alloc.cpp).
 #pragma once
 
 #include <cassert>
@@ -68,7 +68,7 @@ class RtRllsc {
 
   bool is_lock_free() const { return alg_.is_lock_free(); }
 
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (observer-side).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

@@ -26,8 +26,7 @@ namespace hi::rt {
 /// unpadded atomic words whose values ARE the shard's membership bitmap, so
 /// the whole store costs ~domain/8 bytes plus one tail word per shard. The
 /// placement knob (algo::ShardPlacement) picks how neighbouring keys map to
-/// shards/words — see the tradeoff note in algo/sharded_set.h and the
-/// BENCH_sharded.json rows in docs/PERF.md.
+/// shards/words — see the tradeoff note in algo/sharded_set.h.
 template <typename Bins>
 class RtShardedHiSetT {
  public:
@@ -64,7 +63,7 @@ class RtShardedHiSetT {
   std::uint32_t domain() const { return alg_.domain(); }
   std::uint32_t shard_count() const { return alg_.shard_count(); }
   std::uint32_t shard_of(std::uint32_t key) const { return alg_.shard_of(key); }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (perfbench's mem_bytes).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:

@@ -12,7 +12,7 @@
 // whole helper chain underneath (cell LL/SC/RL Subs, poll Subs) recycles
 // through that thread's FrameArena, so an operation — however much helping
 // it performs — makes zero steady-state heap allocations
-// (tests/test_rt_alloc.cpp, BENCH_universal.json allocs_per_op).
+// (tests/test_rt_alloc.cpp).
 #pragma once
 
 #include <cassert>
@@ -69,7 +69,7 @@ class RtUniversal {
     return image;
   }
 
-  // Batch instrumentation (bench-side: batch_size_mean = ops_combined /
+  // Batch instrumentation (batch_size_mean = ops_combined /
   // batches_installed). Read at rest — counters are owner-thread-written.
   std::uint64_t batches_installed() const { return alg_.batches_installed(); }
   std::uint64_t ops_combined() const { return alg_.ops_combined(); }
@@ -77,7 +77,7 @@ class RtUniversal {
   bool combining_enabled() const { return alg_.combining_enabled(); }
 
   int num_processes() const { return alg_.num_processes(); }
-  /// Bytes of shared storage (the bench's bytes_per_object input).
+  /// Bytes of shared storage (perfbench's mem_bytes).
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
   bool is_lock_free() const { return alg_.is_lock_free(); }
 

@@ -8,8 +8,8 @@
 // Frame discipline: every combinator Sub (help_head, enqueue, the helped
 // attempt chain) is an EagerTask consumed on the calling thread, so the
 // whole fast path AND the slow path recycle through the per-thread
-// FrameArena — allocs_per_op stays 0 in BENCH_waitfree_sim.json even when
-// every read is helped.
+// FrameArena — steady state allocates nothing even when every read is
+// helped (tests/test_rt_alloc.cpp).
 #pragma once
 
 #include <cassert>

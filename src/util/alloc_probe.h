@@ -3,19 +3,19 @@
 // Including this header REPLACES the global operator new/delete with
 // counting versions (thread-local counters, malloc-backed), which is what
 // lets tests/test_rt_alloc.cpp assert "zero steady-state allocations per
-// operation" and lets util::measure_throughput (bench_json.h) report the
-// allocs_per_op field of every BENCH_*.json (docs/PERF.md).
+// operation" and lets perfbench report its env.allocs_per_op metric
+// (docs/PERF.md).
 //
 // RULES OF USE
 //   * Replacement functions must have external linkage and appear at most
 //     once per binary: include this header from exactly ONE translation
-//     unit of an executable (every bench/ and tests/ target is a single
-//     .cpp, so in practice: include it from the .cpp, directly or via
-//     bench_json.h, and never from another header).
+//     unit of an executable (every tests/ target is a single .cpp, so in
+//     practice: include it from the .cpp or from a header only that .cpp
+//     includes).
 //   * Counters are thread-local: thread_heap_allocs() observes only the
 //     calling thread's allocations, which is exactly the right scope for
-//     per-op accounting on a bench worker (background threads — gtest,
-//     google-benchmark, TSan — never perturb the measurement).
+//     per-op accounting on a worker thread (background threads — gtest,
+//     TSan — never perturb the measurement).
 //   * The probe counts calls to the replaceable global allocation
 //     functions. The RtEnv FrameArena (env/rt_env.h) mints its slabs via
 //     ::operator new, so cold-path slab creation IS counted and

@@ -409,25 +409,39 @@ inline int rt_watchdog_ms(int fallback = 20000) {
   return env_int_knob("HI_RT_WATCHDOG_MS", fallback);
 }
 
+/// Where the stalled threads of run_stall_threads park, and when the
+/// survivors start.
+struct StallPlan {
+  /// Each stalled thread parks at a seeded boundary ordinal in
+  /// [first, first + window) of its run (0 parks at the very first one).
+  std::uint64_t window = 1;
+  std::uint64_t first = 0;
+  /// false: every thread starts together, so the stall lands while the
+  /// survivors overlap the stalled op. true: survivors start their bodies
+  /// only once every stalled thread is parked, so the whole survivor
+  /// workload runs against num_stalled crashed peers (the k-of-n sweep).
+  bool survivors_after_park = false;
+};
+
 /// Like run_fuzz_threads, but pids < num_stalled additionally arm a stall:
-/// the thread parks permanently (until released) at a pseudo-random
-/// primitive boundary within its first `stall_window` points. Survivors run
-/// `body(pid)` to completion, bumping `progress` as they go (the body must
-/// increment it at least once per completed operation). The calling thread
-/// acts as the watchdog: if `progress` stops advancing for a full deadline
-/// before all survivors finish, the run is declared stuck. When the
-/// survivors DO finish, `at_quiescence()` runs while the stalled threads
-/// are still parked — the window in which the memory image is exactly what
-/// a crash would have left — and only then is the gate released so every
-/// thread (including a stalled lock holder, un-livelocking any spinning
-/// survivors) can drain and join.
+/// the thread parks permanently (until released) at the primitive boundary
+/// `plan` picks. Survivors run `body(pid)` to completion, bumping
+/// `progress` as they go (the body must increment it at least once per
+/// completed operation). The calling thread acts as the watchdog: if
+/// `progress` stops advancing for a full deadline before all survivors
+/// finish, the run is declared stuck. When the survivors DO finish,
+/// `at_quiescence()` runs while the stalled threads are still parked — the
+/// window in which the memory image is exactly what a crash would have left
+/// — and only then is the gate released so every thread (including a
+/// stalled lock holder, un-livelocking any spinning survivors) can drain
+/// and join.
 /// `deadline_ms` < 0 uses the HI_RT_WATCHDOG_MS default; the positive
 /// control passes a short explicit deadline (every firing iteration waits
 /// it out in full).
 template <typename Body, typename AtQuiescence>
 StallRunResult run_stall_threads(int num_threads, int num_stalled,
                                  std::uint64_t seed, env::YieldPolicy policy,
-                                 std::uint64_t stall_window,
+                                 StallPlan plan,
                                  std::atomic<std::uint64_t>& progress,
                                  Body&& body, AtQuiescence&& at_quiescence,
                                  int deadline_ms = -1) {
@@ -445,13 +459,20 @@ StallRunResult run_stall_threads(int num_threads, int num_stalled,
           util::hash_combine(seed, static_cast<std::uint64_t>(pid) + 1),
           policy);
       if (pid < num_stalled) {
-        const std::uint64_t window = stall_window == 0 ? 1 : stall_window;
+        const std::uint64_t window = plan.window == 0 ? 1 : plan.window;
         env::YieldInjector::arm_stall(
             &gate,
-            util::hash_combine(seed, static_cast<std::uint64_t>(pid) + 101) %
-                window);
+            plan.first +
+                util::hash_combine(seed, static_cast<std::uint64_t>(pid) +
+                                             101) %
+                    window);
       }
       start.arrive_and_wait();
+      if (plan.survivors_after_park && pid >= num_stalled) {
+        while (gate.stalled.load(std::memory_order_acquire) < num_stalled) {
+          std::this_thread::yield();
+        }
+      }
       body(pid);
       if (pid >= num_stalled) {
         survivors_done.fetch_add(1, std::memory_order_release);

@@ -212,12 +212,14 @@ void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
   EXPECT_EQ(sim_image(), rt_reg.memory_image()) << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
+  std::uint64_t reads = 0;
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
       const auto sim_got = sim::run_solo(sched, testing::kReaderPid,
                                          sim_alg.read(testing::kReaderPid));
       const auto rt_got = rt_reg.read(testing::kReaderPid);
       EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
+      ++reads;
     } else {
       const auto value =
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
@@ -230,6 +232,11 @@ void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
   }
   EXPECT_EQ(sim_alg.slow_path_entries(), rt_reg.slow_path_entries());
   EXPECT_EQ(sim_alg.total_ops(), rt_reg.total_ops());
+  if (fast_limit == 0) {
+    // No fast attempt is allowed, so every read takes the slow path on
+    // hardware too; writes run direct and never enter it.
+    EXPECT_EQ(rt_reg.slow_path_entries(), reads);
+  }
 }
 
 TEST(EnvParity, WaitFreeSimHiRegister) {

@@ -38,7 +38,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "algo/hi_set.h"
@@ -771,7 +773,7 @@ TEST(StallRt, PositiveControl_SpinLockWatchdogCatchesStalledLockHolder) {
     std::atomic<std::uint64_t> progress{0};
     const auto result = testing::run_stall_threads(
         /*num_threads=*/3, /*num_stalled=*/1, seed, env::YieldPolicy{},
-        /*stall_window=*/4, progress,
+        {.window = 4}, progress,
         [&](int) {
           for (int i = 0; i < 2; ++i) {
             (void)counter.inc().get();
@@ -806,7 +808,7 @@ TEST(StallRt, UniversalCounter_SurvivorsCompleteWithStalledThread) {
     std::array<std::atomic<std::uint64_t>, 3> completed{};
     const auto result = testing::run_stall_threads(
         n, /*num_stalled=*/1, seed, env::YieldPolicy{},
-        /*stall_window=*/8, progress,
+        {.window = 8}, progress,
         [&](int pid) {
           for (int i = 0; i < 5; ++i) {
             (void)obj.apply(pid, spec::CounterSpec::inc()).get();
@@ -857,7 +859,7 @@ TEST(StallRt, WaitFreeSim_WriterUnaffectedByStalledSlowPathReader) {
     std::atomic<std::uint64_t> progress{0};
     const auto result = testing::run_stall_threads(
         /*num_threads=*/3, /*num_stalled=*/1, seed, env::YieldPolicy{},
-        /*stall_window=*/12, progress,
+        {.window = 12}, progress,
         [&](int pid) {
           if (pid == 1) {
             for (std::uint32_t v = 2; v <= 6; ++v) {
@@ -920,7 +922,7 @@ TEST(StallRt, CombiningUniversal_StalledCombinerDocumentedBlockingWindow) {
     std::array<std::atomic<std::uint64_t>, 3> completed{};
     const auto result = testing::run_stall_threads(
         n, /*num_stalled=*/1, seed, env::YieldPolicy{},
-        /*stall_window=*/10, progress,
+        {.window = 10}, progress,
         [&](int pid) {
           for (int i = 0; i < 5; ++i) {
             (void)obj.apply(pid, spec::CounterSpec::inc()).get();
@@ -944,13 +946,218 @@ TEST(StallRt, CombiningUniversal_StalledCombinerDocumentedBlockingWindow) {
          "window should be the combining-record hold, not the entire op";
 }
 
+// ---- the k-of-n stall sweep ----
+//
+// Every family below runs with k of its n threads parked, for every k in
+// 0..n-1. Survivors start only once all k are parked, so their whole
+// workload runs against k crashed peers. Each family is lock-free or
+// wait-free where its threads park, so the survivors must finish before
+// the watchdog fires, and the image left at quiescence must balance:
+//   * plain universal (n = 3): parked at a seeded boundary of the first
+//     inc; head = 10 + completed incs + at most k helped parked incs.
+//   * combining universal (n = 3): parked right after the announce store
+//     (stall_after = 1: one primitive is two probe points), before any
+//     combining-record install, so outside the documented blocking window.
+//     The survivors' first batch sweeps every parked announce, so head =
+//     10 + completed + k exactly, and ops_combined = completed + k.
+//   * wait-free simulation (n = 3, fast_limit = 0): readers pid < k parked
+//     in announce/enqueue/help, the writer is pid n - 1; the inner bins are
+//     the unit vector of the last write.
+//   * Alg 4 (n = 2, SWSR): the reader parked mid-scan of A, flag[1] up. The
+//     writer's first write helps it (B[last] set, kept because flag[1] is
+//     still up) and every later write sees B nonzero and skips the help.
+
+enum class StallFamily {
+  kPlainUniversal,
+  kCombiningUniversal,
+  kWaitFreeSim,
+  kAlg4
+};
+
+struct StallSweepCase {
+  StallFamily family;
+  int n;
+  int k;
+};
+
+std::vector<StallSweepCase> stall_sweep_cases() {
+  std::vector<StallSweepCase> cases;
+  for (const auto& [family, n] : {std::pair{StallFamily::kPlainUniversal, 3},
+                                  std::pair{StallFamily::kCombiningUniversal, 3},
+                                  std::pair{StallFamily::kWaitFreeSim, 3},
+                                  std::pair{StallFamily::kAlg4, 2}}) {
+    for (int k = 0; k < n; ++k) cases.push_back({family, n, k});
+  }
+  return cases;
+}
+
+std::string stall_case_name(
+    const ::testing::TestParamInfo<StallSweepCase>& info) {
+  static constexpr const char* kNames[] = {"PlainUniversal",
+                                           "CombiningUniversal",
+                                           "WaitFreeSim", "Alg4"};
+  const StallSweepCase& c = info.param;
+  return std::string(kNames[static_cast<int>(c.family)]) + "_" +
+         std::to_string(c.k) + "of" + std::to_string(c.n);
+}
+
+class KOfNSweep : public ::testing::TestWithParam<StallSweepCase> {};
+
+void universal_stall_case(const StallSweepCase& c, bool combine,
+                          std::uint64_t seed) {
+  const spec::CounterSpec spec(1u << 20, 10);
+  using Alg = algo::UniversalAlg<FuzzEnv, spec::CounterSpec,
+                                 algo::CasRllscAlg<FuzzEnv>>;
+  Alg obj(FuzzEnv::Ctx{}, spec, c.n, /*clear_contexts=*/true, combine);
+  const testing::StallPlan plan =
+      combine ? testing::StallPlan{.window = 1, .first = 1,
+                                   .survivors_after_park = true}
+              : testing::StallPlan{.window = 8, .survivors_after_park = true};
+  std::atomic<std::uint64_t> progress{0};
+  const auto result = testing::run_stall_threads(
+      c.n, c.k, seed, env::YieldPolicy{}, plan, progress,
+      [&](int pid) {
+        for (int i = 0; i < 5; ++i) {
+          (void)obj.apply(pid, spec::CounterSpec::inc()).get();
+          progress.fetch_add(1, std::memory_order_release);
+        }
+      },
+      [&] {
+        // Parked threads stop inside their first inc, so every completed
+        // inc is a survivor's.
+        const std::uint64_t done = progress.load(std::memory_order_acquire);
+        const std::uint64_t head = obj.head_state_encoded();
+        const std::uint64_t k = static_cast<std::uint64_t>(c.k);
+        if (combine) {
+          EXPECT_EQ(head, 10 + done + k) << "seed " << seed;
+          EXPECT_EQ(obj.ops_combined(), done + k) << "seed " << seed;
+        } else {
+          EXPECT_GE(head, 10 + done) << "seed " << seed;
+          EXPECT_LE(head, 10 + done + k) << "seed " << seed;
+        }
+      });
+  ASSERT_FALSE(result.watchdog_fired)
+      << "survivors stopped completing, seed " << seed;
+  EXPECT_EQ(result.stalled_engaged, c.k) << "seed " << seed;
+}
+
+void waitfree_sim_stall_case(const StallSweepCase& c, std::uint64_t seed) {
+  const std::uint32_t k = 6;
+  using Alg = algo::WaitFreeSimHiAlg<FuzzEnv, FuzzPacked>;
+  Alg reg(FuzzEnv::Ctx{}, k, 1, c.n, /*fast_limit=*/0);
+  const int writer = c.n - 1;
+  std::atomic<std::uint64_t> progress{0};
+  const auto result = testing::run_stall_threads(
+      c.n, c.k, seed, env::YieldPolicy{},
+      {.window = 12, .survivors_after_park = true}, progress,
+      [&](int pid) {
+        if (pid == writer) {
+          for (std::uint32_t v = 2; v <= k; ++v) {
+            (void)reg.write(writer, v).get();
+            progress.fetch_add(1, std::memory_order_release);
+          }
+          return;
+        }
+        for (int i = 0; i < 4; ++i) {
+          const std::uint32_t seen = reg.read(pid).get();
+          EXPECT_GE(seen, 1u);
+          EXPECT_LE(seen, k);
+          progress.fetch_add(1, std::memory_order_release);
+        }
+      },
+      [&] {
+        std::vector<std::uint8_t> expected(k, 0);
+        expected[k - 1] = 1;
+        std::vector<std::uint8_t> inner;
+        reg.encode_inner_memory(inner);
+        EXPECT_EQ(inner, expected) << "seed " << seed;
+      });
+  ASSERT_FALSE(result.watchdog_fired)
+      << "survivors stopped completing, seed " << seed;
+  EXPECT_EQ(result.stalled_engaged, c.k) << "seed " << seed;
+}
+
+void alg4_stall_case(const StallSweepCase& c, std::uint64_t seed) {
+  // K = 70 spans two packed words and the initial value sits in the second,
+  // so the reader's first A scan loads word 0 and then word 1. Its first
+  // primitive (flag[1] <- 1) is probe points 1–2 and the word-0 load is
+  // 3–4: stall_after = 3 parks it between the two loads.
+  constexpr std::uint32_t k = 70;
+  using Alg = algo::WaitFreeHiAlg<FuzzEnv, FuzzPacked>;
+  Alg reg(FuzzEnv::Ctx{}, k, /*initial=*/k);
+  constexpr int kWriter = 1;  // pid 0 is the reader
+  std::atomic<std::uint64_t> progress{0};
+  const auto result = testing::run_stall_threads(
+      c.n, c.k, seed, env::YieldPolicy{},
+      {.window = 1, .first = 3, .survivors_after_park = true}, progress,
+      [&](int pid) {
+        if (pid == kWriter) {
+          for (std::uint32_t v = 2; v <= 6; ++v) {
+            (void)reg.write(v).get();
+            progress.fetch_add(1, std::memory_order_release);
+          }
+          return;
+        }
+        for (int i = 0; i < 4; ++i) {
+          const std::uint32_t seen = reg.read().get();
+          EXPECT_TRUE(seen == k || (seen >= 2 && seen <= 6)) << seen;
+          progress.fetch_add(1, std::memory_order_release);
+        }
+      },
+      [&] {
+        // Layout A[1..K], B[1..K], flag[1], flag[2].
+        std::vector<std::uint8_t> expected(2 * k + 2, 0);
+        expected[6 - 1] = 1;  // A = e_6, the last write
+        if (c.k == 1) {
+          expected[k + k - 1] = 1;  // B[70]: the first write's help
+          expected[2 * k] = 1;      // flag[1]: the parked reader's announce
+        }
+        std::vector<std::uint8_t> image;
+        reg.encode_memory(image);
+        EXPECT_EQ(image, expected) << "seed " << seed;
+      });
+  ASSERT_FALSE(result.watchdog_fired)
+      << "the writer stopped completing, seed " << seed;
+  EXPECT_EQ(result.stalled_engaged, c.k) << "seed " << seed;
+}
+
+TEST_P(KOfNSweep, SurvivorsFinishAndTheImageBalances) {
+  const StallSweepCase& c = GetParam();
+  const int iters = testing::rt_fuzz_iters(5);
+  for (int iter = 0; iter < iters; ++iter) {
+    const std::uint64_t seed = util::hash_combine(
+        util::hash_combine(0xc305, static_cast<std::uint64_t>(c.family)),
+        static_cast<std::uint64_t>(c.k * 1000 + iter));
+    switch (c.family) {
+      case StallFamily::kPlainUniversal:
+        universal_stall_case(c, /*combine=*/false, seed);
+        break;
+      case StallFamily::kCombiningUniversal:
+        universal_stall_case(c, /*combine=*/true, seed);
+        break;
+      case StallFamily::kWaitFreeSim:
+        waitfree_sim_stall_case(c, seed);
+        break;
+      case StallFamily::kAlg4:
+        alg4_stall_case(c, seed);
+        break;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(StallRt, KOfNSweep,
+                         ::testing::ValuesIn(stall_sweep_cases()),
+                         stall_case_name);
+
 // ---- the probe contract of RtEnvT ----
 //
 // Each of the 11 primitives calls Probe::point() exactly twice, around its
 // atomic access; factories, peeks and relax() never call it. The stall
 // ordinals rest on this count: stall_after = k parks a thread at its
-// (k+1)-th boundary, i.e. inside its (k/2 + 1)-th primitive
-// (bench_degradation's stall_after = 1 lands after the first access).
+// (k+1)-th boundary, i.e. inside its (k/2 + 1)-th primitive (the
+// combining family of the k-of-n sweep parks at stall_after = 1, right
+// after its first access).
 
 struct CountingProbe {
   static inline thread_local std::uint64_t points = 0;

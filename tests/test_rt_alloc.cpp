@@ -30,6 +30,7 @@
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
+#include "rt/wait_free_sim_rt.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -167,9 +168,7 @@ TEST(RtAllocSteadyState, WaitFreeHiRegister) {
 
 TEST(RtAllocSteadyState, LockFreeHiRegisterPackedLargeK) {
   // The packed large-K hot path (16-word scans + masked clears, plus the
-  // scan Sub frames the word-scan library adds) must stay allocation-free:
-  // the new bench rows inherit the allocs_per_op == 0 gate from this
-  // contract.
+  // scan Sub frames the word-scan library adds) must stay allocation-free.
   rt::RtLockFreeHiRegister reg(1024);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               reg.write(static_cast<std::uint32_t>(i % 1024) + 1);
@@ -178,8 +177,7 @@ TEST(RtAllocSteadyState, LockFreeHiRegisterPackedLargeK) {
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegisterPaddedLayout) {
-  // The padded alias (kept for the layout-comparison bench rows) shares
-  // the contract.
+  // The padded alias (kept for layout comparisons) shares the contract.
   rt::RtLockFreeHiRegisterPadded reg(64);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               reg.write(static_cast<std::uint32_t>(i % 64) + 1);
@@ -256,6 +254,32 @@ TEST(RtAllocSteadyState, Universal) {
               (void)object.apply(0, spec::CounterSpec::inc());
               (void)object.apply(0, spec::CounterSpec::read());
             }));
+}
+
+TEST(RtAllocSteadyState, UniversalCombining) {
+  // The combining mode adds the announce scan and the per-cell response
+  // stores to the winner's path; it shares the contract.
+  const spec::CounterSpec spec(0xffffff, 0);
+  rt::RtUniversal<spec::CounterSpec> object(spec, 2, /*clear_contexts=*/true,
+                                            /*combine=*/true);
+  EXPECT_EQ(0u, steady_state_allocs([&](int) {
+              (void)object.apply(0, spec::CounterSpec::inc());
+              (void)object.apply(0, spec::CounterSpec::read());
+            }));
+}
+
+TEST(RtAllocSteadyState, WaitFreeSimHiRegister) {
+  // Both paths of the combinator: the fast path (fast_limit = 1; solo
+  // attempts never fail) and the forced slow path (fast_limit = 0: every
+  // read announces, enqueues and helps itself).
+  for (const std::uint32_t fast_limit : {1u, 0u}) {
+    rt::RtWaitFreeSimHiRegister reg(64, 32, /*num_processes=*/2, fast_limit);
+    EXPECT_EQ(0u, steady_state_allocs([&](int i) {
+                reg.write(static_cast<std::uint32_t>(i % 64) + 1);
+                (void)reg.read();
+              }))
+        << "fast_limit " << fast_limit;
+  }
 }
 
 TEST(RtAllocSteadyState, LeakyUniversal) {

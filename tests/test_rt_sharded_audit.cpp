@@ -3,6 +3,7 @@
 // snapshot_members. Keys outside the window are never written, so every
 // audit — whatever it observes inside the window — must return exactly the
 // seeded members outside it, each shard's keys ascending and each key once.
+// The store's shared footprint is pinned exactly as well.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 #include <thread>
 #include <vector>
 
+#include "algo/sharded_set.h"
+#include "env/rt_env.h"
 #include "rt/sharded_set_rt.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -108,6 +111,40 @@ TEST(RtShardedAudit, ChurnedWindowLeavesTheRestExactStriped) {
 
 TEST(RtShardedAudit, ChurnedWindowLeavesTheRestExactBlocked) {
   audit_under_churn(algo::ShardPlacement::kBlocked);
+}
+
+TEST(RtShardedFootprint, OneWordPer64KeysOfEachShard) {
+  // Each shard is bin_words(its key count) unpadded 8-byte words, so the
+  // store costs exactly domain/8 bytes whenever every shard's key count is
+  // a multiple of 64, and one partial tail word per shard otherwise.
+  using Store = algo::ShardedHiSet<env::RtEnv, env::PackedBins<env::RtEnv>>;
+  for (const std::uint32_t domain : {1'000'000u, 16'000'000u}) {
+    for (const std::uint32_t shards : {1u, 4u, 16u}) {
+      for (const algo::ShardPlacement placement :
+           {algo::ShardPlacement::kStriped, algo::ShardPlacement::kBlocked}) {
+        const Store store(env::RtEnv::Ctx{}, domain, shards, placement);
+        std::uint64_t keys = 0;
+        std::size_t words = 0;
+        for (std::uint32_t s = 0; s < shards; ++s) {
+          keys += store.shard_domain(s);
+          words += util::bin_words(store.shard_domain(s));
+        }
+        const auto where = ::testing::Message()
+                           << "domain " << domain << ", " << shards
+                           << " shards, placement "
+                           << static_cast<int>(placement);
+        EXPECT_EQ(keys, domain) << where;
+        EXPECT_EQ(store.memory_bytes(), 8 * words) << where;
+        if (domain % (64 * shards) == 0) {
+          EXPECT_EQ(store.memory_bytes(), domain / 8) << where;
+        }
+      }
+    }
+  }
+  // The benchmark's store: 4M keys over 16 striped shards.
+  const rt::RtShardedHiSet bench_store(1u << 22, 16,
+                                       algo::ShardPlacement::kStriped);
+  EXPECT_EQ(bench_store.memory_bytes(), 524'288u);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TYPED_TEST(UniversalTyped, WaitFreeStepBound) {
   // is applied within O(n) mode transitions; each transition costs O(1)
   // R-LLSC ops, each of which is O(n) CAS steps under contention in the
   // Algorithm 6 backend. We assert a generous concrete bound and record the
-  // observed maximum (bench_universal reports the distribution).
+  // observed maximum.
   using S = typename TypeParam::Spec;
   std::uint64_t max_steps = 0;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {

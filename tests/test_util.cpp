@@ -1,4 +1,4 @@
-// Unit tests for src/util: bit packing, RNG determinism, statistics.
+// Unit tests for src/util: bit packing and RNG determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,7 +7,6 @@
 
 #include "util/bits.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace hi::util {
 namespace {
@@ -106,36 +105,6 @@ TEST(Rng, HashCombineSensitiveToOrder) {
   const std::uint64_t ab = hash_combine(hash_combine(0, 1), 2);
   const std::uint64_t ba = hash_combine(hash_combine(0, 2), 1);
   EXPECT_NE(ab, ba);
-}
-
-TEST(Stats, SamplesPercentiles) {
-  Samples s;
-  for (std::uint64_t v = 1; v <= 100; ++v) s.add(v);
-  EXPECT_EQ(s.count(), 100u);
-  EXPECT_EQ(s.min(), 1u);
-  EXPECT_EQ(s.max(), 100u);
-  EXPECT_NEAR(static_cast<double>(s.percentile(0.5)), 50.0, 1.5);
-  EXPECT_EQ(s.percentile(1.0), 100u);
-  EXPECT_EQ(s.percentile(0.0), 1u);
-  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
-}
-
-TEST(Stats, MergeCombinesSamples) {
-  Samples a, b;
-  a.add(1);
-  b.add(3);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.max(), 3u);
-}
-
-TEST(Stats, RunningStats) {
-  RunningStats r;
-  for (std::uint64_t v : {5u, 1u, 9u}) r.add(v);
-  EXPECT_EQ(r.count, 3u);
-  EXPECT_EQ(r.min, 1u);
-  EXPECT_EQ(r.max, 9u);
-  EXPECT_DOUBLE_EQ(r.mean(), 5.0);
 }
 
 }  // namespace
