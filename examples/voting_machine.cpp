@@ -19,7 +19,8 @@
 #include <utility>
 #include <vector>
 
-#include "rt/baselines_rt.h"
+#include "algo/leaky_universal.h"
+#include "env/rt_env.h"
 #include "rt/universal_rt.h"
 #include "util/rng.h"
 
@@ -107,6 +108,7 @@ std::vector<hi::rt::Word128> run_election(Machine& machine, int booths,
       const std::size_t end =
           booth + 1 == booths ? ballots.size() : begin + per_booth;
       for (std::size_t i = begin; i < end; ++i) {
+        // The leaky baseline's apply returns an eager task: it has run.
         (void)machine.apply(booth, ballots[i]);
       }
     });
@@ -151,8 +153,9 @@ int main() {
   dump("HI machine", image_1);
 
   // The leaky baseline: same tallies, but its memory betrays the history.
-  hi::rt::RtLeakyUniversal<TallySpec> leaky_1(spec, kBooths);
-  hi::rt::RtLeakyUniversal<TallySpec> leaky_2(spec, kBooths);
+  using Leaky = hi::algo::LeakyUniversalAlg<hi::env::RtEnv, TallySpec>;
+  Leaky leaky_1(hi::env::RtEnv::Ctx{}, spec, kBooths);
+  Leaky leaky_2(hi::env::RtEnv::Ctx{}, spec, kBooths);
   (void)run_election(leaky_1, kBooths, 1);
   (void)run_election(leaky_2, kBooths, 2);
   std::printf(

@@ -1,7 +1,6 @@
 // Wait-free perfect-HI set over {1..t} from t binary registers (§5.1),
 // written ONCE over an execution environment Env (src/env/env.h) and
-// instantiated by the simulator (src/core/hi_set.h) and by real hardware
-// (src/rt/hi_set_rt.h).
+// instantiated over every Env (simulator, hardware, replay, fuzz).
 //
 // The set is the paper's example of an object escaping class C_t despite
 // having 2^t states: its operations return only success/failure, so no
@@ -20,6 +19,7 @@
 // and zero steady-state heap allocations.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "env/env.h"
+#include "spec/set_spec.h"
 
 namespace hi::algo {
 
@@ -61,12 +62,21 @@ class HiSetAlg {
     assert(domain >= 1);
   }
 
-  /// Single-word convenience constructor (source compatibility for ≤64-bin
-  /// call sites; with domain > 64 the remaining bins start 0).
-  HiSetAlg(typename Env::Ctx ctx, std::uint32_t domain,
-           std::uint64_t initial_bits)
-      : HiSetAlg(ctx, domain,
-                 std::span<const std::uint64_t>(&initial_bits, 1)) {}
+  /// From the spec: its domain and initial membership bitmap (one word:
+  /// spec domains are ≤ 64).
+  HiSetAlg(typename Env::Ctx ctx, const spec::SetSpec& spec)
+      : HiSetAlg(ctx, spec.domain(),
+                 std::array<std::uint64_t, 1>{spec.initial_state()}) {}
+
+  /// Fully symmetric: any process may invoke any operation.
+  Op<bool> apply(int /*pid*/, spec::SetSpec::Op op) {
+    switch (op.kind) {
+      case spec::SetSpec::Kind::kInsert: return insert(op.value);
+      case spec::SetSpec::Kind::kRemove: return remove(op.value);
+      case spec::SetSpec::Kind::kLookup: break;
+    }
+    return lookup(op.value);
+  }
 
   /// Insert(v): one blind set of S[v] (a fetch_or when packed).
   Op<bool> insert(std::uint32_t value) {

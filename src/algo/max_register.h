@@ -1,7 +1,6 @@
 // Wait-free state-quiescent-HI max register from binary registers (§5.1),
 // written ONCE over an execution environment Env (src/env/env.h) and
-// instantiated by the simulator (src/core/max_register.h) and by real
-// hardware (src/rt/max_register_rt.h).
+// instantiated over every Env (simulator, hardware, replay, fuzz).
 //
 // The paper uses the max register to illustrate the state-connectivity
 // requirement of class C_t: its state graph is not strongly connected (once
@@ -28,31 +27,35 @@
 #include <cstdint>
 #include <vector>
 
+#include "algo/values.h"
 #include "env/env.h"
+#include "spec/max_register_spec.h"
 
 namespace hi::algo {
 
 /// §5.1's monotone-write modification of Algorithm 1. SWSR, like the §4
 /// registers: `writer_pid`/`reader_pid` pin the two roles (the paper's p_w
-/// and p_r); the asserts document the restriction. Scans go through the
-/// Bins layout policy: bit-at-a-time with env::PaddedBins (the paper's
-/// primitive sequence), one word load / masked fetch_and per 64 bins with
-/// env::PackedBins (O(K/64) hot paths, same abstract bin contents — the
-/// canonical representation can(m) = e_m is layout-independent).
+/// and p_r; SwsrRoles). Scans go through the Bins layout policy:
+/// bit-at-a-time with env::PaddedBins (the paper's primitive sequence), one
+/// word load / masked fetch_and per 64 bins with env::PackedBins (O(K/64)
+/// hot paths, same abstract bin contents — the canonical representation
+/// can(m) = e_m is layout-independent).
 template <typename Env, typename Bins>
-class HiMaxRegisterAlg {
+class HiMaxRegisterAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
 
-  HiMaxRegisterAlg(typename Env::Ctx ctx, std::uint32_t num_values,
-                   std::uint32_t initial, int writer_pid, int reader_pid)
-      : num_values_(num_values),
-        writer_pid_(writer_pid),
-        reader_pid_(reader_pid),
-        local_max_(initial),
-        a_(Bins::make(ctx, "A", num_values, initial)) {
-    assert(initial >= 1 && initial <= num_values);
+  HiMaxRegisterAlg(typename Env::Ctx ctx, const spec::MaxRegisterSpec& spec,
+                   int writer_pid, int reader_pid)
+      : SwsrRoles(writer_pid, reader_pid),
+        num_values_(spec.num_values()),
+        local_max_(spec.initial_state()),
+        a_(Bins::make(ctx, "A", num_values_, spec.initial_state())) {}
+
+  Op<std::uint32_t> apply(int pid, spec::MaxRegisterSpec::Op op) {
+    if (op.kind == spec::MaxRegisterSpec::Kind::kReadMax) return read_max(pid);
+    return write_max(pid, op.value);
   }
 
   /// ReadMax: Algorithm 1's Read. The up-scan terminates because the bit of
@@ -60,8 +63,7 @@ class HiMaxRegisterAlg {
   /// larger-or-equal value (cells below the max are always 0 at rest, and a
   /// concurrent monotone write only moves the 1 upward).
   Op<std::uint32_t> read_max(int pid) {
-    assert(pid == reader_pid_);
-    (void)pid;
+    assert_reader(pid);
     const std::uint32_t j = co_await Bins::scan_up(a_, 1);
     assert(j != 0 && "no 1 in A — impossible");
     const std::uint32_t val = co_await env::confirm_down<Bins>(a_, j);
@@ -72,8 +74,7 @@ class HiMaxRegisterAlg {
   /// (tracked in the writer's local state); then Algorithm 1's Write, whose
   /// downward clearing pass erases the previous maximum's bit.
   Op<std::uint32_t> write_max(int pid, std::uint32_t value) {
-    assert(pid == writer_pid_);
-    (void)pid;
+    assert_writer(pid);
     assert(value >= 1 && value <= num_values_);
     if (value <= local_max_) co_return 0;  // absorbed: no memory footprint
     local_max_ = value;
@@ -90,15 +91,11 @@ class HiMaxRegisterAlg {
   }
 
   std::uint32_t num_values() const { return num_values_; }
-  int writer_pid() const { return writer_pid_; }
-  int reader_pid() const { return reader_pid_; }
   /// Bytes of shared storage behind A (observer-side).
   std::size_t memory_bytes() const { return Bins::footprint_bytes(a_); }
 
  private:
   std::uint32_t num_values_;
-  int writer_pid_;
-  int reader_pid_;
   std::uint32_t local_max_;  // writer-local; not part of mem(C)
   typename Bins::Array a_;
 };

@@ -1,8 +1,15 @@
 // The §4 SWSR K-valued register algorithms, written ONCE over an execution
 // environment Env (src/env/env.h) and a bin-array layout policy Bins
 // (env::PaddedBins / env::PackedBins — see env.h's layout commentary), and
-// instantiated by both the simulator (src/core — exhaustive interleaving +
-// HI checking) and real hardware (src/rt — stress tests and benchmarks).
+// instantiated over every Env: the simulator (exhaustive interleaving + HI
+// checking), real hardware (stress tests), schedule replay and yield fuzz.
+//
+// Each class is the object the paper defines: the sequential specification
+// (spec::RegisterSpec: K and the initial value) plus the two processes
+// allowed to invoke it, p_w and p_r (SwsrRoles). read(pid)/write(pid, v)
+// and the spec-level apply(pid, op) assert the caller's role. The Sub-level
+// entry points the wait-free combinator drives (attempt_read, write_sub)
+// take no pid: the combinator runs them on behalf of other processes.
 //
 //   VidyasankarAlg  — Algorithm 1 [46]: wait-free, NOT history independent.
 //                     Write(v) sets A[v] and clears only *downwards*, so the
@@ -48,27 +55,34 @@
 #include <optional>
 #include <vector>
 
+#include "algo/values.h"
 #include "env/env.h"
+#include "spec/register_spec.h"
 
 namespace hi::algo {
 
 /// Algorithm 1 [Vidyasankar].
 template <typename Env, typename Bins>
-class VidyasankarAlg {
+class VidyasankarAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
 
-  VidyasankarAlg(typename Env::Ctx ctx, std::uint32_t num_values,
-                 std::uint32_t initial)
-      : num_values_(num_values),
-        a_(Bins::make(ctx, "A", num_values, initial)) {
-    assert(initial >= 1 && initial <= num_values);
+  VidyasankarAlg(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+                 int writer_pid, int reader_pid)
+      : SwsrRoles(writer_pid, reader_pid),
+        num_values_(spec.num_values()),
+        a_(Bins::make(ctx, "A", num_values_, spec.initial_state())) {}
+
+  Op<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
+    if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
+    return write(pid, op.value);
   }
 
   /// Read(): scan up to the first 1, then scan down taking any smaller 1
   /// (the shared downward confirmation pass, env::confirm_down).
-  Op<std::uint32_t> read() {
+  Op<std::uint32_t> read(int pid) {
+    assert_reader(pid);
     const std::uint32_t j = co_await Bins::scan_up(a_, 1);
     assert(j != 0 && "A contains no 1 — impossible in Alg 1");
     const std::uint32_t val = co_await env::confirm_down<Bins>(a_, j);
@@ -76,7 +90,8 @@ class VidyasankarAlg {
   }
 
   /// Write(v): set A[v], then clear downwards from v-1 to 1.
-  Op<std::uint32_t> write(std::uint32_t value) {
+  Op<std::uint32_t> write(int pid, std::uint32_t value) {
+    assert_writer(pid);
     assert(value >= 1 && value <= num_values_);
     co_await Bins::set(a_, value);
     co_await Bins::clear_down(a_, value - 1);
@@ -106,18 +121,22 @@ using VidyasankarAlgPacked = VidyasankarAlg<E, env::PackedBins<E>>;
 
 /// Algorithms 2 + 3: lock-free state-quiescent-HI register.
 template <typename Env, typename Bins>
-class LockFreeHiAlg {
+class LockFreeHiAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
-  LockFreeHiAlg(typename Env::Ctx ctx, std::uint32_t num_values,
-                std::uint32_t initial)
-      : num_values_(num_values),
-        a_(Bins::make(ctx, "A", num_values, initial)) {
-    assert(initial >= 1 && initial <= num_values);
+  LockFreeHiAlg(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+                int writer_pid, int reader_pid)
+      : SwsrRoles(writer_pid, reader_pid),
+        num_values_(spec.num_values()),
+        a_(Bins::make(ctx, "A", num_values_, spec.initial_state())) {}
+
+  Op<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
+    if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
+    return write(pid, op.value);
   }
 
   /// Read(): retry TryRead until it finds a value (Algorithm 2, lines 1–4).
@@ -126,7 +145,8 @@ class LockFreeHiAlg {
   /// alive at a time — on RtEnv the whole chain then recycles through the
   /// per-thread frame arena with zero steady-state heap traffic. Step
   /// counts are unchanged: frames are never steps.
-  Op<std::uint32_t> read() {
+  Op<std::uint32_t> read(int pid) {
+    assert_reader(pid);
     for (;;) {
       const std::optional<std::uint32_t> val = co_await try_read();
       if (val.has_value()) co_return *val;
@@ -136,7 +156,9 @@ class LockFreeHiAlg {
   /// Bounded-retry Read for hardware harnesses: nullopt after
   /// `max_attempts` failed TryReads (0 = retry forever, as the paper's
   /// lock-free Read does). Same flat retry-loop shape as read().
-  Op<std::optional<std::uint32_t>> read_bounded(std::uint64_t max_attempts) {
+  Op<std::optional<std::uint32_t>> read_bounded(int pid,
+                                                std::uint64_t max_attempts) {
+    assert_reader(pid);
     for (std::uint64_t attempt = 0;
          max_attempts == 0 || attempt < max_attempts; ++attempt) {
       const std::optional<std::uint32_t> val = co_await try_read();
@@ -149,7 +171,8 @@ class LockFreeHiAlg {
   /// (Algorithm 2, lines 5–7). Delegates to write_sub — one extra coroutine
   /// frame, zero extra steps (frames are never steps), so persisted traces
   /// and step-count tests are unaffected.
-  Op<std::uint32_t> write(std::uint32_t value) {
+  Op<std::uint32_t> write(int pid, std::uint32_t value) {
+    assert_writer(pid);
     const std::uint32_t echoed = co_await write_sub(value);
     co_return echoed;
   }
@@ -199,25 +222,30 @@ using LockFreeHiAlgPacked = LockFreeHiAlg<E, env::PackedBins<E>>;
 
 /// Algorithm 4: wait-free quiescent-HI register.
 template <typename Env, typename Bins>
-class WaitFreeHiAlg {
+class WaitFreeHiAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
-  WaitFreeHiAlg(typename Env::Ctx ctx, std::uint32_t num_values,
-                std::uint32_t initial)
-      : num_values_(num_values),
-        last_val_(initial),
-        a_(Bins::make(ctx, "A", num_values, initial)),
-        b_(Bins::make(ctx, "B", num_values, 0)),
-        flags_(Bins::make(ctx, "flag", 2, 0)) {
-    assert(initial >= 1 && initial <= num_values);
+  WaitFreeHiAlg(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+                int writer_pid, int reader_pid)
+      : SwsrRoles(writer_pid, reader_pid),
+        num_values_(spec.num_values()),
+        last_val_(spec.initial_state()),
+        a_(Bins::make(ctx, "A", num_values_, spec.initial_state())),
+        b_(Bins::make(ctx, "B", num_values_, 0)),
+        flags_(Bins::make(ctx, "flag", 2, 0)) {}
+
+  Op<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
+    if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
+    return write(pid, op.value);
   }
 
   /// Read() — Algorithm 4, lines 1–10.
-  Op<std::uint32_t> read() {
+  Op<std::uint32_t> read(int pid) {
+    assert_reader(pid);
     co_await Bins::set(flags_, 1);          // line 1: announce
     std::uint32_t val = 0;                  // 0 encodes ⊥
     for (int attempt = 0; attempt < 2; ++attempt) {  // line 2
@@ -248,7 +276,8 @@ class WaitFreeHiAlg {
   }
 
   /// Write(v) — Algorithm 4, lines 11–19.
-  Op<std::uint32_t> write(std::uint32_t value) {
+  Op<std::uint32_t> write(int pid, std::uint32_t value) {
+    assert_writer(pid);
     assert(value >= 1 && value <= num_values_);
     // Line 11: check whether B is all-zero (scan; stop at the first 1, which
     // already falsifies the condition).

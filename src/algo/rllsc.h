@@ -1,7 +1,6 @@
 // Algorithm 6: lock-free perfect-HI releasable-LL/SC object from atomic CAS
 // (§6.3, Theorem 28), written ONCE over an execution environment Env and
-// instantiated by the simulator (src/core/rllsc.h) and by real hardware
-// (src/rt/rllsc_rt.h, over a 16-byte CMPXCHG16B word).
+// instantiated over every Env (on hardware over a 16-byte CMPXCHG16B word).
 //
 // The R-LLSC state (val, context) is stored in a *single* CAS word; memory
 // is therefore exactly the encoding of the abstract state — no auxiliary
@@ -19,8 +18,9 @@
 // line 18R.2).
 //
 // Process identities are explicit small integers (0..63) supplied by the
-// caller, exactly as the paper's p_i; the simulator wrapper recovers them
-// from the scheduler so existing call sites stay pid-implicit.
+// caller, exactly as the paper's p_i. apply(pid, op) is the spec-level
+// entry point (spec::RllscSpec); apply_rllsc is the one RllscSpec → cell
+// dispatcher, shared with the model-only native cell (sim/native_rllsc.h).
 //
 // Every entry point is a Sub coroutine: on RtEnv its frame comes from the
 // per-thread frame arena (env/rt_env.h), so LL/SC/RL/VL/Load/Store cost
@@ -32,12 +32,67 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "algo/values.h"
+#include "spec/rllsc_spec.h"
 #include "util/bits.h"
 
 namespace hi::algo {
+
+/// Runs one spec::RllscSpec operation on any R-LLSC cell exposing the
+/// pid-explicit ll/vl/sc/rl and load/store Subs, as an `OpT` task. Spec
+/// values fill the low word of a two-word RllscValue (the simulator's
+/// Value) or the whole packed word (the hardware's).
+template <template <typename> class OpT, typename Cell>
+OpT<spec::RllscSpec::Resp> apply_rllsc(Cell& cell, int pid,
+                                       spec::RllscSpec::Op op) {
+  using V = typename Cell::V;
+  using Resp = spec::RllscSpec::Resp;
+  assert(pid == op.pid && "RllscSpec ops carry the invoking pid");
+  const auto value = [](std::uint64_t raw) {
+    if constexpr (std::is_same_v<V, RllscValue>) {
+      return RllscValue{raw, 0};
+    } else {
+      return static_cast<V>(raw);
+    }
+  };
+  const auto low = [](const V& v) {
+    if constexpr (std::is_same_v<V, RllscValue>) {
+      return static_cast<std::uint32_t>(v.lo);
+    } else {
+      return static_cast<std::uint32_t>(v);
+    }
+  };
+  switch (op.kind) {
+    case spec::RllscSpec::Kind::kLL: {
+      const V v = co_await cell.ll(pid);
+      co_return Resp{low(v), true};
+    }
+    case spec::RllscSpec::Kind::kVL: {
+      const bool linked = co_await cell.vl(pid);
+      co_return Resp{0, linked};
+    }
+    case spec::RllscSpec::Kind::kSC: {
+      const bool done = co_await cell.sc(pid, value(op.arg));
+      co_return Resp{0, done};
+    }
+    case spec::RllscSpec::Kind::kRL: {
+      const bool done = co_await cell.rl(pid);
+      co_return Resp{0, done};
+    }
+    case spec::RllscSpec::Kind::kLoad: {
+      const V v = co_await cell.load();
+      co_return Resp{low(v), true};
+    }
+    case spec::RllscSpec::Kind::kStore: {
+      const bool done = co_await cell.store(value(op.arg));
+      co_return Resp{0, done};
+    }
+  }
+  co_return Resp{};  // unreachable
+}
 
 template <typename Env>
 class CasRllscAlg {
@@ -49,6 +104,12 @@ class CasRllscAlg {
 
   CasRllscAlg(typename Env::Ctx ctx, std::string name, V initial)
       : cell_(Env::make_cas(ctx, std::move(name), initial)) {}
+
+  /// The spec-level entry point (spec::RllscSpec ops carry their pid).
+  typename Env::template Op<spec::RllscSpec::Resp> apply(
+      int pid, spec::RllscSpec::Op op) {
+    return apply_rllsc<Env::template Op>(*this, pid, op);
+  }
 
   /// LL(O) — lines 1–6: CAS-install the caller's context bit, retrying on
   /// interference. Lock-free; may run forever under contention. A failed CAS

@@ -1,9 +1,7 @@
 // Sharded perfect-HI set: a domain of millions of keys striped over N
 // independent multi-word §5.1 sets (algo/hi_set.h) behind one linearizable
 // facade. Written ONCE over an execution environment Env (src/env/env.h)
-// and instantiated by the simulator (src/core/sharded_set.h), by real
-// hardware (src/rt/sharded_set_rt.h) and by the schedule-replay backend
-// (src/replay/replay_objects.h).
+// and instantiated over every Env (simulator, hardware, replay, fuzz).
 //
 // Why the composition is linearizable: the shard map is a PURE FUNCTION of
 // the key — shard_of(k) and local_of(k) depend only on (k, domain, shard
@@ -58,6 +56,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -67,6 +66,7 @@
 
 #include "algo/hi_set.h"
 #include "env/env.h"
+#include "spec/set_spec.h"
 #include "util/bits.h"
 
 namespace hi::algo {
@@ -138,13 +138,24 @@ class ShardedHiSet {
     }
   }
 
-  /// Single-word convenience constructor (≤64-key domains — the spec-driven
-  /// harness sizes; larger domains simply start with keys 65+ absent).
-  ShardedHiSet(typename Env::Ctx ctx, std::uint32_t domain,
-               std::uint32_t shard_count, ShardPlacement placement,
-               std::uint64_t initial_bits)
-      : ShardedHiSet(ctx, domain, shard_count, placement,
-                     std::span<const std::uint64_t>(&initial_bits, 1)) {}
+  /// From the spec (domain and initial bitmap, one word: spec domains are
+  /// ≤ 64). Shard count and placement stay construction parameters, so one
+  /// spec checks every sharding configuration.
+  ShardedHiSet(typename Env::Ctx ctx, const spec::SetSpec& spec,
+               std::uint32_t shard_count,
+               ShardPlacement placement = ShardPlacement::kBlocked)
+      : ShardedHiSet(ctx, spec.domain(), shard_count, placement,
+                     std::array<std::uint64_t, 1>{spec.initial_state()}) {}
+
+  /// Fully symmetric: any process may invoke any operation.
+  Op<bool> apply(int /*pid*/, spec::SetSpec::Op op) {
+    switch (op.kind) {
+      case spec::SetSpec::Kind::kInsert: return insert(op.value);
+      case spec::SetSpec::Kind::kRemove: return remove(op.value);
+      case spec::SetSpec::Kind::kLookup: break;
+    }
+    return lookup(op.value);
+  }
 
   // Facade operations forward the owning shard's Op coroutine WITHOUT a
   // wrapper coroutine: zero extra frames, zero extra steps — an operation

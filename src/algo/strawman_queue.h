@@ -1,9 +1,9 @@
 // Strawman "state-quiescent HI queue with Peek" from binary registers — the
 // candidate that Theorem 20 (§5.4 / Appendix C) dooms — written ONCE over an
 // execution environment Env (src/env/env.h) and instantiated by the
-// simulator (src/baseline/strawman_queue.h) and by the schedule-replay
-// backend (env/replay_env.h), so the Theorem 20 adversary's starvation
-// schedules replay over hardware atomics (tests/test_replay_adversary.cpp).
+// simulator and by the schedule-replay backend (env/replay_env.h), so the
+// Theorem 20 adversary's starvation schedules replay over hardware atomics
+// (tests/test_replay_adversary.cpp).
 //
 // Single-mutator queue over domain {1..t} with a front indicator kept in a
 // one-hot binary array F (slot v+1 ⇔ front element v; slot 1 ⇔ empty) and
@@ -23,26 +23,31 @@
 #include <string>
 #include <vector>
 
+#include "algo/values.h"
+#include "spec/queue_spec.h"
 #include "util/bits.h"
 
 namespace hi::algo {
 
+/// Single mutator (the SwsrRoles writer: Enqueue, Dequeue) and single
+/// peeker (the reader: Peek).
 template <typename Env>
-class StrawmanQueueAlg {
+class StrawmanQueueAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
   template <typename T>
   using Sub = typename Env::template Sub<T>;
 
-  StrawmanQueueAlg(typename Env::Ctx ctx, std::uint32_t domain,
-                   std::size_t capacity)
-      : domain_(domain),
-        capacity_(capacity),
+  StrawmanQueueAlg(typename Env::Ctx ctx, const spec::QueueSpec& spec,
+                   int changer_pid, int reader_pid)
+      : SwsrRoles(changer_pid, reader_pid),
+        domain_(spec.domain()),
+        capacity_(spec.capacity()),
         // F slot v+1 holds the paper's F[v]; slot 1 (= F[0], "empty") starts
         // at 1. Registration order fixes the mem(C) layout: F first, then
         // the slot bit-planes.
-        front_(Env::make_bin_array_words(ctx, "F", domain + 1,
+        front_(Env::make_bin_array_words(ctx, "F", domain_ + 1,
                                          util::one_hot_words(1))) {
     bits_per_slot_ = 1;
     while ((1u << bits_per_slot_) < domain_ + 1) ++bits_per_slot_;
@@ -53,8 +58,18 @@ class StrawmanQueueAlg {
     }
   }
 
+  Op<std::uint32_t> apply(int pid, spec::QueueSpec::Op op) {
+    switch (op.kind) {
+      case spec::QueueSpec::Kind::kEnqueue: return enqueue(pid, op.value);
+      case spec::QueueSpec::Kind::kDequeue: return dequeue(pid);
+      case spec::QueueSpec::Kind::kPeek: break;
+    }
+    return peek(pid);
+  }
+
   /// Peek: retry-scan F for the one-hot front bit. Lock-free only.
-  Op<std::uint32_t> peek() {
+  Op<std::uint32_t> peek(int pid) {
+    assert_reader(pid);
     for (;;) {
       for (std::uint32_t v = 0; v <= domain_; ++v) {
         const std::uint8_t bit = co_await Env::read_bit(front_, v + 1);
@@ -63,7 +78,8 @@ class StrawmanQueueAlg {
     }
   }
 
-  Op<std::uint32_t> enqueue(std::uint8_t value) {
+  Op<std::uint32_t> enqueue(int pid, std::uint8_t value) {
+    assert_writer(pid);
     assert(value >= 1 && value <= domain_);
     const std::uint32_t old_front = mirror_front();
     if (mirror_.size() < capacity_) mirror_.push_back(value);
@@ -72,7 +88,8 @@ class StrawmanQueueAlg {
     co_return 0;  // the spec's r0 / empty response
   }
 
-  Op<std::uint32_t> dequeue() {
+  Op<std::uint32_t> dequeue(int pid) {
+    assert_writer(pid);
     if (mirror_.empty()) co_return 0;
     const std::uint32_t old_front = mirror_front();
     const std::uint32_t response = mirror_.front();

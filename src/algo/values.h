@@ -9,7 +9,9 @@
 // is the environment-neutral view of one CAS base-object state.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
+#include <vector>
 
 namespace hi::algo {
 
@@ -47,5 +49,42 @@ struct CasResult {
 
   friend bool operator==(const CasResult&, const CasResult&) = default;
 };
+
+/// The two process roles of a single-writer object: the paper's p_w, and
+/// p_r for the §4 registers (the queue's single mutator and its peeker for
+/// the Theorem 20 strawman). Fixed at construction; every role-bound entry
+/// point asserts its caller, so a wrong-role call aborts in asserts-on
+/// builds on every backend.
+class SwsrRoles {
+ public:
+  SwsrRoles(int writer_pid, int reader_pid)
+      : writer_pid_(writer_pid), reader_pid_(reader_pid) {}
+
+  int writer_pid() const { return writer_pid_; }
+  int reader_pid() const { return reader_pid_; }
+
+ protected:
+  void assert_writer(int pid) const {
+    assert(pid == writer_pid_ && "wrong role: only p_w may write");
+    (void)pid;
+  }
+  void assert_reader(int pid) const {
+    assert(pid == reader_pid_ && "wrong role: only p_r may read");
+    (void)pid;
+  }
+
+ private:
+  int writer_pid_;
+  int reader_pid_;
+};
+
+/// Observer-side memory image of any algorithm object: its encode_memory
+/// bytes (abstract bins in mem(C) order, whatever the layout). Never a step.
+template <typename Obj>
+std::vector<std::uint8_t> memory_image(const Obj& obj) {
+  std::vector<std::uint8_t> image;
+  obj.encode_memory(image);
+  return image;
+}
 
 }  // namespace hi::algo

@@ -66,6 +66,7 @@
 // any outer Op (sim OpTasks are not awaitable; Subs are).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -77,6 +78,7 @@
 #include "algo/registers.h"
 #include "algo/values.h"
 #include "env/env.h"
+#include "spec/register_spec.h"
 
 namespace hi::algo {
 
@@ -446,9 +448,9 @@ class NormalizedHiRegister {
     return kWriteBit | value;
   }
 
-  NormalizedHiRegister(typename Env::Ctx ctx, std::uint32_t num_values,
-                       std::uint32_t initial)
-      : alg_(ctx, num_values, initial) {}
+  NormalizedHiRegister(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+                       int writer_pid, int reader_pid)
+      : alg_(ctx, spec, writer_pid, reader_pid) {}
 
   Sub<std::optional<std::uint64_t>> attempt(std::uint64_t op_word) {
     if ((op_word & kWriteBit) != 0) {
@@ -475,24 +477,40 @@ class NormalizedHiRegister {
 };
 
 /// The combinator applied to the Alg 2/3 register: a WAIT-FREE K-valued
-/// SWSR register whose reads are helped slow-path operations and whose
-/// writes run direct (helping first). The Thm 17 price: NOT state-quiescent
-/// HI — the records and queue counters persist (see the file comment).
+/// single-writer register whose reads are helped slow-path operations and
+/// whose writes run direct (helping first). The Thm 17 price: NOT
+/// state-quiescent HI — the records and queue counters persist (see the
+/// file comment).
+///
+/// Roles: p_w writes; every other pid below `num_processes` may read (the
+/// help queue and records are sized per process). `num_processes` defaults
+/// to max(p_w, p_r) + 1, the SWSR sizing.
 template <typename Env, typename Bins>
-class WaitFreeSimHiAlg {
+class WaitFreeSimHiAlg : public SwsrRoles {
  public:
   template <typename T>
   using Op = typename Env::template Op<T>;
   using Inner = NormalizedHiRegister<Env, Bins>;
 
-  WaitFreeSimHiAlg(typename Env::Ctx ctx, std::uint32_t num_values,
-                   std::uint32_t initial, int num_processes = 2,
-                   std::uint32_t fast_limit = 1)
-      : sim_(ctx, num_processes, fast_limit, num_values, initial),
-        num_values_(num_values) {}
+  WaitFreeSimHiAlg(typename Env::Ctx ctx, const spec::RegisterSpec& spec,
+                   int writer_pid, int reader_pid,
+                   std::uint32_t fast_limit = 1, int num_processes = 0)
+      : SwsrRoles(writer_pid, reader_pid),
+        sim_(ctx,
+             num_processes > 0 ? num_processes
+                               : std::max(writer_pid, reader_pid) + 1,
+             fast_limit, spec, writer_pid, reader_pid),
+        num_values_(spec.num_values()) {}
 
-  /// Wait-free Read by process `pid`.
+  Op<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
+    if (op.kind == spec::RegisterSpec::Kind::kRead) return read(pid);
+    return write(pid, op.value);
+  }
+
+  /// Wait-free Read by any non-writer process `pid`.
   Op<std::uint32_t> read(int pid) {
+    assert(pid != writer_pid() && pid >= 0 &&
+           pid < sim_.num_processes() && "wrong role: p_w may not read");
     const std::uint64_t got = co_await sim_.run(pid, Inner::encode_read());
     co_return static_cast<std::uint32_t>(got);
   }
@@ -500,6 +518,7 @@ class WaitFreeSimHiAlg {
   /// Write by process `pid` — Alg 2's write is already wait-free, so it runs
   /// direct; its leading help is what completes any queued read.
   Op<std::uint32_t> write(int pid, std::uint32_t value) {
+    assert_writer(pid);
     assert(value >= 1 && value <= num_values_);
     const std::uint64_t got =
         co_await sim_.run_direct(pid, Inner::encode_write(value));
@@ -511,10 +530,6 @@ class WaitFreeSimHiAlg {
   void encode_memory(std::vector<std::uint8_t>& out) const {
     sim_.inner().encode_memory(out);
     sim_.encode_combinator_words(out);
-  }
-  /// The inner bins alone — the part that REMAINS canonical per state.
-  void encode_inner_memory(std::vector<std::uint8_t>& out) const {
-    sim_.inner().encode_memory(out);
   }
 
   WaitFreeSim<Env, Inner>& combinator() { return sim_; }

@@ -1,32 +1,13 @@
-// Algorithms 2 + 3: lock-free state-quiescent-HI SWSR K-valued register from
-// binary registers (§4, Theorem 9).
-//
-// Single-source: the algorithm body lives in algo/registers.h
-// (LockFreeHiAlg); this file is the simulator instantiation behind the SWSR
-// spec/pid harness interface. The hardware instantiation is
-// rt::RtLockFreeHiRegister. See algo/registers.h for the line-by-line paper
-// commentary (upward clearing buys can(v) = e_v at state-quiescence; the
-// reader pays with lock-freedom only — the Theorem 17 adversary starves it,
-// see src/adversary/reader_adversary.h and test E7).
+// Algorithms 2 + 3 (lock-free state-quiescent-HI register, Theorem 9) over
+// the simulator. The algorithm and its commentary: algo/registers.h.
 #pragma once
 
 #include "algo/registers.h"
-#include "core/swsr_wrapper.h"
 #include "env/sim_env.h"
-#include "sim/memory.h"
-#include "sim/task.h"
 
 namespace hi::core {
 
-/// Padded-per-bit layout: the paper's exact primitive sequence (one binary
-/// register per step) — what the step-count tests, adversaries and persisted
-/// schedule traces drive.
-using LockFreeHiRegister =
-    SwsrRegister<algo::LockFreeHiAlgPadded, env::SimEnv>;
-
-/// Packed layout: 64 bins per word-sized base object, scans one word load
-/// per 64 bins (env::PackedBins; docs/ENV.md "Packed bin arrays").
-using PackedLockFreeHiRegister =
-    SwsrRegister<algo::LockFreeHiAlgPacked, env::SimEnv>;
+using LockFreeHiRegister = algo::LockFreeHiAlgPadded<env::SimEnv>;
+using PackedLockFreeHiRegister = algo::LockFreeHiAlgPacked<env::SimEnv>;
 
 }  // namespace hi::core

@@ -1,48 +1,13 @@
-// Wait-free state-quiescent-HI max register from binary registers (§5.1) —
-// simulator instantiation.
-//
-// Single-source: the algorithm body lives in algo/max_register.h
-// (HiMaxRegisterAlg), templated over the execution environment; this file
-// pins the environment to SimEnv, preserving the seed interface (the spec
-// supplies K and the initial maximum; reads and writes are pid-checked
-// SWSR). The hardware instantiation of the SAME body is rt::RtMaxRegister.
+// §5.1's wait-free state-quiescent-HI max register over the simulator. The
+// algorithm and its commentary: algo/max_register.h.
 #pragma once
 
 #include "algo/max_register.h"
 #include "env/sim_env.h"
-#include "sim/memory.h"
-#include "sim/task.h"
-#include "spec/max_register_spec.h"
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper, shared by the simulator (Env = SimEnv) and
-/// the schedule-replay backend (Env = ReplayEnv) so the op dispatch cannot
-/// diverge between the backends the differential replay suite compares.
-/// `Bins` selects the bin-array layout (padded-per-bit default preserves
-/// the paper's primitive sequence; env::PackedBins packs 64 bins per word).
-template <typename Env, typename Bins = env::PaddedBins<Env>>
-class BasicHiMaxRegister : public algo::HiMaxRegisterAlg<Env, Bins> {
- public:
-  using Base = algo::HiMaxRegisterAlg<Env, Bins>;
-  using Op = spec::MaxRegisterSpec::Op;
-  using Resp = spec::MaxRegisterSpec::Resp;
-
-  BasicHiMaxRegister(typename Env::Ctx ctx, const spec::MaxRegisterSpec& spec,
-                     int writer_pid, int reader_pid)
-      : Base(ctx, spec.num_values(), spec.initial_state(), writer_pid,
-             reader_pid) {}
-
-  typename Env::template Op<Resp> apply(int pid, Op op) {
-    if (op.kind == spec::MaxRegisterSpec::Kind::kReadMax) {
-      return this->read_max(pid);
-    }
-    return this->write_max(pid, op.value);
-  }
-};
-
-using HiMaxRegister = BasicHiMaxRegister<env::SimEnv>;
-using PackedHiMaxRegister =
-    BasicHiMaxRegister<env::SimEnv, env::PackedBins<env::SimEnv>>;
+using HiMaxRegister = algo::HiMaxRegisterAlgPadded<env::SimEnv>;
+using PackedHiMaxRegister = algo::HiMaxRegisterAlgPacked<env::SimEnv>;
 
 }  // namespace hi::core

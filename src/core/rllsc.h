@@ -1,143 +1,18 @@
-// Algorithm 6: lock-free perfect-HI releasable-LL/SC object from atomic CAS
-// (§6.3, Theorem 28), plus the "ideal" native R-LLSC cell behind the same
-// interface, so Algorithm 5 can run over either (§6.1 vs §6.4).
-//
-// Single-source: the CAS-backed algorithm body lives in algo/rllsc.h
-// (CasRllscAlg), templated over the execution environment and pid-explicit;
-// this file is the simulator instantiation. CasRllsc adds the pid-implicit
-// legacy entry points (the scheduler knows which process is executing, so
-// call sites do not thread pids through). The hardware instantiation is
-// rt::RtRllsc. NativeRllsc has no hardware sibling — an ideal
-// context-aware LL/SC base object only exists in the model (hardware offers
-// CAS, which is exactly what Algorithm 6 exists to bridge).
+// Algorithm 6 (lock-free perfect-HI R-LLSC from CAS, Theorem 28) over the
+// simulator, and the model-only native R-LLSC cell behind the same
+// interface. The algorithm and its commentary: algo/rllsc.h.
 #pragma once
-
-#include <cassert>
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <utility>
 
 #include "algo/rllsc.h"
 #include "algo/values.h"
 #include "env/sim_env.h"
-#include "sim/base_object.h"
-#include "sim/memory.h"
-#include "sim/task.h"
-#include "util/bits.h"
+#include "sim/native_rllsc.h"
 
 namespace hi::core {
 
 using algo::RllscValue;
-
-/// Algorithm 6 over one atomic CAS base object (simulator instantiation).
-class CasRllsc : public algo::CasRllscAlg<env::SimEnv> {
- public:
-  using Base = algo::CasRllscAlg<env::SimEnv>;
-
-  CasRllsc(sim::Memory& memory, std::string name, RllscValue initial)
-      : Base(memory, std::move(name), initial) {}
-
-  // pid-explicit interface (used by the universal construction) inherited:
-  using Base::ll;
-  using Base::ll_interleaved;
-  using Base::rl;
-  using Base::sc;
-  using Base::vl;
-
-  // pid-implicit legacy entry points: the executing process's identity is
-  // read from the scheduler at invocation (the call happens inside the
-  // process's own coroutine, so current_process() is exact).
-  auto ll() { return Base::ll(self()); }
-  template <typename Poll>
-  auto ll_interleaved(Poll poll) {
-    return Base::ll_interleaved(self(), std::move(poll));
-  }
-  auto vl() { return Base::vl(self()); }
-  auto sc(RllscValue desired) { return Base::sc(self(), desired); }
-  auto rl() { return Base::rl(self()); }
-
- private:
-  static int self() {
-    sim::ProcessState* ps = sim::detail::current_process();
-    assert(ps != nullptr && "R-LLSC used outside a scheduled process");
-    return ps->pid;
-  }
-};
-
-/// The same interface over a native (single-primitive) R-LLSC base object.
-class NativeRllsc {
- public:
-  NativeRllsc(sim::Memory& memory, std::string name, RllscValue initial)
-      : cell_(&memory.make<sim::WideRllscCell>(
-            std::move(name), sim::WideWord{initial.lo, initial.hi, 0})) {}
-
-  sim::SubTask<RllscValue> ll(int pid = -1) {
-    assert_self(pid);
-    const sim::WideWord cur = co_await cell_->ll();
-    co_return RllscValue{cur.lo, cur.hi};
-  }
-
-  /// Native LL is wait-free, so interleaving is unnecessary for progress;
-  /// one poll runs first so a ready response is still honored promptly.
-  /// `poll` is a nullary callable returning an awaitable of bool.
-  template <typename Poll>
-  sim::SubTask<std::optional<RllscValue>> ll_interleaved(int pid, Poll poll) {
-    assert_self(pid);
-    const bool bail = co_await poll();
-    if (bail) co_return std::nullopt;
-    const sim::WideWord cur = co_await cell_->ll();
-    co_return RllscValue{cur.lo, cur.hi};
-  }
-  template <typename Poll>
-  auto ll_interleaved(Poll poll) {
-    return ll_interleaved(-1, std::move(poll));
-  }
-
-  sim::SubTask<bool> vl(int pid = -1) {
-    assert_self(pid);
-    const bool valid = co_await cell_->vl();
-    co_return valid;
-  }
-  sim::SubTask<bool> sc(int pid, RllscValue desired) {
-    assert_self(pid);
-    const bool swapped = co_await cell_->sc(desired.lo, desired.hi);
-    co_return swapped;
-  }
-  sim::SubTask<bool> sc(RllscValue desired) { return sc(-1, desired); }
-  sim::SubTask<bool> rl(int pid = -1) {
-    assert_self(pid);
-    co_await cell_->rl();
-    co_return true;
-  }
-  sim::SubTask<RllscValue> load() {
-    const sim::WideWord cur = co_await cell_->load();
-    co_return RllscValue{cur.lo, cur.hi};
-  }
-  sim::SubTask<bool> store(RllscValue desired) {
-    co_await cell_->store(desired.lo, desired.hi);
-    co_return true;
-  }
-
-  RllscValue peek_value() const {
-    return RllscValue{cell_->peek().lo, cell_->peek().hi};
-  }
-  std::uint64_t peek_context() const { return cell_->peek().ctx; }
-  algo::CtxWord<RllscValue> peek_word() const {
-    const sim::WideWord w = cell_->peek();
-    return {{w.lo, w.hi}, w.ctx};
-  }
-  bool is_lock_free() const { return true; }
-
- private:
-  /// The native cell resolves the caller from the scheduler inside each
-  /// primitive; an explicit pid (from the universal construction) must agree.
-  static void assert_self(int pid) {
-    assert(pid == -1 || pid == sim::detail::current_process()->pid);
-    (void)pid;
-  }
-
-  sim::WideRllscCell* cell_;
-};
+using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
+// perfbench/src/explore.h pins this name.
+using NativeRllsc = sim::NativeRllsc;
 
 }  // namespace hi::core

@@ -1,55 +1,12 @@
-// Sharded perfect-HI set (algo/sharded_set.h) — simulator instantiation.
-//
-// Single-source: the facade body lives in algo/sharded_set.h
-// (ShardedHiSet), templated over the execution environment; this file pins
-// the environment to SimEnv, preserving the spec-driven harness interface
-// so the explorer, the Runner and the replay fuzzer drive the sharded store
-// exactly like the single-shard core::HiSet. The hardware instantiation of
-// the SAME body is rt::RtShardedHiSet; the schedule-replay instantiation is
-// replay::ShardedHiSet (src/replay/replay_objects.h).
+// The sharded perfect-HI set over the simulator. The facade and its
+// linearizability / HI argument: algo/sharded_set.h.
 #pragma once
-
-#include <cstdint>
 
 #include "algo/sharded_set.h"
 #include "env/sim_env.h"
-#include "sim/memory.h"
-#include "sim/task.h"
-#include "spec/set_spec.h"
 
 namespace hi::core {
 
-/// Spec-driven harness wrapper, shared by the simulator (Env = SimEnv) and
-/// the schedule-replay backend (Env = ReplayEnv) so the op dispatch cannot
-/// diverge between the backends the differential replay suite compares.
-/// The spec supplies the domain and the initial membership bitmap (one
-/// word — spec domains are ≤ 64); shard count and placement are harness
-/// parameters, letting the same spec check every sharding configuration.
-template <typename Env, typename Bins = env::PackedBins<Env>>
-class BasicShardedHiSet : public algo::ShardedHiSet<Env, Bins> {
- public:
-  using Base = algo::ShardedHiSet<Env, Bins>;
-  using Op = spec::SetSpec::Op;
-  using Resp = spec::SetSpec::Resp;
-
-  BasicShardedHiSet(typename Env::Ctx ctx, const spec::SetSpec& spec,
-                    std::uint32_t shard_count,
-                    algo::ShardPlacement placement =
-                        algo::ShardPlacement::kBlocked)
-      : Base(ctx, spec.domain(), shard_count, placement,
-             spec.initial_state()) {}
-
-  typename Env::template Op<Resp> apply(int pid, Op op) {
-    (void)pid;  // fully symmetric: any process may invoke anything
-    switch (op.kind) {
-      case spec::SetSpec::Kind::kInsert: return this->insert(op.value);
-      case spec::SetSpec::Kind::kRemove: return this->remove(op.value);
-      case spec::SetSpec::Kind::kLookup: return this->lookup(op.value);
-    }
-    return this->lookup(op.value);  // unreachable
-  }
-};
-
-using ShardedHiSet = BasicShardedHiSet<env::SimEnv>;
+using ShardedHiSet = algo::ShardedHiSetPacked<env::SimEnv>;
 
 }  // namespace hi::core

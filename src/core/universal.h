@@ -1,30 +1,22 @@
-// Algorithm 5: wait-free state-quiescent-HI universal implementation from
-// releasable LL/SC (§6.1) — simulator instantiation.
-//
-// Single-source: the algorithm body lives in algo/universal.h
-// (UniversalAlg), templated over the execution environment, the sequential
-// specification S and the R-LLSC cell implementation. This file pins the
-// environment to SimEnv, preserving the seed interface:
+// Algorithm 5 (wait-free state-quiescent-HI universal construction from
+// R-LLSC, §6.1) over the simulator:
 //
 //   Universal<S, NativeRllsc>  — Algorithm 5 over ideal atomic R-LLSC cells
 //   Universal<S, CasRllsc>     — the full Theorem 32 composition over CAS
 //
-// The hardware instantiation is rt::RtUniversal. See algo/universal.h for
-// the line-by-line paper commentary (head/announce layout, the `‖`
-// right-hand sides, the red context-erasing lines and their ablation).
+// The algorithm and its commentary: algo/universal.h.
 #pragma once
 
 #include "algo/universal.h"
 #include "core/rllsc.h"
 #include "env/sim_env.h"
-#include "sim/memory.h"
-#include "sim/task.h"
 #include "spec/spec.h"
 
 namespace hi::core {
 
 using algo::HeadView;
 
+// perfbench/src/explore.h pins this name.
 template <spec::SequentialSpec S, typename Cell = CasRllsc>
 using Universal = algo::UniversalAlg<env::SimEnv, S, Cell>;
 

@@ -1,7 +1,6 @@
 // RtEnv: the real-hardware backend of the Env abstraction (see env.h).
 //
-// Primitives map onto std::atomic operations with the same memory orders the
-// hand-written src/rt implementations used (seq_cst after construction —
+// Primitives map onto std::atomic operations (seq_cst after construction —
 // the §4/§6 proofs assume atomic base objects with a total order on
 // operations; the factories' initialization stores are relaxed, because an
 // object reaches other threads only through a happens-before edge such as
@@ -66,7 +65,7 @@ namespace hi::env {
 /// Lifecycle rules (docs/ENV.md "RtEnv: frame arena"):
 ///   * allocate and deallocate MUST happen on the same thread — an
 ///     EagerTask has run to completion by the time the caller holds it and
-///     is consumed synchronously by the rt wrappers, so frames never
+///     is consumed synchronously at the call site (`.get()`), so frames never
 ///     migrate; handing a live EagerTask to another thread would break
 ///     this contract (and TSan flags it — see
 ///     RtAllocChurn.MultiThreadArenaBalance in tests/test_rt_alloc.cpp);
@@ -232,7 +231,7 @@ class [[nodiscard]] EagerTask {
   void await_suspend(std::coroutine_handle<>) const noexcept {}
   T await_resume() { return take(); }
 
-  /// Synchronous extraction for the thin rt wrappers.
+  /// Synchronous extraction: callers write `obj.op(...).get()`.
   T get() { return take(); }
 
  private:

@@ -1,187 +1,71 @@
 // Schedule-replay instantiations of every single-source algorithm: the same
-// `src/algo/` bodies the simulator (src/core) and hardware (src/rt) run,
-// pinned to env::ReplayEnv — hardware atomics executed step-by-step under a
-// sim::Scheduler. Interfaces mirror the src/core wrappers (spec-driven
-// apply over a sim::Memory), so the differential driver (verify/replay.h)
-// can march a core::* system and a replay::* system through one recorded
-// ScheduleTrace and compare them after every step.
+// `src/algo/` classes the simulator and hardware run, pinned to
+// env::ReplayEnv — hardware atomics executed step-by-step under a
+// sim::Scheduler. Each class takes its spec and role pids and exposes the
+// spec-level apply(pid, op) on every Env, so the differential driver
+// (verify/replay.h) can march a core::* system and a replay::* system
+// through one recorded ScheduleTrace and compare them after every step:
+// the two sides share every line of dispatch and pid checking and can only
+// differ in the environment itself.
 //
 // Objects covered: Vidyasankar (Alg 1), the lock-free HI register (Alg 2/3),
-// the wait-free HI register (Alg 4), the §5.1 max register and perfect-HI
-// set, the R-LLSC object (Alg 6), the universal construction (Alg 5 over 6),
-// the leaky (Fatourou–Kallimanis) universal baseline, and the Theorem 20
-// strawman queue. The R-LLSC spec harness below also serves the SimEnv
-// instantiation, so both sides of a differential run share one adapter.
+// the wait-free HI register (Alg 4), the wait-free simulation combinator,
+// the §5.1 max register and perfect-HI set, the sharded set, the R-LLSC
+// object (Alg 6), the universal construction (Alg 5 over 6), the leaky
+// (Fatourou–Kallimanis) universal baseline, and the Theorem 20 strawman
+// queue.
 #pragma once
 
-#include <cassert>
-#include <cstdint>
-#include <type_traits>
-
+#include "algo/hi_set.h"
 #include "algo/leaky_universal.h"
+#include "algo/max_register.h"
 #include "algo/registers.h"
 #include "algo/rllsc.h"
+#include "algo/sharded_set.h"
+#include "algo/strawman_queue.h"
 #include "algo/universal.h"
-#include "algo/values.h"
-#include "baseline/strawman_queue.h"
-#include "core/hi_set.h"
-#include "core/max_register.h"
-#include "core/sharded_set.h"
-#include "core/swsr_wrapper.h"
-#include "core/wait_free_sim.h"
+#include "algo/wait_free_sim.h"
 #include "env/replay_env.h"
-#include "sim/memory.h"
-#include "sim/task.h"
-#include "spec/rllsc_spec.h"
 #include "spec/spec.h"
 
 namespace hi::replay {
 
-// The spec-driven harness wrappers are single-source too (core/ and
-// baseline/ define them templated over Env): the replay instantiations
-// below share every line of dispatch and pid-checking code with their
-// simulator siblings, so the two sides of a differential run can only
-// differ in the environment itself.
+using Env = env::ReplayEnv;
 
-/// Algorithm 1 [Vidyasankar] over hardware atomics, scheduler-driven.
-using VidyasankarRegister =
-    core::SwsrRegister<algo::VidyasankarAlgPadded, env::ReplayEnv>;
-
-/// Algorithms 2+3 (lock-free state-quiescent HI) over hardware atomics.
-using LockFreeHiRegister =
-    core::SwsrRegister<algo::LockFreeHiAlgPadded, env::ReplayEnv>;
-
-/// Algorithm 4 (wait-free quiescent HI) over hardware atomics.
-using WaitFreeHiRegister =
-    core::SwsrRegister<algo::WaitFreeHiAlgPadded, env::ReplayEnv>;
-
-/// The wait-free simulation combinator over the Alg 2/3 reader
-/// (algo/wait_free_sim.h) — hardware atomics, scheduler-driven. Shares the
-/// pid-forwarding harness with core::WaitFreeSimHiRegister, so both sides
-/// of a differential run register identical base objects (inner A bins,
-/// then wfs.rec / wfs.q / wfs.qctl) in identical order.
-using WaitFreeSimHiRegister =
-    core::WaitFreeSimRegisterT<env::ReplayEnv,
-                               env::PaddedBins<env::ReplayEnv>>;
-using PackedWaitFreeSimHiRegister =
-    core::WaitFreeSimRegisterT<env::ReplayEnv,
-                               env::PackedBins<env::ReplayEnv>>;
-
-/// §5.1 max register over hardware atomics.
-using HiMaxRegister = core::BasicHiMaxRegister<env::ReplayEnv>;
-
-/// §5.1 perfect-HI set over hardware atomics.
-using HiSet = core::BasicHiSet<env::ReplayEnv>;
+using VidyasankarRegister = algo::VidyasankarAlgPadded<Env>;
+using LockFreeHiRegister = algo::LockFreeHiAlgPadded<Env>;
+using WaitFreeHiRegister = algo::WaitFreeHiAlgPadded<Env>;
+using WaitFreeSimHiRegister = algo::WaitFreeSimHiAlgPadded<Env>;
+using HiMaxRegister = algo::HiMaxRegisterAlgPadded<Env>;
+using HiSet = algo::HiSetAlgPadded<Env>;
 
 // Packed-layout twins (env::PackedBins): the same bodies over 64-bin atomic
 // words — scans are word loads, clears are masked fetch_ands — so recorded
 // packed sim schedules replay over the exact hardware RMWs RtEnv uses and
 // word-granularity interleavings get the same differential treatment as the
 // per-bit originals.
+using PackedVidyasankarRegister = algo::VidyasankarAlgPacked<Env>;
+using PackedLockFreeHiRegister = algo::LockFreeHiAlgPacked<Env>;
+using PackedWaitFreeHiRegister = algo::WaitFreeHiAlgPacked<Env>;
+using PackedWaitFreeSimHiRegister = algo::WaitFreeSimHiAlgPacked<Env>;
+using PackedHiMaxRegister = algo::HiMaxRegisterAlgPacked<Env>;
+using PackedHiSet = algo::HiSetAlgPacked<Env>;
 
-using PackedVidyasankarRegister =
-    core::SwsrRegister<algo::VidyasankarAlgPacked, env::ReplayEnv>;
-using PackedLockFreeHiRegister =
-    core::SwsrRegister<algo::LockFreeHiAlgPacked, env::ReplayEnv>;
-using PackedWaitFreeHiRegister =
-    core::SwsrRegister<algo::WaitFreeHiAlgPacked, env::ReplayEnv>;
-using PackedHiMaxRegister =
-    core::BasicHiMaxRegister<env::ReplayEnv, env::PackedBins<env::ReplayEnv>>;
-using PackedHiSet =
-    core::BasicHiSet<env::ReplayEnv, env::PackedBins<env::ReplayEnv>>;
-
-/// The sharded multi-word perfect-HI store (algo/sharded_set.h) over
-/// hardware atomics, scheduler-driven — same spec-driven apply and shard
-/// construction order as core::ShardedHiSet, so recorded sharded sim
-/// schedules replay over the exact per-shard fetch_or/fetch_and/load words
-/// RtEnv uses.
-using ShardedHiSet = core::BasicShardedHiSet<env::ReplayEnv>;
+using ShardedHiSet = algo::ShardedHiSetPacked<Env>;
 
 /// Algorithm 6 (perfect-HI R-LLSC) over the 16-byte hardware word.
-using CasRllsc = algo::CasRllscAlg<env::ReplayEnv>;
+using CasRllsc = algo::CasRllscAlg<Env>;
 
 /// Algorithm 5 over Algorithm 6, both on the hardware packing (the
-/// RllscWordCodec<uint64_t> / 32-bit-state substitution of src/rt).
+/// RllscWordCodec<uint64_t> / 32-bit-state substitution of RtEnv).
 template <spec::SequentialSpec S>
-using Universal = algo::UniversalAlg<env::ReplayEnv, S, CasRllsc>;
+using Universal = algo::UniversalAlg<Env, S, CasRllsc>;
 
 /// The Fatourou–Kallimanis-shaped leaky baseline on the hardware packing.
 template <spec::SequentialSpec S>
-using LeakyUniversal = algo::LeakyUniversalAlg<env::ReplayEnv, S>;
+using LeakyUniversal = algo::LeakyUniversalAlg<Env, S>;
 
 /// Theorem 20's strawman queue over hardware atomics.
-using StrawmanQueue = baseline::BasicStrawmanQueue<env::ReplayEnv>;
-
-/// Spec-driven harness over any CasRllscAlg instantiation (SimEnv or
-/// ReplayEnv): dispatches RllscSpec ops to the cell's pid-explicit entry
-/// points. Shared by both sides of a differential run so the operation →
-/// primitive mapping is identical by construction.
-template <typename Cell>
-class RllscHarness {
- public:
-  using V = typename Cell::V;
-  using Op = spec::RllscSpec::Op;
-  using Resp = spec::RllscSpec::Resp;
-
-  RllscHarness(sim::Memory& memory, std::uint64_t initial)
-      : cell_(memory, "X", make_value(initial)) {}
-
-  sim::OpTask<Resp> apply(int pid, Op op) {
-    assert(pid == op.pid && "RllscSpec ops carry the invoking pid");
-    (void)pid;
-    return run(op);
-  }
-
-  Cell& cell() { return cell_; }
-
- private:
-  static V make_value(std::uint64_t raw) {
-    if constexpr (std::is_same_v<V, algo::RllscValue>) {
-      return algo::RllscValue{raw, 0};
-    } else {
-      return static_cast<V>(raw);
-    }
-  }
-  static std::uint64_t value_lo(const V& v) {
-    if constexpr (std::is_same_v<V, algo::RllscValue>) {
-      return v.lo;
-    } else {
-      return v;
-    }
-  }
-
-  sim::OpTask<Resp> run(Op op) {
-    const int pid = op.pid;
-    switch (op.kind) {
-      case spec::RllscSpec::Kind::kLL: {
-        const V v = co_await cell_.ll(pid);
-        co_return Resp{static_cast<std::uint32_t>(value_lo(v)), true};
-      }
-      case spec::RllscSpec::Kind::kVL: {
-        const bool linked = co_await cell_.vl(pid);
-        co_return Resp{0, linked};
-      }
-      case spec::RllscSpec::Kind::kSC: {
-        const bool done = co_await cell_.sc(pid, make_value(op.arg));
-        co_return Resp{0, done};
-      }
-      case spec::RllscSpec::Kind::kRL: {
-        const bool done = co_await cell_.rl(pid);
-        co_return Resp{0, done};
-      }
-      case spec::RllscSpec::Kind::kLoad: {
-        const V v = co_await cell_.load();
-        co_return Resp{static_cast<std::uint32_t>(value_lo(v)), true};
-      }
-      case spec::RllscSpec::Kind::kStore: {
-        const bool done = co_await cell_.store(make_value(op.arg));
-        co_return Resp{0, done};
-      }
-    }
-    co_return Resp{};  // unreachable
-  }
-
-  Cell cell_;
-};
+using StrawmanQueue = algo::StrawmanQueueAlg<Env>;
 
 }  // namespace hi::replay

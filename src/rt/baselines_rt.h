@@ -7,27 +7,15 @@
 //                      (§6: "there is a simple lock-free universal
 //                      implementation"): CAS retry loop on a single word, no
 //                      helping, no announce — perfect HI but NOT wait-free.
-//   RtLeakyUniversal — Fatourou–Kallimanis-shaped wait-free construction
-//                      whose version counter, announce and result tables are
-//                      never cleared: the non-HI baseline, rt edition.
-//                      Single-source: the algorithm body lives in
-//                      algo/leaky_universal.h (LeakyUniversalAlg),
-//                      instantiated here with RtEnv — the simulator
-//                      instantiation of the SAME body is
-//                      LeakyUniversalAlg<SimEnv, S>. Its single-frame apply()
-//                      recycles through the calling thread's FrameArena
-//                      (zero steady-state heap allocations), keeping the
-//                      E14 comparison about clearing cost, not allocators.
+//
+// The third E14 comparator, the leaky (non-HI) universal, is
+// algo::LeakyUniversalAlg<env::RtEnv, S> itself.
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <mutex>
-#include <vector>
 
-#include "algo/leaky_universal.h"
-#include "env/rt_env.h"
 #include "spec/spec.h"
 
 namespace hi::rt {
@@ -89,33 +77,6 @@ class RtCasLoopObject {
  private:
   const S& spec_;
   std::atomic<std::uint64_t> state_;
-};
-
-/// Wait-free but leaky: version counter + immortal announce/result tables.
-/// Thin synchronous wrapper over the single-source LeakyUniversalAlg body.
-template <spec::SequentialSpec S>
-class RtLeakyUniversal {
- public:
-  using Op = typename S::Op;
-  using Resp = typename S::Resp;
-
-  RtLeakyUniversal(const S& spec, int num_processes)
-      : alg_(env::RtEnv::Ctx{}, spec, num_processes) {}
-
-  Resp apply(int pid, Op op) { return alg_.apply(pid, op).get(); }
-
-  // The leaks, quantified (observer-side; valid at quiescence).
-  std::uint64_t version() const { return alg_.version(); }
-  std::uint64_t head_state_encoded() const {
-    return alg_.head_state_encoded();
-  }
-  std::uint64_t peek_announce(int pid) const { return alg_.peek_announce(pid); }
-  std::uint64_t peek_result(int pid) const { return alg_.peek_result(pid); }
-  /// Bytes of shared storage (observer-side).
-  std::size_t memory_bytes() const { return alg_.memory_bytes(); }
-
- private:
-  algo::LeakyUniversalAlg<env::RtEnv, S> alg_;
 };
 
 }  // namespace hi::rt

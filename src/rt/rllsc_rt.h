@@ -1,15 +1,10 @@
-// Algorithm 6 on real hardware: lock-free perfect-HI releasable LL/SC over a
-// single 16-byte atomic CAS word (value + context bitmask).
-//
-// Single-source: the algorithm body lives in algo/rllsc.h (CasRllscAlg),
-// instantiated here with RtEnv so each primitive is a real std::atomic
-// operation on an Atomic128 word (CMPXCHG16B via -mcx16); the simulator
-// instantiation of the SAME body is core::CasRllsc. Process identities are
-// explicit small integers (0..63) supplied by the caller, exactly as the
-// paper's p_i. Every wrapper consumes its EagerTask synchronously, so the
-// coroutine frames recycle through the calling thread's FrameArena —
-// LL/SC/RL cost their atomics and zero steady-state heap allocations
-// (tests/test_rt_alloc.cpp).
+// Algorithm 6 (algo/rllsc.h) on real hardware with a synchronous call
+// surface: lock-free perfect-HI releasable LL/SC over a single 16-byte
+// atomic CAS word (value + context bitmask, CMPXCHG16B via -mcx16). Every
+// call consumes its EagerTask on the calling thread, so the coroutine
+// frames recycle through that thread's FrameArena — LL/SC/RL cost their
+// atomics and zero steady-state heap allocations (tests/test_rt_alloc.cpp).
+// Other callers name algo::CasRllscAlg<env::RtEnv> and call .get().
 #pragma once
 
 #include <cassert>
@@ -23,6 +18,7 @@
 
 namespace hi::rt {
 
+// perfbench/src/calibrate.h pins this name and its synchronous calls.
 class RtRllsc {
  public:
   RtRllsc() : alg_(env::RtEnv::Ctx{}, "X", 0) {}

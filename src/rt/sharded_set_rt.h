@@ -1,15 +1,10 @@
-// The sharded perfect-HI store on real hardware: millions of keys striped
-// over N independent multi-word packed sets (algo/sharded_set.h), every
-// membership operation one seq_cst atomic access to one word of one shard.
-//
-// Single-source: the facade body lives in algo/sharded_set.h
-// (ShardedHiSet), instantiated here with RtEnv. The simulator instantiation
-// of the SAME body is core::ShardedHiSet; memory_image() here matches the
-// simulator's mem(C) snapshot word-for-word after identical operation
-// sequences (tests/test_env_parity.cpp). Operations forward the owning
-// shard's single-frame coroutine, consumed on the calling thread, so each
-// thread's FrameArena recycles the one frame and steady-state
-// insert/remove/lookup never touch the heap (tests/test_rt_alloc.cpp).
+// The sharded perfect-HI store (algo/sharded_set.h) on real hardware with a
+// synchronous call surface: every membership operation is one seq_cst
+// atomic access to one word of one shard. Each call consumes the owning
+// shard's single-frame coroutine on the calling thread, so that thread's
+// FrameArena recycles the frame and steady-state insert/remove/lookup never
+// touch the heap (tests/test_rt_alloc.cpp). Other callers may name
+// algo::ShardedHiSetPacked<env::RtEnv> and call .get().
 #pragma once
 
 #include <cstddef>
@@ -22,22 +17,15 @@
 
 namespace hi::rt {
 
-/// Default layout: env::PackedBins — each shard is ceil(size/64) contiguous
-/// unpadded atomic words whose values ARE the shard's membership bitmap, so
-/// the whole store costs ~domain/8 bytes plus one tail word per shard. The
-/// placement knob (algo::ShardPlacement) picks how neighbouring keys map to
-/// shards/words — see the tradeoff note in algo/sharded_set.h.
-template <typename Bins>
-class RtShardedHiSetT {
+// perfbench/src/sharded_store.h pins this name and its synchronous calls.
+class RtShardedHiSet {
  public:
   /// `initial_words`: optional GLOBAL membership bitmap (bit k-1 = key k),
-  /// scattered to the shards through the placement map — same contract as
-  /// the algo-layer constructor, so parity tests can seed identical
-  /// non-trivial states on both backends.
-  RtShardedHiSetT(std::uint32_t domain, std::uint32_t shard_count,
-                  algo::ShardPlacement placement =
-                      algo::ShardPlacement::kBlocked,
-                  std::span<const std::uint64_t> initial_words = {})
+  /// scattered to the shards through the placement map.
+  RtShardedHiSet(std::uint32_t domain, std::uint32_t shard_count,
+                 algo::ShardPlacement placement =
+                     algo::ShardPlacement::kBlocked,
+                 std::span<const std::uint64_t> initial_words = {})
       : alg_(env::RtEnv::Ctx{}, domain, shard_count, placement,
              initial_words) {}
 
@@ -53,6 +41,7 @@ class RtShardedHiSetT {
   }
 
   /// Concatenated shard bitmaps — the simulator's mem(C) layout order.
+  /// Reserved up front: the benchmark's oracle images millions of keys.
   std::vector<std::uint8_t> memory_image() const {
     std::vector<std::uint8_t> image;
     image.reserve(alg_.domain());
@@ -67,9 +56,7 @@ class RtShardedHiSetT {
   std::size_t memory_bytes() const { return alg_.memory_bytes(); }
 
  private:
-  algo::ShardedHiSet<env::RtEnv, Bins> alg_;
+  algo::ShardedHiSetPacked<env::RtEnv> alg_;
 };
-
-using RtShardedHiSet = RtShardedHiSetT<env::PackedBins<env::RtEnv>>;
 
 }  // namespace hi::rt

@@ -1,9 +1,7 @@
-// Algorithm 5 on real hardware: the wait-free state-quiescent-HI universal
-// construction over CAS-backed R-LLSC cells (16-byte atomic words).
-//
-// Single-source: the algorithm body lives in algo/universal.h
-// (UniversalAlg), instantiated here with RtEnv and CasRllscAlg<RtEnv> — the
-// same Theorem 32 composition the simulator model-checks as
+// Algorithm 5 (algo/universal.h) on real hardware with a synchronous call
+// surface: the wait-free state-quiescent-HI universal construction over
+// CAS-backed R-LLSC cells (16-byte atomic words) — the same Theorem 32
+// composition the simulator model-checks as
 // core::Universal<S, core::CasRllsc>. Packing limits (the DESIGN
 // substitution carried by RllscWordCodec<uint64_t>): encoded abstract
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
@@ -27,6 +25,7 @@
 
 namespace hi::rt {
 
+// perfbench/src/universal_combine.h pins this name and its synchronous calls.
 template <spec::SequentialSpec S>
 class RtUniversal {
  public:

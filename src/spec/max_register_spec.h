@@ -4,7 +4,7 @@
 // strongly connected (once at m it can never drop below m) — and observes
 // that a one-line modification of Vidyasankar's algorithm gives a wait-free
 // state-quiescent HI max register from binary registers
-// (src/core/max_register.h).
+// (src/algo/max_register.h).
 #pragma once
 
 #include <cassert>

@@ -3,7 +3,7 @@
 // ("success"/"failure"), so no single operation distinguishes t states, and
 // the impossibility result does not apply. Indeed the paper notes a trivial
 // wait-free *perfect* HI implementation from t binary registers
-// (src/core/hi_set.h reproduces it).
+// (src/algo/hi_set.h reproduces it).
 #pragma once
 
 #include <cassert>

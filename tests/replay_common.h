@@ -1,19 +1,16 @@
 // Shared fixtures for the schedule-replay differential suites
 // (test_replay_equivalence.cpp, test_replay_fuzz.cpp,
-// test_replay_adversary.cpp): the R-LLSC spec-harness instantiations for
-// both backends and the workload generators. All object rows — including
-// the universal constructions, whose cells pack through the shared
-// Word64HeadCodec on every backend — compare memory word-for-word via
-// verify::snapshot_word_compare. Single-source so a workload change cannot
-// silently weaken one suite's coverage while the other still runs the old
-// mix.
+// test_replay_adversary.cpp): the workload generators. All object rows —
+// including the universal constructions, whose cells pack through the
+// shared Word64HeadCodec on every backend — compare memory word-for-word
+// via verify::snapshot_word_compare. Single-source so a workload change
+// cannot silently weaken one suite's coverage while the other still runs
+// the old mix.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "algo/rllsc.h"
-#include "env/sim_env.h"
 #include "register_common.h"
 #include "replay/replay_objects.h"
 #include "spec/counter_spec.h"
@@ -23,10 +20,6 @@
 #include "util/rng.h"
 
 namespace hi::testing {
-
-/// The R-LLSC spec harness over each backend's Algorithm 6 instantiation.
-using SimRllscHarness = replay::RllscHarness<algo::CasRllscAlg<env::SimEnv>>;
-using ReplayRllscHarness = replay::RllscHarness<replay::CasRllsc>;
 
 /// Random R-LLSC workload: a uniform mix over all six op kinds per process,
 /// ops tagged with the invoking pid (RllscSpec's Δ needs the identity).

@@ -459,7 +459,7 @@ TEST(CrashAudit, WaitFreeSimHelpersFinishCrashedOwnersAnnouncedOp) {
       {spec::RegisterSpec::read()}};
 
   const auto queue_holds = [](const WfsSystem& sys, int pid) {
-    const auto& q = sys.impl.alg().combinator().queue();
+    const auto& q = sys.impl.combinator().queue();
     for (std::uint64_t h = q.peek_head(); h < q.peek_tail(); ++h) {
       const std::uint64_t slot =
           q.peek_slot(static_cast<std::uint32_t>(h % q.capacity()));
@@ -483,7 +483,7 @@ TEST(CrashAudit, WaitFreeSimHelpersFinishCrashedOwnersAnnouncedOp) {
     if (!start_and_crash_after(side, 1, s)) break;
     ++crash_points;
     const bool announced =
-        algo::wfs::rec_state(sys.impl.alg().combinator().peek_record(1)) ==
+        algo::wfs::rec_state(sys.impl.combinator().peek_record(1)) ==
         algo::wfs::kPending;
     const bool enqueued = queue_holds(sys, 1);
 
@@ -496,10 +496,10 @@ TEST(CrashAudit, WaitFreeSimHelpersFinishCrashedOwnersAnnouncedOp) {
     if (announced && enqueued) {
       // The helping obligation: an announced + visible op is completed by
       // survivors even though its owner is dead.
-      EXPECT_EQ(algo::wfs::rec_state(sys.impl.alg().combinator().peek_record(1)),
+      EXPECT_EQ(algo::wfs::rec_state(sys.impl.combinator().peek_record(1)),
                 algo::wfs::kDone)
           << "announced+enqueued crashed op left pending at crash point " << s;
-      EXPECT_GE(sys.impl.alg().combinator().helped_completions(), 1u);
+      EXPECT_GE(sys.impl.combinator().helped_completions(), 1u);
       ++helped_cases;
     }
     // Whatever the crash window: no entry of the crashed pid may be left

@@ -11,38 +11,46 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "algo/hi_set.h"
 #include "algo/leaky_universal.h"
+#include "algo/max_register.h"
+#include "algo/registers.h"
+#include "algo/rllsc.h"
+#include "algo/sharded_set.h"
+#include "algo/values.h"
 #include "algo/wait_free_sim.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
 #include "core/hi_set.h"
 #include "core/max_register.h"
 #include "core/rllsc.h"
 #include "core/universal.h"
 #include "core/vidyasankar.h"
 #include "register_common.h"
-#include "rt/baselines_rt.h"
-#include "rt/hi_set_rt.h"
-#include "rt/max_register_rt.h"
-#include "rt/registers_rt.h"
-#include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
-#include "rt/wait_free_sim_rt.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "spec/counter_spec.h"
 #include "spec/max_register_spec.h"
 #include "spec/register_spec.h"
+#include "spec/rllsc_spec.h"
 #include "spec/set_spec.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
 namespace hi {
 namespace {
+
+using algo::memory_image;
+using env::RtEnv;
+using testing::kReaderPid;
+using testing::kWriterPid;
+using RtPacked = env::PackedBins<RtEnv>;
+using SimPacked = env::PackedBins<env::SimEnv>;
+using SimPadded = env::PaddedBins<env::SimEnv>;
 
 /// The sim mem(C) snapshot as bytes, comparable with rt memory_image().
 std::vector<std::uint8_t> snapshot_bytes(const sim::Memory& memory) {
@@ -59,132 +67,96 @@ std::vector<std::uint8_t> snapshot_bytes(const sim::Memory& memory) {
 /// Drive identical random SWSR sequences (sequentially — writer ops and
 /// reader ops never overlap) through the sim and rt instantiations of one
 /// register algorithm; compare responses and memory after every operation.
-template <typename SimImpl, typename RtImpl>
+/// The rt side uses the packed layout. A padded sim side snapshots one word
+/// per bin, so its mem(C) snapshot itself must equal the rt bin image; a
+/// packed sim side snapshots 64-bin words, so the comparison goes through
+/// the algorithm-level bin image on both sides — which also pins that the
+/// packed layout agrees with the padded one on the abstract bins. Packed
+/// rows use K=70 so scans and clearing passes cross the two-word boundary.
+template <template <typename, typename> class Alg, typename SimBins>
 void register_parity(std::uint32_t num_values, std::uint32_t initial,
                      std::uint64_t seed) {
-  testing::RegisterSystem<SimImpl> sim_sys(num_values, initial);
-  RtImpl rt_reg(num_values, initial);
+  const spec::RegisterSpec spec(num_values, initial);
+  sim::Memory memory;
+  sim::Scheduler sched(2);
+  Alg<env::SimEnv, SimBins> sim_reg(memory, spec, kWriterPid, kReaderPid);
+  Alg<RtEnv, RtPacked> rt_reg(RtEnv::Ctx{}, spec, kWriterPid, kReaderPid);
+  const auto sim_image = [&] {
+    if constexpr (std::is_same_v<SimBins, SimPadded>) {
+      return snapshot_bytes(memory);
+    } else {
+      return memory_image(sim_reg);
+    }
+  };
 
-  EXPECT_EQ(snapshot_bytes(sim_sys.memory), rt_reg.memory_image())
-      << "initial memory diverges";
+  EXPECT_EQ(sim_image(), memory_image(rt_reg)) << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
-      const auto sim_got = sim::run_solo(sim_sys.sched, testing::kReaderPid,
-                                         sim_sys.impl.read(testing::kReaderPid));
-      if constexpr (requires { rt_reg.read(std::uint64_t{1}); }) {
-        const auto rt_got = rt_reg.read(/*max_attempts=*/1);
+      const auto sim_got =
+          sim::run_solo(sched, kReaderPid, sim_reg.read(kReaderPid));
+      if constexpr (requires { rt_reg.read_bounded(0, 1); }) {
+        const auto rt_got = rt_reg.read_bounded(kReaderPid, 1).get();
         ASSERT_TRUE(rt_got.has_value()) << "solo TryRead cannot fail";
         EXPECT_EQ(sim_got, *rt_got) << "read response diverges at " << step;
       } else {
-        const auto rt_got = rt_reg.read();
+        const auto rt_got = rt_reg.read(kReaderPid).get();
         EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
       }
     } else {
       const auto value =
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
-      (void)sim::run_solo(sim_sys.sched, testing::kWriterPid,
-                          sim_sys.impl.write(testing::kWriterPid, value));
-      rt_reg.write(value);
+      (void)sim::run_solo(sched, kWriterPid,
+                          sim_reg.write(kWriterPid, value));
+      rt_reg.write(kWriterPid, value).get();
     }
-    ASSERT_EQ(snapshot_bytes(sim_sys.memory), rt_reg.memory_image())
+    ASSERT_EQ(sim_image(), memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
 }
 
 TEST(EnvParity, Vidyasankar) {
-  register_parity<core::VidyasankarRegister, rt::RtVidyasankarRegister>(6, 1,
-                                                                        11);
-  register_parity<core::VidyasankarRegister, rt::RtVidyasankarRegister>(3, 2,
-                                                                        12);
+  register_parity<algo::VidyasankarAlg, SimPadded>(6, 1, 11);
+  register_parity<algo::VidyasankarAlg, SimPadded>(3, 2, 12);
 }
 
 TEST(EnvParity, LockFreeHiRegister) {
-  register_parity<core::LockFreeHiRegister, rt::RtLockFreeHiRegister>(6, 1, 21);
-  register_parity<core::LockFreeHiRegister, rt::RtLockFreeHiRegister>(4, 3, 22);
+  register_parity<algo::LockFreeHiAlg, SimPadded>(6, 1, 21);
+  register_parity<algo::LockFreeHiAlg, SimPadded>(4, 3, 22);
 }
 
 TEST(EnvParity, WaitFreeHiRegister) {
-  register_parity<core::WaitFreeHiRegister, rt::RtWaitFreeHiRegister>(6, 1, 31);
-  register_parity<core::WaitFreeHiRegister, rt::RtWaitFreeHiRegister>(5, 5, 32);
+  register_parity<algo::WaitFreeHiAlg, SimPadded>(6, 1, 31);
+  register_parity<algo::WaitFreeHiAlg, SimPadded>(5, 5, 32);
 }
 
 TEST(EnvParity, VidyasankarLeakReproducesIdentically) {
   // The signature non-HI behaviour must be bit-identical across backends:
   // Write(2); Write(1) leaves [1,1,0...] in both environments.
   testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3, 1);
-  rt::RtVidyasankarRegister rt_reg(3, 1);
+  algo::VidyasankarAlg<RtEnv, RtPacked> rt_reg(
+      RtEnv::Ctx{}, spec::RegisterSpec(3, 1), kWriterPid, kReaderPid);
   for (const std::uint32_t v : {2u, 1u}) {
-    (void)sim::run_solo(sim_sys.sched, testing::kWriterPid,
-                        sim_sys.impl.write(testing::kWriterPid, v));
-    rt_reg.write(v);
+    (void)sim::run_solo(sim_sys.sched, kWriterPid,
+                        sim_sys.impl.write(kWriterPid, v));
+    rt_reg.write(kWriterPid, v).get();
   }
   EXPECT_EQ(snapshot_bytes(sim_sys.memory),
             (std::vector<std::uint8_t>{1, 1, 0}));
-  EXPECT_EQ(rt_reg.memory_image(), (std::vector<std::uint8_t>{1, 1, 0}));
-}
-
-// ---- Packed-layout parity: the packed sim instantiation vs the packed rt
-// instantiation (the rt default), K=70 so scans and clearing passes cross
-// the two-word boundary. Packed sim cells snapshot as 64-bin words rather
-// than one byte per bin, so the comparison goes through the
-// algorithm-level bin image (encode_memory) on both sides — which is also
-// what pins that the packed layout agrees with the padded layout on the
-// abstract bins (rt memory_image() is bins in both layouts). ----
-
-template <typename SimAlg, typename RtImpl>
-void packed_register_parity(std::uint32_t num_values, std::uint32_t initial,
-                            std::uint64_t seed) {
-  sim::Memory memory;
-  sim::Scheduler sched(2);
-  SimAlg sim_alg(memory, num_values, initial);
-  RtImpl rt_reg(num_values, initial);
-
-  const auto sim_bins = [&sim_alg] {
-    std::vector<std::uint8_t> image;
-    sim_alg.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_reg.memory_image()) << "initial memory diverges";
-
-  util::Xoshiro256 rng(seed);
-  for (int step = 0; step < 200; ++step) {
-    if (rng.chance(1, 3)) {
-      const auto sim_got =
-          sim::run_solo(sched, testing::kReaderPid, sim_alg.read());
-      if constexpr (requires { rt_reg.read(std::uint64_t{1}); }) {
-        const auto rt_got = rt_reg.read(/*max_attempts=*/1);
-        ASSERT_TRUE(rt_got.has_value()) << "solo TryRead cannot fail";
-        EXPECT_EQ(sim_got, *rt_got) << "read response diverges at " << step;
-      } else {
-        const auto rt_got = rt_reg.read();
-        EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
-      }
-    } else {
-      const auto value =
-          static_cast<std::uint32_t>(rng.next_in(1, num_values));
-      (void)sim::run_solo(sched, testing::kWriterPid, sim_alg.write(value));
-      rt_reg.write(value);
-    }
-    ASSERT_EQ(sim_bins(), rt_reg.memory_image())
-        << "memory diverges after op " << step;
-  }
+  EXPECT_EQ(memory_image(rt_reg), (std::vector<std::uint8_t>{1, 1, 0}));
 }
 
 TEST(EnvParity, PackedVidyasankar) {
-  packed_register_parity<algo::VidyasankarAlgPacked<env::SimEnv>,
-                         rt::RtVidyasankarRegister>(70, 1, 13);
+  register_parity<algo::VidyasankarAlg, SimPacked>(70, 1, 13);
 }
 
 TEST(EnvParity, PackedLockFreeHiRegister) {
-  packed_register_parity<algo::LockFreeHiAlgPacked<env::SimEnv>,
-                         rt::RtLockFreeHiRegister>(70, 65, 23);
+  register_parity<algo::LockFreeHiAlg, SimPacked>(70, 65, 23);
 }
 
 TEST(EnvParity, PackedWaitFreeHiRegister) {
-  packed_register_parity<algo::WaitFreeHiAlgPacked<env::SimEnv>,
-                         rt::RtWaitFreeHiRegister>(70, 1, 33);
+  register_parity<algo::WaitFreeHiAlg, SimPacked>(70, 1, 33);
 }
 
 // ---- Wait-free-sim combinator parity: beyond the inner bins, the
@@ -195,39 +167,37 @@ TEST(EnvParity, PackedWaitFreeHiRegister) {
 // announce/enqueue/self-help, marching records, slot rounds and the
 // head/tail counters through ~200 ops of slow-path evolution. ----
 
-template <typename SimBins, typename RtImpl>
+template <typename SimBins, typename RtBins>
 void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
                          std::uint32_t fast_limit, std::uint64_t seed) {
+  const spec::RegisterSpec spec(num_values, initial);
   sim::Memory memory;
   sim::Scheduler sched(2);
   algo::WaitFreeSimHiAlg<env::SimEnv, SimBins> sim_alg(
-      memory, num_values, initial, /*num_processes=*/2, fast_limit);
-  RtImpl rt_reg(num_values, initial, /*num_processes=*/2, fast_limit);
+      memory, spec, kWriterPid, kReaderPid, fast_limit);
+  algo::WaitFreeSimHiAlg<RtEnv, RtBins> rt_reg(RtEnv::Ctx{}, spec, kWriterPid,
+                                               kReaderPid, fast_limit);
 
-  const auto sim_image = [&sim_alg] {
-    std::vector<std::uint8_t> image;
-    sim_alg.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_image(), rt_reg.memory_image()) << "initial memory diverges";
+  EXPECT_EQ(memory_image(sim_alg), memory_image(rt_reg))
+      << "initial memory diverges";
 
   util::Xoshiro256 rng(seed);
   std::uint64_t reads = 0;
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
-      const auto sim_got = sim::run_solo(sched, testing::kReaderPid,
-                                         sim_alg.read(testing::kReaderPid));
-      const auto rt_got = rt_reg.read(testing::kReaderPid);
+      const auto sim_got =
+          sim::run_solo(sched, kReaderPid, sim_alg.read(kReaderPid));
+      const auto rt_got = rt_reg.read(kReaderPid).get();
       EXPECT_EQ(sim_got, rt_got) << "read response diverges at " << step;
       ++reads;
     } else {
       const auto value =
           static_cast<std::uint32_t>(rng.next_in(1, num_values));
-      (void)sim::run_solo(sched, testing::kWriterPid,
-                          sim_alg.write(testing::kWriterPid, value));
-      rt_reg.write(value, testing::kWriterPid);
+      (void)sim::run_solo(sched, kWriterPid,
+                          sim_alg.write(kWriterPid, value));
+      rt_reg.write(kWriterPid, value).get();
     }
-    ASSERT_EQ(sim_image(), rt_reg.memory_image())
+    ASSERT_EQ(memory_image(sim_alg), memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
   EXPECT_EQ(sim_alg.slow_path_entries(), rt_reg.slow_path_entries());
@@ -240,43 +210,48 @@ void waitfree_sim_parity(std::uint32_t num_values, std::uint32_t initial,
 }
 
 TEST(EnvParity, WaitFreeSimHiRegister) {
-  waitfree_sim_parity<env::PackedBins<env::SimEnv>,
-                      rt::RtWaitFreeSimHiRegister>(70, 1, /*fast_limit=*/1, 41);
+  waitfree_sim_parity<SimPacked, RtPacked>(70, 1, /*fast_limit=*/1, 41);
 }
 
 TEST(EnvParity, WaitFreeSimHiRegisterForcedSlowPath) {
-  waitfree_sim_parity<env::PaddedBins<env::SimEnv>,
-                      rt::RtWaitFreeSimHiRegisterPadded>(6, 2, /*fast_limit=*/0,
-                                                         42);
+  waitfree_sim_parity<SimPadded, env::PaddedBins<RtEnv>>(
+      6, 2, /*fast_limit=*/0, 42);
+}
+
+/// One random set operation on {1..domain}: the element, then the kind.
+spec::SetSpec::Op random_set_op(util::Xoshiro256& rng, std::uint32_t domain) {
+  const auto v = static_cast<std::uint32_t>(rng.next_in(1, domain));
+  switch (rng.next_below(3)) {
+    case 0: return spec::SetSpec::insert(v);
+    case 1: return spec::SetSpec::remove(v);
+    default: return spec::SetSpec::lookup(v);
+  }
 }
 
 TEST(EnvParity, PackedMaxRegister) {
   const std::uint32_t k = 70;
   sim::Memory memory;
   sim::Scheduler sched(2);
-  algo::HiMaxRegisterAlgPacked<env::SimEnv> sim_reg(
-      memory, k, 1, testing::kWriterPid, testing::kReaderPid);
-  rt::RtMaxRegister rt_reg(k, 1, testing::kWriterPid, testing::kReaderPid);
+  const spec::MaxRegisterSpec spec(k, 1);
+  algo::HiMaxRegisterAlgPacked<env::SimEnv> sim_reg(memory, spec, kWriterPid,
+                                                    kReaderPid);
+  algo::HiMaxRegisterAlgPacked<RtEnv> rt_reg(RtEnv::Ctx{}, spec, kWriterPid,
+                                             kReaderPid);
 
-  const auto sim_bins = [&sim_reg] {
-    std::vector<std::uint8_t> image;
-    sim_reg.encode_memory(image);
-    return image;
-  };
   util::Xoshiro256 rng(63);
   for (int step = 0; step < 200; ++step) {
     if (rng.chance(1, 3)) {
       const auto sim_got =
-          sim::run_solo(sched, testing::kReaderPid,
-                        sim_reg.read_max(testing::kReaderPid));
-      EXPECT_EQ(sim_got, rt_reg.read_max()) << "read diverges at " << step;
+          sim::run_solo(sched, kReaderPid, sim_reg.read_max(kReaderPid));
+      EXPECT_EQ(sim_got, rt_reg.read_max(kReaderPid).get())
+          << "read diverges at " << step;
     } else {
       const auto value = static_cast<std::uint32_t>(rng.next_in(1, k));
-      (void)sim::run_solo(sched, testing::kWriterPid,
-                          sim_reg.write_max(testing::kWriterPid, value));
-      rt_reg.write_max(value);
+      (void)sim::run_solo(sched, kWriterPid,
+                          sim_reg.write_max(kWriterPid, value));
+      rt_reg.write_max(kWriterPid, value).get();
     }
-    ASSERT_EQ(sim_bins(), rt_reg.memory_image())
+    ASSERT_EQ(memory_image(sim_reg), memory_image(rt_reg))
         << "memory diverges after op " << step;
   }
 }
@@ -285,38 +260,18 @@ TEST(EnvParity, PackedHiSet) {
   const std::uint32_t domain = 64;
   sim::Memory memory;
   sim::Scheduler sched(2);
-  algo::HiSetAlgPacked<env::SimEnv> sim_set(memory, domain,
-                                            0x5555555555555555ull);
-  rt::RtHiSet rt_set(domain, 0x5555555555555555ull);
-
-  const auto sim_bins = [&sim_set] {
-    std::vector<std::uint8_t> image;
-    sim_set.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_set.memory_image());
+  const spec::SetSpec spec(domain, 0x5555555555555555ull);
+  algo::HiSetAlgPacked<env::SimEnv> sim_set(memory, spec);
+  algo::HiSetAlgPacked<RtEnv> rt_set(RtEnv::Ctx{}, spec);
+  EXPECT_EQ(memory_image(sim_set), memory_image(rt_set));
 
   util::Xoshiro256 rng(73);
   for (int step = 0; step < 300; ++step) {
-    const auto v = static_cast<std::uint32_t>(rng.next_in(1, domain));
-    bool sim_got = false;
-    bool rt_got = false;
-    switch (rng.next_below(3)) {
-      case 0:
-        sim_got = sim::run_solo(sched, 0, sim_set.insert(v));
-        rt_got = rt_set.insert(v);
-        break;
-      case 1:
-        sim_got = sim::run_solo(sched, 0, sim_set.remove(v));
-        rt_got = rt_set.remove(v);
-        break;
-      default:
-        sim_got = sim::run_solo(sched, 0, sim_set.lookup(v));
-        rt_got = rt_set.lookup(v);
-        break;
-    }
-    EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-    ASSERT_EQ(sim_bins(), rt_set.memory_image())
+    const spec::SetSpec::Op op = random_set_op(rng, domain);
+    EXPECT_EQ(sim::run_solo(sched, 0, sim_set.apply(0, op)),
+              rt_set.apply(0, op).get())
+        << "response diverges at " << step;
+    ASSERT_EQ(memory_image(sim_set), memory_image(rt_set))
         << "memory diverges after op " << step;
   }
 }
@@ -336,37 +291,18 @@ TEST(EnvParity, ShardedHiSet) {
   algo::ShardedHiSetPacked<env::SimEnv> sim_set(
       memory, domain, 2, algo::ShardPlacement::kStriped,
       std::span<const std::uint64_t>(init));
-  rt::RtShardedHiSet rt_set(domain, 2, algo::ShardPlacement::kStriped,
-                            std::span<const std::uint64_t>(init));
-
-  const auto sim_bins = [&sim_set] {
-    std::vector<std::uint8_t> image;
-    sim_set.encode_memory(image);
-    return image;
-  };
-  EXPECT_EQ(sim_bins(), rt_set.memory_image());
+  algo::ShardedHiSetPacked<RtEnv> rt_set(RtEnv::Ctx{}, domain, 2,
+                                         algo::ShardPlacement::kStriped,
+                                         std::span<const std::uint64_t>(init));
+  EXPECT_EQ(memory_image(sim_set), memory_image(rt_set));
 
   util::Xoshiro256 rng(91);
   for (int step = 0; step < 300; ++step) {
-    const auto v = static_cast<std::uint32_t>(rng.next_in(1, domain));
-    bool sim_got = false;
-    bool rt_got = false;
-    switch (rng.next_below(3)) {
-      case 0:
-        sim_got = sim::run_solo(sched, 0, sim_set.insert(v));
-        rt_got = rt_set.insert(v);
-        break;
-      case 1:
-        sim_got = sim::run_solo(sched, 0, sim_set.remove(v));
-        rt_got = rt_set.remove(v);
-        break;
-      default:
-        sim_got = sim::run_solo(sched, 0, sim_set.lookup(v));
-        rt_got = rt_set.lookup(v);
-        break;
-    }
-    EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-    ASSERT_EQ(sim_bins(), rt_set.memory_image())
+    const spec::SetSpec::Op op = random_set_op(rng, domain);
+    EXPECT_EQ(sim::run_solo(sched, 0, sim_set.apply(0, op)),
+              rt_set.apply(0, op).get())
+        << "response diverges at " << step;
+    ASSERT_EQ(memory_image(sim_set), memory_image(rt_set))
         << "memory diverges after op " << step;
     if (step % 50 == 49) {
       // Full-membership audits agree too (same per-shard scan order).
@@ -374,7 +310,7 @@ TEST(EnvParity, ShardedHiSet) {
       std::vector<std::uint32_t> rt_members;
       const auto sim_count =
           sim::run_solo(sched, 0, sim_set.snapshot_members(sim_members));
-      const auto rt_count = rt_set.snapshot_members(rt_members);
+      const auto rt_count = rt_set.snapshot_members(rt_members).get();
       EXPECT_EQ(sim_count, rt_count);
       EXPECT_EQ(sim_members, rt_members)
           << "audit diverges after op " << step;
@@ -429,11 +365,8 @@ TEST(EnvParity, ShardedSeedIsInsertsOfSeededKeys) {
           for (const std::uint32_t k : keys) {
             (void)sim::run_solo(sched, 0, sim_built.insert(k));
           }
-          std::vector<std::uint8_t> seeded_image;
-          std::vector<std::uint8_t> built_image;
-          sim_seeded.encode_memory(seeded_image);
-          sim_built.encode_memory(built_image);
-          EXPECT_EQ(seeded_image, built_image) << "sim image";
+          EXPECT_EQ(memory_image(sim_seeded), memory_image(sim_built))
+              << "sim image";
           std::vector<std::uint32_t> sim_members;
           (void)sim::run_solo(sched, 0,
                               sim_seeded.snapshot_members(sim_members));
@@ -458,43 +391,16 @@ TEST(EnvParity, ShardedSeedIsInsertsOfSeededKeys) {
 
 // ---- R-LLSC (Algorithm 6): value ↦ lo (hi unused), ctx ↦ ctx ----
 
-// Cell operations are SubTasks (they must run inside a scheduled process);
-// these adapters lift each one into a schedulable OpTask for run_solo.
-sim::OpTask<std::uint64_t> op_ll(core::CasRllsc& cell, int pid) {
-  const core::RllscValue v = co_await cell.ll(pid);
-  co_return v.lo;
-}
-sim::OpTask<bool> op_vl(core::CasRllsc& cell, int pid) {
-  const bool linked = co_await cell.vl(pid);
-  co_return linked;
-}
-sim::OpTask<bool> op_sc(core::CasRllsc& cell, int pid, std::uint64_t arg) {
-  const bool done = co_await cell.sc(pid, core::RllscValue{arg, 0});
-  co_return done;
-}
-sim::OpTask<bool> op_rl(core::CasRllsc& cell, int pid) {
-  const bool done = co_await cell.rl(pid);
-  co_return done;
-}
-sim::OpTask<std::uint64_t> op_load(core::CasRllsc& cell) {
-  const core::RllscValue v = co_await cell.load();
-  co_return v.lo;
-}
-sim::OpTask<bool> op_store(core::CasRllsc& cell, std::uint64_t arg) {
-  const bool done = co_await cell.store(core::RllscValue{arg, 0});
-  co_return done;
-}
-
 TEST(EnvParity, CasRllsc) {
   sim::Memory memory;
   sim::Scheduler sched(4);
   core::CasRllsc sim_cell(memory, "X", core::RllscValue{7, 0});
-  rt::RtRllsc rt_cell(7);
+  algo::CasRllscAlg<RtEnv> rt_cell(RtEnv::Ctx{}, "X", 7);
 
   const auto expect_same_state = [&](int at) {
     const sim::MemorySnapshot snap = memory.snapshot();
     ASSERT_EQ(snap.words.size(), 3u);
-    const rt::Word128 rt_word = rt_cell.snapshot();
+    const auto rt_word = rt_cell.peek_word();
     EXPECT_EQ(snap.words[0], rt_word.value) << "value diverges at " << at;
     EXPECT_EQ(snap.words[1], 0u) << "hi word unused in this embedding";
     EXPECT_EQ(snap.words[2], rt_word.ctx) << "context diverges at " << at;
@@ -503,33 +409,19 @@ TEST(EnvParity, CasRllsc) {
   util::Xoshiro256 rng(41);
   for (int step = 0; step < 300; ++step) {
     const int pid = static_cast<int>(rng.next_below(4));
-    const auto arg = rng.next_below(100);
+    const auto arg = static_cast<std::uint16_t>(rng.next_below(100));
+    spec::RllscSpec::Op op;
     switch (rng.next_below(6)) {
-      case 0:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_ll(sim_cell, pid)),
-                  rt_cell.ll(pid));
-        break;
-      case 1:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_vl(sim_cell, pid)),
-                  rt_cell.vl(pid));
-        break;
-      case 2:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_sc(sim_cell, pid, arg)),
-                  rt_cell.sc(pid, arg));
-        break;
-      case 3:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_rl(sim_cell, pid)),
-                  rt_cell.rl(pid));
-        break;
-      case 4:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_load(sim_cell)),
-                  rt_cell.load());
-        break;
-      default:
-        EXPECT_EQ(sim::run_solo(sched, pid, op_store(sim_cell, arg)),
-                  rt_cell.store(arg));
-        break;
+      case 0: op = spec::RllscSpec::ll(pid); break;
+      case 1: op = spec::RllscSpec::vl(pid); break;
+      case 2: op = spec::RllscSpec::sc(pid, arg); break;
+      case 3: op = spec::RllscSpec::rl(pid); break;
+      case 4: op = spec::RllscSpec::load(pid); break;
+      default: op = spec::RllscSpec::store(pid, arg); break;
     }
+    EXPECT_EQ(sim::run_solo(sched, pid, sim_cell.apply(pid, op)),
+              rt_cell.apply(pid, op).get())
+        << "response diverges at " << step;
     expect_same_state(step);
   }
 }
@@ -544,26 +436,26 @@ TEST(EnvParity, MaxRegister) {
     const spec::MaxRegisterSpec spec(k, 1);
     sim::Memory memory;
     sim::Scheduler sched(2);
-    core::HiMaxRegister sim_reg(memory, spec, testing::kWriterPid,
-                                testing::kReaderPid);
-    rt::RtMaxRegister rt_reg(k, 1, testing::kWriterPid, testing::kReaderPid);
+    core::HiMaxRegister sim_reg(memory, spec, kWriterPid, kReaderPid);
+    algo::HiMaxRegisterAlgPacked<RtEnv> rt_reg(RtEnv::Ctx{}, spec, kWriterPid,
+                                               kReaderPid);
 
-    EXPECT_EQ(snapshot_bytes(memory), rt_reg.memory_image());
+    EXPECT_EQ(snapshot_bytes(memory), memory_image(rt_reg));
 
     util::Xoshiro256 rng(seed);
     for (int step = 0; step < 200; ++step) {
       if (rng.chance(1, 3)) {
         const auto sim_got =
-            sim::run_solo(sched, testing::kReaderPid,
-                          sim_reg.read_max(testing::kReaderPid));
-        EXPECT_EQ(sim_got, rt_reg.read_max()) << "read diverges at " << step;
+            sim::run_solo(sched, kReaderPid, sim_reg.read_max(kReaderPid));
+        EXPECT_EQ(sim_got, rt_reg.read_max(kReaderPid).get())
+            << "read diverges at " << step;
       } else {
         const auto value = static_cast<std::uint32_t>(rng.next_in(1, k));
-        (void)sim::run_solo(sched, testing::kWriterPid,
-                            sim_reg.write_max(testing::kWriterPid, value));
-        rt_reg.write_max(value);
+        (void)sim::run_solo(sched, kWriterPid,
+                            sim_reg.write_max(kWriterPid, value));
+        rt_reg.write_max(kWriterPid, value).get();
       }
-      ASSERT_EQ(snapshot_bytes(memory), rt_reg.memory_image())
+      ASSERT_EQ(snapshot_bytes(memory), memory_image(rt_reg))
           << "memory diverges after op " << step;
     }
   }
@@ -579,31 +471,17 @@ TEST(EnvParity, HiSet) {
     sim::Memory memory;
     sim::Scheduler sched(2);
     core::HiSet sim_set(memory, spec);
-    rt::RtHiSet rt_set(domain, spec.initial_state());
+    algo::HiSetAlgPacked<RtEnv> rt_set(RtEnv::Ctx{}, spec);
 
-    EXPECT_EQ(snapshot_bytes(memory), rt_set.memory_image());
+    EXPECT_EQ(snapshot_bytes(memory), memory_image(rt_set));
 
     util::Xoshiro256 rng(seed);
     for (int step = 0; step < 300; ++step) {
-      const auto v = static_cast<std::uint32_t>(rng.next_in(1, domain));
-      bool sim_got = false;
-      bool rt_got = false;
-      switch (rng.next_below(3)) {
-        case 0:
-          sim_got = sim::run_solo(sched, 0, sim_set.insert(v));
-          rt_got = rt_set.insert(v);
-          break;
-        case 1:
-          sim_got = sim::run_solo(sched, 0, sim_set.remove(v));
-          rt_got = rt_set.remove(v);
-          break;
-        default:
-          sim_got = sim::run_solo(sched, 0, sim_set.lookup(v));
-          rt_got = rt_set.lookup(v);
-          break;
-      }
-      EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
-      ASSERT_EQ(snapshot_bytes(memory), rt_set.memory_image())
+      const spec::SetSpec::Op op = random_set_op(rng, domain);
+      EXPECT_EQ(sim::run_solo(sched, 0, sim_set.apply(0, op)),
+                rt_set.apply(0, op).get())
+          << "response diverges at " << step;
+      ASSERT_EQ(snapshot_bytes(memory), memory_image(rt_set))
           << "memory diverges after op " << step;
     }
   }
@@ -621,7 +499,8 @@ TEST(EnvParity, LeakyUniversalCounter) {
   sim::Scheduler sched(n);
   algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec> sim_obj(memory,
                                                                   spec, n);
-  rt::RtLeakyUniversal<spec::CounterSpec> rt_obj(spec, n);
+  algo::LeakyUniversalAlg<RtEnv, spec::CounterSpec> rt_obj(RtEnv::Ctx{}, spec,
+                                                          n);
 
   util::Xoshiro256 rng(81);
   for (int step = 0; step < 300; ++step) {
@@ -633,7 +512,7 @@ TEST(EnvParity, LeakyUniversalCounter) {
       default: op = spec::CounterSpec::inc(); break;
     }
     const auto sim_got = sim::run_solo(sched, pid, sim_obj.apply(pid, op));
-    const auto rt_got = rt_obj.apply(pid, op);
+    const auto rt_got = rt_obj.apply(pid, op).get();
     EXPECT_EQ(sim_got, rt_got) << "response diverges at " << step;
     EXPECT_EQ(sim_obj.head_state_encoded(), rt_obj.head_state_encoded());
     EXPECT_EQ(sim_obj.version(), rt_obj.version()) << "version diverges";

@@ -407,38 +407,7 @@ struct RllscSystem {
   sim::Scheduler& scheduler() { return sched; }
   sim::Memory& memory() { return mem; }
   sim::OpTask<spec::RllscSpec::Resp> apply(int pid, spec::RllscSpec::Op op) {
-    return run(pid, op);
-  }
-
- private:
-  sim::OpTask<spec::RllscSpec::Resp> run(int /*pid*/, spec::RllscSpec::Op op) {
-    switch (op.kind) {
-      case spec::RllscSpec::Kind::kLL: {
-        const core::RllscValue v = co_await cell.ll();
-        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
-      }
-      case spec::RllscSpec::Kind::kSC: {
-        const bool done = co_await cell.sc(core::RllscValue{op.arg, 0});
-        co_return spec::RllscSpec::Resp{0, done};
-      }
-      case spec::RllscSpec::Kind::kRL: {
-        const bool done = co_await cell.rl();
-        co_return spec::RllscSpec::Resp{0, done};
-      }
-      case spec::RllscSpec::Kind::kVL: {
-        const bool linked = co_await cell.vl();
-        co_return spec::RllscSpec::Resp{0, linked};
-      }
-      case spec::RllscSpec::Kind::kLoad: {
-        const core::RllscValue v = co_await cell.load();
-        co_return spec::RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
-      }
-      case spec::RllscSpec::Kind::kStore: {
-        const bool done = co_await cell.store(core::RllscValue{op.arg, 0});
-        co_return spec::RllscSpec::Resp{0, done};
-      }
-    }
-    co_return spec::RllscSpec::Resp{};
+    return cell.apply(pid, op);
   }
 };
 

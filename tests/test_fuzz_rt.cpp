@@ -131,13 +131,6 @@ typename S::State witness_final_state(const S& spec, const Hist& hist,
   return state;
 }
 
-template <typename Alg>
-std::vector<std::uint8_t> image_of(Alg& alg) {
-  std::vector<std::uint8_t> image;
-  alg.encode_memory(image);
-  return image;
-}
-
 // --------------------------------------------------------- positive control
 
 TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
@@ -247,13 +240,9 @@ TEST(FuzzRt, VidyasankarRegister_Linearizable) {
         return std::vector<spec::RegisterSpec::Op>(4,
                                                    spec::RegisterSpec::read());
       },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, k, 1); },
-      [](Alg& reg, int, const spec::RegisterSpec::Op& op) -> std::uint32_t {
-        if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-          (void)reg.write(op.value).get();
-          return 0;  // the spec's Write response
-        }
-        return reg.read().get();
+      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
+      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) {
+        return reg.apply(pid, op).get();
       },
       [](Alg&, auto&) {},  // no final check, so nothing to pin
       [](Alg&, const auto&, const auto&, std::uint64_t) {});
@@ -270,33 +259,32 @@ TEST(FuzzRt, LockFreeHiRegister_LinearizableAndQuiescentCanonical) {
         return std::vector<spec::RegisterSpec::Op>(4,
                                                    spec::RegisterSpec::read());
       },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, k, 1); },
-      [](Alg& reg, int, const spec::RegisterSpec::Op& op) -> std::uint32_t {
+      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
+      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) -> std::uint32_t {
         if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-          (void)reg.write(op.value).get();
-          return 0;
+          return reg.write(pid, op.value).get();
         }
         // Packed K ≤ 64: a TryRead is a full-array word snapshot, so it
         // always succeeds — the bound never binds.
-        return reg.read_bounded(1'000'000).get().value();
+        return reg.read_bounded(pid, 1'000'000).get().value();
       },
       [](Alg& reg, auto& recorder) {
         recorder.run(1, spec::RegisterSpec::read(), [&] {
-          return reg.read_bounded(1'000'000).get().value();
+          return reg.read_bounded(1, 1'000'000).get().value();
         });
       },
       [&](Alg& reg, const auto& hist, const std::vector<std::size_t>& witness,
           std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, k, 1);
+        Alg replayed(FuzzEnv::Ctx{}, spec, 0, 1);
         for (const std::size_t idx : witness) {
           const auto& e = hist.entries()[idx];
           if (e.op.kind == spec::RegisterSpec::Kind::kWrite) {
-            (void)replayed.write(e.op.value).get();
+            (void)replayed.write(0, e.op.value).get();
           } else {
-            (void)replayed.read_bounded(1).get();
+            (void)replayed.read_bounded(1, 1).get();
           }
         }
-        EXPECT_EQ(image_of(reg), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
             << "state-quiescent HI image diverges from witness replay at seed "
             << seed;
       });
@@ -313,30 +301,23 @@ TEST(FuzzRt, WaitFreeHiRegister_LinearizableAndQuiescentCanonical) {
         return std::vector<spec::RegisterSpec::Op>(4,
                                                    spec::RegisterSpec::read());
       },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, k, 1); },
-      [](Alg& reg, int, const spec::RegisterSpec::Op& op) -> std::uint32_t {
-        if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-          (void)reg.write(op.value).get();
-          return 0;
-        }
-        return reg.read().get();
+      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
+      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) {
+        return reg.apply(pid, op).get();
       },
       [](Alg& reg, auto& recorder) {
         recorder.run(1, spec::RegisterSpec::read(),
-                     [&] { return reg.read().get(); });
+                     [&] { return reg.read(1).get(); });
       },
       [&](Alg& reg, const auto& hist, const std::vector<std::size_t>& witness,
           std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, k, 1);
+        Alg replayed(FuzzEnv::Ctx{}, spec, 0, 1);
         for (const std::size_t idx : witness) {
-          const auto& e = hist.entries()[idx];
-          if (e.op.kind == spec::RegisterSpec::Kind::kWrite) {
-            (void)replayed.write(e.op.value).get();
-          } else {
-            (void)replayed.read().get();
-          }
+          const auto& op = hist.entries()[idx].op;
+          const int pid = op.kind == spec::RegisterSpec::Kind::kWrite ? 0 : 1;
+          (void)replayed.apply(pid, op).get();
         }
-        EXPECT_EQ(image_of(reg), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
             << "quiescent HI image diverges from witness replay at seed "
             << seed;
       });
@@ -367,8 +348,8 @@ TEST(FuzzRt, WaitFreeSimHiRegister_AggressiveYieldsAuditPinnedInnerImage) {
   for (int iter = 0; iter < iters; ++iter) {
     const std::uint64_t seed =
         util::hash_combine(0xa10a, static_cast<std::uint64_t>(iter));
-    Alg reg(FuzzEnv::Ctx{}, k, 1, /*num_processes=*/num_threads,
-            /*fast_limit=*/1);
+    Alg reg(FuzzEnv::Ctx{}, spec, /*writer_pid=*/0, /*reader_pid=*/1,
+            /*fast_limit=*/1, /*num_processes=*/num_threads);
     std::vector<std::vector<spec::RegisterSpec::Op>> scripts(num_threads);
     for (int pid = 0; pid < num_threads; ++pid) {
       util::Xoshiro256 rng(
@@ -383,13 +364,7 @@ TEST(FuzzRt, WaitFreeSimHiRegister_AggressiveYieldsAuditPinnedInnerImage) {
     testing::run_fuzz_threads(num_threads, seed, aggressive, [&](int pid) {
       for (const spec::RegisterSpec::Op& op :
            scripts[static_cast<std::size_t>(pid)]) {
-        recorder.run(pid, op, [&]() -> std::uint32_t {
-          if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-            (void)reg.write(pid, op.value).get();
-            return 0;
-          }
-          return reg.read(pid).get();
-        });
+        recorder.run(pid, op, [&] { return reg.apply(pid, op).get(); });
       }
     });
     // Audit (threads joined, injector disarmed here): one solo read follows
@@ -407,9 +382,7 @@ TEST(FuzzRt, WaitFreeSimHiRegister_AggressiveYieldsAuditPinnedInnerImage) {
     ASSERT_GE(audited, 1u);
     std::vector<std::uint8_t> expected(k, 0);
     expected[audited - 1] = 1;
-    std::vector<std::uint8_t> inner;
-    reg.encode_inner_memory(inner);
-    EXPECT_EQ(inner, expected)
+    EXPECT_EQ(algo::memory_image(reg.combinator().inner()), expected)
         << "inner bins diverge from the audit-pinned unit vector at seed "
         << seed;
     // Stats sanity: every op counted once; only reads can enter the slow
@@ -425,7 +398,7 @@ TEST(FuzzRt, MaxRegister_LinearizableAndQuiescentCanonical) {
   const spec::MaxRegisterSpec spec(k, 1);
   using Alg = algo::HiMaxRegisterAlg<FuzzEnv, FuzzPacked>;
   const auto make = [&] {
-    return std::make_unique<Alg>(FuzzEnv::Ctx{}, k, 1, /*writer_pid=*/0,
+    return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, /*writer_pid=*/0,
                                  /*reader_pid=*/1);
   };
   fuzz_object_suite(
@@ -442,13 +415,8 @@ TEST(FuzzRt, MaxRegister_LinearizableAndQuiescentCanonical) {
         return script;
       },
       make,
-      [](Alg& reg, int pid, const spec::MaxRegisterSpec::Op& op)
-          -> std::uint32_t {
-        if (op.kind == spec::MaxRegisterSpec::Kind::kWriteMax) {
-          (void)reg.write_max(pid, op.value).get();
-          return 0;
-        }
-        return reg.read_max(pid).get();
+      [](Alg& reg, int pid, const spec::MaxRegisterSpec::Op& op) {
+        return reg.apply(pid, op).get();
       },
       [](Alg& reg, auto& recorder) {
         recorder.run(1, spec::MaxRegisterSpec::read_max(),
@@ -458,14 +426,12 @@ TEST(FuzzRt, MaxRegister_LinearizableAndQuiescentCanonical) {
           std::uint64_t seed) {
         auto replayed = make();
         for (const std::size_t idx : witness) {
-          const auto& e = hist.entries()[idx];
-          if (e.op.kind == spec::MaxRegisterSpec::Kind::kWriteMax) {
-            (void)replayed->write_max(0, e.op.value).get();
-          } else {
-            (void)replayed->read_max(1).get();
-          }
+          const auto& op = hist.entries()[idx].op;
+          const int pid =
+              op.kind == spec::MaxRegisterSpec::Kind::kWriteMax ? 0 : 1;
+          (void)replayed->apply(pid, op).get();
         }
-        EXPECT_EQ(image_of(reg), image_of(*replayed))
+        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(*replayed))
             << "max-register HI image diverges from witness replay at seed "
             << seed;
       });
@@ -487,14 +453,6 @@ std::vector<spec::SetSpec::Op> set_script(std::uint32_t domain, int ops,
   return script;
 }
 
-bool run_set_op(auto& set, const spec::SetSpec::Op& op) {
-  switch (op.kind) {
-    case spec::SetSpec::Kind::kInsert: return set.insert(op.value).get();
-    case spec::SetSpec::Kind::kRemove: return set.remove(op.value).get();
-    default: return set.lookup(op.value).get();
-  }
-}
-
 TEST(FuzzRt, HiSet_LinearizableAndPerfectHI) {
   const std::uint32_t domain = 10;
   const spec::SetSpec spec(domain);
@@ -502,12 +460,9 @@ TEST(FuzzRt, HiSet_LinearizableAndPerfectHI) {
   fuzz_object_suite(
       "hi-set", spec, 3, 0xa105,
       [&](int, util::Xoshiro256& rng) { return set_script(domain, 6, rng); },
-      [&] {
-        return std::make_unique<Alg>(FuzzEnv::Ctx{}, domain,
-                                     spec.initial_state());
-      },
-      [](Alg& set, int, const spec::SetSpec::Op& op) {
-        return run_set_op(set, op);
+      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec); },
+      [](Alg& set, int pid, const spec::SetSpec::Op& op) {
+        return set.apply(pid, op).get();
       },
       [&](Alg& set, auto& recorder) {
         // Full-domain lookup sweep: pins every bit of the final abstract set.
@@ -518,11 +473,11 @@ TEST(FuzzRt, HiSet_LinearizableAndPerfectHI) {
       },
       [&](Alg& set, const auto& hist, const std::vector<std::size_t>& witness,
           std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, domain, spec.initial_state());
+        Alg replayed(FuzzEnv::Ctx{}, spec);
         for (const std::size_t idx : witness) {
-          (void)run_set_op(replayed, hist.entries()[idx].op);
+          (void)replayed.apply(0, hist.entries()[idx].op).get();
         }
-        EXPECT_EQ(image_of(set), image_of(replayed))
+        EXPECT_EQ(algo::memory_image(set), algo::memory_image(replayed))
             << "perfect-HI set image diverges from witness replay at seed "
             << seed;
       });
@@ -541,8 +496,8 @@ TEST(FuzzRt, ShardedHiSet_LinearizableAndPerfectHI) {
       "sharded-hi-set", spec, 3, 0xa106,
       [&](int, util::Xoshiro256& rng) { return set_script(domain, 6, rng); },
       make,
-      [](Alg& set, int, const spec::SetSpec::Op& op) {
-        return run_set_op(set, op);
+      [](Alg& set, int pid, const spec::SetSpec::Op& op) {
+        return set.apply(pid, op).get();
       },
       [&](Alg& set, auto& recorder) {
         for (std::uint32_t v = 1; v <= domain; ++v) {
@@ -554,9 +509,9 @@ TEST(FuzzRt, ShardedHiSet_LinearizableAndPerfectHI) {
           std::uint64_t seed) {
         auto replayed = make();
         for (const std::size_t idx : witness) {
-          (void)run_set_op(*replayed, hist.entries()[idx].op);
+          (void)replayed->apply(0, hist.entries()[idx].op).get();
         }
-        EXPECT_EQ(image_of(set), image_of(*replayed))
+        EXPECT_EQ(algo::memory_image(set), algo::memory_image(*replayed))
             << "sharded-store image diverges from witness replay at seed "
             << seed;
       });
@@ -589,22 +544,8 @@ TEST(FuzzRt, CasRllsc_LinearizableAndContextClean) {
         return script;
       },
       [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, "X", 0); },
-      [](Alg& cell, int pid, const spec::RllscSpec::Op& op)
-          -> spec::RllscSpec::Resp {
-        switch (op.kind) {
-          case spec::RllscSpec::Kind::kLL:
-            return {static_cast<std::uint32_t>(cell.ll(pid).get()), true};
-          case spec::RllscSpec::Kind::kVL:
-            return {0, cell.vl(pid).get()};
-          case spec::RllscSpec::Kind::kSC:
-            return {0, cell.sc(pid, op.arg).get()};
-          case spec::RllscSpec::Kind::kRL:
-            return {0, cell.rl(pid).get()};
-          case spec::RllscSpec::Kind::kLoad:
-            return {static_cast<std::uint32_t>(cell.load().get()), true};
-          default:
-            return {0, cell.store(op.arg).get()};
-        }
+      [](Alg& cell, int pid, const spec::RllscSpec::Op& op) {
+        return cell.apply(pid, op).get();
       },
       [](Alg& cell, auto& recorder) {
         recorder.run(0, spec::RllscSpec::load(0), [&] {
@@ -855,7 +796,8 @@ TEST(StallRt, WaitFreeSim_WriterUnaffectedByStalledSlowPathReader) {
   for (int iter = 0; iter < iters; ++iter) {
     const std::uint64_t seed =
         util::hash_combine(0xc303, static_cast<std::uint64_t>(iter));
-    Alg reg(FuzzEnv::Ctx{}, k, 1, /*num_processes=*/3, /*fast_limit=*/0);
+    Alg reg(FuzzEnv::Ctx{}, spec, /*writer_pid=*/1, /*reader_pid=*/0,
+            /*fast_limit=*/0, /*num_processes=*/3);
     std::atomic<std::uint64_t> progress{0};
     const auto result = testing::run_stall_threads(
         /*num_threads=*/3, /*num_stalled=*/1, seed, env::YieldPolicy{},
@@ -878,9 +820,7 @@ TEST(StallRt, WaitFreeSim_WriterUnaffectedByStalledSlowPathReader) {
         [&] {
           std::vector<std::uint8_t> expected(k, 0);
           expected[6 - 1] = 1;  // the writer's last completed write
-          std::vector<std::uint8_t> inner;
-          reg.encode_inner_memory(inner);
-          EXPECT_EQ(inner, expected)
+          EXPECT_EQ(algo::memory_image(reg.combinator().inner()), expected)
               << "parked slow-path reader left residue in the inner bins at "
                  "seed "
               << seed;
@@ -1044,8 +984,9 @@ void universal_stall_case(const StallSweepCase& c, bool combine,
 void waitfree_sim_stall_case(const StallSweepCase& c, std::uint64_t seed) {
   const std::uint32_t k = 6;
   using Alg = algo::WaitFreeSimHiAlg<FuzzEnv, FuzzPacked>;
-  Alg reg(FuzzEnv::Ctx{}, k, 1, c.n, /*fast_limit=*/0);
   const int writer = c.n - 1;
+  Alg reg(FuzzEnv::Ctx{}, spec::RegisterSpec(k, 1), writer, /*reader_pid=*/0,
+          /*fast_limit=*/0, /*num_processes=*/c.n);
   std::atomic<std::uint64_t> progress{0};
   const auto result = testing::run_stall_threads(
       c.n, c.k, seed, env::YieldPolicy{},
@@ -1068,9 +1009,8 @@ void waitfree_sim_stall_case(const StallSweepCase& c, std::uint64_t seed) {
       [&] {
         std::vector<std::uint8_t> expected(k, 0);
         expected[k - 1] = 1;
-        std::vector<std::uint8_t> inner;
-        reg.encode_inner_memory(inner);
-        EXPECT_EQ(inner, expected) << "seed " << seed;
+        EXPECT_EQ(algo::memory_image(reg.combinator().inner()), expected)
+            << "seed " << seed;
       });
   ASSERT_FALSE(result.watchdog_fired)
       << "survivors stopped completing, seed " << seed;
@@ -1084,8 +1024,9 @@ void alg4_stall_case(const StallSweepCase& c, std::uint64_t seed) {
   // 3–4: stall_after = 3 parks it between the two loads.
   constexpr std::uint32_t k = 70;
   using Alg = algo::WaitFreeHiAlg<FuzzEnv, FuzzPacked>;
-  Alg reg(FuzzEnv::Ctx{}, k, /*initial=*/k);
   constexpr int kWriter = 1;  // pid 0 is the reader
+  Alg reg(FuzzEnv::Ctx{}, spec::RegisterSpec(k, /*initial=*/k), kWriter,
+          /*reader_pid=*/0);
   std::atomic<std::uint64_t> progress{0};
   const auto result = testing::run_stall_threads(
       c.n, c.k, seed, env::YieldPolicy{},
@@ -1093,13 +1034,13 @@ void alg4_stall_case(const StallSweepCase& c, std::uint64_t seed) {
       [&](int pid) {
         if (pid == kWriter) {
           for (std::uint32_t v = 2; v <= 6; ++v) {
-            (void)reg.write(v).get();
+            (void)reg.write(kWriter, v).get();
             progress.fetch_add(1, std::memory_order_release);
           }
           return;
         }
         for (int i = 0; i < 4; ++i) {
-          const std::uint32_t seen = reg.read().get();
+          const std::uint32_t seen = reg.read(pid).get();
           EXPECT_TRUE(seen == k || (seen >= 2 && seen <= 6)) << seen;
           progress.fetch_add(1, std::memory_order_release);
         }
@@ -1112,9 +1053,7 @@ void alg4_stall_case(const StallSweepCase& c, std::uint64_t seed) {
           expected[k + k - 1] = 1;  // B[70]: the first write's help
           expected[2 * k] = 1;      // flag[1]: the parked reader's announce
         }
-        std::vector<std::uint8_t> image;
-        reg.encode_memory(image);
-        EXPECT_EQ(image, expected) << "seed " << seed;
+        EXPECT_EQ(algo::memory_image(reg), expected) << "seed " << seed;
       });
   ASSERT_FALSE(result.watchdog_fired)
       << "the writer stopped completing, seed " << seed;

@@ -12,7 +12,7 @@
 
 #include "adversary/queue_adversary.h"
 #include "adversary/reader_adversary.h"
-#include "baseline/strawman_queue.h"
+#include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "core/vidyasankar.h"
@@ -24,7 +24,7 @@
 namespace hi {
 namespace {
 
-using baseline::StrawmanQueue;
+using StrawmanQueue = algo::StrawmanQueueAlg<env::SimEnv>;
 using spec::QueueSpec;
 using testing::kReaderPid;
 using testing::kWriterPid;

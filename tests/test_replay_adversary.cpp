@@ -25,7 +25,7 @@
 
 #include "adversary/queue_adversary.h"
 #include "adversary/reader_adversary.h"
-#include "baseline/strawman_queue.h"
+#include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "register_common.h"
@@ -43,6 +43,7 @@ namespace {
 
 using testing::kReaderPid;
 using testing::kWriterPid;
+using SimStrawmanQueue = algo::StrawmanQueueAlg<env::SimEnv>;
 
 // ---- Theorem 17: reader adversary vs the lock-free HI register ----
 
@@ -160,7 +161,7 @@ adversary::CanonicalMap strawman_canon(const spec::QueueSpec& spec) {
   for (std::uint32_t i = 0; i <= spec.domain(); ++i) {
     sim::Memory memory;
     sim::Scheduler sched(2);
-    baseline::StrawmanQueue impl(memory, spec, kWriterPid, kReaderPid);
+    SimStrawmanQueue impl(memory, spec, kWriterPid, kReaderPid);
     if (i != 0) {
       for (const auto& op : spec.change_seq(0, i)) {
         (void)sim::run_solo(sched, kWriterPid, impl.apply(kWriterPid, op));
@@ -178,10 +179,10 @@ TEST(ReplayAdversary, QueuePeekStarvationReplaysOverHardwareAtomics) {
 
   sim::Memory memory;
   sim::Scheduler sched(2);
-  baseline::StrawmanQueue impl(memory, spec, kWriterPid, kReaderPid);
+  SimStrawmanQueue impl(memory, spec, kWriterPid, kReaderPid);
   const auto plan = adversary::queue_plan(spec);
   std::vector<std::vector<spec::QueueSpec::Op>> workload(2);
-  verify::RecordingImpl<spec::QueueSpec, baseline::StrawmanQueue> recorder(
+  verify::RecordingImpl<spec::QueueSpec, SimStrawmanQueue> recorder(
       impl, workload);
   sim::ScheduleTrace trace;
   sched.record_to(&trace);
@@ -194,7 +195,7 @@ TEST(ReplayAdversary, QueuePeekStarvationReplaysOverHardwareAtomics) {
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  baseline::StrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
+  SimStrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   replay::StrawmanQueue replay_impl(replay_memory, spec, kWriterPid,
@@ -259,7 +260,7 @@ TEST(ReplayAdversary, PersistedQueueStarvationTrace) {
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  baseline::StrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
+  SimStrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   replay::StrawmanQueue replay_impl(replay_memory, spec, kWriterPid,

@@ -19,7 +19,7 @@
 
 #include "algo/leaky_universal.h"
 #include "algo/universal.h"
-#include "baseline/strawman_queue.h"
+#include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "core/hi_set.h"
@@ -200,9 +200,6 @@ TEST(ReplayEquivalence, HiSetRecordedSchedules) {
 // word marching in word-for-word lockstep with the simulated wide cell,
 // including the failure-word CAS retry interleavings. ----
 
-using testing::ReplayRllscHarness;
-using testing::SimRllscHarness;
-
 TEST(ReplayEquivalence, RllscRecordedSchedules) {
   const int n = 3;
   const spec::RllscSpec spec(100, n, 7);
@@ -213,16 +210,16 @@ TEST(ReplayEquivalence, RllscRecordedSchedules) {
     {
       sim::Memory memory;
       sim::Scheduler sched(n);
-      SimRllscHarness impl(memory, 7);
+      core::CasRllsc impl(memory, "X", {7, 0});
       trace = record_runner_trace(spec, memory, sched, impl, workload, seed);
     }
 
     sim::Memory sim_memory;
     sim::Scheduler sim_sched(n);
-    SimRllscHarness sim_impl(sim_memory, 7);
+    core::CasRllsc sim_impl(sim_memory, "X", {7, 0});
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
-    ReplayRllscHarness replay_impl(replay_memory, 7);
+    replay::CasRllsc replay_impl(replay_memory, "X", 7);
 
     const verify::ReplayReport report = verify::replay_differential(
         spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,

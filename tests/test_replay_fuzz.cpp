@@ -20,7 +20,7 @@
 
 #include "algo/leaky_universal.h"
 #include "algo/universal.h"
-#include "baseline/strawman_queue.h"
+#include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "core/hi_set.h"
@@ -52,6 +52,7 @@ namespace {
 
 using testing::kReaderPid;
 using testing::kWriterPid;
+using SimStrawmanQueue = algo::StrawmanQueueAlg<env::SimEnv>;
 
 std::uint64_t fuzz_seeds() {
   if (const char* env = std::getenv("HI_REPLAY_FUZZ_SEEDS")) {
@@ -297,19 +298,16 @@ TEST(ReplayFuzz, ShardedHiSet) {
 
 // ---- R-LLSC (Algorithm 6) ----
 
-using testing::ReplayRllscHarness;
-using testing::SimRllscHarness;
-
 TEST(ReplayFuzz, Rllsc) {
   const int n = 3;
   const spec::RllscSpec spec(100, n, 0);
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::rllsc_workload(n, 5, seed);
     const auto failure =
-        fuzz_once<spec::RllscSpec, SimRllscHarness, ReplayRllscHarness>(
+        fuzz_once<spec::RllscSpec, core::CasRllsc, replay::CasRllsc>(
             spec, n, workload, seed,
-            [&](sim::Memory& m) { return SimRllscHarness(m, 0); },
-            [&](sim::Memory& m) { return ReplayRllscHarness(m, 0); },
+            [&](sim::Memory& m) { return core::CasRllsc(m, "X", {0, 0}); },
+            [&](sim::Memory& m) { return replay::CasRllsc(m, "X", 0); },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
   }
@@ -392,11 +390,11 @@ TEST(ReplayFuzz, StrawmanQueue) {
                            : spec::QueueSpec::dequeue());
     }
     workload[kReaderPid].assign(3, spec::QueueSpec::peek());
-    const auto failure = fuzz_once<spec::QueueSpec, baseline::StrawmanQueue,
+    const auto failure = fuzz_once<spec::QueueSpec, SimStrawmanQueue,
                                    replay::StrawmanQueue>(
         spec, 2, workload, seed,
         [&](sim::Memory& m) {
-          return baseline::StrawmanQueue(m, spec, kWriterPid, kReaderPid);
+          return SimStrawmanQueue(m, spec, kWriterPid, kReaderPid);
         },
         [&](sim::Memory& m) {
           return replay::StrawmanQueue(m, spec, kWriterPid, kReaderPid);

@@ -25,55 +25,6 @@ using core::NativeRllsc;
 using core::RllscValue;
 using spec::RllscSpec;
 
-/// Adapter exposing one R-LLSC cell as an abstract object for the harness.
-template <typename Cell>
-class RllscObject {
- public:
-  RllscObject(sim::Memory& memory, std::uint16_t initial)
-      : cell_(memory, "X", RllscValue{initial, 0}) {}
-
-  sim::OpTask<RllscSpec::Resp> apply(int pid, RllscSpec::Op op) {
-    assert(op.pid == pid);
-    (void)pid;
-    return run(op);
-  }
-
-  Cell& cell() { return cell_; }
-
- private:
-  sim::OpTask<RllscSpec::Resp> run(RllscSpec::Op op) {
-    switch (op.kind) {
-      case RllscSpec::Kind::kLL: {
-        const RllscValue v = co_await cell_.ll();
-        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
-      }
-      case RllscSpec::Kind::kVL: {
-        const bool linked = co_await cell_.vl();
-        co_return RllscSpec::Resp{0, linked};
-      }
-      case RllscSpec::Kind::kSC: {
-        const bool done = co_await cell_.sc(RllscValue{op.arg, 0});
-        co_return RllscSpec::Resp{0, done};
-      }
-      case RllscSpec::Kind::kRL: {
-        const bool done = co_await cell_.rl();
-        co_return RllscSpec::Resp{0, done};
-      }
-      case RllscSpec::Kind::kLoad: {
-        const RllscValue v = co_await cell_.load();
-        co_return RllscSpec::Resp{static_cast<std::uint32_t>(v.lo), true};
-      }
-      case RllscSpec::Kind::kStore: {
-        const bool done = co_await cell_.store(RllscValue{op.arg, 0});
-        co_return RllscSpec::Resp{0, done};
-      }
-    }
-    co_return RllscSpec::Resp{};  // unreachable
-  }
-
-  Cell cell_;
-};
-
 std::vector<std::vector<RllscSpec::Op>> rllsc_workload(int num_procs,
                                                        std::size_t ops_each,
                                                        std::uint16_t domain,
@@ -104,7 +55,7 @@ TYPED_TEST_SUITE(RllscTyped, CellTypes);
 TYPED_TEST(RllscTyped, SoloSemantics) {
   sim::Memory memory;
   sim::Scheduler sched(2);
-  RllscObject<TypeParam> object(memory, 5);
+  TypeParam object(memory, "X", RllscValue{5, 0});
 
   auto resp = sim::run_solo(sched, 0, object.apply(0, RllscSpec::ll(0)));
   EXPECT_EQ(resp.value, 5u);
@@ -123,7 +74,7 @@ TYPED_TEST(RllscTyped, SoloSemantics) {
 TYPED_TEST(RllscTyped, RlMakesScFail) {
   sim::Memory memory;
   sim::Scheduler sched(1);
-  RllscObject<TypeParam> object(memory, 0);
+  TypeParam object(memory, "X", RllscValue{0, 0});
   (void)sim::run_solo(sched, 0, object.apply(0, RllscSpec::ll(0)));
   (void)sim::run_solo(sched, 0, object.apply(0, RllscSpec::rl(0)));
   const auto resp = sim::run_solo(sched, 0, object.apply(0, RllscSpec::sc(0, 3)));
@@ -133,7 +84,7 @@ TYPED_TEST(RllscTyped, RlMakesScFail) {
 TYPED_TEST(RllscTyped, StoreInvalidatesAllLinks) {
   sim::Memory memory;
   sim::Scheduler sched(3);
-  RllscObject<TypeParam> object(memory, 0);
+  TypeParam object(memory, "X", RllscValue{0, 0});
   (void)sim::run_solo(sched, 0, object.apply(0, RllscSpec::ll(0)));
   (void)sim::run_solo(sched, 1, object.apply(1, RllscSpec::ll(1)));
   (void)sim::run_solo(sched, 2, object.apply(2, RllscSpec::store(2, 4)));
@@ -153,14 +104,14 @@ TEST_P(RllscRandom, CasBackedLinearizable) {
   const RllscSpec spec(16, n);
   sim::Memory memory;
   sim::Scheduler sched(n);
-  RllscObject<CasRllsc> object(memory, 0);
+  CasRllsc object(memory, "X", RllscValue{0, 0});
 
-  sim::Runner<RllscSpec, RllscObject<CasRllsc>> runner(
+  sim::Runner<RllscSpec, CasRllsc> runner(
       spec, memory, sched, object, [&](const auto&) {
-        const RllscValue v = object.cell().peek_value();
+        const RllscValue v = object.peek_value();
         return spec.encode_state(
             RllscSpec::State{v.lo, static_cast<std::uint16_t>(
-                                       object.cell().peek_context())});
+                                       object.peek_context())});
       });
   auto result = runner.run(rllsc_workload(n, 15, 16, seed), {.seed = seed});
   ASSERT_FALSE(result.timed_out);
@@ -179,7 +130,7 @@ TEST_P(RllscRandom, CasBackedPerfectHI_MemoryIsExactlyTheState) {
   const RllscSpec spec(16, n);
   sim::Memory memory;
   sim::Scheduler sched(n);
-  RllscObject<CasRllsc> object(memory, 0);
+  CasRllsc object(memory, "X", RllscValue{0, 0});
 
   auto work = rllsc_workload(n, 12, 16, seed);
   std::vector<std::optional<sim::OpTask<RllscSpec::Resp>>> tasks(n);
@@ -211,10 +162,10 @@ TEST_P(RllscRandom, CasBackedPerfectHI_MemoryIsExactlyTheState) {
     // The invariant of Lemma 40: mem(C) == encode(state(C)).
     const auto snap = memory.snapshot();
     ASSERT_EQ(snap.words.size(), 3u);  // one CAS word, nothing else
-    const RllscValue v = object.cell().peek_value();
+    const RllscValue v = object.peek_value();
     EXPECT_EQ(snap.words[0], v.lo);
     EXPECT_EQ(snap.words[1], v.hi);
-    EXPECT_EQ(snap.words[2], object.cell().peek_context());
+    EXPECT_EQ(snap.words[2], object.peek_context());
   }
 }
 
@@ -228,13 +179,13 @@ TEST_P(RllscRandom, SameStateSameMemoryAcrossExecutions) {
   for (std::uint64_t sub = 0; sub < 10; ++sub) {
     sim::Memory memory;
     sim::Scheduler sched(n);
-    RllscObject<CasRllsc> object(memory, 0);
-    sim::Runner<RllscSpec, RllscObject<CasRllsc>> runner(
+    CasRllsc object(memory, "X", RllscValue{0, 0});
+    sim::Runner<RllscSpec, CasRllsc> runner(
         spec, memory, sched, object, [&](const auto&) {
-          const RllscValue v = object.cell().peek_value();
+          const RllscValue v = object.peek_value();
           return spec.encode_state(
               RllscSpec::State{v.lo, static_cast<std::uint16_t>(
-                                         object.cell().peek_context())});
+                                         object.peek_context())});
         });
     auto result = runner.run(rllsc_workload(n, 10, 8, seed * 100 + sub),
                              {.seed = seed * 100 + sub});
@@ -259,7 +210,7 @@ TEST(RllscProgress, StoreUnblocksPendingScAndRl) {
   // observe p0's SC finish (with failure) in a bounded number of steps.
   sim::Memory memory;
   sim::Scheduler sched(2);
-  RllscObject<CasRllsc> object(memory, 0);
+  CasRllsc object(memory, "X", RllscValue{0, 0});
 
   (void)sim::run_solo(sched, 0, object.apply(0, RllscSpec::ll(0)));
 
@@ -305,7 +256,7 @@ TEST(RllscProgress, LlIsLockFreeNotWaitFree) {
   // tolerate.
   sim::Memory memory;
   sim::Scheduler sched(2);
-  RllscObject<CasRllsc> object(memory, 0);
+  CasRllsc object(memory, "X", RllscValue{0, 0});
 
   sim::OpTask<RllscSpec::Resp> ll_task = object.apply(0, RllscSpec::ll(0));
   sched.start(0, ll_task);

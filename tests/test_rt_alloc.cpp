@@ -21,24 +21,32 @@
 #include <thread>
 #include <vector>
 
+#include "algo/hi_set.h"
+#include "algo/leaky_universal.h"
+#include "algo/max_register.h"
+#include "algo/registers.h"
+#include "algo/wait_free_sim.h"
 #include "env/rt_env.h"
 #include "replay/replay_objects.h"
-#include "rt/baselines_rt.h"
-#include "rt/hi_set_rt.h"
-#include "rt/max_register_rt.h"
-#include "rt/registers_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
-#include "rt/wait_free_sim_rt.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "spec/counter_spec.h"
+#include "spec/max_register_spec.h"
 #include "spec/register_spec.h"
+#include "spec/set_spec.h"
 
 namespace hi {
 namespace {
+
+using env::RtEnv;
+using Packed = env::PackedBins<RtEnv>;
+using Padded = env::PaddedBins<RtEnv>;
+constexpr int kWriter = 0;
+constexpr int kReader = 1;
 
 // ---- FrameArena unit tests (direct allocate/deallocate, no coroutines) ----
 
@@ -143,66 +151,78 @@ std::uint64_t steady_state_allocs(Fn op, int warmup = 256, int ops = 2048) {
 }
 
 TEST(RtAllocSteadyState, VidyasankarRegister) {
-  rt::RtVidyasankarRegister reg(16);
+  algo::VidyasankarAlg<RtEnv, Packed> reg(RtEnv::Ctx{},
+                                          spec::RegisterSpec(16), kWriter,
+                                          kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read();
+              reg.write(kWriter, static_cast<std::uint32_t>(i % 16) + 1).get();
+              (void)reg.read(kReader).get();
             }));
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegister) {
-  rt::RtLockFreeHiRegister reg(16);
+  algo::LockFreeHiAlg<RtEnv, Packed> reg(RtEnv::Ctx{}, spec::RegisterSpec(16),
+                                         kWriter, kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read(/*max_attempts=*/4);  // solo: first TryRead hits
+              reg.write(kWriter, static_cast<std::uint32_t>(i % 16) + 1).get();
+              // Solo: the first TryRead hits.
+              (void)reg.read_bounded(kReader, /*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, WaitFreeHiRegister) {
-  rt::RtWaitFreeHiRegister reg(16);
+  algo::WaitFreeHiAlg<RtEnv, Packed> reg(RtEnv::Ctx{}, spec::RegisterSpec(16),
+                                         kWriter, kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 16) + 1);
-              (void)reg.read();
+              reg.write(kWriter, static_cast<std::uint32_t>(i % 16) + 1).get();
+              (void)reg.read(kReader).get();
             }));
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegisterPackedLargeK) {
   // The packed large-K hot path (16-word scans + masked clears, plus the
   // scan Sub frames the word-scan library adds) must stay allocation-free.
-  rt::RtLockFreeHiRegister reg(1024);
+  algo::LockFreeHiAlg<RtEnv, Packed> reg(
+      RtEnv::Ctx{}, spec::RegisterSpec(1024), kWriter, kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 1024) + 1);
-              (void)reg.read(/*max_attempts=*/4);
+              reg.write(kWriter, static_cast<std::uint32_t>(i % 1024) + 1)
+                  .get();
+              (void)reg.read_bounded(kReader, /*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, LockFreeHiRegisterPaddedLayout) {
-  // The padded alias (kept for layout comparisons) shares the contract.
-  rt::RtLockFreeHiRegisterPadded reg(64);
+  // The padded layout (kept for layout comparisons) shares the contract.
+  algo::LockFreeHiAlg<RtEnv, Padded> reg(RtEnv::Ctx{}, spec::RegisterSpec(64),
+                                         kWriter, kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-              reg.write(static_cast<std::uint32_t>(i % 64) + 1);
-              (void)reg.read(/*max_attempts=*/4);
+              reg.write(kWriter, static_cast<std::uint32_t>(i % 64) + 1).get();
+              (void)reg.read_bounded(kReader, /*max_attempts=*/4).get();
             }));
 }
 
 TEST(RtAllocSteadyState, MaxRegister) {
-  rt::RtMaxRegister reg(64);
+  const spec::MaxRegisterSpec spec(64);
+  algo::HiMaxRegisterAlg<RtEnv, Packed> reg(RtEnv::Ctx{}, spec, kWriter,
+                                            kReader);
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               // Ramp once, then absorbed writes: both paths must be free.
-              reg.write_max(static_cast<std::uint32_t>(i % 64) + 1);
+              reg.write_max(kWriter, static_cast<std::uint32_t>(i % 64) + 1)
+                  .get();
             }));
-  rt::RtMaxRegister reader_side(64, 1, /*writer_pid=*/0, /*reader_pid=*/0);
+  algo::HiMaxRegisterAlg<RtEnv, Packed> reader_side(
+      RtEnv::Ctx{}, spec, /*writer_pid=*/0, /*reader_pid=*/0);
   EXPECT_EQ(0u, steady_state_allocs(
-                    [&](int) { (void)reader_side.read_max(); }));
+                    [&](int) { (void)reader_side.read_max(0).get(); }));
 }
 
 TEST(RtAllocSteadyState, HiSet) {
-  rt::RtHiSet set(64);
+  algo::HiSetAlg<RtEnv, Packed> set(RtEnv::Ctx{}, spec::SetSpec(64));
   EXPECT_EQ(0u, steady_state_allocs([&](int i) {
               const auto v = static_cast<std::uint32_t>(i % 64) + 1;
-              (void)set.insert(v);
-              (void)set.lookup(v);
-              (void)set.remove(v);
+              (void)set.insert(v).get();
+              (void)set.lookup(v).get();
+              (void)set.remove(v).get();
             }));
 }
 
@@ -273,10 +293,13 @@ TEST(RtAllocSteadyState, WaitFreeSimHiRegister) {
   // attempts never fail) and the forced slow path (fast_limit = 0: every
   // read announces, enqueues and helps itself).
   for (const std::uint32_t fast_limit : {1u, 0u}) {
-    rt::RtWaitFreeSimHiRegister reg(64, 32, /*num_processes=*/2, fast_limit);
+    algo::WaitFreeSimHiAlg<RtEnv, Packed> reg(
+        RtEnv::Ctx{}, spec::RegisterSpec(64, 32), kWriter, kReader,
+        fast_limit);
     EXPECT_EQ(0u, steady_state_allocs([&](int i) {
-                reg.write(static_cast<std::uint32_t>(i % 64) + 1);
-                (void)reg.read();
+                reg.write(kWriter, static_cast<std::uint32_t>(i % 64) + 1)
+                    .get();
+                (void)reg.read(kReader).get();
               }))
         << "fast_limit " << fast_limit;
   }
@@ -284,9 +307,10 @@ TEST(RtAllocSteadyState, WaitFreeSimHiRegister) {
 
 TEST(RtAllocSteadyState, LeakyUniversal) {
   const spec::CounterSpec spec(0xffffff, 0);
-  rt::RtLeakyUniversal<spec::CounterSpec> object(spec, 2);
+  algo::LeakyUniversalAlg<RtEnv, spec::CounterSpec> object(RtEnv::Ctx{}, spec,
+                                                          2);
   EXPECT_EQ(0u, steady_state_allocs([&](int) {
-              (void)object.apply(0, spec::CounterSpec::inc());
+              (void)object.apply(0, spec::CounterSpec::inc()).get();
             }));
 }
 
@@ -346,7 +370,7 @@ TEST(RtAllocChurn, MultiThreadArenaBalance) {
   constexpr int kOps = 2000;
   const spec::CounterSpec spec(0xffffff, 0);
   rt::RtUniversal<spec::CounterSpec> universal(spec, kThreads);
-  rt::RtHiSet set(64);
+  algo::HiSetAlg<RtEnv, Packed> set(RtEnv::Ctx{}, spec::SetSpec(64));
   rt::RtRllsc cell(0);
 
   std::atomic<int> violations{0};
@@ -358,9 +382,9 @@ TEST(RtAllocChurn, MultiThreadArenaBalance) {
         (void)universal.apply(pid, spec::CounterSpec::inc());
         const auto v =
             static_cast<std::uint32_t>((pid * 16 + i % 16) % 64) + 1;
-        (void)set.insert(v);
-        (void)set.lookup(v);
-        (void)set.remove(v);
+        (void)set.insert(v).get();
+        (void)set.lookup(v).get();
+        (void)set.remove(v).get();
         const std::uint64_t seen = cell.ll(pid);
         (void)cell.sc(pid, seen + 1);
         (void)cell.rl(pid);

@@ -10,39 +10,56 @@
 #include <thread>
 #include <vector>
 
-#include "rt/registers_rt.h"
+#include "algo/registers.h"
+#include "algo/values.h"
+#include "env/rt_env.h"
+#include "spec/register_spec.h"
 #include "util/rng.h"
 
 namespace hi {
 namespace {
 
+using Bins = env::PackedBins<env::RtEnv>;
+constexpr int kWriter = 0;
+constexpr int kReader = 1;
+
+template <template <typename, typename> class Alg>
+Alg<env::RtEnv, Bins> make(std::uint32_t num_values,
+                           std::uint32_t initial = 1) {
+  return Alg<env::RtEnv, Bins>(
+      env::RtEnv::Ctx{}, spec::RegisterSpec(num_values, initial), kWriter,
+      kReader);
+}
+
 TEST(RtVidyasankar, SequentialLeak) {
-  rt::RtVidyasankarRegister with_history(3);
-  with_history.write(2);
-  with_history.write(1);
-  EXPECT_EQ(with_history.memory_image(),
+  auto with_history = make<algo::VidyasankarAlg>(3);
+  with_history.write(kWriter, 2).get();
+  with_history.write(kWriter, 1).get();
+  EXPECT_EQ(algo::memory_image(with_history),
             (std::vector<std::uint8_t>{1, 1, 0}));
 
-  rt::RtVidyasankarRegister without_history(3);
-  without_history.write(1);
-  EXPECT_EQ(without_history.memory_image(),
+  auto without_history = make<algo::VidyasankarAlg>(3);
+  without_history.write(kWriter, 1).get();
+  EXPECT_EQ(algo::memory_image(without_history),
             (std::vector<std::uint8_t>{1, 0, 0}));
 }
 
 TEST(RtVidyasankar, ConcurrentReadsReturnWrittenValues) {
-  rt::RtVidyasankarRegister reg(8, 3);
+  auto reg = make<algo::VidyasankarAlg>(8, 3);
   std::atomic<bool> stop{false};
   // The writer writes only values from {3, 5, 7}; every read must observe
   // one of them (3 is also the initial value).
   std::thread writer([&] {
     util::Xoshiro256 rng(1);
     const std::uint32_t values[] = {3, 5, 7};
-    for (int i = 0; i < 50000; ++i) reg.write(values[rng.next_below(3)]);
+    for (int i = 0; i < 50000; ++i) {
+      reg.write(kWriter, values[rng.next_below(3)]).get();
+    }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint32_t v = reg.read();
+      const std::uint32_t v = reg.read(kReader).get();
       ASSERT_TRUE(v == 3 || v == 5 || v == 7) << v;
     }
   });
@@ -51,41 +68,44 @@ TEST(RtVidyasankar, ConcurrentReadsReturnWrittenValues) {
 }
 
 TEST(RtLockFreeHiRegister, CanonicalAfterQuiescence) {
-  rt::RtLockFreeHiRegister reg(6);
+  auto reg = make<algo::LockFreeHiAlg>(6);
   std::thread writer([&] {
     util::Xoshiro256 rng(2);
     for (int i = 0; i < 20000; ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6)));
+      reg.write(kWriter, static_cast<std::uint32_t>(rng.next_in(1, 6))).get();
     }
-    reg.write(4);
+    reg.write(kWriter, 4).get();
   });
   std::thread reader([&] {
     for (int i = 0; i < 2000; ++i) {
       // Bounded attempts: under a hot writer a TryRead may fail repeatedly
       // (lock-freedom); give up after a generous budget rather than hang.
-      (void)reg.read(/*max_attempts=*/100000);
+      (void)reg.read_bounded(kReader, /*max_attempts=*/100000).get();
     }
   });
   writer.join();
   reader.join();
-  const auto image = reg.memory_image();
+  const auto image = algo::memory_image(reg);
   for (std::uint32_t v = 1; v <= 6; ++v) {
     EXPECT_EQ(image[v - 1], v == 4 ? 1 : 0);
   }
 }
 
 TEST(RtLockFreeHiRegister, ReadsReturnWrittenValues) {
-  rt::RtLockFreeHiRegister reg(8, 2);
+  auto reg = make<algo::LockFreeHiAlg>(8, 2);
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     util::Xoshiro256 rng(3);
     const std::uint32_t values[] = {2, 4, 8};
-    for (int i = 0; i < 30000; ++i) reg.write(values[rng.next_below(3)]);
+    for (int i = 0; i < 30000; ++i) {
+      reg.write(kWriter, values[rng.next_below(3)]).get();
+    }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::optional<std::uint32_t> v = reg.read(100000);
+      const std::optional<std::uint32_t> v =
+          reg.read_bounded(kReader, 100000).get();
       if (v.has_value()) {
         ASSERT_TRUE(*v == 2 || *v == 4 || *v == 8) << *v;
       }
@@ -96,7 +116,7 @@ TEST(RtLockFreeHiRegister, ReadsReturnWrittenValues) {
 }
 
 TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
-  rt::RtWaitFreeHiRegister reg(6, 1);
+  auto reg = make<algo::WaitFreeHiAlg>(6, 1);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads_done{0};
   std::thread writer([&] {
@@ -108,13 +128,14 @@ TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
     for (std::uint64_t i = 0;
          reads_done.load(std::memory_order_acquire) < 200 && i < 50'000'000;
          ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 6)));
+      reg.write(kWriter, static_cast<std::uint32_t>(rng.next_in(1, 6))).get();
     }
     stop.store(true);
   });
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      const std::uint32_t v = reg.read();  // unconditionally terminates
+      // Unconditionally terminates.
+      const std::uint32_t v = reg.read(kReader).get();
       ASSERT_GE(v, 1u);
       ASSERT_LE(v, 6u);
       reads_done.fetch_add(1);
@@ -126,20 +147,20 @@ TEST(RtWaitFreeHiRegister, ReaderAlwaysCompletesUnderHotWriter) {
 }
 
 TEST(RtWaitFreeHiRegister, QuiescentMemoryCanonical) {
-  rt::RtWaitFreeHiRegister reg(5, 1);
+  auto reg = make<algo::WaitFreeHiAlg>(5, 1);
   std::thread writer([&] {
     util::Xoshiro256 rng(5);
     for (int i = 0; i < 20000; ++i) {
-      reg.write(static_cast<std::uint32_t>(rng.next_in(1, 5)));
+      reg.write(kWriter, static_cast<std::uint32_t>(rng.next_in(1, 5))).get();
     }
-    reg.write(3);
+    reg.write(kWriter, 3).get();
   });
   std::thread reader([&] {
-    for (int i = 0; i < 3000; ++i) (void)reg.read();
+    for (int i = 0; i < 3000; ++i) (void)reg.read(kReader).get();
   });
   writer.join();
   reader.join();
-  const auto image = reg.memory_image();
+  const auto image = algo::memory_image(reg);
   ASSERT_EQ(image.size(), 12u);  // A[5] B[5] flag[2]
   for (std::uint32_t v = 1; v <= 5; ++v) {
     EXPECT_EQ(image[v - 1], v == 3 ? 1 : 0) << "A[" << v << "]";
@@ -151,13 +172,13 @@ TEST(RtWaitFreeHiRegister, QuiescentMemoryCanonical) {
 
 TEST(RtWaitFreeHiRegister, SequentialHiAcrossPaths) {
   // Same final value via different op sequences ⇒ identical memory.
-  rt::RtWaitFreeHiRegister a(4);
-  a.write(2);
-  rt::RtWaitFreeHiRegister b(4);
-  b.write(4);
-  b.write(1);
-  b.write(2);
-  EXPECT_EQ(a.memory_image(), b.memory_image());
+  auto a = make<algo::WaitFreeHiAlg>(4);
+  a.write(kWriter, 2).get();
+  auto b = make<algo::WaitFreeHiAlg>(4);
+  b.write(kWriter, 4).get();
+  b.write(kWriter, 1).get();
+  b.write(kWriter, 2).get();
+  EXPECT_EQ(algo::memory_image(a), algo::memory_image(b));
 }
 
 }  // namespace

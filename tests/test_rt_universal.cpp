@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "algo/leaky_universal.h"
+#include "env/rt_env.h"
 #include "rt/baselines_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/universal_rt.h"
@@ -322,14 +324,15 @@ TEST(RtBaselines, LockAndCasLoopCountersSum) {
 TEST(RtBaselines, LeakyUniversalCountsOpsAndSums) {
   const CounterSpec spec(1u << 24, 0);
   const int threads = 4;
-  rt::RtLeakyUniversal<CounterSpec> object(spec, threads);
+  algo::LeakyUniversalAlg<env::RtEnv, CounterSpec> object(env::RtEnv::Ctx{},
+                                                         spec, threads);
   constexpr int kOpsEach = 3000;
   std::vector<std::thread> pool;
   std::vector<std::vector<std::uint32_t>> responses(threads);
   for (int pid = 0; pid < threads; ++pid) {
     pool.emplace_back([&, pid] {
       for (int i = 0; i < kOpsEach; ++i) {
-        responses[pid].push_back(object.apply(pid, CounterSpec::inc()));
+        responses[pid].push_back(object.apply(pid, CounterSpec::inc()).get());
       }
     });
   }

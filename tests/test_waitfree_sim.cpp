@@ -214,7 +214,7 @@ TEST(WaitFreeSim, SoloFastPathStepExactNoResidue) {
             2u);
   EXPECT_EQ(sys.sched.total_steps() - s, 5u);
 
-  const auto& comb = sys.impl.alg().combinator();
+  const auto& comb = sys.impl.combinator();
   EXPECT_EQ(comb.total_ops(), 2u);
   EXPECT_EQ(comb.slow_path_entries(), 0u);
   EXPECT_EQ(comb.helped_completions(), 0u);
@@ -247,7 +247,7 @@ TEST(WaitFreeSim, SoloSlowPathStepExactSelfHelp) {
   EXPECT_EQ(sim::run_solo(sched, kReaderPid, impl.read(kReaderPid)), 2u);
   EXPECT_EQ(sched.total_steps() - before, 18u);
 
-  const auto& comb = impl.alg().combinator();
+  const auto& comb = impl.combinator();
   EXPECT_EQ(comb.slow_path_entries(), 1u);
   EXPECT_EQ(comb.helped_completions(), 0u);  // owner completed its own record
   EXPECT_TRUE(comb.queue().quiescent_empty());
@@ -271,7 +271,7 @@ TEST(WaitFreeSim, FailStreakObservableBetweenFailureAndCompletion) {
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 2));
   sys.sched.step(kReaderPid);
 
-  const auto& comb = sys.impl.alg().combinator();
+  const auto& comb = sys.impl.combinator();
   EXPECT_EQ(comb.fail_streak(kReaderPid), 1u);  // == fast_limit: fast path off
   EXPECT_EQ(comb.slow_path_entries(), 1u);
 
@@ -340,7 +340,7 @@ TEST(WaitFreeSim, CombinatorReadCompletesUnderSameAdversary) {
   EXPECT_LE(sched.steps_of(kReaderPid), 32u);
   const std::uint32_t got = read.take_result();
   EXPECT_TRUE(got == 2u || got == 3u) << got;  // a written value: linearizes
-  const auto& comb = impl.alg().combinator();
+  const auto& comb = impl.combinator();
   EXPECT_EQ(comb.slow_path_entries(), 1u);
   // The record was completed by the WRITER's pre-write help, not the owner.
   EXPECT_GE(comb.helped_completions(), 1u);
@@ -404,7 +404,7 @@ struct WfsSlowPairSystem {
     return impl.apply(pid, op);
   }
   std::uint64_t helped_completions() const {
-    return impl.alg().helped_completions();
+    return impl.helped_completions();
   }
 };
 
@@ -419,15 +419,12 @@ struct WfsTripleSystem {
   WfsTripleSystem()
       : spec(2, 1),
         sched(3),
-        alg(mem, /*num_values=*/2, /*initial=*/1, /*num_processes=*/3,
-            /*fast_limit=*/1) {}
+        alg(mem, spec, kWriterPid, kReaderPid, /*fast_limit=*/1,
+            /*num_processes=*/3) {}
   sim::Scheduler& scheduler() { return sched; }
   sim::Memory& memory() { return mem; }
   sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-      return alg.write(pid, op.value);
-    }
-    return alg.read(pid);
+    return alg.apply(pid, op);
   }
   std::uint64_t helped_completions() const { return alg.helped_completions(); }
 };
@@ -544,7 +541,7 @@ TEST(WaitFreeSim, Thm17_HelpedReadLeavesLocalizedCombinatorResidue) {
   ASSERT_TRUE(sys.sched.op_finished(kReaderPid));
   sys.sched.finish(kReaderPid);
   EXPECT_EQ(read.take_result(), 2u);  // still linearizes
-  ASSERT_EQ(sys.impl.alg().slow_path_entries(), 1u);
+  ASSERT_EQ(sys.impl.slow_path_entries(), 1u);
   const sim::MemorySnapshot sb = sys.memory.snapshot();
 
   // State-quiescent HI is VIOLATED: same abstract state, different memory.
