@@ -13,10 +13,10 @@
 // exactly the membership bitmap of the current abstract state: perfect HI
 // per Definition 5 (and trivially consistent with Proposition 6 — adjacent
 // states differ in exactly one base object). Fully multi-writer/multi-reader
-// and wait-free. Each operation spawns exactly one Op coroutine and no
-// helpers; on RtEnv that single frame recycles through the per-thread frame
-// arena (env/rt_env.h), so the hardware cost is one padded atomic access
-// and zero steady-state heap allocations.
+// and wait-free. Each operation is one primitive plus local computation,
+// lifted into its Op by Env::lift (env/env.h): a one-await coroutine in the
+// simulator, and on RtEnv a frameless ready task, so the hardware cost is
+// the one atomic access and no coroutine frame at all.
 #pragma once
 
 #include <array>
@@ -81,20 +81,20 @@ class HiSetAlg {
   /// Insert(v): one blind set of S[v] (a fetch_or when packed).
   Op<bool> insert(std::uint32_t value) {
     assert(value >= 1 && value <= domain_);
-    co_await Bins::set(s_, value);
-    co_return true;
+    return Env::template lift<Op<bool>>(Bins::set(s_, value),
+                                        [](auto) { return true; });
   }
   /// Remove(v): one blind clear of S[v] (a fetch_and when packed).
   Op<bool> remove(std::uint32_t value) {
     assert(value >= 1 && value <= domain_);
-    co_await Bins::clear(s_, value);
-    co_return true;
+    return Env::template lift<Op<bool>>(Bins::clear(s_, value),
+                                        [](auto) { return true; });
   }
   /// Lookup(v): one read of S[v] (a word load when packed).
   Op<bool> lookup(std::uint32_t value) {
     assert(value >= 1 && value <= domain_);
-    const std::uint8_t bit = co_await Bins::read(s_, value);
-    co_return bit == 1;
+    return Env::template lift<Op<bool>>(
+        Bins::read(s_, value), [](std::uint8_t bit) { return bit == 1; });
   }
 
   /// Every member, ascending, passed to `emit` — Bins::scan_members
@@ -114,9 +114,14 @@ class HiSetAlg {
   /// Appends to `out` (caller reserves capacity to keep rt paths
   /// allocation-free); returns out.size().
   Op<std::uint32_t> snapshot_members(std::vector<std::uint32_t>& out) {
-    co_await Bins::scan_members(s_,
-                                [&out](std::uint32_t v) { out.push_back(v); });
-    co_return static_cast<std::uint32_t>(out.size());
+    return Env::template lift<Op<std::uint32_t>>(
+        [this, &out] {
+          return Bins::scan_members(
+              s_, [&out](std::uint32_t v) { out.push_back(v); });
+        },
+        [&out](std::uint32_t) {
+          return static_cast<std::uint32_t>(out.size());
+        });
   }
 
   /// Observer-side memory image (S[1..t]); never a step of the model.

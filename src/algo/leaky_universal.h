@@ -31,9 +31,10 @@
 //
 // The body spawns no helper coroutines — apply() forwards to the
 // apply_read_only/apply_update Op without an extra frame, and the retry
-// loops are plain loops over Env primitives — so on RtEnv each operation
-// is a single arena-recycled frame: zero steady-state heap allocations,
-// like the HI construction it is benchmarked against.
+// loops are plain loops over Env primitives — so on RtEnv an update is a
+// single arena-recycled frame and a read-only operation, lifted by
+// Env::lift (env/env.h), none: zero steady-state heap allocations, like the
+// HI construction it is benchmarked against.
 #pragma once
 
 #include <cassert>
@@ -126,8 +127,11 @@ class LeakyUniversalAlg {
   /// a single Read, no shared-memory footprint.
   OpT<Resp> apply_read_only(int pid, Op op) {
     (void)pid;
-    const Word head = co_await Env::cas_read(head_);
-    co_return spec_.apply(spec_.decode_state(Codec::state(head)), op).second;
+    return Env::template lift<OpT<Resp>>(
+        Env::cas_read(head_), [this, op](const Word& head) {
+          return spec_.apply(spec_.decode_state(Codec::state(head)), op)
+              .second;
+        });
   }
 
   /// Update operations: announce (never cleared — the leak), then help/apply

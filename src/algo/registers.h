@@ -168,13 +168,14 @@ class LockFreeHiAlg : public SwsrRoles {
   }
 
   /// Write(v): set A[v], clear down v-1..1, then clear up v+1..K
-  /// (Algorithm 2, lines 5–7). Delegates to write_sub — one extra coroutine
-  /// frame, zero extra steps (frames are never steps), so persisted traces
-  /// and step-count tests are unaffected.
+  /// (Algorithm 2, lines 5–7). Lifts write_sub (Env::lift): zero extra
+  /// steps, and on RtEnv no frame beyond write_sub's own, so persisted
+  /// traces and step-count tests are unaffected.
   Op<std::uint32_t> write(int pid, std::uint32_t value) {
     assert_writer(pid);
-    const std::uint32_t echoed = co_await write_sub(value);
-    co_return echoed;
+    return Env::template lift<Op<std::uint32_t>>(
+        [this, value] { return write_sub(value); },
+        [](std::uint32_t echoed) { return echoed; });
   }
 
   /// One normalized TryRead attempt, exposed as a composable Sub for the

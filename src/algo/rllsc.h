@@ -22,10 +22,12 @@
 // entry point (spec::RllscSpec); apply_rllsc is the one RllscSpec → cell
 // dispatcher, shared with the model-only native cell (sim/native_rllsc.h).
 //
-// Every entry point is a Sub coroutine: on RtEnv its frame comes from the
-// per-thread frame arena (env/rt_env.h), so LL/SC/RL/VL/Load/Store cost
-// zero steady-state heap allocations — RtAllocSteadyState.Rllsc pins this
-// (docs/PERF.md).
+// Every entry point is a Sub. The retry loops (LL, SC, RL) are coroutines
+// whose frames on RtEnv come from the per-thread frame arena
+// (env/rt_env.h); the single-primitive VL, Load and Store are lifted by
+// Env::lift (env/env.h) and open no frame at all on RtEnv. Either way the
+// steady state performs zero heap allocations — RtAllocSteadyState.Rllsc
+// pins this (docs/PERF.md).
 #pragma once
 
 #include <cassert>
@@ -147,8 +149,9 @@ class CasRllscAlg {
 
   /// VL(O) — lines 12–13.
   Sub<bool> vl(int pid) {
-    const Word cur = co_await Env::cas_read(cell_);
-    co_return util::test_bit(cur.ctx, bit(pid));
+    return Env::template lift<Sub<bool>>(
+        Env::cas_read(cell_),
+        [pid](const Word& cur) { return util::test_bit(cur.ctx, bit(pid)); });
   }
 
   /// SC(O, new) — lines 7–11: succeeds iff the caller is still linked.
@@ -178,14 +181,14 @@ class CasRllscAlg {
 
   /// Load(O) — lines 21–22.
   Sub<V> load() {
-    const Word cur = co_await Env::cas_read(cell_);
-    co_return cur.value;
+    return Env::template lift<Sub<V>>(
+        Env::cas_read(cell_), [](const Word& cur) { return cur.value; });
   }
 
   /// Store(O, new) — lines 23–24: unconditional, resets the context.
   Sub<bool> store(V desired) {
-    const bool done = co_await Env::cas_write(cell_, Word{desired, 0});
-    co_return done;
+    return Env::template lift<Sub<bool>>(
+        Env::cas_write(cell_, Word{desired, 0}), [](bool done) { return done; });
   }
 
   // Observer-side introspection (not steps): abstract state of the R-LLSC

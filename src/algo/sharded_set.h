@@ -8,7 +8,7 @@
 // count, placement), all fixed at construction — so every operation on key
 // k touches exactly one shard, and distinct keys mapped to distinct shards
 // commute at the abstract level. Each facade operation IS the underlying
-// shard operation (the facade forwards the shard's Op coroutine without
+// shard operation (the facade forwards the shard's Op task without
 // adding a step), so it linearizes at that operation's single primitive
 // step; any interleaving of facade operations linearizes by the total order
 // of those per-shard primitive steps.
@@ -157,11 +157,12 @@ class ShardedHiSet {
     return lookup(op.value);
   }
 
-  // Facade operations forward the owning shard's Op coroutine WITHOUT a
+  // Facade operations forward the owning shard's Op task WITHOUT a
   // wrapper coroutine: zero extra frames, zero extra steps — an operation
   // on the sharded store costs exactly what it costs on the single set
-  // (one primitive), which is what keeps the rt rows allocation-free and
-  // the linearization-point argument trivial.
+  // (one primitive, and on RtEnv no frame at all: HiSetAlg lifts it with
+  // Env::lift), which is what keeps the rt rows allocation-free and the
+  // linearization-point argument trivial.
 
   /// Insert(k): one blind fetch_or in shard shard_of(k).
   Op<bool> insert(std::uint32_t key) {

@@ -71,12 +71,15 @@
 // traffic: one atomic per failed low-level retry, on both backends.
 //
 // Frame discipline: apply() forwards to apply_read_only/apply_update by
-// returning the callee's task (no extra coroutine frame), and the helper
-// chain below an apply — the cell's LL/SC/RL Subs and the response_ready /
-// head_clear_of poll Subs spawned once per ‖-poll — is at most three frames
-// deep. On RtEnv all of them recycle through the per-thread frame arena
-// (env/rt_env.h): an update operation performs zero steady-state heap
-// allocations however much helping it does.
+// returning the callee's task (no extra coroutine frame). The single-await
+// bodies — apply_read_only, announce_only and the response_ready /
+// head_clear_of polls run once per ‖-poll — are lifted by Env::lift
+// (env/env.h), so on RtEnv they open no frame: a read-only apply is one
+// 16-byte load and no frame at all. Below an update's own frame, the
+// helper chain is one frame deep — the cell's LL/SC/RL coroutines — and
+// recycles through the per-thread frame arena (env/rt_env.h): an update
+// operation performs zero steady-state heap allocations however much
+// helping it does.
 #pragma once
 
 #include <array>
@@ -274,8 +277,11 @@ class UniversalAlg {
   /// never collects the response.
   OpT<bool> announce_only(int pid, Op op) {
     assert(pid >= 0 && pid < n_);
-    co_await announce_[pid].store(Codec::announce_op(spec_.encode_op(op)));
-    co_return true;
+    return Env::template lift<OpT<bool>>(
+        [this, pid, op] {
+          return announce_[pid].store(Codec::announce_op(spec_.encode_op(op)));
+        },
+        [](bool) { return true; });
   }
 
   /// ApplyReadOnly (lines 1–3): Load head, evaluate Δ locally, return.
@@ -283,12 +289,15 @@ class UniversalAlg {
   OpT<Resp> apply_read_only(int pid, Op op) {
     assert(pid >= 0 && pid < n_);
     (void)pid;
-    const V raw = co_await head_.load();  // line 1
-    const HeadView view = Codec::decode_head(raw);
-    const auto [state_after, rsp] =
-        spec_.apply(spec_.decode_state(view.state), op);  // line 2
-    (void)state_after;
-    co_return rsp;  // line 3
+    return Env::template lift<OpT<Resp>>(
+        [this] { return head_.load(); },  // line 1
+        [this, op](const V& raw) {
+          const HeadView view = Codec::decode_head(raw);
+          const auto [state_after, rsp] =
+              spec_.apply(spec_.decode_state(view.state), op);  // line 2
+          (void)state_after;
+          return rsp;  // line 3
+        });
   }
 
   /// Apply (lines 4–29): announce, help/apply until a response appears in
@@ -517,15 +526,16 @@ class UniversalAlg {
  private:
   /// 6R.1 / 18R.1: has my response been published in announce[pid]?
   SubT<bool> response_ready(int pid) {
-    const V v = co_await announce_[pid].load();
-    co_return Codec::is_resp(v);
+    return Env::template lift<SubT<bool>>(
+        announce_[pid].load(), [](const V& v) { return Codec::is_resp(v); });
   }
 
   /// 25R.1: head no longer holds ⟨_, ⟨_, pid⟩⟩?
   SubT<bool> head_clear_of(int pid) {
-    const V v = co_await head_.load();
-    const HeadView view = Codec::decode_head(v);
-    co_return !(view.has_response && view.pid == pid);
+    return Env::template lift<SubT<bool>>(head_.load(), [pid](const V& v) {
+      const HeadView view = Codec::decode_head(v);
+      return !(view.has_response && view.pid == pid);
+    });
   }
 
   const S& spec_;

@@ -211,9 +211,11 @@ class HelpQueue {
 
   /// Repair a lagging head pointer (peek() reported `stale`) — 1 step.
   Sub<bool> advance_head(std::uint64_t index) {
-    const algo::CasResult<std::uint64_t> moved =
-        co_await Env::cas_word(ctl_, kHead, index, index + 1);
-    co_return moved.installed;
+    return Env::template lift<Sub<bool>>(
+        Env::cas_word(ctl_, kHead, index, index + 1),
+        [](const algo::CasResult<std::uint64_t>& moved) {
+          return moved.installed;
+        });
   }
 
   // ---- observer side (never a step) ----
@@ -511,8 +513,9 @@ class WaitFreeSimHiAlg : public SwsrRoles {
   Op<std::uint32_t> read(int pid) {
     assert(pid != writer_pid() && pid >= 0 &&
            pid < sim_.num_processes() && "wrong role: p_w may not read");
-    const std::uint64_t got = co_await sim_.run(pid, Inner::encode_read());
-    co_return static_cast<std::uint32_t>(got);
+    return Env::template lift<Op<std::uint32_t>>(
+        [this, pid] { return sim_.run(pid, Inner::encode_read()); },
+        [](std::uint64_t got) { return static_cast<std::uint32_t>(got); });
   }
 
   /// Write by process `pid` — Alg 2's write is already wait-free, so it runs
@@ -520,9 +523,11 @@ class WaitFreeSimHiAlg : public SwsrRoles {
   Op<std::uint32_t> write(int pid, std::uint32_t value) {
     assert_writer(pid);
     assert(value >= 1 && value <= num_values_);
-    const std::uint64_t got =
-        co_await sim_.run_direct(pid, Inner::encode_write(value));
-    co_return static_cast<std::uint32_t>(got);
+    return Env::template lift<Op<std::uint32_t>>(
+        [this, pid, value] {
+          return sim_.run_direct(pid, Inner::encode_write(value));
+        },
+        [](std::uint64_t got) { return static_cast<std::uint32_t>(got); });
   }
 
   /// Memory image: the inner A bins (one byte per bin, like every register

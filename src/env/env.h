@@ -14,6 +14,13 @@
 //                               On hardware they are EagerTask: no awaitable
 //                               ever suspends, so the coroutine runs to
 //                               completion synchronously inside the call;
+//   lift<Task>(source, fn)    — a body that is ONE awaited primitive (or
+//                               Sub) plus local computation, as a Task:
+//                               the one-await coroutine itself in the
+//                               simulator; on hardware, where the primitive
+//                               already ran at its call, a frameless
+//                               EagerTask::ready(fn(result)) — no coroutine
+//                               frame, no arena traffic;
 //   BinArray + read_bit/write_bit/peek_bit
 //                             — an array of binary (Boolean) registers, the
 //                               small base objects of the §4/§5.1 algorithms;
@@ -57,6 +64,7 @@
 #pragma once
 
 #include <cassert>
+#include <concepts>
 #include <coroutine>
 #include <cstdint>
 #include <span>
@@ -115,6 +123,28 @@ struct [[nodiscard]] Done {
 template <typename T>
 auto ready(T value) {
   return Done<T>{std::move(value)};
+}
+
+/// The source of an Env::lift: an awaitable, or a nullary callable that
+/// builds one. The callable form exists for a lifted Op that awaits a Sub:
+/// a scheduler-driven Op starts lazily, while a Sub starts eagerly where it
+/// is built, so the Sub must be built inside the Op's first resume — as it
+/// is in a coroutine body — not at the call that makes the Op.
+template <typename Source>
+concept DeferredSource = std::invocable<Source&>;
+
+/// Env::lift for the scheduler-driven backends (SimEnv, ReplayEnv): a
+/// one-await coroutine, the body as it would be written by hand, so the
+/// step sequence is the source's own.
+template <typename Task, typename Source, typename Fn>
+Task lift_await(Source source, Fn fn) {
+  if constexpr (DeferredSource<Source>) {
+    auto result = co_await source();
+    co_return fn(std::move(result));
+  } else {
+    auto result = co_await std::move(source);
+    co_return fn(std::move(result));
+  }
 }
 
 }  // namespace detail
@@ -447,6 +477,10 @@ concept ExecutionEnv = requires {
   typename E::template Op<int>;
   typename E::template Sub<int>;
   E::relax();
+  {
+    E::template lift<typename E::template Op<int>>(detail::ready(0),
+                                                   [](int v) { return v; })
+  } -> std::same_as<typename E::template Op<int>>;
 };
 
 }  // namespace hi::env

@@ -237,6 +237,12 @@ struct ReplayEnv {
   template <typename T>
   using Sub = sim::SubTask<T>;
 
+  /// env.h "lift": the one-await coroutine, exactly as in SimEnv.
+  template <typename Task, typename Source, typename Fn>
+  static Task lift(Source source, Fn fn) {
+    return detail::lift_await<Task>(std::move(source), std::move(fn));
+  }
+
   // ---- binary registers (the §4/§5.1 base objects) ----
 
   using BinArray = std::vector<ReplayBinaryRegister*>;

@@ -23,7 +23,9 @@
 // GCC rarely elides the coroutine frame, so without help every
 // operation/helper call would pay one heap allocation; instead EagerTask's
 // promise allocates its frame from a per-thread FrameArena (below), making
-// the steady-state hot path allocation-free. The arena lifecycle rules are
+// the steady-state hot path allocation-free. A body that is a single
+// primitive skips the frame altogether: RtEnvT::lift returns a frameless
+// EagerTask::ready holding the result. The arena lifecycle rules are
 // documented in docs/ENV.md; tests/test_rt_alloc.cpp enforces the zero and
 // perfbench reports it as env.allocs_per_op (docs/PERF.md).
 #pragma once
@@ -80,13 +82,15 @@ class FrameArena {
   static constexpr std::size_t kGranule = 64;
   static constexpr std::size_t kBuckets = 64;
   static constexpr std::size_t kMaxCachedBytes = kGranule * kBuckets;  // 4 KiB
-  // Buckets 0..kPrewarmBuckets-1 (frame sizes up to 1 KiB) start with
-  // kPrewarmDepth slabs parked at construction — i.e. at each thread's
-  // FIRST EagerTask, inside any workload's warmup. Every algo coroutine in
-  // this codebase frames at 80–560 bytes with nesting depth ≤ 4, so after
-  // prewarm the steady state is DETERMINISTICALLY allocation-free: even a
-  // contention path first reached mid-measurement (a helping chain's
-  // deepest frame combination) pops a reserved slab instead of minting.
+  // Buckets 0..kPrewarmBuckets-1 (frame sizes up to 1 KiB) get
+  // kPrewarmDepth slabs parked at the thread's FIRST minted slab — inside
+  // any workload's warmup that opens a frame at all; a thread whose ops
+  // are all frameless (RtEnvT::lift) never mints and never prewarms. Every
+  // algo coroutine in this codebase frames at 80–560 bytes with nesting
+  // depth ≤ 4, so after prewarm the steady state is DETERMINISTICALLY
+  // allocation-free: even a contention path first reached mid-measurement
+  // (a helping chain's deepest frame combination) pops a reserved slab
+  // instead of minting.
   static constexpr std::size_t kPrewarmBuckets = 16;
   static constexpr std::size_t kPrewarmDepth = 8;
 
@@ -99,7 +103,7 @@ class FrameArena {
   };
 
   /// The calling thread's arena (constructed on first use, drained at
-  /// thread exit).
+  /// thread exit). Construction allocates nothing.
   static FrameArena& local() noexcept {
     static thread_local FrameArena arena;
     return arena;
@@ -112,6 +116,7 @@ class FrameArena {
       ++stats_.oversize;
       return ::operator new(bytes);
     }
+    if (free_[bucket] == nullptr && !prewarmed_) prewarm();
     if (void* slab = free_[bucket]) {
       free_[bucket] = *static_cast<void**>(slab);
       ++stats_.reuse_hits;
@@ -156,7 +161,11 @@ class FrameArena {
   ~FrameArena() { drain(); }
 
  private:
-  FrameArena() {
+  FrameArena() = default;
+
+  /// Parks the reserve; runs once per thread, at its first bucket miss.
+  void prewarm() {
+    prewarmed_ = true;
     for (std::size_t bucket = 0; bucket < kPrewarmBuckets; ++bucket) {
       for (std::size_t i = 0; i < kPrewarmDepth; ++i) {
         void* slab = ::operator new((bucket + 1) * kGranule);
@@ -174,6 +183,7 @@ class FrameArena {
 
   std::array<void*, kBuckets> free_{};
   Stats stats_{};
+  bool prewarmed_ = false;
 };
 
 /// Coroutine type for RtEnv operations and helpers. Eagerly started; since
@@ -181,6 +191,10 @@ class FrameArena {
 /// time the caller holds the task. `get()` extracts the result
 /// synchronously; the awaiter interface lets EagerTasks nest inside other
 /// EagerTasks exactly where sim::SubTasks nest inside sim::OpTasks.
+///
+/// `ready(value)` makes a FRAMELESS task that just holds its value: what
+/// RtEnvT::lift returns for a single-primitive body, whose primitive has
+/// already run by the time the task exists.
 ///
 /// Frames come from the per-thread FrameArena via the class-level
 /// operator new/delete on the promise: nested helper frames (an Op awaiting
@@ -214,12 +228,16 @@ class [[nodiscard]] EagerTask {
 
   explicit EagerTask(std::coroutine_handle<promise_type> handle)
       : handle_(handle) {}
+  /// A completed task with no coroutine frame behind it.
+  static EagerTask ready(T value) { return EagerTask(std::move(value)); }
   EagerTask(EagerTask&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)) {}
+      : handle_(std::exchange(other.handle_, nullptr)),
+        value_(std::move(other.value_)) {}
   EagerTask& operator=(EagerTask&& other) noexcept {
     if (this != &other) {
       destroy();
       handle_ = std::exchange(other.handle_, nullptr);
+      value_ = std::move(other.value_);
     }
     return *this;
   }
@@ -235,8 +253,14 @@ class [[nodiscard]] EagerTask {
   T get() { return take(); }
 
  private:
+  explicit EagerTask(T value) : value_(std::move(value)) {}
+
   T take() {
-    assert(handle_ && handle_.done() && "RtEnv coroutines complete eagerly");
+    if (!handle_) {
+      assert(value_.has_value() && "a task is consumed once");
+      return std::move(*value_);
+    }
+    assert(handle_.done() && "RtEnv coroutines complete eagerly");
     if (handle_.promise().error) {
       std::rethrow_exception(handle_.promise().error);
     }
@@ -252,6 +276,7 @@ class [[nodiscard]] EagerTask {
   }
 
   std::coroutine_handle<promise_type> handle_{};
+  std::optional<T> value_;  // the result of a frameless (ready) task
 };
 
 /// The probe with an empty body: RtEnvT<NoProbe> (= RtEnv) compiles every
@@ -290,6 +315,21 @@ struct RtEnvT {
   using Op = EagerTask<T>;
   template <typename T>
   using Sub = EagerTask<T>;
+
+  /// A single-primitive body as a frameless task (env.h "lift"): the
+  /// source's primitive already ran at its call (execute-at-call), and an
+  /// awaited Sub has already completed, so the result is taken here and no
+  /// coroutine frame is opened. Nothing crosses an await transform, so the
+  /// GCC 12 hazard of detail::Done cannot arise either.
+  template <typename Task, typename Source, typename Fn>
+  static Task lift(Source source, Fn fn) {
+    if constexpr (detail::DeferredSource<Source>) {
+      return lift<Task>(source(), std::move(fn));
+    } else {
+      assert(source.await_ready() && "RtEnv awaitables never suspend");
+      return Task::ready(fn(source.await_resume()));
+    }
+  }
 
   // ---- binary registers (the §4/§5.1 base objects) ----
   //

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/values.h"
@@ -32,6 +33,13 @@ struct SimEnv {
   using Op = sim::OpTask<T>;
   template <typename T>
   using Sub = sim::SubTask<T>;
+
+  /// One awaited primitive (or Sub) plus local computation (env.h "lift"):
+  /// the one-await coroutine, so one scheduler resume is still one step.
+  template <typename Task, typename Source, typename Fn>
+  static Task lift(Source source, Fn fn) {
+    return detail::lift_await<Task>(std::move(source), std::move(fn));
+  }
 
   // ---- binary registers (the §4/§5.1 base objects) ----
 

@@ -1,9 +1,10 @@
 // Algorithm 6 (algo/rllsc.h) on real hardware with a synchronous call
 // surface: lock-free perfect-HI releasable LL/SC over a single 16-byte
 // atomic CAS word (value + context bitmask, CMPXCHG16B via -mcx16). Every
-// call consumes its EagerTask on the calling thread, so the coroutine
-// frames recycle through that thread's FrameArena — LL/SC/RL cost their
-// atomics and zero steady-state heap allocations (tests/test_rt_alloc.cpp).
+// call consumes its EagerTask on the calling thread: the LL/SC/RL retry
+// loops' coroutine frames recycle through that thread's FrameArena, and
+// VL/Load/Store are frameless lifted tasks — every call costs its atomics
+// and zero steady-state heap allocations (tests/test_rt_alloc.cpp).
 // Other callers name algo::CasRllscAlg<env::RtEnv> and call .get().
 #pragma once
 

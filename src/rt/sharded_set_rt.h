@@ -1,10 +1,11 @@
 // The sharded perfect-HI store (algo/sharded_set.h) on real hardware with a
 // synchronous call surface: every membership operation is one seq_cst
 // atomic access to one word of one shard. Each call consumes the owning
-// shard's single-frame coroutine on the calling thread, so that thread's
-// FrameArena recycles the frame and steady-state insert/remove/lookup never
-// touch the heap (tests/test_rt_alloc.cpp). Other callers may name
-// algo::ShardedHiSetPacked<env::RtEnv> and call .get().
+// shard's frameless ready task (HiSetAlg lifts every membership operation
+// with Env::lift), so insert/remove/lookup open no coroutine frame and
+// never touch the heap; the audit's per-shard scan frames recycle through
+// the calling thread's FrameArena (tests/test_rt_alloc.cpp). Other callers
+// may name algo::ShardedHiSetPacked<env::RtEnv> and call .get().
 #pragma once
 
 #include <cstddef>

@@ -7,9 +7,10 @@
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
 //
 // apply() consumes the algorithm's EagerTask on the calling thread; the
-// whole helper chain underneath (cell LL/SC/RL Subs, poll Subs) recycles
-// through that thread's FrameArena, so an operation — however much helping
-// it performs — makes zero steady-state heap allocations
+// update path's frames (its own and the cell LL/SC/RL Subs beneath it)
+// recycle through that thread's FrameArena, while read-only applies and
+// the polls are frameless lifted tasks — so an operation, however much
+// helping it performs, makes zero steady-state heap allocations
 // (tests/test_rt_alloc.cpp).
 #pragma once
 

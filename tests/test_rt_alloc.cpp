@@ -25,8 +25,11 @@
 #include "algo/leaky_universal.h"
 #include "algo/max_register.h"
 #include "algo/registers.h"
+#include "algo/rllsc.h"
+#include "algo/universal.h"
 #include "algo/wait_free_sim.h"
 #include "env/rt_env.h"
+#include "env/sim_env.h"
 #include "replay/replay_objects.h"
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
@@ -55,14 +58,30 @@ TEST(FrameArena, PrewarmedBucketsNeverTouchTheHeap) {
   // been drained or churned by other tests (order independence).
   std::atomic<int> violations{0};
   std::thread probe([&violations] {
+    constexpr std::uint64_t kReserve =
+        env::FrameArena::kPrewarmBuckets * env::FrameArena::kPrewarmDepth;
+    // Constructing the arena and reading its books allocate nothing.
+    const util::AllocTally cold;
     env::FrameArena& arena = env::FrameArena::local();
+    const auto fresh = arena.stats();
+    if (cold.allocs() != 0) ++violations;
+    if (fresh.fresh_slabs != 0 || fresh.cached != 0) ++violations;
+    // The first mint parks the whole reserve, every slab counted as fresh,
+    // and serves the request from it.
+    void* first = arena.allocate(256);
+    if (first == nullptr) ++violations;
+    arena.deallocate(first, 256);
     const auto before = arena.stats();
-    // Construction parked kPrewarmDepth slabs in every prewarmed bucket,
-    // so even the FIRST allocation of a prewarmed size is a reuse hit.
+    if (cold.allocs() != kReserve) ++violations;
+    if (before.fresh_slabs != kReserve) ++violations;
+    if (before.cached != kReserve) ++violations;
+    if (before.reuse_hits != 1) ++violations;
+    // After that, a prewarmed-size allocation is a reuse hit that never
+    // touches the heap.
     const util::AllocTally tally;
-    void* slab = arena.allocate(256);
+    void* slab = arena.allocate(1024);
     if (slab == nullptr) ++violations;
-    arena.deallocate(slab, 256);
+    arena.deallocate(slab, 1024);
     if (tally.allocs() != 0) ++violations;
     const auto after = arena.stats();
     if (after.fresh_slabs != before.fresh_slabs) ++violations;
@@ -74,6 +93,9 @@ TEST(FrameArena, PrewarmedBucketsNeverTouchTheHeap) {
 
 TEST(FrameArena, RecyclesSameBucket) {
   env::FrameArena& arena = env::FrameArena::local();
+  // Park the first-mint reserve before the books are read (a reuse hit if
+  // this thread has minted already), so they see only this test's slab.
+  arena.deallocate(arena.allocate(64), 64);
   const auto before = arena.stats();
 
   // 2048 bytes lands beyond the prewarmed buckets: the first allocation
@@ -312,6 +334,107 @@ TEST(RtAllocSteadyState, LeakyUniversal) {
   EXPECT_EQ(0u, steady_state_allocs([&](int) {
               (void)object.apply(0, spec::CounterSpec::inc()).get();
             }));
+}
+
+// ---- Lifted single-primitive ops: no frame on RtEnv, one step elsewhere ----
+
+// Env::lift (env/env.h) turns a body that is one awaited primitive plus
+// local computation into a frameless ready task on RtEnv. The frame count
+// is perfbench's env.frames_per_op numerator: fresh mints + reuse hits +
+// oversize pass-throughs; each lifted op must add exactly 0.
+
+std::uint64_t arena_frames() {
+  const auto s = env::FrameArena::local().stats();
+  return s.fresh_slabs + s.reuse_hits + s.oversize;
+}
+
+/// Frames the calling thread's arena handed out while `op` ran.
+template <typename Fn>
+std::uint64_t frames_of(Fn op) {
+  const std::uint64_t before = arena_frames();
+  op();
+  return arena_frames() - before;
+}
+
+TEST(RtLiftedOps, OpenNoFrame) {
+  algo::HiSetAlg<RtEnv, Packed> set(RtEnv::Ctx{}, spec::SetSpec(64));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(set.insert(5).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(set.lookup(5).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(set.remove(5).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_FALSE(set.lookup(5).get()); }));
+
+  algo::CasRllscAlg<RtEnv> cell(RtEnv::Ctx{}, "X", 7);
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.store(9).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_EQ(cell.load().get(), 9u); }));
+  EXPECT_EQ(cell.ll(0).get(), 9u);  // a retry loop: this one has a frame
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.vl(0).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_FALSE(cell.vl(1).get()); }));
+
+  const spec::CounterSpec spec(0xffffff, 0);
+  algo::UniversalAlg<RtEnv, spec::CounterSpec, algo::CasRllscAlg<RtEnv>>
+      object(RtEnv::Ctx{}, spec, 2);
+  (void)object.apply(0, spec::CounterSpec::inc()).get();
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_EQ(object.apply_read_only(1, spec::CounterSpec::read())
+                            .get(),
+                        1u);
+            }));
+  // apply() forwards a read-only op to the same frameless task.
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_EQ(object.apply(0, spec::CounterSpec::read()).get(), 1u);
+            }));
+}
+
+/// Runs `task` solo as process `pid`; returns the steps it took and stores
+/// its response in `result`.
+template <typename T>
+std::uint64_t solo_steps(sim::Scheduler& sched, int pid, sim::OpTask<T> task,
+                         T& result) {
+  const std::uint64_t before = sched.steps_of(pid);
+  result = sim::run_solo(sched, pid, std::move(task));
+  return sched.steps_of(pid) - before;
+}
+
+template <typename E>
+class LiftedOpSteps : public ::testing::Test {};
+using SchedulerDrivenEnvs = ::testing::Types<env::SimEnv, env::ReplayEnv>;
+TYPED_TEST_SUITE(LiftedOpSteps, SchedulerDrivenEnvs);
+
+// The same ops on the scheduler-driven backends: lift is the one-await
+// coroutine there, so each still takes exactly one step.
+TYPED_TEST(LiftedOpSteps, OneStepEach) {
+  using E = TypeParam;
+  sim::Memory memory;
+  sim::Scheduler sched(2);
+
+  algo::HiSetAlg<E, env::PackedBins<E>> set(memory, spec::SetSpec(64));
+  bool found = false;
+  EXPECT_EQ(1u, solo_steps(sched, 0, set.insert(5), found));
+  EXPECT_EQ(1u, solo_steps(sched, 1, set.lookup(5), found));
+  EXPECT_TRUE(found);
+  EXPECT_EQ(1u, solo_steps(sched, 0, set.remove(5), found));
+  EXPECT_EQ(1u, solo_steps(sched, 1, set.lookup(5), found));
+  EXPECT_FALSE(found);
+
+  using R = spec::RllscSpec;
+  algo::CasRllscAlg<E> cell(memory, "X", typename E::Value{});
+  R::Resp resp;
+  EXPECT_EQ(1u, solo_steps(sched, 0, cell.apply(0, R::store(0, 9)), resp));
+  EXPECT_EQ(1u, solo_steps(sched, 0, cell.apply(0, R::load(0)), resp));
+  EXPECT_EQ(resp.value, 9u);
+  (void)sim::run_solo(sched, 0, cell.apply(0, R::ll(0)));
+  EXPECT_EQ(1u, solo_steps(sched, 0, cell.apply(0, R::vl(0)), resp));
+  EXPECT_TRUE(resp.flag);
+
+  const spec::CounterSpec spec(0xffffff, 0);
+  algo::UniversalAlg<E, spec::CounterSpec, algo::CasRllscAlg<E>> object(
+      memory, spec, 2);
+  (void)sim::run_solo(sched, 0, object.apply(0, spec::CounterSpec::inc()));
+  std::uint32_t count = 0;
+  EXPECT_EQ(1u, solo_steps(sched, 1,
+                           object.apply_read_only(1, spec::CounterSpec::read()),
+                           count));
+  EXPECT_EQ(count, 1u);
 }
 
 // ---- ReplayEnv exemption: suspending frames are heap-backed BY DESIGN ----

@@ -16,6 +16,7 @@
 
 #include "algo/leaky_universal.h"
 #include "env/rt_env.h"
+#include "fuzz_common.h"
 #include "rt/baselines_rt.h"
 #include "rt/rllsc_rt.h"
 #include "rt/universal_rt.h"
@@ -90,13 +91,18 @@ TEST(RtUniversal, IncDecRoundsStayExact) {
   // once compiled the ll_interleaved retry loop so that a retry's expected
   // word lagged one attempt behind, and a stale CAS succeeded when head's
   // value recurred. Decrements make values recur, so every round must land
-  // exactly on rounds × threads × (incs − decs). A lost or repeated
-  // operation breaks the count; a hang trips the stall watchdog, which
-  // aborts the binary rather than leaving ctest to wait for its timeout.
+  // exactly on rounds × threads × (incs − decs), and every round must end
+  // in the quiescent image: contexts empty, announce ≡ ⊥, head in mode A.
+  // The response_ready poll inside that retry loop is a frameless lifted
+  // task on RtEnv, so the loop's code generation is exercised here too. A
+  // lost or repeated operation breaks the count; a hang trips the stall
+  // watchdog, which aborts the binary rather than leaving ctest to wait for
+  // its timeout. HI_RT_INCDEC_ROUNDS raises the round count (the nightly
+  // soak runs 200).
   constexpr int kThreads = 4;
   constexpr int kIncs = 5000;
   constexpr int kDecs = 1250;
-  constexpr int kRounds = 12;
+  const int kRounds = testing::env_int_knob("HI_RT_INCDEC_ROUNDS", 12);
   constexpr auto kStall = std::chrono::seconds(20);
   const CounterSpec spec(1u << 24, 0);
   for (const bool combine : {false, true}) {
@@ -141,6 +147,14 @@ TEST(RtUniversal, IncDecRoundsStayExact) {
       ASSERT_EQ(object.head_state_encoded(),
                 static_cast<std::uint64_t>(round) * kThreads * (kIncs - kDecs))
           << "combine=" << combine << " round " << round;
+      ASSERT_EQ(object.context_union(), 0u)
+          << "combine=" << combine << " round " << round;
+      ASSERT_FALSE(object.head_has_response())
+          << "combine=" << combine << " round " << round;
+      for (int pid = 0; pid < kThreads; ++pid) {
+        ASSERT_TRUE(object.announce_is_bottom(pid))
+            << "combine=" << combine << " round " << round << " pid " << pid;
+      }
     }
   }
 }
