@@ -16,7 +16,9 @@
 // and wait-free. Each operation is one primitive plus local computation,
 // lifted into its Op by Env::lift (env/env.h): a one-await coroutine in the
 // simulator, and on RtEnv a frameless ready task, so the hardware cost is
-// the one atomic access and no coroutine frame at all.
+// the one atomic access and no coroutine frame at all. The packed audit is
+// one Env::lift_each over its word loads, so on RtEnv it opens no frame
+// either.
 #pragma once
 
 #include <array>
@@ -98,8 +100,9 @@ class HiSetAlg {
   }
 
   /// Every member, ascending, passed to `emit` — Bins::scan_members
-  /// forwarded without an extra coroutine frame: one word load per word
-  /// when packed, one bit read per bin when padded. The building block of
+  /// forwarded without an extra task: one word load per word when packed
+  /// (on RtEnv a frameless Env::lift_each loop), one bit read per bin when
+  /// padded. Returns the number of members emitted. The building block of
   /// snapshot_members and of the sharded facade's audit (algo/sharded_set.h).
   template <typename Emit>
   typename Env::template Sub<std::uint32_t> scan_members(Emit emit) {
@@ -112,16 +115,13 @@ class HiSetAlg {
   /// snapshot: it observes every concurrently-quiescent member and
   /// linearizes per word (members sharing a word come from one load).
   /// Appends to `out` (caller reserves capacity to keep rt paths
-  /// allocation-free); returns out.size().
+  /// allocation-free); returns the number of members this call appended.
   Op<std::uint32_t> snapshot_members(std::vector<std::uint32_t>& out) {
     return Env::template lift<Op<std::uint32_t>>(
         [this, &out] {
-          return Bins::scan_members(
-              s_, [&out](std::uint32_t v) { out.push_back(v); });
+          return scan_members([&out](std::uint32_t v) { out.push_back(v); });
         },
-        [&out](std::uint32_t) {
-          return static_cast<std::uint32_t>(out.size());
-        });
+        [](std::uint32_t found) { return found; });
   }
 
   /// Observer-side memory image (S[1..t]); never a step of the model.

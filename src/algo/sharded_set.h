@@ -185,15 +185,23 @@ class ShardedHiSet {
   /// member of a word taken from that one load. Appends GLOBAL keys to
   /// `out`, per-shard ascending: globally sorted under kBlocked,
   /// interleaved across shards under kStriped. Per-word linearized, not an
-  /// atomic snapshot (Thm 17 caveat in the header comment). Caller reserves
-  /// `out` capacity to keep rt paths allocation-free.
+  /// atomic snapshot (Thm 17 caveat in the header comment). Returns the
+  /// number of members this call appended. Caller reserves `out` capacity
+  /// to keep rt paths allocation-free.
+  ///
+  /// An Env::lift_each over the shards: shard s's scan is built by the
+  /// source when step s runs, inside the Op's own resume in the simulator
+  /// (a Sub starts where it is built). On RtEnv every scan is itself a
+  /// frameless lift_each, so the whole audit opens no frame.
   Op<std::uint32_t> snapshot_members(std::vector<std::uint32_t>& out) {
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      co_await shards_[s].scan_members([this, &out, s](std::uint32_t v) {
-        out.push_back(global_key(s, v));
-      });
-    }
-    co_return static_cast<std::uint32_t>(out.size());
+    return Env::template lift_each<Op<std::uint32_t>>(
+        shard_count_,
+        [this, &out](std::uint32_t s) {
+          return shards_[s].scan_members([this, &out, s](std::uint32_t v) {
+            out.push_back(global_key(s, v));
+          });
+        },
+        env::Total<std::uint32_t>{});
   }
 
   // ---- the shard map: pure functions of (key, construction parameters) ----

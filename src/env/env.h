@@ -21,6 +21,15 @@
 //                               already ran at its call, a frameless
 //                               EagerTask::ready(fn(result)) — no coroutine
 //                               frame, no arena traffic;
+//   lift_each<Task>(count, source, sink)
+//                             — a body of `count` independent primitives
+//                               (or Subs): step i awaits source(i), and
+//                               sink(i, result) consumes the results in
+//                               order; the task's value is sink.done(). A
+//                               coroutine awaiting each step in the
+//                               simulator; on hardware a plain loop over
+//                               the same primitive calls returning
+//                               Task::ready(sink.done()) — no frame;
 //   BinArray + read_bit/write_bit/peek_bit
 //                             — an array of binary (Boolean) registers, the
 //                               small base objects of the §4/§5.1 algorithms;
@@ -63,6 +72,7 @@
 // stress tests plus hardware benchmarks from the RtEnv instantiation.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <concepts>
 #include <coroutine>
@@ -147,7 +157,29 @@ Task lift_await(Source source, Fn fn) {
   }
 }
 
+/// Env::lift_each for the scheduler-driven backends: awaits source(0),
+/// source(1), … in turn, each built inside the resume that awaits it, and
+/// hands each result to sink(i, result) — the loop as it would be written
+/// by hand, so the step sequence is the sources' own.
+template <typename Task, typename Source, typename Sink>
+Task lift_each_await(std::uint32_t count, Source source, Sink sink) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto result = co_await source(i);
+    sink(i, std::move(result));
+  }
+  co_return sink.done();
+}
+
 }  // namespace detail
+
+/// A lift_each sink that sums the steps' results.
+template <typename T>
+struct Total {
+  T total{};
+
+  void operator()(std::uint32_t, T value) { total += value; }
+  T done() const { return total; }
+};
 
 // ---------------------------------------------------------------------------
 // Bin-array layouts and the word-scan library.
@@ -192,10 +224,13 @@ Task lift_await(Source source, Fn fn) {
 //   clear_down(a, from) `from` bit writes         1 fetch_and per word
 //   clear_up(a, from)   size-from+1 bit writes    1 fetch_and per word
 //
-// The scans are Sub coroutines (multi-step operations built from one-step
+// The scans are Subs (multi-step operations built from one-step
 // primitives), so the simulator explores every interleaving point between
 // word accesses and the explorer/replay suites model-check the packed
-// granularity like any other primitive sequence.
+// granularity like any other primitive sequence. PackedBins::scan_members
+// is an Env::lift_each over its word loads: the same one-await-per-word
+// coroutine on the scheduler-driven backends, a frameless loop on RtEnvT.
+// The decode between loads is local computation and costs no step.
 // ---------------------------------------------------------------------------
 
 /// The padded-per-bit layout: delegates to the environment's BinArray
@@ -389,21 +424,15 @@ struct PackedBins {
 
   /// Every set bin, ascending, passed to `emit` — exactly one word load per
   /// word, whatever the membership: each member is extracted from the one
-  /// loaded value (TZCNT, then clear the lowest set bit), so all members
-  /// sharing a word come from one atomic observation. Returns the number of
-  /// bins emitted.
+  /// loaded value, so all members sharing a word come from one atomic
+  /// observation. Returns the number of bins emitted. An Env::lift_each
+  /// over the loads, decoded by MemberSink (below).
   template <typename Emit>
   static Sub<std::uint32_t> scan_members(Array& a, Emit emit) {
-    const std::uint32_t nwords = Env::packed_words(a);
-    std::uint32_t found = 0;
-    for (std::uint32_t w = 0; w < nwords; ++w) {
-      std::uint64_t word = co_await Env::load_packed_word(a, w);
-      for (; word != 0; word &= word - 1) {
-        emit(w * 64 + util::lowest_set(word) + 1);
-        ++found;
-      }
-    }
-    co_return found;
+    return Env::template lift_each<Sub<std::uint32_t>>(
+        Env::packed_words(a),
+        [&a](std::uint32_t w) { return Env::load_packed_word(a, w); },
+        MemberSink<Emit>{std::move(emit)});
   }
 
   /// A[from..1] ← 0 — ONE masked fetch_and per word, descending: the word
@@ -437,6 +466,45 @@ struct PackedBins {
   static std::size_t footprint_bytes(const Array& a) {
     return Env::packed_storage_bytes(a);
   }
+
+ private:
+  /// scan_members' decode, kept branch-light because most words of a
+  /// sparse set are zero and a per-word `word != 0` branch mispredicts.
+  /// Each word makes one unconditional slot write — its lowest member, or
+  /// a junk entry (bit 63 of the zero word) that `n` does not count — and
+  /// only words with two or more members loop. Pending members flush to
+  /// `emit`, in order, once n ≥ kFlushAt, so fewer than kFlushAt wait
+  /// between words and at most kFlushAt − 1 + 64 = 127 are ever pending:
+  /// `slot` never overflows.
+  template <typename Emit>
+  struct MemberSink {
+    static constexpr std::uint32_t kFlushAt = 64;
+
+    Emit emit;
+    std::uint32_t found = 0;
+    std::uint32_t n = 0;
+    std::array<std::uint32_t, 128> slot{};
+
+    void operator()(std::uint32_t w, std::uint64_t word) {
+      const std::uint32_t base = w * 64 + 1;
+      slot[n] = base + util::lowest_set(word | std::uint64_t{1} << 63);
+      n += word != 0;
+      for (word &= word - 1; word != 0; word &= word - 1) {
+        slot[n++] = base + util::lowest_set(word);
+      }
+      if (n >= kFlushAt) flush();
+      assert(n < kFlushAt && "the pending bound that sizes slot");
+    }
+    std::uint32_t done() {
+      flush();
+      return found;
+    }
+    void flush() {
+      for (std::uint32_t i = 0; i < n; ++i) emit(slot[i]);
+      found += n;
+      n = 0;
+    }
+  };
 };
 
 /// The §4/§5.1 downward confirmation pass, shared by every reader
@@ -480,6 +548,11 @@ concept ExecutionEnv = requires {
   {
     E::template lift<typename E::template Op<int>>(detail::ready(0),
                                                    [](int v) { return v; })
+  } -> std::same_as<typename E::template Op<int>>;
+  {
+    E::template lift_each<typename E::template Op<int>>(
+        2, [](std::uint32_t i) { return detail::ready(int(i)); },
+        Total<int>{})
   } -> std::same_as<typename E::template Op<int>>;
 };
 

@@ -242,6 +242,12 @@ struct ReplayEnv {
   static Task lift(Source source, Fn fn) {
     return detail::lift_await<Task>(std::move(source), std::move(fn));
   }
+  /// env.h "lift_each": the await-each coroutine, exactly as in SimEnv.
+  template <typename Task, typename Source, typename Sink>
+  static Task lift_each(std::uint32_t count, Source source, Sink sink) {
+    return detail::lift_each_await<Task>(count, std::move(source),
+                                         std::move(sink));
+  }
 
   // ---- binary registers (the §4/§5.1 base objects) ----
 

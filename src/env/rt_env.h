@@ -25,9 +25,11 @@
 // promise allocates its frame from a per-thread FrameArena (below), making
 // the steady-state hot path allocation-free. A body that is a single
 // primitive skips the frame altogether: RtEnvT::lift returns a frameless
-// EagerTask::ready holding the result. The arena lifecycle rules are
-// documented in docs/ENV.md; tests/test_rt_alloc.cpp enforces the zero and
-// perfbench reports it as env.allocs_per_op (docs/PERF.md).
+// EagerTask::ready holding the result, and RtEnvT::lift_each runs a body of
+// independent primitives (the packed audit's word loads) as a plain loop.
+// The arena lifecycle rules are documented in docs/ENV.md;
+// tests/test_rt_alloc.cpp enforces the zero and perfbench reports it as
+// env.allocs_per_op (docs/PERF.md).
 #pragma once
 
 #include <array>
@@ -193,8 +195,8 @@ class FrameArena {
 /// EagerTasks exactly where sim::SubTasks nest inside sim::OpTasks.
 ///
 /// `ready(value)` makes a FRAMELESS task that just holds its value: what
-/// RtEnvT::lift returns for a single-primitive body, whose primitive has
-/// already run by the time the task exists.
+/// RtEnvT::lift and RtEnvT::lift_each return, whose primitives have already
+/// run by the time the task exists.
 ///
 /// Frames come from the per-thread FrameArena via the class-level
 /// operator new/delete on the promise: nested helper frames (an Op awaiting
@@ -329,6 +331,20 @@ struct RtEnvT {
       assert(source.await_ready() && "RtEnv awaitables never suspend");
       return Task::ready(fn(source.await_resume()));
     }
+  }
+
+  /// `count` independent steps as a frameless task (env.h "lift_each"): a
+  /// plain loop over the same source calls, so each primitive still runs
+  /// (and probes) at its call, in order; each result goes straight to the
+  /// sink. No coroutine frame, and no loop state kept across an await.
+  template <typename Task, typename Source, typename Sink>
+  static Task lift_each(std::uint32_t count, Source source, Sink sink) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      auto step = source(i);
+      assert(step.await_ready() && "RtEnv awaitables never suspend");
+      sink(i, step.await_resume());
+    }
+    return Task::ready(sink.done());
   }
 
   // ---- binary registers (the §4/§5.1 base objects) ----

@@ -40,6 +40,13 @@ struct SimEnv {
   static Task lift(Source source, Fn fn) {
     return detail::lift_await<Task>(std::move(source), std::move(fn));
   }
+  /// `count` independent steps (env.h "lift_each"): the coroutine that
+  /// awaits each in turn, so one scheduler resume is still one step.
+  template <typename Task, typename Source, typename Sink>
+  static Task lift_each(std::uint32_t count, Source source, Sink sink) {
+    return detail::lift_each_await<Task>(count, std::move(source),
+                                         std::move(sink));
+  }
 
   // ---- binary registers (the §4/§5.1 base objects) ----
 

@@ -3,9 +3,10 @@
 // atomic access to one word of one shard. Each call consumes the owning
 // shard's frameless ready task (HiSetAlg lifts every membership operation
 // with Env::lift), so insert/remove/lookup open no coroutine frame and
-// never touch the heap; the audit's per-shard scan frames recycle through
-// the calling thread's FrameArena (tests/test_rt_alloc.cpp). Other callers
-// may name algo::ShardedHiSetPacked<env::RtEnv> and call .get().
+// never touch the heap; the audit is a frameless Env::lift_each over the
+// shards' word-load loops, so it opens no frame either
+// (tests/test_rt_alloc.cpp). Other callers may name
+// algo::ShardedHiSetPacked<env::RtEnv> and call .get().
 #pragma once
 
 #include <cstddef>
@@ -36,7 +37,8 @@ class RtShardedHiSet {
 
   /// Full-membership audit via per-shard word scans; appends global keys to
   /// `out` (per-shard ascending — globally sorted under kBlocked). Returns
-  /// the member count. Reserve `out` to keep the audit allocation-free.
+  /// the number of members this call appended. Reserve `out` to keep the
+  /// audit allocation-free.
   std::uint32_t snapshot_members(std::vector<std::uint32_t>& out) {
     return alg_.snapshot_members(out).get();
   }

@@ -1165,6 +1165,13 @@ TEST(ProbeContract, EachPrimitiveCallsPointTwiceNothingElseCallsIt) {
               EXPECT_FALSE(
                   E::cas_word(words, 1, 0, 4).await_resume().installed);
             }), 2u) << "cas_word";
+  // The packed audit is an Env::lift_each: on RtEnvT a plain loop that
+  // still calls load_packed_word once per word (2 words here), so a
+  // perturbing probe reaches every load of an audit.
+  EXPECT_EQ(points_during([&] {
+              EXPECT_EQ(env::PackedBins<E>::scan_members(
+                            packed, [](std::uint32_t) {}).get(), 2u);
+            }), 2u * E::packed_words(packed)) << "scan_members";
 
   EXPECT_EQ(points_during([&] {
               EXPECT_EQ(E::peek_bit(bins, 2), 1u);

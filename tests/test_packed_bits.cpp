@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "algo/hi_set.h"
@@ -18,6 +19,7 @@
 #include "core/hi_register_lockfree.h"
 #include "core/hi_set.h"
 #include "core/max_register.h"
+#include "env/replay_env.h"
 #include "env/rt_env.h"
 #include "env/sim_env.h"
 #include "register_common.h"
@@ -27,6 +29,7 @@
 #include "spec/max_register_spec.h"
 #include "spec/set_spec.h"
 #include "util/bits.h"
+#include "util/rng.h"
 
 namespace hi {
 namespace {
@@ -358,6 +361,11 @@ TEST(PackedRt, MultiWordHiSetSnapshotMembers) {
   EXPECT_EQ(set.snapshot_members(members).get(), 3u);
   EXPECT_EQ(members, (std::vector<std::uint32_t>{64, 67, 130}));
   EXPECT_EQ(set.memory_bytes(), 3u * sizeof(std::uint64_t));
+
+  // The count is what this call appended, not out.size().
+  members = {7};
+  EXPECT_EQ(set.snapshot_members(members).get(), 3u);
+  EXPECT_EQ(members, (std::vector<std::uint32_t>{7, 64, 67, 130}));
 }
 
 TEST(PackedRt, FootprintIsTwoCacheLinesAtK1024) {
@@ -535,6 +543,87 @@ TEST(PackedStepCounts, AuditIsOneLoadPerWordWhateverTheMembership) {
     EXPECT_EQ(audit_steps(sched, store, members), words);
     const std::vector<std::uint32_t> by_shard{1, 3, 65, 2, 64, 130};
     EXPECT_EQ(members, empty ? std::vector<std::uint32_t>{} : by_shard);
+  }
+}
+
+// ---- the audit's decode on every backend, against per-bin peeks ----
+//
+// scan_members decodes each loaded word into a 128-entry local buffer and
+// flushes to `emit` once 64 members are pending, so a word's members can
+// wait across loads. These cases cross every edge of that decode: no
+// member, the top bit of a word, a partly filled buffer followed by full
+// words (127 pending, the most there can be), a partial tail word, and a
+// sparse random set at the benchmark's density.
+
+struct AuditCase {
+  const char* name;
+  std::uint32_t domain;
+  std::vector<std::uint64_t> words;
+};
+
+std::vector<AuditCase> audit_cases() {
+  constexpr std::uint64_t kAll = ~std::uint64_t{0};
+  std::vector<AuditCase> cases{
+      {"empty", 256, {}},
+      {"only bin 64", 64, {std::uint64_t{1} << 63}},
+      {"four full words", 256, {kAll, kAll, kAll, kAll}},
+      {"one member, then full words", 320, {0x1, kAll, kAll, kAll, 0x2}},
+      {"63 members, then full words", 320, {kAll << 1, kAll, kAll, kAll}},
+      {"bin 130 of 130", 130, {0x1, std::uint64_t{1} << 63, 0x2}},
+  };
+  AuditCase random{"4096 bins at density 1/256", 4096,
+                   std::vector<std::uint64_t>(util::bin_words(4096), 0)};
+  util::Xoshiro256 rng(0x5eed);
+  for (std::uint32_t v = 1; v <= random.domain; ++v) {
+    if (rng.next() % 256 == 0) util::bin_set(random.words, v);
+  }
+  cases.push_back(std::move(random));
+  return cases;
+}
+
+template <typename E>
+class PackedAuditDecode : public ::testing::Test {
+ protected:
+  typename E::Ctx ctx() {
+    if constexpr (std::is_same_v<E, env::RtEnv>) {
+      return typename E::Ctx{};
+    } else {
+      return memory_;
+    }
+  }
+
+  /// One solo audit of `set`, appending to `out`; returns its count.
+  std::uint32_t audit(algo::HiSetAlgPacked<E>& set,
+                      std::vector<std::uint32_t>& out) {
+    if constexpr (std::is_same_v<E, env::RtEnv>) {
+      return set.snapshot_members(out).get();
+    } else {
+      return sim::run_solo(sched_, 0, set.snapshot_members(out));
+    }
+  }
+
+ private:
+  sim::Memory memory_;
+  sim::Scheduler sched_{1};
+};
+
+using AuditEnvs = ::testing::Types<env::SimEnv, env::ReplayEnv, env::RtEnv>;
+TYPED_TEST_SUITE(PackedAuditDecode, AuditEnvs);
+
+TYPED_TEST(PackedAuditDecode, MatchesPerBinPeeks) {
+  for (const AuditCase& c : audit_cases()) {
+    SCOPED_TRACE(c.name);
+    algo::HiSetAlgPacked<TypeParam> set(this->ctx(), c.domain, c.words);
+    std::vector<std::uint8_t> image;
+    set.encode_memory(image);
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t v = 1; v <= c.domain; ++v) {
+      if (image[v - 1] == 1) expected.push_back(v);
+    }
+
+    std::vector<std::uint32_t> members;
+    EXPECT_EQ(this->audit(set, members), expected.size());
+    EXPECT_EQ(members, expected);
   }
 }
 

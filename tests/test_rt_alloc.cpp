@@ -26,6 +26,7 @@
 #include "algo/max_register.h"
 #include "algo/registers.h"
 #include "algo/rllsc.h"
+#include "algo/sharded_set.h"
 #include "algo/universal.h"
 #include "algo/wait_free_sim.h"
 #include "env/rt_env.h"
@@ -41,6 +42,7 @@
 #include "spec/max_register_spec.h"
 #include "spec/register_spec.h"
 #include "spec/set_spec.h"
+#include "util/bits.h"
 
 namespace hi {
 namespace {
@@ -249,9 +251,9 @@ TEST(RtAllocSteadyState, HiSet) {
 }
 
 TEST(RtAllocSteadyState, ShardedHiSet) {
-  // The sharded facade forwards the shard's single coroutine frame — no
-  // wrapper frame, no per-op routing state — so a large multi-word store
-  // keeps the same zero-allocation contract as the one-word set. 1M keys
+  // The sharded facade forwards the shard's frameless task — no wrapper
+  // frame, no per-op routing state — so a large multi-word store keeps
+  // the same zero-allocation contract as the one-word set. 1M keys
   // over 16 striped shards: every op crosses the facade into a multi-word
   // shard (62500 bins = 977 words each).
   rt::RtShardedHiSet store(1'000'000, 16, algo::ShardPlacement::kStriped);
@@ -264,7 +266,7 @@ TEST(RtAllocSteadyState, ShardedHiSet) {
             }));
 
   // The audit path is allocation-free once the caller's vector has
-  // capacity: per-shard word scans are Sub frames recycled by the arena.
+  // capacity: it is a frameless loop over the shards' word scans.
   rt::RtShardedHiSet audit_store(4096, 4, algo::ShardPlacement::kBlocked);
   for (std::uint32_t k = 1; k <= 4096; k += 3) audit_store.insert(k);
   std::vector<std::uint32_t> members;
@@ -363,6 +365,23 @@ TEST(RtLiftedOps, OpenNoFrame) {
   EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(set.remove(5).get()); }));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_FALSE(set.lookup(5).get()); }));
 
+  // The packed audits are Env::lift_each loops: no frame for the set's
+  // scan, and none for the sharded store's loop over its shards' scans.
+  std::vector<std::uint32_t> members;
+  members.reserve(4096);
+  (void)set.insert(3).get();
+  (void)set.insert(64).get();
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_EQ(set.snapshot_members(members).get(), 2u);
+            }));
+  algo::ShardedHiSetPacked<RtEnv> store(RtEnv::Ctx{}, 4096, 4,
+                                        algo::ShardPlacement::kStriped);
+  for (std::uint32_t k = 1; k <= 4096; k += 5) (void)store.insert(k).get();
+  members.clear();
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_EQ(store.snapshot_members(members).get(), 820u);
+            }));
+
   algo::CasRllscAlg<RtEnv> cell(RtEnv::Ctx{}, "X", 7);
   EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.store(9).get()); }));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_EQ(cell.load().get(), 9u); }));
@@ -435,6 +454,32 @@ TYPED_TEST(LiftedOpSteps, OneStepEach) {
                            object.apply_read_only(1, spec::CounterSpec::read()),
                            count));
   EXPECT_EQ(count, 1u);
+}
+
+// The packed audits are Env::lift_each loops: on the scheduler-driven
+// backends that is the await-each coroutine, so an audit still takes one
+// step per word — the set's words, and the sum of the shards' words.
+TYPED_TEST(LiftedOpSteps, PackedAuditOneStepPerWord) {
+  using E = TypeParam;
+  sim::Memory memory;
+  sim::Scheduler sched(1);
+  std::vector<std::uint64_t> seeded(util::bin_words(130), 0);
+  for (const std::uint32_t k : {1u, 2u, 64u, 65u, 130u}) {
+    util::bin_set(seeded, k);
+  }
+
+  algo::HiSetAlg<E, env::PackedBins<E>> set(memory, 130, seeded);
+  std::vector<std::uint32_t> members;
+  std::uint32_t count = 0;
+  EXPECT_EQ(3u, solo_steps(sched, 0, set.snapshot_members(members), count));
+  EXPECT_EQ(count, 5u);
+
+  algo::ShardedHiSetPacked<E> store(memory, 130, 2,
+                                    algo::ShardPlacement::kStriped, seeded);
+  members.clear();
+  EXPECT_EQ(4u, solo_steps(sched, 0, store.snapshot_members(members), count));
+  EXPECT_EQ(count, 5u);
+  EXPECT_EQ(members, (std::vector<std::uint32_t>{1, 65, 2, 64, 130}));
 }
 
 // ---- ReplayEnv exemption: suspending frames are heap-backed BY DESIGN ----

@@ -14,6 +14,7 @@
 
 #include "algo/sharded_set.h"
 #include "env/rt_env.h"
+#include "fuzz_common.h"
 #include "rt/sharded_set_rt.h"
 #include "util/bits.h"
 #include "util/rng.h"
@@ -26,13 +27,16 @@ constexpr std::uint32_t kShards = 8;
 constexpr std::uint32_t kWindowLo = 20'001;  // churned keys: [lo, hi)
 constexpr std::uint32_t kWindowHi = 20'513;
 constexpr int kMutators = 2;
-constexpr int kAudits = 200;
+
+/// Audits per placement: 200 at the default HI_RT_FUZZ_ITERS (20), ten per
+/// fuzz iteration, so the nightly soak's 400 iterations run 4000.
+int audit_count() { return 10 * testing::rt_fuzz_iters(20); }
 
 bool in_window(std::uint32_t key) {
   return key >= kWindowLo && key < kWindowHi;
 }
 
-/// Runs kAudits audits of `store`; each must return exactly `expected`
+/// Runs audit_count() audits of `store`; each must return exactly `expected`
 /// outside the window, shards in shard order, each strictly ascending
 /// (hence no key twice). Returns at the first failed check.
 void check_audits(rt::RtShardedHiSet& store,
@@ -40,7 +44,8 @@ void check_audits(rt::RtShardedHiSet& store,
   std::vector<std::uint32_t> members;
   members.reserve(kDomain);
   std::vector<std::uint32_t> outside;
-  for (int audit = 0; audit < kAudits; ++audit) {
+  const int audits = audit_count();
+  for (int audit = 0; audit < audits; ++audit) {
     members.clear();
     const std::uint32_t count = store.snapshot_members(members);
     ASSERT_EQ(count, members.size()) << "audit " << audit;
