@@ -6,10 +6,12 @@
 // is therefore exactly the encoding of the abstract state — no auxiliary
 // information exists — which is why the implementation is perfect HI.
 // LL, SC and RL are CAS retry loops and hence only lock-free; VL, Load and
-// Store are single primitives. The retry loops use the environment's
-// failure-word CAS (Env::cas returns the word it observed), so a failed
-// retry costs ONE 16-byte atomic on hardware — not a CAS plus a re-read —
-// and one simulator step; the sim step-exact tests pin this sequence.
+// Store are single primitives. Each retry loop is one Env::cas_loop
+// (env/env.h) with a small plan — what to CAS against the current word, and
+// what to return — over the environment's failure-word CAS (Env::cas
+// returns the word it observed), so a failed retry costs ONE 16-byte atomic
+// on hardware — not a CAS plus a re-read — and one simulator step; the sim
+// step-exact tests pin this sequence.
 //
 // The interleaved-LL entry point realizes Algorithm 5's `‖` construction:
 // between successive CAS attempts of a (possibly blocking) LL, one step of
@@ -22,12 +24,13 @@
 // entry point (spec::RllscSpec); apply_rllsc is the one RllscSpec → cell
 // dispatcher, shared with the model-only native cell (sim/native_rllsc.h).
 //
-// Every entry point is a Sub. The retry loops (LL, SC, RL) are coroutines
-// whose frames on RtEnv come from the per-thread frame arena
-// (env/rt_env.h); the single-primitive VL, Load and Store are lifted by
-// Env::lift (env/env.h) and open no frame at all on RtEnv. Either way the
-// steady state performs zero heap allocations — RtAllocSteadyState.Rllsc
-// pins this (docs/PERF.md).
+// Every entry point is a Sub, and none opens a coroutine frame on RtEnv:
+// the retry loops (LL, SC, RL) are Env::cas_loop plain loops and the
+// single-primitive VL, Load and Store are lifted by Env::lift (env/env.h).
+// On the scheduler-driven backends each is the coroutine it would be by
+// hand. The steady state performs zero heap allocations —
+// RtAllocSteadyState.Rllsc and RtLiftedOps.OpenNoFrame pin this
+// (docs/PERF.md).
 #pragma once
 
 #include <cassert>
@@ -38,6 +41,7 @@
 #include <utility>
 
 #include "algo/values.h"
+#include "env/env.h"
 #include "spec/rllsc_spec.h"
 #include "util/bits.h"
 
@@ -116,16 +120,11 @@ class CasRllscAlg {
   /// LL(O) — lines 1–6: CAS-install the caller's context bit, retrying on
   /// interference. Lock-free; may run forever under contention. A failed CAS
   /// reports the word it observed, which becomes the next attempt's
-  /// expectation — one primitive per retry, no separate re-read.
+  /// expectation — one primitive per retry, no separate re-read. This is
+  /// ll_interleaved with a stepless poll that never bails.
   Sub<V> ll(int pid) {
-    Word cur = co_await Env::cas_read(cell_);
-    for (;;) {
-      Word linked = cur;
-      linked.ctx = util::set_bit(linked.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, linked);
-      if (r.installed) co_return cur.value;
-      cur = r.observed;
-    }
+    return Env::template cas_loop<Sub<V>>(
+        cell_, Link<V, NeverBail>{bit(pid), NeverBail{}});
   }
 
   /// LL with Algorithm 5's `‖` right-hand side: after every failed CAS
@@ -135,16 +134,8 @@ class CasRllscAlg {
   /// the poll just fails that CAS, which re-observes).
   template <typename Poll>
   Sub<std::optional<V>> ll_interleaved(int pid, Poll poll) {
-    Word cur = co_await Env::cas_read(cell_);
-    for (;;) {
-      Word linked = cur;
-      linked.ctx = util::set_bit(linked.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, linked);
-      if (r.installed) co_return cur.value;
-      const bool bail = co_await poll();
-      if (bail) co_return std::nullopt;
-      cur = r.observed;
-    }
+    return Env::template cas_loop<Sub<std::optional<V>>>(
+        cell_, Link<std::optional<V>, Poll>{bit(pid), std::move(poll)});
   }
 
   /// VL(O) — lines 12–13.
@@ -157,26 +148,13 @@ class CasRllscAlg {
   /// SC(O, new) — lines 7–11: succeeds iff the caller is still linked.
   /// Failed CAS attempts feed their observed word into the re-check.
   Sub<bool> sc(int pid, V desired) {
-    Word cur = co_await Env::cas_read(cell_);
-    while (util::test_bit(cur.ctx, bit(pid))) {
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, Word{desired, 0});
-      if (r.installed) co_return true;
-      cur = r.observed;
-    }
-    co_return false;
+    return Env::template cas_loop<Sub<bool>>(cell_,
+                                            Swap{bit(pid), Word{desired, 0}});
   }
 
   /// RL(O) — lines 14–20: removes the caller from the context; always true.
   Sub<bool> rl(int pid) {
-    Word cur = co_await Env::cas_read(cell_);
-    while (util::test_bit(cur.ctx, bit(pid))) {
-      Word released = cur;
-      released.ctx = util::clear_bit(released.ctx, bit(pid));
-      const CasResult<Word> r = co_await Env::cas(cell_, cur, released);
-      if (r.installed) co_return true;
-      cur = r.observed;
-    }
-    co_return true;
+    return Env::template cas_loop<Sub<bool>>(cell_, Release{bit(pid)});
   }
 
   /// Load(O) — lines 21–22.
@@ -204,6 +182,57 @@ class CasRllscAlg {
 
  private:
   static unsigned bit(int pid) { return static_cast<unsigned>(pid); }
+
+  // The Env::cas_loop plans (env/env.h) of the retry loops: what to CAS
+  // against the current word, and what the loop returns.
+
+  /// LL's poll: stepless, never bails.
+  struct NeverBail {
+    auto operator()() const { return env::detail::ready(false); }
+  };
+
+  /// LL: install the caller's bit into whatever word is current; return
+  /// the value linked to. A true poll bails with an empty Result.
+  template <typename Result, typename Poll>
+  struct Link {
+    unsigned bit;
+    Poll poll;
+
+    std::optional<Word> want(Word cur) const {
+      cur.ctx = util::set_bit(cur.ctx, bit);
+      return cur;
+    }
+    Result done(const Word& cur) const { return cur.value; }
+    Result stopped(const Word& cur) const { return cur.value; }  // never
+    Result bailed() const { return Result{}; }
+  };
+
+  /// SC: while the caller is linked, replace the word with `desired`
+  /// (context reset); true iff installed.
+  struct Swap {
+    unsigned bit;
+    Word desired;
+
+    std::optional<Word> want(const Word& cur) const {
+      if (!util::test_bit(cur.ctx, bit)) return std::nullopt;
+      return desired;
+    }
+    bool done(const Word&) const { return true; }
+    bool stopped(const Word&) const { return false; }
+  };
+
+  /// RL: while the caller is linked, clear its bit; always true.
+  struct Release {
+    unsigned bit;
+
+    std::optional<Word> want(Word cur) const {
+      if (!util::test_bit(cur.ctx, bit)) return std::nullopt;
+      cur.ctx = util::clear_bit(cur.ctx, bit);
+      return cur;
+    }
+    bool done(const Word&) const { return true; }
+    bool stopped(const Word&) const { return true; }
+  };
 
   typename Env::CasCell cell_;
 };

@@ -75,11 +75,12 @@
 // bodies — apply_read_only, announce_only and the response_ready /
 // head_clear_of polls run once per ‖-poll — are lifted by Env::lift
 // (env/env.h), so on RtEnv they open no frame: a read-only apply is one
-// 16-byte load and no frame at all. Below an update's own frame, the
-// helper chain is one frame deep — the cell's LL/SC/RL coroutines — and
-// recycles through the per-thread frame arena (env/rt_env.h): an update
-// operation performs zero steady-state heap allocations however much
-// helping it does.
+// 16-byte load and no frame at all. Everything an update awaits is
+// frameless on RtEnv too — the cell's Load/Store/VL are lifted and its
+// LL/SC/RL are Env::cas_loop plain loops — so an update opens exactly one
+// frame, its own apply_update, however much retrying and helping it does,
+// and that frame recycles through the per-thread frame arena
+// (env/rt_env.h): zero steady-state heap allocations.
 #pragma once
 
 #include <array>

@@ -30,6 +30,15 @@
 //                               simulator; on hardware a plain loop over
 //                               the same primitive calls returning
 //                               Task::ready(sink.done()) — no frame;
+//   cas_loop<Task>(cell, plan)
+//                             — a failure-word CAS retry loop on one CasCell
+//                               (Algorithm 6's LL/SC/RL): cas_read, then one
+//                               cas per attempt against plan.want(cur), with
+//                               plan.poll() between a failed attempt and the
+//                               next (CasPlan below). A coroutine in the
+//                               simulator; on hardware a plain loop over the
+//                               same primitive calls returning Task::ready —
+//                               no frame;
 //   BinArray + read_bit/write_bit/peek_bit
 //                             — an array of binary (Boolean) registers, the
 //                               small base objects of the §4/§5.1 algorithms;
@@ -77,6 +86,7 @@
 #include <concepts>
 #include <coroutine>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <utility>
 
@@ -170,6 +180,65 @@ Task lift_each_await(std::uint32_t count, Source source, Sink sink) {
   co_return sink.done();
 }
 
+/// The plan of an Env::cas_loop over CAS words of type Word. want(cur) is
+/// the word to CAS against the current word `cur`, or nullopt to stop with
+/// stopped(cur); done(cur) is the result once a CAS against `cur`
+/// installs. want/done/stopped are local computation, never steps.
+template <typename Plan, typename Word>
+concept CasPlan = requires(Plan& plan, const Word& cur) {
+  { plan.want(cur) } -> std::same_as<std::optional<Word>>;
+  plan.done(cur);
+  plan.stopped(cur);
+};
+
+/// A CasPlan with Algorithm 5's `‖` right-hand side: poll() — a nullary
+/// call returning an awaitable of bool (a primitive or a Sub) — runs
+/// between a failed CAS and the next attempt, and a true poll ends the
+/// loop with bailed().
+template <typename Plan>
+concept PolledCasPlan = requires(Plan& plan) {
+  plan.poll();
+  plan.bailed();
+};
+
+/// Env::cas_loop for the scheduler-driven backends: cas_read, then one
+/// cas per attempt, each failed attempt followed by the plan's poll — the
+/// loop as it would be written by hand, so the step sequence is the
+/// primitives' (and the poll's) own.
+template <typename Task, typename Env, CasPlan<typename Env::Word> Plan>
+Task cas_loop_await(typename Env::CasCell& cell, Plan plan) {
+  using Word = typename Env::Word;
+  Word cur = co_await Env::cas_read(cell);
+  for (;;) {
+    const std::optional<Word> next = plan.want(cur);
+    if (!next.has_value()) co_return plan.stopped(cur);
+    const auto r = co_await Env::cas(cell, cur, *next);
+    if (r.installed) co_return plan.done(cur);
+    if constexpr (PolledCasPlan<Plan>) {
+      const bool bail = co_await plan.poll();
+      if (bail) co_return plan.bailed();
+    }
+    cur = r.observed;
+  }
+}
+
+/// The plan ExecutionEnv instantiates cas_loop with: stops at the first
+/// read.
+struct StopPlan {
+  template <typename Word>
+  std::optional<Word> want(const Word&) const {
+    return std::nullopt;
+  }
+  template <typename Word>
+  int done(const Word&) const {
+    return 1;
+  }
+  template <typename Word>
+  int stopped(const Word&) const {
+    return 0;
+  }
+};
+
 }  // namespace detail
 
 /// A lift_each sink that sums the steps' results.
@@ -227,10 +296,11 @@ struct Total {
 // The scans are Subs (multi-step operations built from one-step
 // primitives), so the simulator explores every interleaving point between
 // word accesses and the explorer/replay suites model-check the packed
-// granularity like any other primitive sequence. PackedBins::scan_members
-// is an Env::lift_each over its word loads: the same one-await-per-word
-// coroutine on the scheduler-driven backends, a frameless loop on RtEnvT.
-// The decode between loads is local computation and costs no step.
+// granularity like any other primitive sequence. PackedBins::scan_members,
+// clear_down and clear_up are Env::lift_each loops over their word
+// accesses: the same one-await-per-word coroutine on the scheduler-driven
+// backends, a frameless loop on RtEnvT. The decode between loads is local
+// computation and costs no step.
 // ---------------------------------------------------------------------------
 
 /// The padded-per-bit layout: delegates to the environment's BinArray
@@ -437,29 +507,32 @@ struct PackedBins {
 
   /// A[from..1] ← 0 — ONE masked fetch_and per word, descending: the word
   /// holding `from` keeps its bins above `from`; lower words clear fully.
-  /// from == 0 is a no-op.
+  /// from == 0 is a no-op. An Env::lift_each: step i is word words − 1 − i.
   static Sub<bool> clear_down(Array& a, std::uint32_t from) {
-    if (from == 0) co_return true;
-    std::uint64_t keep = ~util::mask_upto(util::bin_bit(from));
-    for (std::uint32_t w = util::bin_word(from) + 1; w-- > 0;) {
-      co_await Env::and_packed_word(a, w, keep);
-      keep = 0;
-    }
-    co_return true;
+    const std::uint32_t words = from == 0 ? 0 : util::bin_word(from) + 1;
+    const std::uint64_t keep =
+        from == 0 ? 0 : ~util::mask_upto(util::bin_bit(from));
+    return Env::template lift_each<Sub<bool>>(
+        words,
+        [&a, words, keep](std::uint32_t i) {
+          return Env::and_packed_word(a, words - 1 - i, i == 0 ? keep : 0);
+        },
+        Cleared{});
   }
 
   /// A[from..K] ← 0 — ONE masked fetch_and per word, ascending: the word
   /// holding `from` keeps its bins below `from`; higher words clear fully
-  /// (tail bits beyond K are already 0). from > K is a no-op.
+  /// (tail bits beyond K are already 0). from > K is a no-op. An
+  /// Env::lift_each: step i is word bottom + i.
   static Sub<bool> clear_up(Array& a, std::uint32_t from) {
-    if (from > size(a)) co_return true;
-    const std::uint32_t nwords = Env::packed_words(a);
-    std::uint64_t keep = ~util::mask_from(util::bin_bit(from));
-    for (std::uint32_t w = util::bin_word(from); w < nwords; ++w) {
-      co_await Env::and_packed_word(a, w, keep);
-      keep = 0;
-    }
-    co_return true;
+    const std::uint32_t bottom = util::bin_word(from);
+    const std::uint64_t keep = ~util::mask_from(util::bin_bit(from));
+    return Env::template lift_each<Sub<bool>>(
+        from > size(a) ? 0 : Env::packed_words(a) - bottom,
+        [&a, bottom, keep](std::uint32_t i) {
+          return Env::and_packed_word(a, bottom + i, i == 0 ? keep : 0);
+        },
+        Cleared{});
   }
 
   /// Bytes behind the shared representation (see PaddedBins counterpart).
@@ -468,6 +541,13 @@ struct PackedBins {
   }
 
  private:
+  /// The clears' sink: every fetch_and's result is `true`, and so is the
+  /// clear's.
+  struct Cleared {
+    void operator()(std::uint32_t, bool) const {}
+    bool done() const { return true; }
+  };
+
   /// scan_members' decode, kept branch-light because most words of a
   /// sparse set are zero and a per-word `word != 0` branch mispredicts.
   /// Each word makes one unconditional slot write — its lowest member, or
@@ -553,6 +633,10 @@ concept ExecutionEnv = requires {
     E::template lift_each<typename E::template Op<int>>(
         2, [](std::uint32_t i) { return detail::ready(int(i)); },
         Total<int>{})
+  } -> std::same_as<typename E::template Op<int>>;
+  {
+    E::template cas_loop<typename E::template Op<int>>(
+        std::declval<typename E::CasCell&>(), detail::StopPlan{})
   } -> std::same_as<typename E::template Op<int>>;
 };
 

@@ -372,6 +372,11 @@ struct ReplayEnv {
   static bool cas_is_lock_free(const CasCell& cell) {
     return cell->is_lock_free();
   }
+  /// env.h "cas_loop": the retry coroutine, exactly as in SimEnv.
+  template <typename Task, typename Plan>
+  static Task cas_loop(CasCell& cell, Plan plan) {
+    return detail::cas_loop_await<Task, ReplayEnv>(cell, std::move(plan));
+  }
   /// Local scheduling hint for spin retries — never a step, never touches
   /// shared memory. Replay is single-stepped by the sim scheduler: no-op
   /// (yielding here would perturb nothing but wall time).

@@ -25,8 +25,10 @@
 // promise allocates its frame from a per-thread FrameArena (below), making
 // the steady-state hot path allocation-free. A body that is a single
 // primitive skips the frame altogether: RtEnvT::lift returns a frameless
-// EagerTask::ready holding the result, and RtEnvT::lift_each runs a body of
-// independent primitives (the packed audit's word loads) as a plain loop.
+// EagerTask::ready holding the result, RtEnvT::lift_each runs a body of
+// independent primitives (the packed audit's word loads, the packed clears'
+// fetch_ands) as a plain loop, and RtEnvT::cas_loop runs a CAS retry loop
+// (Algorithm 6's LL/SC/RL) as a plain loop.
 // The arena lifecycle rules are documented in docs/ENV.md;
 // tests/test_rt_alloc.cpp enforces the zero and perfbench reports it as
 // env.allocs_per_op (docs/PERF.md).
@@ -87,9 +89,11 @@ class FrameArena {
   // Buckets 0..kPrewarmBuckets-1 (frame sizes up to 1 KiB) get
   // kPrewarmDepth slabs parked at the thread's FIRST minted slab — inside
   // any workload's warmup that opens a frame at all; a thread whose ops
-  // are all frameless (RtEnvT::lift) never mints and never prewarms. Every
-  // algo coroutine in this codebase frames at 80–560 bytes with nesting
-  // depth ≤ 4, so after prewarm the steady state is DETERMINISTICALLY
+  // are all frameless (RtEnvT::lift, lift_each, cas_loop) never mints and
+  // never prewarms. Every algo coroutine in this codebase frames at 80–560
+  // bytes with at most 6 frames live at once (the wait-free simulation's
+  // helping chain; a §4 register op reaches 4, a universal update 1), so
+  // after prewarm the steady state is DETERMINISTICALLY
   // allocation-free: even a contention path first reached mid-measurement
   // (a helping chain's deepest frame combination) pops a reserved slab
   // instead of minting.
@@ -195,8 +199,8 @@ class FrameArena {
 /// EagerTasks exactly where sim::SubTasks nest inside sim::OpTasks.
 ///
 /// `ready(value)` makes a FRAMELESS task that just holds its value: what
-/// RtEnvT::lift and RtEnvT::lift_each return, whose primitives have already
-/// run by the time the task exists.
+/// RtEnvT::lift, lift_each and cas_loop return, whose primitives have
+/// already run by the time the task exists.
 ///
 /// Frames come from the per-thread FrameArena via the class-level
 /// operator new/delete on the promise: nested helper frames (an Op awaiting
@@ -498,6 +502,29 @@ struct RtEnvT {
   /// False iff libatomic fell back to a lock table (no CMPXCHG16B).
   static bool cas_is_lock_free(const CasCell& cell) {
     return cell.word.is_lock_free();
+  }
+  /// A failure-word CAS retry loop as a frameless task (env.h
+  /// "cas_loop"): a plain loop over the same cas_read/cas calls, so each
+  /// primitive still runs (and probes) at its call, in order, and a failed
+  /// CAS's observed word is the next attempt's `expected`. The poll, when
+  /// the plan has one, is a primitive or a Sub, so it has already run by
+  /// the time it returns. No coroutine frame, and no loop state kept across
+  /// an await.
+  template <typename Task, detail::CasPlan<Word> Plan>
+  static Task cas_loop(CasCell& cell, Plan plan) {
+    Word cur = cas_read(cell).await_resume();
+    for (;;) {
+      const std::optional<Word> next = plan.want(cur);
+      if (!next.has_value()) return Task::ready(plan.stopped(cur));
+      const algo::CasResult<Word> r = cas(cell, cur, *next).await_resume();
+      if (r.installed) return Task::ready(plan.done(cur));
+      if constexpr (detail::PolledCasPlan<Plan>) {
+        auto poll = plan.poll();
+        assert(poll.await_ready() && "RtEnv awaitables never suspend");
+        if (poll.await_resume()) return Task::ready(plan.bailed());
+      }
+      cur = r.observed;
+    }
   }
   /// Local scheduling hint for spin retries — never a step, never touches
   /// shared memory. On real threads, hand the core back so a preempted peer

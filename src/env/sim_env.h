@@ -195,6 +195,12 @@ struct SimEnv {
   }
   /// The simulated CAS object is an atomic primitive by construction.
   static bool cas_is_lock_free(const CasCell&) { return true; }
+  /// A failure-word CAS retry loop (env.h "cas_loop"): the coroutine that
+  /// awaits cas_read, each cas and each poll, so one resume is one step.
+  template <typename Task, typename Plan>
+  static Task cas_loop(CasCell& cell, Plan plan) {
+    return detail::cas_loop_await<Task, SimEnv>(cell, std::move(plan));
+  }
   /// Local scheduling hint for spin retries — never a step, never touches
   /// shared memory. Meaningless under the sim scheduler: no-op.
   static void relax() noexcept {}

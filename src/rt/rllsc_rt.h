@@ -1,10 +1,10 @@
 // Algorithm 6 (algo/rllsc.h) on real hardware with a synchronous call
 // surface: lock-free perfect-HI releasable LL/SC over a single 16-byte
 // atomic CAS word (value + context bitmask, CMPXCHG16B via -mcx16). Every
-// call consumes its EagerTask on the calling thread: the LL/SC/RL retry
-// loops' coroutine frames recycle through that thread's FrameArena, and
-// VL/Load/Store are frameless lifted tasks — every call costs its atomics
-// and zero steady-state heap allocations (tests/test_rt_alloc.cpp).
+// call consumes its EagerTask on the calling thread, and none has a
+// coroutine frame: the LL/SC/RL retry loops are RtEnvT::cas_loop plain
+// loops and VL/Load/Store are lifted tasks — every call costs its atomics
+// and nothing else, zero heap allocations (tests/test_rt_alloc.cpp).
 // Other callers name algo::CasRllscAlg<env::RtEnv> and call .get().
 #pragma once
 

@@ -1172,6 +1172,21 @@ TEST(ProbeContract, EachPrimitiveCallsPointTwiceNothingElseCallsIt) {
               EXPECT_EQ(env::PackedBins<E>::scan_members(
                             packed, [](std::uint32_t) {}).get(), 2u);
             }), 2u * E::packed_words(packed)) << "scan_members";
+  // The R-LLSC retry loops are Env::cas_loop: on RtEnvT a plain loop that
+  // still calls cas_read and each cas, so a perturbing probe reaches every
+  // CAS attempt — 2 points per primitive, a read plus one CAS solo.
+  algo::CasRllscAlg<E> rllsc(E::Ctx{}, "R", 7);
+  EXPECT_EQ(points_during([&] { EXPECT_EQ(rllsc.ll(0).get(), 7u); }), 4u)
+      << "ll";
+  EXPECT_EQ(points_during([&] { EXPECT_TRUE(rllsc.sc(0, 3).get()); }), 4u)
+      << "sc linked";
+  EXPECT_EQ(points_during([&] { EXPECT_FALSE(rllsc.sc(0, 4).get()); }), 2u)
+      << "sc unlinked";
+  (void)rllsc.ll(1).get();
+  EXPECT_EQ(points_during([&] { EXPECT_TRUE(rllsc.rl(1).get()); }), 4u)
+      << "rl linked";
+  EXPECT_EQ(points_during([&] { EXPECT_TRUE(rllsc.rl(1).get()); }), 2u)
+      << "rl unlinked";
 
   EXPECT_EQ(points_during([&] {
               EXPECT_EQ(E::peek_bit(bins, 2), 1u);

@@ -358,6 +358,18 @@ std::uint64_t frames_of(Fn op) {
   return arena_frames() - before;
 }
 
+/// A probe that runs `interfere` at its `countdown`-th point on this
+/// thread: countdown = 2 lands right after a retry loop's cas_read, so a
+/// write there makes the loop's first CAS fail and its poll run.
+struct InterferingProbe {
+  static inline thread_local int countdown = 0;
+  static inline thread_local void (*interfere)() = nullptr;
+
+  static void point() noexcept {
+    if (countdown > 0 && --countdown == 0) interfere();
+  }
+};
+
 TEST(RtLiftedOps, OpenNoFrame) {
   algo::HiSetAlg<RtEnv, Packed> set(RtEnv::Ctx{}, spec::SetSpec(64));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(set.insert(5).get()); }));
@@ -385,9 +397,61 @@ TEST(RtLiftedOps, OpenNoFrame) {
   algo::CasRllscAlg<RtEnv> cell(RtEnv::Ctx{}, "X", 7);
   EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.store(9).get()); }));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_EQ(cell.load().get(), 9u); }));
-  EXPECT_EQ(cell.ll(0).get(), 9u);  // a retry loop: this one has a frame
+  // The retry loops are Env::cas_loop plain loops: no frame for LL, for
+  // SC and RL whether or not the caller is linked, nor for either exit of
+  // an interleaved LL.
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_EQ(cell.ll(0).get(), 9u); }));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.vl(0).get()); }));
   EXPECT_EQ(0u, frames_of([&] { EXPECT_FALSE(cell.vl(1).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_FALSE(cell.sc(1, 4).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.sc(0, 4).get()); }));
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.rl(0).get()); }));
+  EXPECT_EQ(cell.ll(1).get(), 4u);
+  EXPECT_EQ(0u, frames_of([&] { EXPECT_TRUE(cell.rl(1).get()); }));
+  EXPECT_EQ(cell.peek_context(), 0u);
+  const auto never = [] { return env::detail::ready(false); };
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_EQ(cell.ll_interleaved(0, never).get(), 4u);
+            }));
+  EXPECT_EQ(cell.peek_context(), 1u);
+
+  // The bail path needs a failed CAS: the probe overwrites the word
+  // between the loop's read and its first CAS, and the poll then bails.
+  using Ip = env::RtEnvT<InterferingProbe>;
+  static algo::CasRllscAlg<Ip> raced(Ip::Ctx{}, "Y", 7);
+  (void)raced.store(7).get();  // the same start on a repeated run
+  InterferingProbe::interfere = [] { (void)raced.store(8).get(); };
+  InterferingProbe::countdown = 2;
+  int polls = 0;
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_FALSE(raced
+                               .ll_interleaved(0,
+                                               [&polls] {
+                                                 ++polls;
+                                                 return env::detail::ready(
+                                                     true);
+                                               })
+                               .get()
+                               .has_value());
+            }));
+  EXPECT_EQ(polls, 1);
+  EXPECT_EQ(raced.peek_value(), 8u);
+  EXPECT_EQ(raced.peek_context(), 0u);
+
+  // The packed clears are Env::lift_each loops over their fetch_ands.
+  auto bins = Packed::make(RtEnv::Ctx{}, "A", 200, 0);
+  for (std::uint32_t v = 1; v <= 200; v += 3) {
+    (void)Packed::set(bins, v).await_resume();
+  }
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_TRUE(Packed::clear_down(bins, 130).get());
+            }));
+  EXPECT_EQ(0u, frames_of([&] {
+              EXPECT_TRUE(Packed::clear_up(bins, 134).get());
+            }));
+  for (std::uint32_t v = 1; v <= 200; ++v) {
+    EXPECT_EQ(Packed::peek(bins, v), v == 133 ? 1u : 0u) << v;
+  }
 
   const spec::CounterSpec spec(0xffffff, 0);
   algo::UniversalAlg<RtEnv, spec::CounterSpec, algo::CasRllscAlg<RtEnv>>
@@ -402,6 +466,19 @@ TEST(RtLiftedOps, OpenNoFrame) {
   EXPECT_EQ(0u, frames_of([&] {
               EXPECT_EQ(object.apply(0, spec::CounterSpec::read()).get(), 1u);
             }));
+
+  // A solo update opens exactly its own apply_update frame: the LL/SC/RL
+  // and the announce loads and stores under it are frameless.
+  for (const bool combine : {false, true}) {
+    algo::UniversalAlg<RtEnv, spec::CounterSpec, algo::CasRllscAlg<RtEnv>>
+        updated(RtEnv::Ctx{}, spec, 2, true, combine);
+    EXPECT_EQ(1u, frames_of([&] {
+                EXPECT_EQ(updated.apply(1, spec::CounterSpec::inc()).get(),
+                          0u);
+              })) << "combine=" << combine;
+    EXPECT_EQ(updated.head_state_encoded(), 1u);
+    EXPECT_EQ(updated.context_union(), 0u);
+  }
 }
 
 /// Runs `task` solo as process `pid`; returns the steps it took and stores
@@ -454,6 +531,33 @@ TYPED_TEST(LiftedOpSteps, OneStepEach) {
                            object.apply_read_only(1, spec::CounterSpec::read()),
                            count));
   EXPECT_EQ(count, 1u);
+}
+
+// The R-LLSC retry loops are Env::cas_loop: on the scheduler-driven
+// backends the retry coroutine, so a solo call takes its read plus one CAS
+// per attempt, and an unlinked SC or RL stops at the read.
+TYPED_TEST(LiftedOpSteps, RetryLoopReadPlusOneCasPerAttempt) {
+  using E = TypeParam;
+  using R = spec::RllscSpec;
+  sim::Memory memory;
+  sim::Scheduler sched(2);
+  algo::CasRllscAlg<E> cell(memory, "X", typename E::Value{});
+  R::Resp resp;
+  EXPECT_EQ(2u, solo_steps(sched, 0, cell.apply(0, R::ll(0)), resp)) << "LL";
+  EXPECT_EQ(2u, solo_steps(sched, 0, cell.apply(0, R::sc(0, 5)), resp))
+      << "SC linked";
+  EXPECT_TRUE(resp.flag);
+  EXPECT_EQ(1u, solo_steps(sched, 0, cell.apply(0, R::sc(0, 6)), resp))
+      << "SC unlinked";
+  EXPECT_FALSE(resp.flag);
+  (void)sim::run_solo(sched, 1, cell.apply(1, R::ll(1)));
+  EXPECT_EQ(2u, solo_steps(sched, 1, cell.apply(1, R::rl(1)), resp))
+      << "RL linked";
+  EXPECT_TRUE(resp.flag);
+  EXPECT_EQ(1u, solo_steps(sched, 1, cell.apply(1, R::rl(1)), resp))
+      << "RL unlinked";
+  EXPECT_TRUE(resp.flag);
+  EXPECT_EQ(cell.peek_context(), 0u);
 }
 
 // The packed audits are Env::lift_each loops: on the scheduler-driven

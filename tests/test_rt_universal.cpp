@@ -93,12 +93,12 @@ TEST(RtUniversal, IncDecRoundsStayExact) {
   // value recurred. Decrements make values recur, so every round must land
   // exactly on rounds × threads × (incs − decs), and every round must end
   // in the quiescent image: contexts empty, announce ≡ ⊥, head in mode A.
-  // The response_ready poll inside that retry loop is a frameless lifted
-  // task on RtEnv, so the loop's code generation is exercised here too. A
-  // lost or repeated operation breaks the count; a hang trips the stall
-  // watchdog, which aborts the binary rather than leaving ctest to wait for
-  // its timeout. HI_RT_INCDEC_ROUNDS raises the round count (the nightly
-  // soak runs 200).
+  // On RtEnv that retry loop is RtEnvT::cas_loop's plain loop with the
+  // frameless response_ready poll inlined, so its code generation is what
+  // this exercises. A lost or repeated operation breaks the count; a hang
+  // trips the stall watchdog, which aborts the binary rather than leaving
+  // ctest to wait for its timeout. HI_RT_INCDEC_ROUNDS raises the round
+  // count (the nightly soak runs 200, also in a -O2 -DNDEBUG build).
   constexpr int kThreads = 4;
   constexpr int kIncs = 5000;
   constexpr int kDecs = 1250;
