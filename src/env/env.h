@@ -97,9 +97,9 @@ namespace hi::env {
 namespace detail {
 
 /// Awaiter adapter: forwards readiness/suspension to an inner awaitable and
-/// applies `fn` to its result. Zero-allocation; used by environments to
-/// convert a backend word type to the algorithm-level CtxWord without an
-/// intermediate coroutine frame.
+/// applies `fn` to its result. Zero-allocation; PackedBins::read uses it to
+/// extract one bin from a word load without an intermediate coroutine
+/// frame.
 template <typename Awaitable, typename Fn>
 struct [[nodiscard]] MapAwait {
   Awaitable inner;
@@ -153,7 +153,7 @@ auto ready(T value) {
 template <typename Source>
 concept DeferredSource = std::invocable<Source&>;
 
-/// Env::lift for the scheduler-driven backends (SimEnv, ReplayEnv): a
+/// Env::lift for the scheduler-driven backends (SchedEnvT): a
 /// one-await coroutine, the body as it would be written by hand, so the
 /// step sequence is the source's own.
 template <typename Task, typename Source, typename Fn>
@@ -620,6 +620,7 @@ concept ExecutionEnv = requires {
   typename E::BinArray;
   typename E::PackedBinArray;
   typename E::Value;
+  typename E::Word;
   typename E::CasCell;
   typename E::WordArray;
   typename E::template Op<int>;

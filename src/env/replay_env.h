@@ -1,5 +1,6 @@
 // ReplayEnv: the schedule-replay backend of the Env abstraction — hardware
-// atomics under simulator scheduling.
+// atomics under simulator scheduling (SchedEnvT over ReplayCells; see
+// sched_env.h and docs/ENV.md).
 //
 // Each primitive executes the SAME std::atomic operation, on the SAME cell
 // types and codecs, as RtEnv (rt/cells.h is the shared factoring), but the
@@ -14,10 +15,10 @@
 // word-for-word after every step — turning every explorer counterexample and
 // fuzzer schedule into a reproducible hardware regression.
 //
-// Cells are registered as sim::BaseObjects in a sim::Memory, in the same
-// factory order SimEnv uses, so object ids, pending-primitive introspection
-// (the Lemma 16 adversary's observable), mem(C) snapshots, word_range() and
-// dump() all work unchanged. Snapshot layout per cell type:
+// SchedEnvT's one set of factories gives both backends the same object ids
+// and names, so pending-primitive introspection (the Lemma 16 adversary's
+// observable), mem(C) snapshots, word_range() and dump() all correspond.
+// Snapshot layout per cell type:
 //
 //   ReplayBinaryRegister — 1 word (0/1), identical to sim::BinaryRegister;
 //   ReplayCasCell        — 3 words (value, 0, ctx), matching
@@ -31,31 +32,18 @@
 //
 // Cell constructors store their initial values relaxed, as RtEnv's
 // factories do: construction is not a step (docs/ENV.md "Factories").
-//
-// Allocation contract: ReplayEnv coroutines are sim::OpTask/sim::SubTask —
-// ordinary heap-allocated frames, NOT FrameArena-backed EagerTasks. A
-// suspended frame must outlive arbitrarily many scheduler steps (and the
-// scheduler may abandon it mid-operation), so the per-thread recycling arena
-// rules do not apply; replay is a verification harness, exempt from the
-// steady-state allocs_per_op == 0 gate (docs/ENV.md "ReplayEnv";
-// tests/test_rt_alloc.cpp pins the exemption).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "algo/values.h"
-#include "env/env.h"
+#include "env/sched_env.h"
 #include "rt/atomic128.h"
 #include "rt/cells.h"
 #include "sim/base_object.h"
-#include "sim/memory.h"
-#include "sim/task.h"
-#include "util/bits.h"
 
 namespace hi::env {
 
@@ -144,8 +132,9 @@ class ReplayPackedWordCell : public sim::BaseObject {
 /// The CAS base object backed by the rt backend's 16-byte Atomic128 word.
 class ReplayCasCell : public sim::BaseObject {
  public:
-  explicit ReplayCasCell(std::string name, rt::Word128 initial)
-      : BaseObject(std::move(name)), cell_(initial) {}
+  explicit ReplayCasCell(std::string name, rt::CasWord initial)
+      : BaseObject(std::move(name)),
+        cell_(rt::Word128{initial.value, initial.ctx}) {}
 
   auto read() {
     return sim::Primitive{id(), "read",
@@ -224,199 +213,17 @@ class ReplayWordCell : public sim::BaseObject {
   rt::WordCell cell_;
 };
 
-/// The replay execution environment: RtEnv's cells and value packing
-/// (Value = std::uint64_t — the hardware codecs), SimEnv's coroutine types
-/// and scheduling. Factories register objects in the same order and with
-/// the same names as SimEnv, so a SimEnv system and a ReplayEnv system
-/// built from the same algorithm have corresponding object ids.
-struct ReplayEnv {
-  using Ctx = sim::Memory&;
-
-  template <typename T>
-  using Op = sim::OpTask<T>;
-  template <typename T>
-  using Sub = sim::SubTask<T>;
-
-  /// env.h "lift": the one-await coroutine, exactly as in SimEnv.
-  template <typename Task, typename Source, typename Fn>
-  static Task lift(Source source, Fn fn) {
-    return detail::lift_await<Task>(std::move(source), std::move(fn));
-  }
-  /// env.h "lift_each": the await-each coroutine, exactly as in SimEnv.
-  template <typename Task, typename Source, typename Sink>
-  static Task lift_each(std::uint32_t count, Source source, Sink sink) {
-    return detail::lift_each_await<Task>(count, std::move(source),
-                                         std::move(sink));
-  }
-
-  // ---- binary registers (the §4/§5.1 base objects) ----
-
-  using BinArray = std::vector<ReplayBinaryRegister*>;
-
-  /// Multi-word bitmap initialization (util::bin_test; same word geometry
-  /// and factory order as SimEnv). Construction only — never a step of the
-  /// model.
-  static BinArray make_bin_array_words(Ctx memory, const char* prefix,
-                                       std::uint32_t count,
-                                       std::span<const std::uint64_t> words) {
-    BinArray array;
-    array.reserve(count);
-    for (std::uint32_t v = 1; v <= count; ++v) {
-      array.push_back(&memory.make<ReplayBinaryRegister>(
-          std::string(prefix) + "[" + std::to_string(v) + "]",
-          util::bin_test(words, v)));
-    }
-    return array;
-  }
-
-  /// read(A[index]) — one seq_cst atomic load, executed at the granted step.
-  static auto read_bit(BinArray& array, std::uint32_t index) {
-    return array[index - 1]->read();
-  }
-  /// write(A[index], value) — one seq_cst atomic store; 1 step.
-  static auto write_bit(BinArray& array, std::uint32_t index,
-                        std::uint8_t value) {
-    return array[index - 1]->write(value);
-  }
-  /// Observer-side peek — 0 steps.
-  static std::uint8_t peek_bit(const BinArray& array, std::uint32_t index) {
-    return array[index - 1]->peek();
-  }
-  /// Modeled footprint: one snapshot word per binary register.
-  static std::size_t bin_storage_bytes(const BinArray& array) {
-    return array.size() * sizeof(std::uint64_t);
-  }
-
-  // ---- packed bin arrays: 64 bins per word, hardware atomics under
-  // simulator scheduling (same factory order/names as SimEnv) ----
-
-  struct PackedBinArray {
-    std::uint32_t bins = 0;
-    std::vector<ReplayPackedWordCell*> words;
-  };
-
-  /// Multi-word bitmap initialization: word w starts from `words[w]`, tail
-  /// bits beyond `count` dropped (util::init_word; same factory order and
-  /// names as SimEnv). Construction only.
-  static PackedBinArray make_packed_bin_array_words(
-      Ctx memory, const char* prefix, std::uint32_t count,
-      std::span<const std::uint64_t> words) {
-    PackedBinArray array;
-    array.bins = count;
-    const std::uint32_t nwords = util::bin_words(count);
-    array.words.reserve(nwords);
-    for (std::uint32_t w = 0; w < nwords; ++w) {
-      array.words.push_back(&memory.make<ReplayPackedWordCell>(
-          std::string(prefix) + ".w[" + std::to_string(w) + "]",
-          util::init_word(words, count, w)));
-    }
-    return array;
-  }
-
-  static std::uint32_t packed_bins(const PackedBinArray& array) {
-    return array.bins;
-  }
-  static std::uint32_t packed_words(const PackedBinArray& array) {
-    return static_cast<std::uint32_t>(array.words.size());
-  }
-
-  /// Word load — one seq_cst atomic load at the granted step; 1 step.
-  static auto load_packed_word(PackedBinArray& array, std::uint32_t w) {
-    return array.words[w]->read();
-  }
-  /// One LOCK OR at the granted step; 1 step.
-  static auto or_packed_word(PackedBinArray& array, std::uint32_t w,
-                             std::uint64_t mask) {
-    return array.words[w]->fetch_or(mask);
-  }
-  /// One LOCK AND at the granted step; 1 step.
-  static auto and_packed_word(PackedBinArray& array, std::uint32_t w,
-                              std::uint64_t mask) {
-    return array.words[w]->fetch_and(mask);
-  }
-  /// Observer-side peek — 0 steps.
-  static std::uint64_t peek_packed_word(const PackedBinArray& array,
-                                        std::uint32_t w) {
-    return array.words[w]->peek();
-  }
-  static std::size_t packed_storage_bytes(const PackedBinArray& array) {
-    return array.words.size() * sizeof(std::uint64_t);
-  }
-
-  // ---- one CAS base object: the 16-byte hardware word ----
-
-  using Value = std::uint64_t;  // the hardware packing (RtEnv's codecs)
-  using Word = algo::CtxWord<Value>;
-  using CasCell = ReplayCasCell*;
-
-  /// Construction only.
-  static CasCell make_cas(Ctx memory, std::string name, Value initial) {
-    return &memory.make<ReplayCasCell>(std::move(name),
-                                       rt::Word128{initial, 0});
-  }
-
-  /// Read(X) — one seq_cst 16-byte atomic load; 1 step.
-  static auto cas_read(CasCell& cell) { return cell->read(); }
-  /// CAS(X, expected, desired) — one CMPXCHG16B; 1 step, failure-word
-  /// semantics (docs/ENV.md).
-  static auto cas(CasCell& cell, const Word& expected, const Word& desired) {
-    return cell->cas_observe(expected, desired);
-  }
-  /// Write(X, desired) — one seq_cst 16-byte atomic store; 1 step.
-  static auto cas_write(CasCell& cell, const Word& desired) {
-    return cell->write(desired);
-  }
-  /// Observer-side peek — 0 steps.
-  static Word peek_cas(const CasCell& cell) { return cell->peek(); }
-  /// False iff libatomic fell back to a lock table (no CMPXCHG16B).
-  static bool cas_is_lock_free(const CasCell& cell) {
-    return cell->is_lock_free();
-  }
-  /// env.h "cas_loop": the retry coroutine, exactly as in SimEnv.
-  template <typename Task, typename Plan>
-  static Task cas_loop(CasCell& cell, Plan plan) {
-    return detail::cas_loop_await<Task, ReplayEnv>(cell, std::move(plan));
-  }
-  /// Local scheduling hint for spin retries — never a step, never touches
-  /// shared memory. Replay is single-stepped by the sim scheduler: no-op
-  /// (yielding here would perturb nothing but wall time).
-  static void relax() noexcept {}
-
-  // ---- arrays of 64-bit CAS words (per-process announce/result tables) ----
-
-  using WordArray = std::vector<ReplayWordCell*>;
-
-  /// Construction only.
-  static WordArray make_word_array(Ctx memory, const char* prefix,
-                                   std::uint32_t count, std::uint64_t initial) {
-    WordArray array;
-    array.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      array.push_back(&memory.make<ReplayWordCell>(
-          std::string(prefix) + "[" + std::to_string(i) + "]", initial));
-    }
-    return array;
-  }
-
-  /// read(W[index]) — 1 step.
-  static auto read_word(WordArray& array, std::uint32_t index) {
-    return array[index]->read();
-  }
-  /// write(W[index], value) — 1 step.
-  static auto write_word(WordArray& array, std::uint32_t index,
-                         std::uint64_t value) {
-    return array[index]->write(value);
-  }
-  /// CAS(W[index], expected, desired) — 1 step, failure-word semantics.
-  static auto cas_word(WordArray& array, std::uint32_t index,
-                       std::uint64_t expected, std::uint64_t desired) {
-    return array[index]->cas_observe(expected, desired);
-  }
-  /// Observer-side peek — 0 steps.
-  static std::uint64_t peek_word(const WordArray& array, std::uint32_t index) {
-    return array[index]->peek();
-  }
+/// The replay cells: RtEnv's cells and value packing (Value =
+/// std::uint64_t — the hardware codecs) under the simulator's scheduling.
+struct ReplayCells {
+  using Bin = ReplayBinaryRegister;
+  using Packed = ReplayPackedWordCell;
+  using Cas = ReplayCasCell;
+  using WordCell = ReplayWordCell;
+  using Value = std::uint64_t;
 };
+
+using ReplayEnv = SchedEnvT<ReplayCells>;
 
 static_assert(ExecutionEnv<ReplayEnv>);
 

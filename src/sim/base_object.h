@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "algo/values.h"
 #include "sim/task.h"
 #include "util/bits.h"
 
@@ -185,13 +186,6 @@ class WordRegister : public BaseObject {
   std::uint64_t value_;
 };
 
-/// Outcome of an observing CAS: success flag plus the word the cell held
-/// immediately before the primitive executed (== expected iff installed).
-struct CasObserved {
-  bool installed = false;
-  std::uint64_t observed = 0;
-};
-
 /// Atomic compare-and-swap cell over 64-bit values, supporting read and write
 /// as in §2 ("we assume that the CAS object supports standard read and write
 /// operations"). This is the base object of Algorithm 6.
@@ -209,19 +203,13 @@ class CasCell : public BaseObject {
                        return true;
                      }};
   }
-  /// CAS(X, old, new): returns true iff the swap was applied.
-  auto cas(std::uint64_t expected, std::uint64_t desired) {
-    return Primitive{id(), "cas", [this, expected, desired] {
-                       if (value_ != expected) return false;
-                       value_ = desired;
-                       return true;
-                     }};
-  }
-  /// Failure-word CAS: the same single "cas" primitive, additionally
-  /// reporting the word observed, so retry loops need no separate re-read.
+  /// Failure-word CAS(X, old, new): one "cas" primitive that reports
+  /// whether the swap was applied and the word it observed, so retry loops
+  /// need no separate re-read.
   auto cas_observe(std::uint64_t expected, std::uint64_t desired) {
     return Primitive{id(), "cas", [this, expected, desired] {
-                       const CasObserved result{value_ == expected, value_};
+                       const algo::CasResult<std::uint64_t> result{
+                           value_ == expected, value_};
                        if (result.installed) value_ = desired;
                        return result;
                      }};
@@ -244,9 +232,8 @@ class CasCell : public BaseObject {
 /// full abstract state plus the auxiliary response/process fields of
 /// Algorithm 5's head cell (the paper's O(s + 2^n)-state base objects).
 /// `lo`/`hi` carry the algorithm-level value; `ctx` is the R-LLSC context
-/// bitmask (bit i set <=> process i in context). For the plain CAS object the
-/// context word is simply part of the compared value, exactly as Algorithm 6
-/// stores (v, c_1, ..., c_n) in one CAS word.
+/// bitmask (bit i set <=> process i in context). The word of the native
+/// R-LLSC cell below; the CAS cell stores the algorithm's own CtxWord.
 struct WideWord {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
@@ -255,59 +242,55 @@ struct WideWord {
   friend bool operator==(const WideWord&, const WideWord&) = default;
 };
 
-/// Outcome of an observing wide CAS (see CasObserved).
-struct WideCasObserved {
-  bool installed = false;
-  WideWord observed{};
-};
-
-/// Atomic CAS cell over WideWord — the base object of Algorithm 6 (§6.3).
+/// Atomic CAS cell over the algorithm's CtxWord<RllscValue> — the base
+/// object of Algorithm 6 (§6.3): the context word is simply part of the
+/// compared value, exactly as Algorithm 6 stores (v, c_1, ..., c_n) in one
+/// CAS word.
 class WideCasCell : public BaseObject {
  public:
-  explicit WideCasCell(std::string name, WideWord initial = {})
+  using Word = algo::CtxWord<algo::RllscValue>;
+
+  explicit WideCasCell(std::string name, Word initial = {})
       : BaseObject(std::move(name)), word_(initial) {}
 
   auto read() {
     return Primitive{id(), "read", [this] { return word_; }};
   }
-  auto write(WideWord desired) {
+  auto write(Word desired) {
     return Primitive{id(), "write", [this, desired] {
-                       word_ = desired;
-                       return true;
-                     }};
-  }
-  auto cas(WideWord expected, WideWord desired) {
-    return Primitive{id(), "cas", [this, expected, desired] {
-                       if (!(word_ == expected)) return false;
                        word_ = desired;
                        return true;
                      }};
   }
   /// Failure-word CAS: one "cas" primitive that also reports the word it
   /// observed, so Algorithm 6's retry loops need no separate re-read step.
-  auto cas_observe(WideWord expected, WideWord desired) {
+  auto cas_observe(Word expected, Word desired) {
     return Primitive{id(), "cas", [this, expected, desired] {
-                       const WideCasObserved result{word_ == expected, word_};
+                       const algo::CasResult<Word> result{word_ == expected,
+                                                          word_};
                        if (result.installed) word_ = desired;
                        return result;
                      }};
   }
 
+  /// (lo, hi, ctx).
   void encode_state(std::vector<std::uint64_t>& out) const override {
-    out.push_back(word_.lo);
-    out.push_back(word_.hi);
+    out.push_back(word_.value.lo);
+    out.push_back(word_.value.hi);
     out.push_back(word_.ctx);
   }
   std::string describe() const override {
-    return name() + "=(" + std::to_string(word_.lo) + "," +
-           std::to_string(word_.hi) + ",ctx=" + std::to_string(word_.ctx) +
-           ")";
+    return name() + "=(" + std::to_string(word_.value.lo) + "," +
+           std::to_string(word_.value.hi) +
+           ",ctx=" + std::to_string(word_.ctx) + ")";
   }
 
-  WideWord peek() const { return word_; }
+  Word peek() const { return word_; }
+  /// An atomic primitive by construction.
+  bool is_lock_free() const { return true; }
 
  private:
-  WideWord word_;
+  Word word_;
 };
 
 /// Native context-aware releasable LL/SC object over WideWord values: each

@@ -11,13 +11,18 @@
 // for the universal constructions whose head packing differs per backend.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "algo/hi_set.h"
 #include "algo/leaky_universal.h"
+#include "algo/registers.h"
+#include "algo/rllsc.h"
 #include "algo/universal.h"
 #include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
@@ -461,6 +466,70 @@ TEST(ReplayEquivalence, OutOfRangePidInTraceIsRejected) {
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("pid"), std::string::npos) << report.message;
+}
+
+// ---- The SchedEnvT contract: SimEnv and ReplayEnv share one set of
+// factories, so a system of the same algorithm registers the same base
+// objects on both, in the same order, under the same names and with the
+// same snapshot widths (docs/ENV.md) — which is what lets a recorded trace's
+// object ids and word ranges mean the same thing on either side. ----
+
+/// Runs build(memory, std::type_identity<Env>{}) for Env = SimEnv and
+/// ReplayEnv, each on a fresh Memory, and compares the registered objects.
+template <typename Build>
+void expect_same_objects(const char* what, Build build) {
+  sim::Memory sim_memory;
+  sim::Memory replay_memory;
+  build(sim_memory, std::type_identity<env::SimEnv>{});
+  build(replay_memory, std::type_identity<env::ReplayEnv>{});
+  ASSERT_GT(sim_memory.num_objects(), 0u) << what;
+  ASSERT_EQ(sim_memory.num_objects(), replay_memory.num_objects()) << what;
+  for (int id = 0; id < static_cast<int>(sim_memory.num_objects()); ++id) {
+    EXPECT_EQ(sim_memory.object(id).name(), replay_memory.object(id).name())
+        << what << ", object " << id;
+    const auto [sim_first, sim_last] = sim_memory.word_range(id);
+    const auto [replay_first, replay_last] = replay_memory.word_range(id);
+    EXPECT_EQ(sim_last - sim_first, replay_last - replay_first)
+        << what << ", object " << id << " (" << sim_memory.object(id).name()
+        << ")";
+  }
+}
+
+TEST(ReplayEquivalence, SchedEnvBackendsRegisterTheSameObjects) {
+  const spec::RegisterSpec register_spec(8, 1);
+  expect_same_objects("padded register", [&](sim::Memory& memory, auto env) {
+    using Env = typename decltype(env)::type;
+    algo::LockFreeHiAlgPadded<Env> obj(memory, register_spec, kWriterPid,
+                                       kReaderPid);
+  });
+  expect_same_objects("packed set", [](sim::Memory& memory, auto env) {
+    using Env = typename decltype(env)::type;
+    const std::array<std::uint64_t, 2> members{0b101, 1};
+    algo::HiSetAlgPacked<Env> obj(memory, 70, members);  // two words
+  });
+  const spec::CounterSpec counter_spec(1u << 20, 10);
+  expect_same_objects("universal", [&](sim::Memory& memory, auto env) {
+    using Env = typename decltype(env)::type;
+    algo::UniversalAlg<Env, spec::CounterSpec, algo::CasRllscAlg<Env>> obj(
+        memory, counter_spec, 3);
+  });
+  expect_same_objects("leaky universal", [&](sim::Memory& memory, auto env) {
+    using Env = typename decltype(env)::type;
+    algo::LeakyUniversalAlg<Env, spec::CounterSpec> obj(memory, counter_spec,
+                                                        3);
+  });
+}
+
+TEST(ReplayEquivalence, CasCellsReportLockFree) {
+  sim::Memory sim_memory;
+  const algo::CasRllscAlg<env::SimEnv> sim_cell(sim_memory, "X", {7, 0});
+  EXPECT_TRUE(sim_cell.is_lock_free());
+#if defined(__x86_64__)
+  // CMPXCHG16B (CPUID CX16) is on every x86-64 host this suite targets.
+  sim::Memory replay_memory;
+  const algo::CasRllscAlg<env::ReplayEnv> replay_cell(replay_memory, "X", 7);
+  EXPECT_TRUE(replay_cell.is_lock_free());
+#endif
 }
 
 }  // namespace

@@ -95,9 +95,15 @@ TEST(FrameArena, PrewarmedBucketsNeverTouchTheHeap) {
 
 TEST(FrameArena, RecyclesSameBucket) {
   env::FrameArena& arena = env::FrameArena::local();
-  // Park the first-mint reserve before the books are read (a reuse hit if
-  // this thread has minted already), so they see only this test's slab.
-  arena.deallocate(arena.allocate(64), 64);
+  // Hold every slab already parked in the 2048-byte bucket (an earlier run
+  // of this test on the thread parks one) until the bucket is empty and
+  // one allocation mints — running the first-mint prewarm if this thread
+  // has not minted yet — so the books below see only this test's slab.
+  std::vector<void*> held;
+  const std::uint64_t minted = arena.stats().fresh_slabs;
+  do {
+    held.push_back(arena.allocate(2048));
+  } while (arena.stats().fresh_slabs == minted);
   const auto before = arena.stats();
 
   // 2048 bytes lands beyond the prewarmed buckets: the first allocation
@@ -113,6 +119,7 @@ TEST(FrameArena, RecyclesSameBucket) {
   EXPECT_EQ(after.outstanding, before.outstanding);
   EXPECT_EQ(after.reuse_hits, before.reuse_hits + 1);
   EXPECT_EQ(after.fresh_slabs, before.fresh_slabs + 1);
+  for (void* slab : held) arena.deallocate(slab, 2048);
 }
 
 TEST(FrameArena, DistinctBucketsDoNotAlias) {

@@ -114,7 +114,7 @@ TEST(SimCore, SnapshotDistance) {
 OpTask<std::uint32_t> cas_loop(CasCell& cell, std::uint64_t from,
                                std::uint64_t to) {
   for (;;) {
-    const bool swapped = co_await cell.cas(from, to);
+    const bool swapped = (co_await cell.cas_observe(from, to)).installed;
     if (swapped) break;
     from = co_await cell.read();
   }
