@@ -30,10 +30,10 @@
 #include <utility>
 #include <vector>
 
+#include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
-#include "sim/task.h"
 #include "spec/spec.h"
 
 namespace hi::adversary {
@@ -108,14 +108,16 @@ StarvationResult run_starvation(const S& spec, sim::Memory& memory,
   // exactly as in the proof of Theorem 17.
   change_to(plan.states.at(plan.states.size() > 1 ? 1 : 0));
 
-  sim::OpTask<typename S::Resp> read_task =
-      impl.apply(reader_pid, plan.read_op);
-  sched.start(reader_pid, read_task);
+  // The reader's single o_read runs through a Driver (which abandons it on
+  // return if the adversary wins); the changer's ops run solo.
+  std::vector<std::vector<typename S::Op>> reads(sched.num_processes());
+  reads.at(reader_pid).push_back(plan.read_op);
+  sim::Driver<S, Impl> reader(spec, sched, impl, reads);
+  (void)reader.start(reader_pid);
 
   const std::uint64_t reader_steps_before = sched.steps_of(reader_pid);
   for (std::uint64_t round = 0; round < max_rounds; ++round) {
-    if (sched.op_finished(reader_pid)) break;
-    if (!sched.runnable(reader_pid)) break;
+    if (!reader.can_step(reader_pid)) break;  // returned
 
     // Lemma 16: find two distinct states whose canonical representations
     // agree on the base object the reader accesses next.
@@ -162,19 +164,17 @@ StarvationResult run_starvation(const S& spec, sim::Memory& memory,
       // Degenerate (can only happen if |states| == 1): nothing to change.
       break;
     }
-    if (!sched.runnable(reader_pid)) break;
-    sched.step(reader_pid);  // r_k: exactly one reader step per round
+    if (!reader.can_step(reader_pid)) break;
+    (void)reader.step(reader_pid);  // r_k: exactly one reader step per round
     ++result.rounds_executed;
   }
 
   result.reader_steps = sched.steps_of(reader_pid) - reader_steps_before;
-  if (sched.op_finished(reader_pid)) {
-    sched.finish(reader_pid);
+  const auto& read = reader.history()[reader.op_index(reader_pid)];
+  if (read.completed()) {
     result.reader_returned = true;
     result.reader_response =
-        static_cast<std::uint32_t>(spec.encode_resp(read_task.take_result()));
-  } else {
-    sched.abandon(reader_pid);
+        static_cast<std::uint32_t>(spec.encode_resp(read.resp));
   }
   return result;
 }

@@ -61,6 +61,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sim/driver.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -164,7 +165,7 @@ class Explorer {
   /// this explorer's workload (e.g. a prefix captured via current_prefix()).
   ScheduleTrace trace_of(const std::vector<Decision>& decisions) {
     ScheduleTrace trace;
-    Replay r = fresh_replay();
+    Replay r(*this);
     r.system->scheduler().record_to(&trace);
     for (const Decision& d : decisions) apply_decision(r, d);
     r.system->scheduler().record_to(nullptr);
@@ -177,45 +178,31 @@ class Explorer {
   /// subsequences this way, and most candidates are simply invalid. Runs no
   /// observer and does not touch exploration state.
   std::optional<Hist> try_execute(const std::vector<Decision>& decisions) {
-    Replay r = fresh_replay();
+    Replay r(*this);
     const int n = r.system->scheduler().num_processes();
     for (const Decision& d : decisions) {
       if (d.pid < 0 || d.pid >= n) return std::nullopt;
-      if (d.crash) {
-        // Valid exactly where a step would be: a mid-operation, un-crashed
-        // process. (Shrinking does not consult max_crashes — a candidate
-        // subsequence of a valid crash schedule never has more crashes.)
-        if (!r.tasks[d.pid].has_value() ||
-            !r.system->scheduler().runnable(d.pid)) {
-          return std::nullopt;
-        }
-      } else if (d.start) {
-        if (r.tasks[d.pid].has_value()) return std::nullopt;
-        if (d.pid >= static_cast<int>(workload_.size()) ||
-            r.next_op[d.pid] >= workload_[d.pid].size()) {
-          return std::nullopt;
-        }
-      } else {
-        if (!r.tasks[d.pid].has_value() ||
-            !r.system->scheduler().runnable(d.pid)) {
-          return std::nullopt;
-        }
-      }
+      // (Shrinking does not consult max_crashes — a candidate subsequence
+      // of a valid crash schedule never has more crashes.)
+      const bool enabled = d.crash   ? r.driver.can_crash(d.pid)
+                           : d.start ? r.driver.can_start(d.pid)
+                                     : r.driver.can_step(d.pid);
+      if (!enabled) return std::nullopt;
       apply_decision(r, d);
     }
-    return std::move(r.history);
+    return r.driver.history();
   }
 
  private:
+  /// A freshly constructed system driven from its initial configuration —
+  /// the starting state of every (re-)execution.
   struct Replay {
+    explicit Replay(const Explorer& ex)
+        : system(ex.factory_()),
+          driver(ex.spec_, system->scheduler(), *system, ex.workload_) {}
+
     std::unique_ptr<System> system;
-    std::vector<std::optional<OpTask<Resp>>> tasks;
-    std::vector<std::size_t> next_op;
-    std::vector<std::size_t> hist_index;
-    std::vector<bool> state_changing;
-    Hist history;
-    int pending = 0;
-    int state_changing_pending = 0;
+    Driver<S, System> driver;  // declared after system: destroyed first
     std::uint32_t crashes_used = 0;
   };
 
@@ -275,26 +262,13 @@ class Explorer {
            !(read_only_kind(a.kind) && read_only_kind(b.kind));
   }
 
-  /// A freshly constructed system with empty per-process bookkeeping — the
-  /// starting state of every (re-)execution.
-  Replay fresh_replay() {
-    Replay r;
-    r.system = factory_();
-    const int n = r.system->scheduler().num_processes();
-    r.tasks.resize(n);
-    r.next_op.assign(n, 0);
-    r.hist_index.assign(n, 0);
-    r.state_changing.assign(n, false);
-    return r;
-  }
-
-  /// Re-execute the current prefix; returns the replayed state.
+  /// Re-execute the current prefix on the fresh replay `r`.
   /// `observe_from` marks how many trailing decisions are new (never
   /// observed before), so observations are not double-counted across
   /// re-executions. `last_completed` (optional) receives whether the final
   /// decision completed an operation.
-  Replay replay(std::size_t observe_from, bool* last_completed = nullptr) {
-    Replay r = fresh_replay();
+  void replay(Replay& r, std::size_t observe_from,
+              bool* last_completed = nullptr) {
     assert(r.system->scheduler().num_processes() <=
                (limits_.max_crashes > 0 ? 32 : 64) &&
            "exploration event sets are 64-bit masks (crash decisions use "
@@ -306,50 +280,23 @@ class Explorer {
       }
       if (i >= observe_from && observer_) {
         ++stats_.configurations;
-        observer_(*r.system, r.history, r.pending, r.state_changing_pending);
+        notify(r);
       }
     }
-    return r;
   }
 
   /// Returns true iff the decision completed an operation (start decisions
   /// can too: a zero-primitive op such as an absorbed WriteMax responds at
   /// its invoking event).
   bool apply_decision(Replay& r, const Decision& d) {
-    Scheduler& sched = r.system->scheduler();
     if (d.crash) {
-      // Fault decision: the pid halts forever. Its pending operation stays
-      // invoked-without-response in the history (the linearizability
-      // checker already lets such ops take effect or not); the suspended
-      // frame is freed when r.tasks[d.pid] is destroyed with the Replay.
-      sched.crash(d.pid);
+      // Fault decision: the pid halts forever; its pending operation stays
+      // invoked-without-response (the linearizability checker already lets
+      // such ops take effect or not).
       ++r.crashes_used;
-      return false;
+      return r.driver.crash(d.pid);
     }
-    if (d.start) {
-      assert(!r.tasks[d.pid].has_value());
-      const Op op = workload_[d.pid][r.next_op[d.pid]++];
-      r.hist_index[d.pid] = r.history.invoke(d.pid, op);
-      r.state_changing[d.pid] = !spec_.is_read_only(op);
-      r.tasks[d.pid].emplace(r.system->apply(d.pid, op));
-      sched.start(d.pid, *r.tasks[d.pid]);
-      ++r.pending;
-      if (r.state_changing[d.pid]) ++r.state_changing_pending;
-    } else {
-      sched.step(d.pid);
-    }
-    if (r.tasks[d.pid].has_value() && sched.op_finished(d.pid)) {
-      r.history.respond(r.hist_index[d.pid], r.tasks[d.pid]->take_result());
-      sched.finish(d.pid);
-      r.tasks[d.pid].reset();
-      --r.pending;
-      if (r.state_changing[d.pid]) {
-        --r.state_changing_pending;
-        r.state_changing[d.pid] = false;
-      }
-      return true;
-    }
-    return false;
+    return d.start ? r.driver.start(d.pid) : r.driver.step(d.pid);
   }
 
   std::vector<EnabledEvent> enabled_events(const Replay& r) const {
@@ -358,22 +305,18 @@ class Explorer {
     const int n = sched.num_processes();
     const bool crash_budget = r.crashes_used < limits_.max_crashes;
     for (int pid = 0; pid < n; ++pid) {
-      if (r.tasks[pid].has_value()) {
-        if (sched.runnable(pid)) {
-          events.push_back({{pid, false}, sched.pending_object(pid),
-                            sched.pending_kind(pid)});
-          // The adversary may crash any mid-operation process at its
-          // current primitive boundary instead of granting the step.
-          // (Crashing an idle process only deletes the tail of its
-          // workload — a strictly smaller crash-free workload, so it is
-          // not enumerated separately.)
-          if (crash_budget) {
-            events.push_back(
-                {{pid, false, /*crash=*/true}, -1, TraceStep::kCrashKind});
-          }
+      if (r.driver.can_step(pid)) {
+        events.push_back({{pid, false}, sched.pending_object(pid),
+                          sched.pending_kind(pid)});
+        // The adversary may crash any mid-operation process at its current
+        // primitive boundary instead of granting the step. (Crashing an
+        // idle process only deletes the tail of its workload — a strictly
+        // smaller crash-free workload, so it is not enumerated separately.)
+        if (crash_budget && r.driver.can_crash(pid)) {
+          events.push_back(
+              {{pid, false, /*crash=*/true}, -1, TraceStep::kCrashKind});
         }
-      } else if (pid < static_cast<int>(workload_.size()) &&
-                 r.next_op[pid] < workload_[pid].size()) {
+      } else if (r.driver.can_start(pid)) {
         events.push_back({{pid, true}, -1, ""});
       }
     }
@@ -439,9 +382,12 @@ class Explorer {
 
   void observe(const Replay& r) {
     ++stats_.configurations;
-    if (observer_) {
-      observer_(*r.system, r.history, r.pending, r.state_changing_pending);
-    }
+    if (observer_) notify(r);
+  }
+
+  void notify(const Replay& r) {
+    observer_(*r.system, r.driver.history(), r.driver.pending(),
+              r.driver.state_changing_pending());
   }
 
   void dfs() {
@@ -455,7 +401,8 @@ class Explorer {
     const bool dpor = limits_.mode == ExploreMode::kDpor;
     const std::size_t base = prefix_.size();
     bool last_completed = false;
-    Replay r = replay(base == 0 ? 0 : base - 1, &last_completed);
+    std::optional<Replay> r(std::in_place, *this);
+    replay(*r, base == 0 ? 0 : base - 1, &last_completed);
     if (dpor && base > 0) {
       nodes_[base - 1].completed = last_completed;
       race_detect(base - 1);
@@ -466,13 +413,13 @@ class Explorer {
     // whole prefix; a chain of forced moves must not).
     for (;;) {
       Node node;
-      node.enabled = enabled_events(r);
+      node.enabled = enabled_events(*r);
       for (const EnabledEvent& e : node.enabled) {
         node.enabled_mask |= event_bit(e);
       }
       if (node.enabled.empty()) {
         ++stats_.executions_complete;
-        if (on_complete_) on_complete_(*r.system, r.history);
+        if (on_complete_) on_complete_(*r->system, r->driver.history());
         unwind_to(base);
         return;
       }
@@ -511,15 +458,15 @@ class Explorer {
       node.taken = chosen;
       nodes_.push_back(std::move(node));
       prefix_.push_back(chosen.d);
-      nodes_.back().completed = apply_decision(r, chosen.d);
-      observe(r);
+      nodes_.back().completed = apply_decision(*r, chosen.d);
+      observe(*r);
       if (dpor) race_detect(prefix_.size() - 1);
     }
 
     // Branching node: free the live replay (children re-execute), then
     // explore candidates — under DPOR only backtracked ones, and race
     // detection inside a child's subtree may add more for later rounds.
-    r = Replay{};
+    r.reset();
     const std::size_t depth = prefix_.size();
     {
       Node& node = nodes_[depth];

@@ -1,16 +1,16 @@
 // Execution harness: drives workloads over a simulated implementation under
-// a scheduling policy, records the induced history H(α), per-operation step
-// counts (for the progress checks), and memory observations at the
-// observation points of the three HI notions (Definitions 5, 7, 8).
+// a scheduling policy (through sim::Driver, which records the induced
+// history H(α)), and records per-operation step counts (for the progress
+// checks) and memory observations at the observation points of the three HI
+// notions (Definitions 5, 7, 8).
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
+#include "sim/driver.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -28,15 +28,6 @@ struct Observation {
   std::uint64_t state = 0;
   MemorySnapshot mem;
 };
-
-/// A sim implementation of spec S: spawns the coroutine for one high-level
-/// operation executed by process `pid`.
-template <typename Impl, typename S>
-concept SimImplementation =
-    hi::spec::SequentialSpec<S> &&
-    requires(Impl impl, int pid, typename S::Op op) {
-      { impl.apply(pid, op) } -> std::same_as<OpTask<typename S::Resp>>;
-    };
 
 template <hi::spec::SequentialSpec S, typename Impl>
   requires SimImplementation<Impl, S>
@@ -93,14 +84,11 @@ class Runner {
     assert(static_cast<int>(workload.size()) <= n);
 
     Result result;
-    std::vector<Slot> slots(n);
-    for (int pid = 0; pid < static_cast<int>(workload.size()); ++pid) {
-      slots[pid].remaining.assign(workload[pid].begin(), workload[pid].end());
-    }
-
+    Driver<S, Impl> driver(spec_, sched_, impl_, workload);
+    std::vector<std::uint64_t> steps_at_start(n, 0);  // per-op step counts
     util::Xoshiro256 rng(opt.seed);
     sched_.record_to(opt.trace);
-    observe(result, slots);  // the initial configuration is quiescent
+    observe(result, driver);  // the initial configuration is quiescent
 
     int rr_cursor = 0;
     for (;;) {
@@ -112,9 +100,9 @@ class Runner {
       startable_.clear();
       steppable_.clear();
       for (int pid = 0; pid < n; ++pid) {
-        if (slots[pid].task.has_value()) {
-          if (sched_.runnable(pid)) steppable_.push_back(pid);
-        } else if (!slots[pid].remaining.empty()) {
+        if (driver.can_step(pid)) {
+          steppable_.push_back(pid);
+        } else if (driver.can_start(pid)) {
           startable_.push_back(pid);
         }
       }
@@ -126,15 +114,14 @@ class Runner {
         pid = -1;
         for (int probe = 0; probe < n; ++probe) {
           const int cand = (rr_cursor + probe) % n;
-          if (slots[cand].task.has_value() ? sched_.runnable(cand)
-                                           : !slots[cand].remaining.empty()) {
+          if (driver.can_step(cand) || driver.can_start(cand)) {
             pid = cand;
             break;
           }
         }
         assert(pid >= 0);
         rr_cursor = (pid + 1) % n;
-        do_start = !slots[pid].task.has_value();
+        do_start = driver.can_start(pid);
       } else {
         const std::uint64_t start_total =
             static_cast<std::uint64_t>(startable_.size()) * opt.start_weight;
@@ -150,65 +137,34 @@ class Runner {
         }
       }
 
+      bool completed;
       if (do_start) {
-        invoke_next(slots[pid], pid, result);
+        completed = driver.start(pid);
+        steps_at_start[pid] = sched_.steps_of(pid);
       } else {
-        const std::uint64_t before = sched_.steps_of(pid);
-        sched_.step(pid);
-        slots[pid].steps += sched_.steps_of(pid) - before;
+        completed = driver.step(pid);
       }
-      reap(slots[pid], pid, result);
-      observe(result, slots);
+      if (completed) {
+        result.op_steps.resize(driver.history().size(), 0);
+        result.op_steps[driver.op_index(pid)] =
+            sched_.steps_of(pid) - steps_at_start[pid];
+      }
+      observe(result, driver);
     }
     sched_.record_to(nullptr);
+    result.history = driver.history();
     result.total_steps = sched_.total_steps();
     return result;
   }
 
  private:
-  struct Slot {
-    std::deque<Op> remaining;
-    std::optional<OpTask<Resp>> task;
-    std::size_t history_index = 0;
-    std::uint64_t steps = 0;
-    bool state_changing = false;
-  };
-
-  void invoke_next(Slot& slot, int pid, Result& result) {
-    assert(!slot.task.has_value() && !slot.remaining.empty());
-    Op op = slot.remaining.front();
-    slot.remaining.pop_front();
-    slot.history_index = result.history.invoke(pid, op);
-    slot.state_changing = !spec_.is_read_only(op);
-    slot.steps = 0;
-    slot.task.emplace(impl_.apply(pid, op));
-    sched_.start(pid, *slot.task);
-  }
-
-  void reap(Slot& slot, int pid, Result& result) {
-    if (!slot.task.has_value() || !sched_.op_finished(pid)) return;
-    result.history.respond(slot.history_index, slot.task->take_result());
-    result.op_steps.resize(result.history.size(), 0);
-    result.op_steps[slot.history_index] = slot.steps;
-    sched_.finish(pid);
-    slot.task.reset();
-  }
-
-  void observe(Result& result, const std::vector<Slot>& slots) {
-    bool any_pending = false;
-    bool state_changing_pending = false;
-    for (const Slot& slot : slots) {
-      if (slot.task.has_value()) {
-        any_pending = true;
-        state_changing_pending |= slot.state_changing;
-      }
-    }
-    if (state_changing_pending) return;  // not even state-quiescent
+  void observe(Result& result, const Driver<S, Impl>& driver) {
+    if (driver.state_changing_pending() > 0) return;  // not state-quiescent
     Observation obs;
     obs.at_step = sched_.total_steps();
-    obs.state = state_oracle_(result.history);
+    obs.state = state_oracle_(driver.history());
     obs.mem = memory_.snapshot();
-    if (!any_pending) result.quiescent.push_back(obs);
+    if (driver.pending() == 0) result.quiescent.push_back(obs);
     result.state_quiescent.push_back(std::move(obs));
   }
 

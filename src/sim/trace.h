@@ -15,9 +15,10 @@
 //
 // Traces are recorded via Scheduler::record_to (every start()/step() lands
 // one TraceStep), from Runner runs (Options.trace), or from explorer
-// Decision paths (Explorer::trace_of); pretty() renders a trace as a C++
-// initializer list so a failing schedule can be persisted verbatim as a
-// regression test.
+// Decision paths (Explorer::trace_of) — all of which drive processes
+// through sim::Driver (sim/driver.h), the one place decisions become a
+// history; pretty() renders a trace as a C++ initializer list so a failing
+// schedule can be persisted verbatim as a regression test.
 #pragma once
 
 #include <cstddef>

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/driver.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "verify/divergence.h"
@@ -55,31 +56,29 @@ struct ProgressResult {
 };
 
 /// Round-robin one step at a time over the surviving runnable processes
-/// until none remains runnable or the budget runs out. `step_and_reap(pid)`
-/// must execute one scheduler step for `pid` and acknowledge a completed
-/// operation (Scheduler::finish + take_result) so the process leaves the
-/// runnable set — exactly what verify::TraceSide::step + reap, or the
-/// explorer's apply_decision, already do. Crashed processes are excluded by
+/// until none remains runnable or the budget runs out. Every runnable
+/// process must be mid-operation in `driver`; sim::Driver::step reaps a
+/// completed operation into the driver's history, so the process leaves the
+/// runnable set. Crashed processes are excluded by
 /// Scheduler::runnable_processes() itself.
 ///
 /// Round-robin order matters for the audit's strength: it is the fairest
 /// schedule, so a failure here means NO schedule drains the survivors —
 /// the object's progress guarantee is simply gone (a lock died with its
 /// holder), not merely delayed.
-template <typename StepFn>
-ProgressResult drive_survivors_to_quiescence(sim::Scheduler& sched,
-                                             StepFn step_and_reap,
+template <typename S, typename Impl>
+ProgressResult drive_survivors_to_quiescence(sim::Driver<S, Impl>& driver,
                                              std::uint64_t step_budget) {
   ProgressResult result;
   for (;;) {
-    const std::vector<int> pids = sched.runnable_processes();
+    const std::vector<int> pids = driver.scheduler().runnable_processes();
     if (pids.empty()) {
       result.quiescent = true;
       return result;
     }
     for (const int pid : pids) {
       if (result.steps_used >= step_budget) return result;
-      step_and_reap(pid);
+      (void)driver.step(pid);
       ++result.steps_used;
     }
   }

@@ -21,15 +21,14 @@
 // permanent regression test.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "sim/driver.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
@@ -49,80 +48,6 @@ struct ReplayReport {
   std::uint64_t memory_checks = 0;
 };
 
-/// One side of a differential march: a scheduler plus a core-style
-/// implementation (`apply(pid, op) -> sim::OpTask<Resp>`), fed a fixed
-/// per-process operation sequence in invocation order. Pending operations
-/// left by a truncated trace (adversary schedules end mid-read) are
-/// abandoned at destruction.
-template <spec::SequentialSpec S, typename Impl>
-class TraceSide {
- public:
-  using Op = typename S::Op;
-  using Resp = typename S::Resp;
-
-  TraceSide(sim::Scheduler& sched, Impl& impl,
-            const std::vector<std::vector<Op>>& workload)
-      : sched_(sched),
-        impl_(impl),
-        workload_(workload),
-        tasks_(sched.num_processes()),
-        next_op_(sched.num_processes(), 0) {}
-
-  TraceSide(const TraceSide&) = delete;
-  TraceSide& operator=(const TraceSide&) = delete;
-
-  ~TraceSide() {
-    for (int pid = 0; pid < static_cast<int>(tasks_.size()); ++pid) {
-      if (tasks_[pid].has_value()) {
-        sched_.abandon(pid);
-        tasks_[pid].reset();
-      }
-    }
-  }
-
-  bool can_start(int pid) const {
-    return !tasks_[pid].has_value() &&
-           pid < static_cast<int>(workload_.size()) &&
-           next_op_[pid] < workload_[pid].size();
-  }
-  void start(int pid) {
-    assert(can_start(pid));
-    const Op op = workload_[pid][next_op_[pid]++];
-    tasks_[pid].emplace(impl_.apply(pid, op));
-    sched_.start(pid, *tasks_[pid]);
-  }
-
-  bool busy(int pid) const { return tasks_[pid].has_value(); }
-  bool runnable(int pid) const { return sched_.runnable(pid); }
-  bool crashed(int pid) const { return sched_.crashed(pid); }
-  /// Crash-fail the pid (trace kind "crash"). Its pending operation — if
-  /// any — stays pending forever; the frame is freed by the destructor's
-  /// abandon-and-reset sweep like any other torn-down operation.
-  void crash(int pid) { sched_.crash(pid); }
-  int pending_object(int pid) const { return sched_.pending_object(pid); }
-  const char* pending_kind(int pid) const { return sched_.pending_kind(pid); }
-  void step(int pid) { sched_.step(pid); }
-
-  /// If pid's operation just completed, acknowledge it and return the
-  /// response; nullopt otherwise.
-  std::optional<Resp> reap(int pid) {
-    if (!tasks_[pid].has_value() || !sched_.op_finished(pid)) {
-      return std::nullopt;
-    }
-    Resp response = tasks_[pid]->take_result();
-    sched_.finish(pid);
-    tasks_[pid].reset();
-    return response;
-  }
-
- private:
-  sim::Scheduler& sched_;
-  Impl& impl_;
-  const std::vector<std::vector<Op>>& workload_;
-  std::vector<std::optional<sim::OpTask<Resp>>> tasks_;
-  std::vector<std::size_t> next_op_;
-};
-
 /// Word-for-word memory comparator: both systems' mem(C) snapshots must be
 /// identical vectors. Use when the per-backend encodings coincide (binary
 /// registers; the R-LLSC cell, whose replay encoding (value, 0, ctx)
@@ -138,10 +63,12 @@ inline auto snapshot_word_compare(const sim::Memory& sim_memory,
   };
 }
 
-/// March a sim-side and a replay-side instantiation through `trace`.
-/// `workload` is the per-process operation sequence in invocation order —
-/// trace start events consume it per pid. `compare` runs after every event:
-/// nullopt = equal, else a description of the divergence.
+/// March a sim-side and a replay-side instantiation through `trace`, each
+/// driven by its own sim::Driver. `workload` is the per-process operation
+/// sequence in invocation order — trace start events consume it per pid.
+/// `compare` runs after every event: nullopt = equal, else a description of
+/// the divergence. Operations a truncated trace leaves pending (adversary
+/// schedules end mid-read) are abandoned on return.
 template <spec::SequentialSpec S, typename SimImpl, typename ReplayImpl,
           typename CompareFn>
 ReplayReport replay_differential(
@@ -150,8 +77,6 @@ ReplayReport replay_differential(
     const std::vector<std::vector<typename S::Op>>& workload,
     const sim::ScheduleTrace& trace, CompareFn compare) {
   ReplayReport report;
-  TraceSide<S, SimImpl> sim_side(sim_sched, sim_impl, workload);
-  TraceSide<S, ReplayImpl> replay_side(replay_sched, replay_impl, workload);
 
   const auto fail = [&report](std::size_t at, std::string message) {
     report.ok = false;
@@ -177,6 +102,9 @@ ReplayReport replay_differential(
     fail(0, "process counts differ between the two systems");
     return report;
   }
+  sim::Driver<S, SimImpl> sim_side(spec, sim_sched, sim_impl, workload);
+  sim::Driver<S, ReplayImpl> replay_side(spec, replay_sched, replay_impl,
+                                         workload);
   for (std::size_t i = 0; i < trace.steps.size(); ++i) {
     const sim::TraceStep& event = trace.steps[i];
     // A corrupted trace (hand-persisted literals invite typos) must be
@@ -186,30 +114,37 @@ ReplayReport replay_differential(
               "systems have " + std::to_string(num_processes) + " processes");
       return report;
     }
+    bool sim_done = false;
+    bool replay_done = false;
     if (event.is_crash()) {
       // Crash events replay on both sides alike: the pid halts, its pending
       // operation (if any) never responds, and the lockstep march continues
       // over the survivors — so crashed schedules are differential tests
       // too (the post-crash survivor steps and memories must still agree).
-      if (sim_side.crashed(event.pid) || replay_side.crashed(event.pid)) {
+      if (sim_sched.crashed(event.pid) || replay_sched.crashed(event.pid)) {
         fail(i, "trace crashes an already-crashed pid");
         return report;
       }
       sim_side.crash(event.pid);
       replay_side.crash(event.pid);
     } else if (event.start) {
+      if (sim_sched.crashed(event.pid)) {
+        fail(i, "trace starts an operation on p" + std::to_string(event.pid) +
+                    ", which crashed earlier in the trace");
+        return report;
+      }
       if (!sim_side.can_start(event.pid) || !replay_side.can_start(event.pid)) {
         fail(i, "trace invokes an operation the workload does not provide");
         return report;
       }
-      sim_side.start(event.pid);
-      replay_side.start(event.pid);
+      sim_done = sim_side.start(event.pid);
+      replay_done = replay_side.start(event.pid);
     } else {
-      if (!sim_side.busy(event.pid) || !sim_side.runnable(event.pid)) {
+      if (!sim_side.can_step(event.pid)) {
         fail(i, "sim side has no runnable operation for the traced step");
         return report;
       }
-      if (!replay_side.busy(event.pid) || !replay_side.runnable(event.pid)) {
+      if (!replay_side.can_step(event.pid)) {
         fail(i, "replay side has no runnable operation — the backends "
                 "completed the operation at different steps");
         return report;
@@ -217,8 +152,8 @@ ReplayReport replay_differential(
       // The sim re-execution must retrace the recorded annotation exactly
       // (determinism check), and the replay side must be about to execute
       // the SAME primitive on the SAME base object (equivalence check).
-      const int sim_obj = sim_side.pending_object(event.pid);
-      const std::string_view sim_kind = sim_side.pending_kind(event.pid);
+      const int sim_obj = sim_sched.pending_object(event.pid);
+      const std::string_view sim_kind = sim_sched.pending_kind(event.pid);
       if (event.object >= 0 &&
           (sim_obj != event.object || sim_kind != event.kind)) {
         std::ostringstream out;
@@ -228,8 +163,9 @@ ReplayReport replay_differential(
         fail(i, out.str());
         return report;
       }
-      const int replay_obj = replay_side.pending_object(event.pid);
-      const std::string_view replay_kind = replay_side.pending_kind(event.pid);
+      const int replay_obj = replay_sched.pending_object(event.pid);
+      const std::string_view replay_kind =
+          replay_sched.pending_kind(event.pid);
       if (replay_obj != sim_obj || replay_kind != sim_kind) {
         std::ostringstream out;
         out << "pending primitive diverges: sim (" << sim_obj << ", "
@@ -238,22 +174,22 @@ ReplayReport replay_differential(
         fail(i, out.str());
         return report;
       }
-      sim_side.step(event.pid);
-      replay_side.step(event.pid);
+      sim_done = sim_side.step(event.pid);
+      replay_done = replay_side.step(event.pid);
       ++report.steps_executed;
     }
 
-    const auto sim_resp = sim_side.reap(event.pid);
-    const auto replay_resp = replay_side.reap(event.pid);
-    if (sim_resp.has_value() != replay_resp.has_value()) {
-      fail(i, sim_resp.has_value()
+    if (sim_done != replay_done) {
+      fail(i, sim_done
                   ? "sim operation completed but replay is still pending"
                   : "replay operation completed but sim is still pending");
       return report;
     }
-    if (sim_resp.has_value()) {
-      const std::uint32_t sim_word = spec.encode_resp(*sim_resp);
-      const std::uint32_t replay_word = spec.encode_resp(*replay_resp);
+    if (sim_done) {
+      const std::uint32_t sim_word = spec.encode_resp(
+          sim_side.history()[sim_side.op_index(event.pid)].resp);
+      const std::uint32_t replay_word = spec.encode_resp(
+          replay_side.history()[replay_side.op_index(event.pid)].resp);
       if (sim_word != replay_word) {
         std::ostringstream out;
         out << "response diverges for p" << event.pid << ": sim " << sim_word

@@ -44,6 +44,7 @@
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
+#include "sim_system.h"
 #include "spec/register_spec.h"
 #include "util/rng.h"
 #include "verify/history.h"
@@ -130,19 +131,10 @@ class BrokenCounterAlg {
 /// Explorer-compatible system wrapper for the broken counter's simulator
 /// instantiation — the step-model side of the catch → reproduce → shrink
 /// pipeline (and the DPOR suite's bug-preservation check).
-struct BrokenCounterSystem {
-  NaiveCounterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  BrokenCounterAlg<env::SimEnv> impl;
-
+struct BrokenCounterSystem
+    : SimSystem<NaiveCounterSpec, BrokenCounterAlg<env::SimEnv>> {
   explicit BrokenCounterSystem(int num_processes)
-      : sched(num_processes), impl(mem) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, NaiveCounterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : SimSystem(NaiveCounterSpec{}, num_processes) {}
 };
 
 // ---------------------------------------------------------------------------

@@ -47,11 +47,13 @@
 #include "env/sim_env.h"
 #include "fuzz_common.h"
 #include "register_common.h"
+#include "sim/driver.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
+#include "sim_system.h"
 #include "spec/counter_spec.h"
 #include "spec/register_spec.h"
 #include "spec/set_spec.h"
@@ -69,43 +71,33 @@ namespace {
 /// steps. Returns false — without crashing — if the op completes in fewer
 /// steps (the caller's crash-point sweep is past the op's length).
 template <typename S, typename Impl>
-bool start_and_crash_after(verify::TraceSide<S, Impl>& side, int pid,
+bool start_and_crash_after(sim::Driver<S, Impl>& driver, int pid,
                            std::uint64_t steps) {
-  side.start(pid);
-  if (side.reap(pid).has_value()) return false;  // zero-primitive op
+  if (driver.start(pid)) return false;  // zero-primitive op
   for (std::uint64_t i = 0; i < steps; ++i) {
-    side.step(pid);
-    if (side.reap(pid).has_value()) return false;
+    if (driver.step(pid)) return false;
   }
-  side.crash(pid);
+  driver.crash(pid);
   return true;
 }
 
 /// Drain every surviving process: start each remaining workload op as its
 /// process goes idle and round-robin the pending ones to quiescence.
-/// `on_resp(pid, resp)` fires per completed operation.
-template <typename S, typename Impl, typename OnResp>
-verify::ProgressResult drain_survivors(verify::TraceSide<S, Impl>& side,
-                                       sim::Scheduler& sched,
-                                       std::uint64_t budget, OnResp on_resp) {
+template <typename S, typename Impl>
+verify::ProgressResult drain_survivors(sim::Driver<S, Impl>& driver,
+                                       std::uint64_t budget) {
   verify::ProgressResult total{/*quiescent=*/true, /*steps_used=*/0};
-  const int n = sched.num_processes();
-  const auto step_and_reap = [&](int pid) {
-    side.step(pid);
-    if (const auto resp = side.reap(pid)) on_resp(pid, *resp);
-  };
+  const int n = driver.scheduler().num_processes();
   for (;;) {
     bool started = false;
     for (int pid = 0; pid < n; ++pid) {
-      if (!sched.crashed(pid) && side.can_start(pid)) {
-        side.start(pid);
-        if (const auto resp = side.reap(pid)) on_resp(pid, *resp);
+      if (driver.can_start(pid)) {
+        (void)driver.start(pid);
         started = true;
       }
     }
     const verify::ProgressResult round = verify::drive_survivors_to_quiescence(
-        sched, step_and_reap,
-        budget > total.steps_used ? budget - total.steps_used : 0);
+        driver, budget > total.steps_used ? budget - total.steps_used : 0);
     total.steps_used += round.steps_used;
     if (!round.quiescent) {
       total.quiescent = false;
@@ -113,6 +105,18 @@ verify::ProgressResult drain_survivors(verify::TraceSide<S, Impl>& side,
     }
     if (!started) return total;
   }
+}
+
+/// Responses of the completed operations in `driver`'s history, in
+/// invocation order — of every pid, or of `pid` only.
+template <typename S, typename Impl>
+std::vector<typename S::Resp> completed_responses(
+    const sim::Driver<S, Impl>& driver, int pid = -1) {
+  std::vector<typename S::Resp> out;
+  for (const auto& e : driver.history().entries()) {
+    if (e.completed() && (pid < 0 || e.pid == pid)) out.push_back(e.resp);
+  }
+  return out;
 }
 
 /// Allowed-residue predicate over one object's snapshot word range.
@@ -123,75 +127,38 @@ auto words_of(const sim::Memory& mem, int object_id) {
 
 // ----------------------------------------------------------------- systems
 
-struct SpinLockSystem {
-  testing::NaiveCounterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  testing::SpinLockCounterAlg<env::SimEnv> impl;
-
+struct SpinLockSystem
+    : testing::SimSystem<testing::NaiveCounterSpec,
+                         testing::SpinLockCounterAlg<env::SimEnv>> {
   explicit SpinLockSystem(int num_processes)
-      : sched(num_processes), impl(mem) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, testing::NaiveCounterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : SimSystem(testing::NaiveCounterSpec{}, num_processes) {}
 };
 
-struct LeakySystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  testing::LeakyCrashRegisterAlg<env::SimEnv> impl;
-
-  LeakySystem() : spec(4, 1), sched(2), impl(mem, 1) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct LeakySystem
+    : testing::SimSystem<spec::RegisterSpec,
+                         testing::LeakyCrashRegisterAlg<env::SimEnv>> {
+  LeakySystem() : SimSystem(spec::RegisterSpec(4, 1), 2, 1) {}
 };
 
-struct UniversalSystem {
-  spec::CounterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::Universal<spec::CounterSpec, core::NativeRllsc> impl;
-
+struct UniversalSystem
+    : testing::SimSystem<spec::CounterSpec,
+                         core::Universal<spec::CounterSpec, core::NativeRllsc>> {
   explicit UniversalSystem(bool combine)
-      : spec(1u << 20, 10),
-        sched(2),
-        impl(mem, spec, /*num_processes=*/2, /*clear_contexts=*/true, combine) {
-  }
+      : SimSystem(spec::CounterSpec(1u << 20, 10), 2, /*num_processes=*/2,
+                  /*clear_contexts=*/true, combine) {}
 };
-using UniversalImpl = core::Universal<spec::CounterSpec, core::NativeRllsc>;
 
-struct WfsSystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::WaitFreeSimHiRegister impl;
-
-  // fast_limit = 0: every read announces + enqueues (slow path always), so
-  // each crash-point sweep exercises the helping obligation directly.
+// fast_limit = 0: every read announces + enqueues (slow path always), so
+// each crash-point sweep exercises the helping obligation directly.
+struct WfsSystem
+    : testing::SimSystem<spec::RegisterSpec, core::WaitFreeSimHiRegister> {
   WfsSystem()
-      : spec(4, 1),
-        sched(2),
-        impl(mem, spec, /*writer_pid=*/0, /*reader_pid=*/1, /*fast_limit=*/0) {}
+      : SimSystem(spec::RegisterSpec(4, 1), 2, /*writer_pid=*/0,
+                  /*reader_pid=*/1, /*fast_limit=*/0) {}
 };
 
-struct CrashSet2System {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::HiSet impl;
-
-  CrashSet2System() : spec(4), sched(2), impl(mem, spec) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct CrashSet2System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+  CrashSet2System() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
 // ------------------------------------------------------- positive controls
@@ -200,15 +167,12 @@ TEST(CrashAudit, SpinLockControlFailsProgressGate) {
   const std::vector<std::vector<testing::NaiveCounterSpec::Op>> work = {
       {testing::NaiveCounterSpec::inc()}, {testing::NaiveCounterSpec::inc()}};
   SpinLockSystem sys(2);
-  verify::TraceSide<testing::NaiveCounterSpec,
-                    testing::SpinLockCounterAlg<env::SimEnv>>
-      side(sys.sched, sys.impl, work);
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
   // Step 1 executes the lock CAS; the crash lands with the lock held.
-  ASSERT_TRUE(start_and_crash_after(side, 0, 1));
+  ASSERT_TRUE(start_and_crash_after(driver, 0, 1));
   ASSERT_TRUE(sys.impl.lock_held()) << "crash staged before the acquire";
 
-  const auto result =
-      drain_survivors(side, sys.sched, 5'000, [](int, std::uint32_t) {});
+  const auto result = drain_survivors(driver, 5'000);
   EXPECT_FALSE(result.quiescent)
       << "a lock-based object must FAIL the progress gate when its lock "
          "holder crashes — the positive control lost its teeth";
@@ -221,13 +185,9 @@ TEST(CrashAudit, SpinLockDrainsWithoutCrashes) {
   const std::vector<std::vector<testing::NaiveCounterSpec::Op>> work = {
       {testing::NaiveCounterSpec::inc()}, {testing::NaiveCounterSpec::inc()}};
   SpinLockSystem sys(2);
-  verify::TraceSide<testing::NaiveCounterSpec,
-                    testing::SpinLockCounterAlg<env::SimEnv>>
-      side(sys.sched, sys.impl, work);
-  std::vector<std::uint32_t> responses;
-  const auto result = drain_survivors(
-      side, sys.sched, 5'000,
-      [&](int, std::uint32_t r) { responses.push_back(r); });
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+  const auto result = drain_survivors(driver, 5'000);
+  std::vector<std::uint32_t> responses = completed_responses(driver);
   EXPECT_TRUE(result.quiescent);
   std::sort(responses.begin(), responses.end());
   EXPECT_EQ(responses, (std::vector<std::uint32_t>{1, 2}));
@@ -252,14 +212,11 @@ TEST(CrashAudit, LeakyRegisterControlFailsResidueAudit) {
   // after step 3: the new value landed but the journal still holds the OLD
   // value — the leak a seized machine reads.
   LeakySystem sys;
-  verify::TraceSide<spec::RegisterSpec,
-                    testing::LeakyCrashRegisterAlg<env::SimEnv>>
-      side(sys.sched, sys.impl, work);
-  ASSERT_TRUE(start_and_crash_after(side, 0, 3));
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+  ASSERT_TRUE(start_and_crash_after(driver, 0, 3));
   ASSERT_EQ(sys.impl.peek_journal(), 1u) << "crash staged at the wrong step";
 
-  const auto result =
-      drain_survivors(side, sys.sched, 10'000, [](int, std::uint32_t) {});
+  const auto result = drain_survivors(driver, 10'000);
   ASSERT_TRUE(result.quiescent) << "plain reads/writes cannot block";
 
   // Residue allowed only inside the value cell (object 0) — the crashed
@@ -274,12 +231,9 @@ TEST(CrashAudit, LeakyRegisterControlFailsResidueAudit) {
   // And the audit is not trivially firing: a crash BEFORE the journal store
   // leaves a perfectly canonical image.
   LeakySystem clean;
-  verify::TraceSide<spec::RegisterSpec,
-                    testing::LeakyCrashRegisterAlg<env::SimEnv>>
-      clean_side(clean.sched, clean.impl, work);
-  ASSERT_TRUE(start_and_crash_after(clean_side, 0, 1));
-  const auto clean_result =
-      drain_survivors(clean_side, clean.sched, 10'000, [](int, std::uint32_t) {});
+  sim::Driver clean_driver(clean.spec, clean.sched, clean.impl, work);
+  ASSERT_TRUE(start_and_crash_after(clean_driver, 0, 1));
+  const auto clean_result = drain_survivors(clean_driver, 10'000);
   ASSERT_TRUE(clean_result.quiescent);
   EXPECT_TRUE(verify::residue_against_best(canon_initial, canon_written,
                                            clean.mem.snapshot(),
@@ -297,16 +251,13 @@ TEST(CrashAudit, LockFreeRegisterReaderDrainsAtEveryWriterCrashPoint) {
   int crash_points = 0;
   for (std::uint64_t s = 0;; ++s) {
     testing::RegisterSystem<Impl> sys(4);
-    verify::TraceSide<spec::RegisterSpec, Impl> side(sys.sched, sys.impl,
-                                                     work);
-    if (!start_and_crash_after(side, testing::kWriterPid, s)) break;
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    if (!start_and_crash_after(driver, testing::kWriterPid, s)) break;
     ++crash_points;
 
-    std::vector<std::uint32_t> reads;
-    const auto result = drain_survivors(
-        side, sys.sched, 200'000, [&](int pid, std::uint32_t r) {
-          if (pid == testing::kReaderPid) reads.push_back(r);
-        });
+    const auto result = drain_survivors(driver, 200'000);
+    const std::vector<std::uint32_t> reads =
+        completed_responses(driver, testing::kReaderPid);
     ASSERT_TRUE(result.quiescent)
         << "reader starved by a CRASHED writer at crash point " << s
         << " — lock-freedom must survive crashes";
@@ -345,15 +296,12 @@ TEST(CrashAudit, PlainUniversalResidueConfinedToCrashedAnnounceCell) {
   int crash_points = 0;
   for (std::uint64_t s = 0;; ++s) {
     UniversalSystem sys(/*combine=*/false);
-    verify::TraceSide<spec::CounterSpec, UniversalImpl> side(sys.sched,
-                                                             sys.impl, work);
-    if (!start_and_crash_after(side, 0, s)) break;
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    if (!start_and_crash_after(driver, 0, s)) break;
     ++crash_points;
 
-    std::vector<std::uint32_t> responses;
-    const auto result = drain_survivors(
-        side, sys.sched, 200'000,
-        [&](int, std::uint32_t r) { responses.push_back(r); });
+    const auto result = drain_survivors(driver, 200'000);
+    const std::vector<std::uint32_t> responses = completed_responses(driver);
     ASSERT_TRUE(result.quiescent)
         << "survivor starved at crash point " << s
         << " — the universal construction must complete on survivors";
@@ -385,15 +333,12 @@ TEST(CrashAudit, CombiningUniversalSurvivesWinnerCrashBeforeInstall) {
   std::uint64_t install_step = 0;
   {
     UniversalSystem sys(/*combine=*/true);
-    verify::TraceSide<spec::CounterSpec, UniversalImpl> side(sys.sched,
-                                                             sys.impl, work);
-    side.start(0);
-    ASSERT_FALSE(side.reap(0).has_value());
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    ASSERT_FALSE(driver.start(0));
     while (!sys.impl.head_is_combining()) {
       ASSERT_LT(install_step, 10'000u) << "no combining record ever installed";
-      ASSERT_TRUE(side.runnable(0));
-      side.step(0);
-      ASSERT_FALSE(side.reap(0).has_value())
+      ASSERT_TRUE(driver.can_step(0));
+      ASSERT_FALSE(driver.step(0))
           << "op completed without ever holding a combining record";
       ++install_step;
     }
@@ -405,15 +350,12 @@ TEST(CrashAudit, CombiningUniversalSurvivesWinnerCrashBeforeInstall) {
   // (helped responses are never lost).
   for (std::uint64_t s = 0; s < install_step; ++s) {
     UniversalSystem sys(/*combine=*/true);
-    verify::TraceSide<spec::CounterSpec, UniversalImpl> side(sys.sched,
-                                                             sys.impl, work);
-    ASSERT_TRUE(start_and_crash_after(side, 0, s));
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    ASSERT_TRUE(start_and_crash_after(driver, 0, s));
     ASSERT_FALSE(sys.impl.head_is_combining());
 
-    std::vector<std::uint32_t> responses;
-    const auto result = drain_survivors(
-        side, sys.sched, 200'000,
-        [&](int, std::uint32_t r) { responses.push_back(r); });
+    const auto result = drain_survivors(driver, 200'000);
+    const std::vector<std::uint32_t> responses = completed_responses(driver);
     ASSERT_TRUE(result.quiescent)
         << "survivor blocked by a pre-install combiner crash at step " << s;
     ASSERT_EQ(responses.size(), 1u);
@@ -432,20 +374,16 @@ TEST(CrashAudit, CombiningUniversalWinnerCrashedMidBatchBlocks) {
   const std::vector<std::vector<spec::CounterSpec::Op>> work = {
       {spec::CounterSpec::inc()}, {spec::CounterSpec::inc()}};
   UniversalSystem sys(/*combine=*/true);
-  verify::TraceSide<spec::CounterSpec, UniversalImpl> side(sys.sched, sys.impl,
-                                                           work);
-  side.start(0);
-  (void)side.reap(0);
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+  (void)driver.start(0);
   std::uint64_t guard = 0;
   while (!sys.impl.head_is_combining()) {
     ASSERT_LT(++guard, 10'000u);
-    side.step(0);
-    (void)side.reap(0);
+    (void)driver.step(0);
   }
-  side.crash(0);  // combining record installed, batch never published
+  driver.crash(0);  // combining record installed, batch never published
 
-  const auto result =
-      drain_survivors(side, sys.sched, 20'000, [](int, std::uint32_t) {});
+  const auto result = drain_survivors(driver, 20'000);
   EXPECT_FALSE(result.quiescent)
       << "a survivor completed past a crashed mid-batch combiner — either "
          "the algorithm grew crash recovery (update docs/FAULTS.md and this "
@@ -475,20 +413,18 @@ TEST(CrashAudit, WaitFreeSimHelpersFinishCrashedOwnersAnnouncedOp) {
   int helped_cases = 0;
   for (std::uint64_t s = 0;; ++s) {
     WfsSystem sys;
-    verify::TraceSide<spec::RegisterSpec, core::WaitFreeSimHiRegister> side(
-        sys.sched, sys.impl, work);
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
     // Crash the READER mid-read: with fast_limit = 0 every read announces a
     // record and enqueues itself, so the sweep crosses announce-only,
     // mid-enqueue, and fully-enqueued windows.
-    if (!start_and_crash_after(side, 1, s)) break;
+    if (!start_and_crash_after(driver, 1, s)) break;
     ++crash_points;
     const bool announced =
         algo::wfs::rec_state(sys.impl.combinator().peek_record(1)) ==
         algo::wfs::kPending;
     const bool enqueued = queue_holds(sys, 1);
 
-    const auto result =
-        drain_survivors(side, sys.sched, 200'000, [](int, std::uint32_t) {});
+    const auto result = drain_survivors(driver, 200'000);
     ASSERT_TRUE(result.quiescent)
         << "writer blocked by a crashed reader at crash point " << s
         << " — run_direct's helping must not depend on the owner";
@@ -683,25 +619,21 @@ TEST(CrashRoundTrip, LeakCaughtShrunkPrintedAndReplayed) {
   const auto execute = [&](const std::vector<sim::Decision>& decisions)
       -> std::optional<sim::MemorySnapshot> {
     LeakySystem sys;
-    verify::TraceSide<spec::RegisterSpec,
-                      testing::LeakyCrashRegisterAlg<env::SimEnv>>
-        side(sys.sched, sys.impl, work);
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
     for (const sim::Decision& d : decisions) {
       if (d.pid < 0 || d.pid >= sys.sched.num_processes()) return std::nullopt;
       if (d.crash) {
-        if (!side.busy(d.pid) || !side.runnable(d.pid)) return std::nullopt;
-        side.crash(d.pid);
+        if (!driver.can_crash(d.pid)) return std::nullopt;
+        driver.crash(d.pid);
       } else if (d.start) {
-        if (!side.can_start(d.pid) || side.crashed(d.pid)) return std::nullopt;
-        side.start(d.pid);
+        if (!driver.can_start(d.pid)) return std::nullopt;
+        (void)driver.start(d.pid);
       } else {
-        if (!side.busy(d.pid) || !side.runnable(d.pid)) return std::nullopt;
-        side.step(d.pid);
+        if (!driver.can_step(d.pid)) return std::nullopt;
+        (void)driver.step(d.pid);
       }
-      (void)side.reap(d.pid);
     }
-    const auto drained =
-        drain_survivors(side, sys.sched, 10'000, [](int, std::uint32_t) {});
+    const auto drained = drain_survivors(driver, 10'000);
     if (!drained.quiescent) return std::nullopt;
     return sys.mem.snapshot();
   };

@@ -19,6 +19,7 @@
 #include "core/universal.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
+#include "sim_system.h"
 #include "spec/counter_spec.h"
 #include "spec/register_spec.h"
 #include "spec/rllsc_spec.h"
@@ -33,20 +34,10 @@ namespace {
 // ------------------------------------------------ register systems (SWSR)
 
 template <typename Impl>
-struct RegSystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  Impl impl;
-
+struct RegSystem : testing::SimSystem<spec::RegisterSpec, Impl> {
   explicit RegSystem(std::uint32_t k)
-      : spec(k, 1), sched(2), impl(mem, spec, /*writer=*/0, /*reader=*/1) {}
-
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : testing::SimSystem<spec::RegisterSpec, Impl>(
+            spec::RegisterSpec(k, 1), 2, /*writer=*/0, /*reader=*/1) {}
 };
 
 template <typename Impl>
@@ -180,18 +171,8 @@ TEST(Exhaustive, Alg1Control_LeakIsFoundByExploration) {
 
 // ------------------------------------------------------------- perfect-HI set
 
-struct SetSystem {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::HiSet impl;
-
-  SetSystem() : spec(4), sched(2), impl(mem, spec) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct SetSystem : testing::SimSystem<spec::SetSpec, core::HiSet> {
+  SetSystem() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
 TEST(Exhaustive, HiSet_AllSchedules_PerfectHI) {
@@ -227,21 +208,11 @@ TEST(Exhaustive, HiSet_AllSchedules_PerfectHI) {
 
 // ------------------------------------------------------- sharded perfect-HI
 
-struct ShardedSetSystem {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::ShardedHiSet impl;
-
+struct ShardedSetSystem
+    : testing::SimSystem<spec::SetSpec, core::ShardedHiSet> {
   ShardedSetSystem()
-      : spec(8),
-        sched(2),
-        impl(mem, spec, /*shard_count=*/2, algo::ShardPlacement::kStriped) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : SimSystem(spec::SetSpec(8), 2, /*shard_count=*/2,
+                  algo::ShardPlacement::kStriped) {}
 };
 
 TEST(Exhaustive, ShardedHiSet_AllSchedules_PerfectHI) {
@@ -397,18 +368,9 @@ TEST(Exhaustive, ShardedHiSet_TwoShardTwoWord_AllInterleavings) {
 
 // ----------------------------------------------------------------- R-LLSC
 
-struct RllscSystem {
-  spec::RllscSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::CasRllsc cell;
-
-  RllscSystem() : spec(8, 2), sched(2), cell(mem, "X", {0, 0}) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<spec::RllscSpec::Resp> apply(int pid, spec::RllscSpec::Op op) {
-    return cell.apply(pid, op);
-  }
+struct RllscSystem : testing::SimSystem<spec::RllscSpec, core::CasRllsc> {
+  RllscSystem()
+      : SimSystem(spec::RllscSpec(8, 2), 2, "X", algo::RllscValue{0, 0}) {}
 };
 
 TEST(Exhaustive, CasRllsc_LlScVsLlSc_AllSchedules) {
@@ -426,8 +388,8 @@ TEST(Exhaustive, CasRllsc_LlScVsLlSc_AllSchedules) {
       [&](RllscSystem& sys, const auto&, int, int) {
         const auto snap = sys.mem.snapshot();
         if (snap.words.size() != 3 ||
-            snap.words[0] != sys.cell.peek_value().lo ||
-            snap.words[2] != sys.cell.peek_context()) {
+            snap.words[0] != sys.impl.peek_value().lo ||
+            snap.words[2] != sys.impl.peek_context()) {
           ++mem_mismatch;
         }
       },
@@ -460,18 +422,10 @@ TEST(Exhaustive, CasRllsc_StoreVsLl_AllSchedules) {
 // ----------------------------------------------------- universal construction
 
 template <typename Cell>
-struct UniSystem {
-  spec::CounterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::Universal<spec::CounterSpec, Cell> impl;
-
-  UniSystem() : spec(100, 5), sched(2), impl(mem, spec, 2) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::CounterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct UniSystem
+    : testing::SimSystem<spec::CounterSpec,
+                         core::Universal<spec::CounterSpec, Cell>> {
+  UniSystem() : UniSystem::SimSystem(spec::CounterSpec(100, 5), 2, 2) {}
 };
 
 template <typename Cell>

@@ -37,6 +37,7 @@
 #include "replay/replay_objects.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
+#include "sim_system.h"
 #include "spec/counter_spec.h"
 #include "spec/register_spec.h"
 #include "spec/set_spec.h"
@@ -91,39 +92,19 @@ std::string history_key(const S& spec, const Hist& hist) {
 
 // ------------------------------------------------------------------- systems
 
-struct Set3System {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::HiSet impl;
-
-  Set3System() : spec(6), sched(3), impl(mem, spec) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct Set3System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+  Set3System() : SimSystem(spec::SetSpec(6), 3) {}
 };
 
 /// 3 processes × 4 striped shards, each process working a key in its OWN
 /// shard (kStriped: key k → shard (k-1) % 4, so keys 1/2/3 are pairwise
 /// cross-shard): maximal inter-process independence, the configuration DPOR
 /// is for.
-struct CrossShard3System {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::ShardedHiSet impl;
-
+struct CrossShard3System
+    : testing::SimSystem<spec::SetSpec, core::ShardedHiSet> {
   CrossShard3System()
-      : spec(12),
-        sched(3),
-        impl(mem, spec, /*shard_count=*/4, algo::ShardPlacement::kStriped) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : SimSystem(spec::SetSpec(12), 3, /*shard_count=*/4,
+                  algo::ShardPlacement::kStriped) {}
 };
 
 template <typename System>
@@ -259,22 +240,12 @@ TEST(ExplorerDpor, CrossShard3Proc_ExhaustsUnderCapWhereNaiveCannot) {
 
 /// 2-process flat-combining universal counter over native R-LLSC cells (the
 /// shallowest step count, which is what bounds the naive tree).
-struct UniversalCombine2System {
-  spec::CounterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::Universal<spec::CounterSpec, core::NativeRllsc> impl;
-
+struct UniversalCombine2System
+    : testing::SimSystem<spec::CounterSpec,
+                         core::Universal<spec::CounterSpec, core::NativeRllsc>> {
   UniversalCombine2System()
-      : spec(1u << 20, 10),
-        sched(2),
-        impl(mem, spec, /*num_processes=*/2, /*clear_contexts=*/true,
-             /*combine=*/true) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::CounterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+      : SimSystem(spec::CounterSpec(1u << 20, 10), 2, /*num_processes=*/2,
+                  /*clear_contexts=*/true, /*combine=*/true) {}
 };
 
 TEST(ExplorerDpor, CombiningUniversal_DporExhaustsAndCoversNaiveHistories) {
@@ -320,18 +291,10 @@ TEST(ExplorerDpor, CombiningUniversal_DporExhaustsAndCoversNaiveHistories) {
 
 // --------------------------------------------------------- bug preservation
 
-struct VidySystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::VidyasankarRegister impl;
-
-  VidySystem() : spec(3, 1), sched(2), impl(mem, spec, /*writer=*/0, /*reader=*/1) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct VidySystem
+    : testing::SimSystem<spec::RegisterSpec, core::VidyasankarRegister> {
+  VidySystem()
+      : SimSystem(spec::RegisterSpec(3, 1), 2, /*writer=*/0, /*reader=*/1) {}
 };
 
 TEST(ExplorerDpor, Alg1Control_LeakStillFoundUnderDpor) {
@@ -368,18 +331,8 @@ TEST(ExplorerDpor, Alg1Control_LeakStillFoundUnderDpor) {
 
 // ------------------------------------------------------------------- limits
 
-struct Set2System {
-  spec::SetSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::HiSet impl;
-
-  Set2System() : spec(4), sched(2), impl(mem, spec) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<bool> apply(int pid, spec::SetSpec::Op op) {
-    return impl.apply(pid, op);
-  }
+struct Set2System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+  Set2System() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
 std::vector<std::vector<spec::SetSpec::Op>> two_proc_set_work() {

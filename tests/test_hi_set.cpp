@@ -7,9 +7,9 @@
 // and one-step wait-freedom.
 #include <gtest/gtest.h>
 
-#include <optional>
 
 #include "core/hi_set.h"
+#include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -89,30 +89,26 @@ TEST(HiSet, PerfectHiAtEveryStep) {
   const std::uint32_t domain = 10;
   const int n = 4;
   Sys sys(domain, n);
-  auto work = workload(domain, n, 20, 17);
-  std::vector<std::optional<sim::OpTask<SetSpec::Resp>>> tasks(n);
-  std::vector<std::size_t> next(n, 0);
+  const auto work = workload(domain, n, 20, 17);
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
   util::Xoshiro256 rng(99);
   std::uint64_t shadow = 0;
 
   for (;;) {
     std::vector<int> enabled;
     for (int pid = 0; pid < n; ++pid) {
-      if (tasks[pid].has_value()) {
-        if (sys.sched.runnable(pid)) enabled.push_back(pid);
-      } else if (next[pid] < work[pid].size()) {
+      if (driver.can_start(pid) || driver.can_step(pid)) {
         enabled.push_back(pid);
       }
     }
     if (enabled.empty()) break;
     const int pid = enabled[rng.next_below(enabled.size())];
-    if (!tasks[pid].has_value()) {
-      tasks[pid].emplace(sys.impl.apply(pid, work[pid][next[pid]++]));
-      sys.sched.start(pid, *tasks[pid]);
+    if (driver.can_start(pid)) {
+      (void)driver.start(pid);
       continue;  // starting is not a step; memory unchanged
     }
-    const auto op = work[pid][next[pid] - 1];
-    sys.sched.step(pid);
+    const auto op = driver.history()[driver.op_index(pid)].op;
+    (void)driver.step(pid);
     // The single primitive just executed; update the shadow state.
     if (op.kind == SetSpec::Kind::kInsert) {
       shadow |= std::uint64_t{1} << (op.value - 1);
@@ -120,10 +116,6 @@ TEST(HiSet, PerfectHiAtEveryStep) {
       shadow &= ~(std::uint64_t{1} << (op.value - 1));
     }
     EXPECT_EQ(bitmap_from_memory(sys.memory.snapshot()), shadow);
-    if (sys.sched.op_finished(pid)) {
-      sys.sched.finish(pid);
-      tasks[pid].reset();
-    }
   }
 }
 

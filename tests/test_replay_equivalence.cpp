@@ -11,11 +11,13 @@
 // for the universal constructions whose head packing differs per backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <type_traits>
 #include <vector>
 
@@ -40,6 +42,7 @@
 #include "sim/memory.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
+#include "sim_system.h"
 #include "spec/counter_spec.h"
 #include "spec/max_register_spec.h"
 #include "spec/register_spec.h"
@@ -322,22 +325,6 @@ TEST(ReplayEquivalence, LeakyUniversalRecordedSchedules) {
 // ---- Explorer Decision paths: EVERY interleaving of a small workload,
 // replayed over hardware atomics (the acceptance case for Alg 2/3). ----
 
-template <typename Impl>
-struct ExplorerRegSystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  Impl impl;
-
-  explicit ExplorerRegSystem(std::uint32_t k)
-      : spec(k, 1), sched(2), impl(mem, spec, kWriterPid, kReaderPid) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
-};
-
 /// Explore EVERY schedule of Write(v) ‖ Read over K=k, then replay each
 /// Decision path over the ReplayEnv instantiation with per-step word
 /// comparison.
@@ -348,14 +335,18 @@ void explorer_paths_roundtrip(std::uint32_t k, std::uint32_t write_value,
   const std::vector<std::vector<spec::RegisterSpec::Op>> workload = {
       {spec::RegisterSpec::write(write_value)}, {spec::RegisterSpec::read()}};
 
-  sim::Explorer<spec::RegisterSpec, ExplorerRegSystem<SimImpl>> explorer(
-      spec, [k] { return std::make_unique<ExplorerRegSystem<SimImpl>>(k); },
+  using System = testing::SimSystem<spec::RegisterSpec, SimImpl>;
+  sim::Explorer<spec::RegisterSpec, System> explorer(
+      spec,
+      [&spec] {
+        return std::make_unique<System>(spec, 2, kWriterPid, kReaderPid);
+      },
       workload);
 
   std::vector<std::vector<sim::Decision>> prefixes;
   const auto stats = explorer.explore(
       {.max_depth = 40, .max_executions = 200'000}, nullptr,
-      [&](ExplorerRegSystem<SimImpl>&, const auto&) {
+      [&](System&, const auto&) {
         prefixes.push_back(explorer.current_prefix());
       });
   ASSERT_TRUE(stats.exhausted);
@@ -466,6 +457,154 @@ TEST(ReplayEquivalence, OutOfRangePidInTraceIsRejected) {
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("pid"), std::string::npos) << report.message;
+}
+
+TEST(ReplayEquivalence, RejectsStartOfCrashedPid) {
+  // A crashed process never invokes again (§2): a trace that starts one must
+  // fail at that event, not run the op on a halted pid.
+  const spec::MaxRegisterSpec spec(8, 1);
+  const std::vector<std::vector<spec::MaxRegisterSpec::Op>> workload = {
+      {spec::MaxRegisterSpec::write_max(2)}, {spec::MaxRegisterSpec::read_max()}};
+  const sim::ScheduleTrace trace{{sim::TraceStep::crash(1), {1, true}}};
+
+  sim::Memory sim_memory;
+  sim::Scheduler sim_sched(2);
+  core::HiMaxRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
+  sim::Memory replay_memory;
+  sim::Scheduler replay_sched(2);
+  replay::HiMaxRegister replay_impl(replay_memory, spec, kWriterPid,
+                                    kReaderPid);
+  const verify::ReplayReport report = verify::replay_differential(
+      spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
+      verify::snapshot_word_compare(sim_memory, replay_memory));
+  EXPECT_FALSE(report.ok);
+  EXPECT_EQ(report.at, 1u) << report.message;
+  EXPECT_NE(report.message.find("crashed"), std::string::npos)
+      << report.message;
+}
+
+// ---- The drivers agree: the Runner, Explorer::try_execute and the replay
+// differential all drive processes through sim::Driver, so one recorded
+// schedule induces one history whichever of them executes it. ----
+
+/// (pid, op, response or -1, invoked_at, responded_at) per history entry.
+template <typename S, typename Hist>
+auto history_rows(const S& spec, const Hist& hist) {
+  std::vector<std::tuple<int, std::uint32_t, std::int64_t, std::uint64_t,
+                         std::uint64_t>>
+      rows;
+  for (const auto& e : hist.entries()) {
+    rows.emplace_back(e.pid, spec.encode_op(e.op),
+                      e.completed() ? std::int64_t{spec.encode_resp(e.resp)}
+                                    : -1,
+                      e.invoked_at, e.responded_at);
+  }
+  return rows;
+}
+
+/// `trace`, re-executed as Decisions by Explorer::try_execute over
+/// `make_sim()` systems, induces `expected`; and it replays over
+/// `ReplayImpl(memory, replay_args...)` in lockstep.
+template <typename ReplayImpl, typename S, typename Make, typename Hist,
+          typename... Args>
+void expect_drivers_agree(const S& spec, const Make& make_sim,
+                          const std::vector<std::vector<typename S::Op>>& work,
+                          const sim::ScheduleTrace& trace,
+                          const Hist& expected, const Args&... replay_args) {
+  using System = typename std::invoke_result_t<const Make&>::element_type;
+  std::vector<sim::Decision> decisions;
+  for (const sim::TraceStep& e : trace.steps) {
+    decisions.push_back({e.pid, e.start, e.is_crash()});
+  }
+  sim::Explorer<S, System> explorer(spec, make_sim, work);
+  const auto executed = explorer.try_execute(decisions);
+  ASSERT_TRUE(executed.has_value()) << trace.pretty();
+  EXPECT_EQ(history_rows(spec, expected), history_rows(spec, *executed));
+
+  const std::unique_ptr<System> sim_sys = make_sim();
+  sim::Memory replay_memory;
+  sim::Scheduler replay_sched(sim_sys->sched.num_processes());
+  ReplayImpl replay_impl(replay_memory, replay_args...);
+  const verify::ReplayReport report = verify::replay_differential(
+      spec, sim_sys->sched, sim_sys->impl, replay_sched, replay_impl, work,
+      trace, verify::snapshot_word_compare(sim_sys->mem, replay_memory));
+  EXPECT_TRUE(report.ok) << report.message << "\ntrace:\n" << trace.pretty();
+}
+
+/// A seeded Runner run with Options.trace, checked as above.
+template <typename ReplayImpl, typename S, typename Make, typename... Args>
+void expect_runner_agrees(const S& spec, const Make& make_sim,
+                          const std::vector<std::vector<typename S::Op>>& work,
+                          std::uint64_t seed, const Args&... replay_args) {
+  using System = typename std::invoke_result_t<const Make&>::element_type;
+  sim::ScheduleTrace trace;
+  const std::unique_ptr<System> sys = make_sim();
+  sim::Runner<S, System> runner(spec, sys->mem, sys->sched, *sys,
+                                [](const auto&) { return 0; });
+  const auto result = runner.run(work, {.seed = seed, .trace = &trace});
+  ASSERT_FALSE(result.timed_out);
+  ASSERT_GT(result.history.size(), 0u);
+  expect_drivers_agree<ReplayImpl>(spec, make_sim, work, trace,
+                                   result.history, replay_args...);
+}
+
+TEST(DriversAgree, RunnerScheduleOnCombiningUniversal) {
+  using S = spec::CounterSpec;
+  const S spec(1u << 20, 10);
+  const auto make = [&spec] {
+    return std::make_unique<
+        testing::SimSystem<S, core::Universal<S, core::CasRllsc>>>(
+        spec, 3, 3, /*clear_contexts=*/true, /*combine=*/true);
+  };
+  expect_runner_agrees<replay::Universal<S>>(
+      spec, make, testing::counter_workload(3, 4, 91), 92, spec, 3,
+      /*clear_contexts=*/true, /*combine=*/true);
+}
+
+TEST(DriversAgree, RunnerScheduleOnPaddedRegister) {
+  using S = spec::RegisterSpec;
+  const S spec(5, 1);
+  const auto make = [&spec] {
+    return std::make_unique<testing::SimSystem<S, core::LockFreeHiRegister>>(
+        spec, 2, kWriterPid, kReaderPid);
+  };
+  expect_runner_agrees<replay::LockFreeHiRegister>(
+      spec, make, testing::register_workload(5, 8, 6, 93), 94, spec,
+      kWriterPid, kReaderPid);
+}
+
+TEST(DriversAgree, CrashedExplorerPath) {
+  // A 1-crash path on which the reader starts an op after the writer
+  // crashed: re-executing its trace yields the history exploration saw.
+  using S = spec::RegisterSpec;
+  using System = testing::SimSystem<S, core::LockFreeHiRegister>;
+  const S spec(3, 1);
+  const std::vector<std::vector<S::Op>> work = {{S::write(2)},
+                                                {S::read(), S::read()}};
+  const auto make = [&spec] {
+    return std::make_unique<System>(spec, 2, kWriterPid, kReaderPid);
+  };
+  sim::Explorer<S, System> explorer(spec, make, work);
+  std::vector<sim::Decision> path;
+  std::optional<sim::Explorer<S, System>::Hist> history;
+  (void)explorer.explore(
+      {.max_depth = 40, .max_crashes = 1}, nullptr,
+      [&](System&, const auto& hist) {
+        const auto& prefix = explorer.current_prefix();
+        const auto crash = std::find_if(
+            prefix.begin(), prefix.end(), [](const auto& d) { return d.crash; });
+        if (!history && std::any_of(crash, prefix.end(), [](const auto& d) {
+              return d.start && d.pid == kReaderPid;
+            })) {
+          path = prefix;
+          history = hist;
+        }
+      });
+  ASSERT_TRUE(history.has_value()) << "no crashed path with a later start";
+  ASSERT_EQ(history->num_pending(), 1u);  // the crashed write
+  const sim::ScheduleTrace trace = explorer.trace_of(path);
+  expect_drivers_agree<replay::LockFreeHiRegister>(
+      spec, make, work, trace, *history, spec, kWriterPid, kReaderPid);
 }
 
 // ---- The SchedEnvT contract: SimEnv and ReplayEnv share one set of

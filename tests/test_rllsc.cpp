@@ -5,10 +5,10 @@
 // exists anywhere), and the progress properties of Lemmas 29/30.
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <vector>
 
 #include "core/rllsc.h"
+#include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -132,32 +132,20 @@ TEST_P(RllscRandom, CasBackedPerfectHI_MemoryIsExactlyTheState) {
   sim::Scheduler sched(n);
   CasRllsc object(memory, "X", RllscValue{0, 0});
 
-  auto work = rllsc_workload(n, 12, 16, seed);
-  std::vector<std::optional<sim::OpTask<RllscSpec::Resp>>> tasks(n);
-  std::vector<std::size_t> next(n, 0);
+  const auto work = rllsc_workload(n, 12, 16, seed);
+  sim::Driver driver(spec, sched, object, work);
   util::Xoshiro256 rng(seed ^ 0xabcdefULL);
 
   for (;;) {
     std::vector<int> enabled;
     for (int pid = 0; pid < n; ++pid) {
-      if (tasks[pid].has_value()) {
-        if (sched.runnable(pid)) enabled.push_back(pid);
-      } else if (next[pid] < work[pid].size()) {
+      if (driver.can_start(pid) || driver.can_step(pid)) {
         enabled.push_back(pid);
       }
     }
     if (enabled.empty()) break;
     const int pid = enabled[rng.next_below(enabled.size())];
-    if (!tasks[pid].has_value()) {
-      tasks[pid].emplace(object.apply(pid, work[pid][next[pid]++]));
-      sched.start(pid, *tasks[pid]);
-    } else {
-      sched.step(pid);
-    }
-    if (tasks[pid].has_value() && sched.op_finished(pid)) {
-      sched.finish(pid);
-      tasks[pid].reset();
-    }
+    (void)(driver.can_start(pid) ? driver.start(pid) : driver.step(pid));
 
     // The invariant of Lemma 40: mem(C) == encode(state(C)).
     const auto snap = memory.snapshot();

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <functional>
-#include <optional>
 
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
 #include "register_common.h"
+#include "sim/driver.h"
 #include "verify/linearizability.h"
 
 namespace hi {
@@ -173,17 +173,19 @@ TEST(Alg4Scenario, BInvariantsUnderRandomWalks) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Sys sys(kValues);
     util::Xoshiro256 rng(seed);
-    std::optional<sim::OpTask<std::uint32_t>> writer_op, reader_op;
+    // Each op is appended as it is drawn; the driver reads it at its start.
+    std::vector<std::vector<RegisterSpec::Op>> work(2);
+    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
     int writes_left = 25, reads_left = 25;
     for (;;) {
       // Random event among {start writer, start reader, step either}.
       std::vector<int> choices;
-      if (writer_op.has_value()) {
+      if (driver.can_step(kWriterPid)) {
         choices.push_back(0);
       } else if (writes_left > 0) {
         choices.push_back(1);
       }
-      if (reader_op.has_value()) {
+      if (driver.can_step(kReaderPid)) {
         choices.push_back(2);
       } else if (reads_left > 0) {
         choices.push_back(3);
@@ -191,34 +193,26 @@ TEST(Alg4Scenario, BInvariantsUnderRandomWalks) {
       if (choices.empty()) break;
       switch (choices[rng.next_below(choices.size())]) {
         case 0:
-          sys.sched.step(kWriterPid);
-          if (sys.sched.op_finished(kWriterPid)) {
-            sys.sched.finish(kWriterPid);
-            writer_op.reset();
-          }
+          (void)driver.step(kWriterPid);
           break;
         case 1:
           --writes_left;
-          writer_op.emplace(sys.impl.write(
-              kWriterPid, static_cast<std::uint32_t>(rng.next_in(1, kValues))));
-          sys.sched.start(kWriterPid, *writer_op);
+          work[kWriterPid].push_back(RegisterSpec::write(
+              static_cast<std::uint32_t>(rng.next_in(1, kValues))));
+          (void)driver.start(kWriterPid);
           break;
         case 2:
-          sys.sched.step(kReaderPid);
-          if (sys.sched.op_finished(kReaderPid)) {
-            sys.sched.finish(kReaderPid);
-            reader_op.reset();
-          }
+          (void)driver.step(kReaderPid);
           break;
         default:
           --reads_left;
-          reader_op.emplace(sys.impl.read(kReaderPid));
-          sys.sched.start(kReaderPid, *reader_op);
+          work[kReaderPid].push_back(RegisterSpec::read());
+          (void)driver.start(kReaderPid);
           break;
       }
       const std::uint64_t ones = b_ones(sys, kValues);
       ASSERT_LE(ones, 1u) << "two helped values in B simultaneously";
-      if (!writer_op.has_value() && !reader_op.has_value()) {
+      if (driver.pending() == 0) {
         ASSERT_EQ(ones, 0u) << "B not cleared at quiescence (Lemma 36)";
       }
     }

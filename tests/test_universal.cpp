@@ -11,6 +11,7 @@
 //   * helping: an announced operation completes even if its invoker stalls.
 #include <gtest/gtest.h>
 
+#include "sim/driver.h"
 #include "universal_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -258,9 +259,8 @@ TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
   const int n = 3;
   UniversalSystem<S, CasRllsc> sys(n);
 
-  auto work = universal_workload<S>(n, 10, 99);
-  std::vector<std::optional<sim::OpTask<S::Resp>>> tasks(n);
-  std::vector<std::size_t> next(n, 0);
+  const auto work = universal_workload<S>(n, 10, 99);
+  sim::Driver driver(sys.spec, sys.sched, sys.object, work);
   util::Xoshiro256 rng(123);
 
   std::uint64_t prev_state = sys.object.head_state_encoded();
@@ -271,24 +271,13 @@ TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
   for (;;) {
     std::vector<int> enabled;
     for (int pid = 0; pid < n; ++pid) {
-      if (tasks[pid].has_value()) {
-        if (sys.sched.runnable(pid)) enabled.push_back(pid);
-      } else if (next[pid] < work[pid].size()) {
+      if (driver.can_start(pid) || driver.can_step(pid)) {
         enabled.push_back(pid);
       }
     }
     if (enabled.empty()) break;
     const int pid = enabled[rng.next_below(enabled.size())];
-    if (!tasks[pid].has_value()) {
-      tasks[pid].emplace(sys.object.apply(pid, work[pid][next[pid]++]));
-      sys.sched.start(pid, *tasks[pid]);
-    } else {
-      sys.sched.step(pid);
-    }
-    if (tasks[pid].has_value() && sys.sched.op_finished(pid)) {
-      sys.sched.finish(pid);
-      tasks[pid].reset();
-    }
+    (void)(driver.can_start(pid) ? driver.start(pid) : driver.step(pid));
 
     const std::uint64_t state = sys.object.head_state_encoded();
     const bool has_resp = sys.object.head_has_response();

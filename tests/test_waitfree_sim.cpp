@@ -46,6 +46,7 @@
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
+#include "sim_system.h"
 #include "spec/register_spec.h"
 #include "verify/divergence.h"
 #include "verify/hi_checker.h"
@@ -388,45 +389,21 @@ std::string history_key(const S& spec, const Hist& hist) {
 
 /// 2 processes with every read forced onto the slow path: the smallest
 /// workload in which the write's pre-help completes the reader's record.
-struct WfsSlowPairSystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  core::WaitFreeSimHiRegister impl;
-
+struct WfsSlowPairSystem
+    : testing::SimSystem<spec::RegisterSpec, core::WaitFreeSimHiRegister> {
   WfsSlowPairSystem()
-      : spec(2, 1),
-        sched(2),
-        impl(mem, spec, kWriterPid, kReaderPid, /*fast_limit=*/0) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return impl.apply(pid, op);
-  }
-  std::uint64_t helped_completions() const {
-    return impl.helped_completions();
-  }
+      : SimSystem(spec::RegisterSpec(2, 1), 2, kWriterPid, kReaderPid,
+                  /*fast_limit=*/0) {}
 };
 
 /// 3 processes (single writer pid 0, two reader pids) with the fast path on:
 /// the combinator under cross-process queue/record contention.
-struct WfsTripleSystem {
-  spec::RegisterSpec spec;
-  sim::Memory mem;
-  sim::Scheduler sched;
-  algo::WaitFreeSimHiAlgPadded<env::SimEnv> alg;
-
+struct WfsTripleSystem
+    : testing::SimSystem<spec::RegisterSpec,
+                         algo::WaitFreeSimHiAlgPadded<env::SimEnv>> {
   WfsTripleSystem()
-      : spec(2, 1),
-        sched(3),
-        alg(mem, spec, kWriterPid, kReaderPid, /*fast_limit=*/1,
-            /*num_processes=*/3) {}
-  sim::Scheduler& scheduler() { return sched; }
-  sim::Memory& memory() { return mem; }
-  sim::OpTask<std::uint32_t> apply(int pid, spec::RegisterSpec::Op op) {
-    return alg.apply(pid, op);
-  }
-  std::uint64_t helped_completions() const { return alg.helped_completions(); }
+      : SimSystem(spec::RegisterSpec(2, 1), 3, kWriterPid, kReaderPid,
+                  /*fast_limit=*/1, /*num_processes=*/3) {}
 };
 
 struct ExploreOutcome {
@@ -451,7 +428,7 @@ ExploreOutcome explore_mode(
         if (!verify::check_linearizable(spec, hist).ok()) {
           ++outcome.lin_failures;
         }
-        if (sys.helped_completions() > 0) ++outcome.helped_executions;
+        if (sys.impl.helped_completions() > 0) ++outcome.helped_executions;
       });
   return outcome;
 }
