@@ -11,17 +11,16 @@
 // naming scheme hold for both: a SimEnv system and a ReplayEnv system built
 // from the same algorithm have corresponding object ids and names.
 //
-// A Cells policy names only what differs between the backends:
+// Every cell is one sim::Cell<Store> (sim/base_object.h): the Cell turns
+// each store access into a one-step sim::Primitive and encodes the store's
+// word into mem(C), so a Cells policy names only four Cell<...> types and
+// the value type:
 //
-//   Bin      — a binary register: read(), write(uint8_t), peek();
-//   Packed   — one packed-bin-array word: read(), fetch_or(mask),
-//              fetch_and(mask), peek();
-//   Cas      — the CAS base object over CtxWord<Value>: read(),
-//              write(word), cas_observe(expected, desired) returning
-//              algo::CasResult<CtxWord<Value>>, peek(), is_lock_free();
-//   WordCell — a 64-bit CAS word: read(), write(value),
-//              cas_observe(expected, desired) returning
-//              algo::CasResult<uint64_t>, peek();
+//   Bin      — a binary register (read, write, peek);
+//   Packed   — one packed-bin-array word (read, fetch_or, fetch_and, peek);
+//   Cas      — the CAS base object over CtxWord<Value> (read, write,
+//              cas_observe, peek, is_lock_free);
+//   WordCell — a 64-bit CAS word (read, write, cas_observe, peek);
 //   Value    — the R-LLSC value type (algo::RllscValue in the simulator,
 //              the packed std::uint64_t of the hardware codecs on replay).
 //
@@ -34,6 +33,7 @@
 // exemption for replay).
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -102,6 +102,7 @@ struct SchedEnvT {
   /// write; the only mutation primitive of Algorithms 1–4).
   static auto write_bit(BinArray& array, std::uint32_t index,
                         std::uint8_t value) {
+    assert(value <= 1);
     return array[index - 1]->write(value);
   }
   /// Observer-side peek — 0 steps, never part of an execution; feeds
@@ -186,7 +187,7 @@ struct SchedEnvT {
   /// Registers the CAS base object, context empty. Construction only.
   static CasCell make_cas(Ctx memory, std::string name, Value initial) {
     return &memory.make<typename Cells::Cas>(std::move(name),
-                                                      Word{initial, 0});
+                                             Word{initial, 0});
   }
 
   /// Read(X) on the CAS object — 1 primitive step (§2: CAS objects support

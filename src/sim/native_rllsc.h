@@ -10,22 +10,96 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "algo/rllsc.h"
 #include "algo/values.h"
 #include "sim/base_object.h"
 #include "sim/memory.h"
 #include "sim/task.h"
+#include "util/bits.h"
 
 namespace hi::sim {
+
+/// Native context-aware releasable LL/SC object over the two-word R-LLSC
+/// value: each R-LLSC operation of §6.1 is a single atomic primitive, and
+/// the state is the (value, context) pair of Algorithm 6's CAS word, so it
+/// encodes and prints exactly as the CAS cell does. Used to run Algorithm 5
+/// against *ideal* R-LLSC base objects, in isolation from Algorithm 6's
+/// CAS-based implementation of the same object (which is then substituted
+/// in for the full Theorem 32 composition).
+class RllscCell final : public BaseObject {
+ public:
+  using V = algo::RllscValue;
+  using Word = algo::CtxWord<V>;  // ctx bit i set <=> process i in context
+
+  explicit RllscCell(std::string name, V initial = {})
+      : BaseObject(std::move(name)), word_{initial, 0} {}
+
+  /// LL(O): adds the caller to the context, returns the value.
+  auto ll() {
+    return Primitive{id(), "LL", [this] {
+                       word_.ctx = util::set_bit(word_.ctx, self());
+                       return word_.value;
+                     }};
+  }
+  /// VL(O): true iff the caller is in the context.
+  auto vl() {
+    return Primitive{id(), "VL",
+                     [this] { return util::test_bit(word_.ctx, self()); }};
+  }
+  /// SC(O, new): installs the value and clears the context iff the caller is
+  /// in the context.
+  auto sc(V desired) {
+    return Primitive{id(), "SC", [this, desired] {
+                       if (!util::test_bit(word_.ctx, self())) return false;
+                       word_ = Word{desired, 0};
+                       return true;
+                     }};
+  }
+  /// RL(O): removes the caller from the context.
+  auto rl() {
+    return Primitive{id(), "RL", [this] {
+                       word_.ctx = util::clear_bit(word_.ctx, self());
+                       return true;
+                     }};
+  }
+  /// Load(O): the value, without touching the context.
+  auto load() {
+    return Primitive{id(), "Load", [this] { return word_.value; }};
+  }
+  /// Store(O, new): installs the value and clears the context.
+  auto store(V desired) {
+    return Primitive{id(), "Store", [this, desired] {
+                       word_ = Word{desired, 0};
+                       return true;
+                     }};
+  }
+
+  Word peek() const { return word_; }  // observer-side, not a step
+
+  void encode_state(std::vector<std::uint64_t>& out) const override {
+    encode_word(out, word_);
+  }
+  std::string describe() const override {
+    return name() + "=" + format_word(word_);
+  }
+
+ private:
+  /// The caller, resolved from the scheduler at the granted step.
+  static unsigned self() {
+    return static_cast<unsigned>(detail::current_process()->pid);
+  }
+
+  Word word_;
+};
 
 class NativeRllsc {
  public:
   using V = algo::RllscValue;
 
   NativeRllsc(Memory& memory, std::string name, V initial)
-      : cell_(&memory.make<WideRllscCell>(
-            std::move(name), WideWord{initial.lo, initial.hi, 0})) {}
+      : cell_(&memory.make<RllscCell>(std::move(name), initial)) {}
 
   OpTask<spec::RllscSpec::Resp> apply(int pid, spec::RllscSpec::Op op) {
     return algo::apply_rllsc<OpTask>(*this, pid, op);
@@ -33,8 +107,8 @@ class NativeRllsc {
 
   SubTask<V> ll(int pid) {
     assert_self(pid);
-    const WideWord cur = co_await cell_->ll();
-    co_return V{cur.lo, cur.hi};
+    const V cur = co_await cell_->ll();
+    co_return cur;
   }
 
   /// Native LL is wait-free, so interleaving is unnecessary for progress;
@@ -45,8 +119,8 @@ class NativeRllsc {
     assert_self(pid);
     const bool bail = co_await poll();
     if (bail) co_return std::nullopt;
-    const WideWord cur = co_await cell_->ll();
-    co_return V{cur.lo, cur.hi};
+    const V cur = co_await cell_->ll();
+    co_return cur;
   }
 
   SubTask<bool> vl(int pid) {
@@ -56,7 +130,7 @@ class NativeRllsc {
   }
   SubTask<bool> sc(int pid, V desired) {
     assert_self(pid);
-    const bool swapped = co_await cell_->sc(desired.lo, desired.hi);
+    const bool swapped = co_await cell_->sc(desired);
     co_return swapped;
   }
   SubTask<bool> rl(int pid) {
@@ -65,20 +139,17 @@ class NativeRllsc {
     co_return true;
   }
   SubTask<V> load() {
-    const WideWord cur = co_await cell_->load();
-    co_return V{cur.lo, cur.hi};
+    const V cur = co_await cell_->load();
+    co_return cur;
   }
   SubTask<bool> store(V desired) {
-    co_await cell_->store(desired.lo, desired.hi);
+    co_await cell_->store(desired);
     co_return true;
   }
 
-  V peek_value() const { return V{cell_->peek().lo, cell_->peek().hi}; }
+  V peek_value() const { return cell_->peek().value; }
   std::uint64_t peek_context() const { return cell_->peek().ctx; }
-  algo::CtxWord<V> peek_word() const {
-    const WideWord w = cell_->peek();
-    return {{w.lo, w.hi}, w.ctx};
-  }
+  algo::CtxWord<V> peek_word() const { return cell_->peek(); }
   bool is_lock_free() const { return true; }
 
  private:
@@ -89,7 +160,7 @@ class NativeRllsc {
     (void)pid;
   }
 
-  WideRllscCell* cell_;
+  RllscCell* cell_;
 };
 
 }  // namespace hi::sim

@@ -609,9 +609,10 @@ TEST(DriversAgree, CrashedExplorerPath) {
 
 // ---- The SchedEnvT contract: SimEnv and ReplayEnv share one set of
 // factories, so a system of the same algorithm registers the same base
-// objects on both, in the same order, under the same names and with the
-// same snapshot widths (docs/ENV.md) — which is what lets a recorded trace's
-// object ids and word ranges mean the same thing on either side. ----
+// objects on both, in the same order, under the same names, with the same
+// snapshot widths and the same construction image (docs/ENV.md) — which is
+// what lets a recorded trace's object ids and word ranges mean the same
+// thing on either side. ----
 
 /// Runs build(memory, std::type_identity<Env>{}) for Env = SimEnv and
 /// ReplayEnv, each on a fresh Memory, and compares the registered objects.
@@ -632,6 +633,9 @@ void expect_same_objects(const char* what, Build build) {
         << what << ", object " << id << " (" << sim_memory.object(id).name()
         << ")";
   }
+  // Construction images agree word-for-word, which pins the per-word-type
+  // snapshot encodings (sim::encode_word) across the two backends.
+  EXPECT_EQ(sim_memory.snapshot(), replay_memory.snapshot()) << what;
 }
 
 TEST(ReplayEquivalence, SchedEnvBackendsRegisterTheSameObjects) {
@@ -657,6 +661,21 @@ TEST(ReplayEquivalence, SchedEnvBackendsRegisterTheSameObjects) {
     algo::LeakyUniversalAlg<Env, spec::CounterSpec> obj(memory, counter_spec,
                                                         3);
   });
+}
+
+// The binary-register range check sits in SchedEnvT::write_bit, so both
+// backends make it. A debug death test: under NDEBUG the call only builds
+// a primitive that is never awaited.
+TEST(ReplayEquivalence, SchedEnvBackendsRangeCheckBinaryWrites) {
+  const auto check = [](auto env) {
+    using Env = typename decltype(env)::type;
+    sim::Memory memory;
+    const std::array<std::uint64_t, 1> empty{0};
+    auto bins = Env::make_bin_array_words(memory, "A", 1, empty);
+    EXPECT_DEBUG_DEATH((void)Env::write_bit(bins, 1, 2), "value <= 1");
+  };
+  check(std::type_identity<env::SimEnv>{});
+  check(std::type_identity<env::ReplayEnv>{});
 }
 
 TEST(ReplayEquivalence, CasCellsReportLockFree) {

@@ -9,11 +9,16 @@
 #include "sim/base_object.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
+#include "sim/native_rllsc.h"
 #include "sim/scheduler.h"
 #include "sim/task.h"
 
 namespace hi::sim {
 namespace {
+
+using BinaryRegister = Cell<Plain<std::uint8_t>>;
+using CasCell = Cell<Plain<std::uint64_t>>;
+using V = algo::RllscValue;
 
 // A toy process: writes `value` to two registers with a read in between.
 OpTask<std::uint32_t> write_two(BinaryRegister& x, BinaryRegister& y,
@@ -87,17 +92,18 @@ TEST(SimCore, MemorySnapshotLayoutAndEquality) {
   Memory mem;
   auto& x = mem.make<BinaryRegister>("x", true);
   auto& c = mem.make<CasCell>("c", 7);
-  auto& r = mem.make<RllscCell>("r", 3);
+  auto& r = mem.make<RllscCell>("r", V{3, 0});
   (void)x;
   (void)c;
   (void)r;
 
   const MemorySnapshot snap = mem.snapshot();
-  ASSERT_EQ(snap.words.size(), 4u);  // 1 + 1 + (val, ctx)
+  ASSERT_EQ(snap.words.size(), 5u);  // 1 + 1 + (lo, hi, ctx)
   EXPECT_EQ(snap.words[0], 1u);
   EXPECT_EQ(snap.words[1], 7u);
   EXPECT_EQ(snap.words[2], 3u);
   EXPECT_EQ(snap.words[3], 0u);
+  EXPECT_EQ(snap.words[4], 0u);
 
   const MemorySnapshot again = mem.snapshot();
   EXPECT_EQ(snap, again);
@@ -143,14 +149,14 @@ TEST(SimCore, CasAtomicity) {
 
 TEST(SimCore, RllscSemantics) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 10);
+  auto& cell = mem.make<RllscCell>("r", V{10, 0});
   Scheduler sched(2);
 
   // p0: LL, then SC(11). p1: LL, then SC(12) — whoever SCs second fails,
   // because a successful SC clears the whole context.
   auto prog = [&cell](std::uint64_t desired) -> OpTask<std::uint32_t> {
     co_await cell.ll();
-    const bool ok = co_await cell.sc(desired);
+    const bool ok = co_await cell.sc(V{desired, 0});
     co_return ok ? 1u : 0u;
   };
   OpTask<std::uint32_t> t0 = prog(11);
@@ -159,12 +165,12 @@ TEST(SimCore, RllscSemantics) {
   sched.start(1, t1);
   sched.step(0);  // p0 LL
   sched.step(1);  // p1 LL
-  EXPECT_EQ(cell.peek_context(), 0b11u);
+  EXPECT_EQ(cell.peek().ctx, 0b11u);
   sched.step(0);  // p0 SC succeeds, clears context
-  EXPECT_EQ(cell.peek_value(), 11u);
-  EXPECT_EQ(cell.peek_context(), 0u);
+  EXPECT_EQ(cell.peek().value.lo, 11u);
+  EXPECT_EQ(cell.peek().ctx, 0u);
   sched.step(1);  // p1 SC fails
-  EXPECT_EQ(cell.peek_value(), 11u);
+  EXPECT_EQ(cell.peek().value.lo, 11u);
   sched.finish(0);
   sched.finish(1);
   EXPECT_EQ(t0.take_result(), 1u);
@@ -173,7 +179,7 @@ TEST(SimCore, RllscSemantics) {
 
 TEST(SimCore, RllscReleaseAndValidate) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 5);
+  auto& cell = mem.make<RllscCell>("r", V{5, 0});
   Scheduler sched(1);
 
   auto prog = [&cell]() -> OpTask<std::uint32_t> {
@@ -181,7 +187,7 @@ TEST(SimCore, RllscReleaseAndValidate) {
     const bool valid_before = co_await cell.vl();
     co_await cell.rl();
     const bool valid_after = co_await cell.vl();
-    const bool sc_ok = co_await cell.sc(6);
+    const bool sc_ok = co_await cell.sc(V{6, 0});
     co_return (valid_before ? 4u : 0u) | (valid_after ? 2u : 0u) |
         (sc_ok ? 1u : 0u);
   };
@@ -189,45 +195,45 @@ TEST(SimCore, RllscReleaseAndValidate) {
   const std::uint32_t result = run_solo(sched, 0, std::move(t));
   // VL true after LL; false after RL; SC fails after RL.
   EXPECT_EQ(result, 4u);
-  EXPECT_EQ(cell.peek_value(), 5u);
-  EXPECT_EQ(cell.peek_context(), 0u);
+  EXPECT_EQ(cell.peek().value.lo, 5u);
+  EXPECT_EQ(cell.peek().ctx, 0u);
 }
 
 TEST(SimCore, RllscLoadStoreDoNotNeedContext) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 5);
+  auto& cell = mem.make<RllscCell>("r", V{5, 0});
   Scheduler sched(2);
 
   auto prog = [&cell]() -> OpTask<std::uint32_t> {
-    const std::uint64_t seen = co_await cell.load();
-    co_await cell.store(seen + 1);
+    const std::uint64_t seen = (co_await cell.load()).lo;
+    co_await cell.store(V{seen + 1, 0});
     co_return static_cast<std::uint32_t>(seen);
   };
   OpTask<std::uint32_t> t = prog();
   EXPECT_EQ(run_solo(sched, 1, std::move(t)), 5u);
-  EXPECT_EQ(cell.peek_value(), 6u);
+  EXPECT_EQ(cell.peek().value.lo, 6u);
 }
 
 TEST(SimCore, StoreClearsContext) {
   Memory mem;
-  auto& cell = mem.make<RllscCell>("r", 0);
+  auto& cell = mem.make<RllscCell>("r", V{0, 0});
   Scheduler sched(2);
 
   auto ll_only = [&cell]() -> OpTask<std::uint32_t> {
-    co_return static_cast<std::uint32_t>(co_await cell.ll());
+    co_return static_cast<std::uint32_t>((co_await cell.ll()).lo);
   };
   OpTask<std::uint32_t> t0 = ll_only();
   run_solo(sched, 0, std::move(t0));
-  EXPECT_EQ(cell.peek_context(), 0b01u);
+  EXPECT_EQ(cell.peek().ctx, 0b01u);
 
   auto store = [&cell]() -> OpTask<std::uint32_t> {
-    co_await cell.store(9);
+    co_await cell.store(V{9, 0});
     co_return 0;
   };
   OpTask<std::uint32_t> t1 = store();
   run_solo(sched, 1, std::move(t1));
-  EXPECT_EQ(cell.peek_context(), 0u);
-  EXPECT_EQ(cell.peek_value(), 9u);
+  EXPECT_EQ(cell.peek().ctx, 0u);
+  EXPECT_EQ(cell.peek().value.lo, 9u);
 }
 
 // A SubTask helper used by nested coroutine test.
@@ -282,20 +288,6 @@ TEST(SimCore, AbandonMidOperation) {
   EXPECT_EQ(x.peek(), 1);
   EXPECT_EQ(y.peek(), 0);
   EXPECT_FALSE(sched.runnable(0));
-}
-
-TEST(SimCore, WordRegisterStateCount) {
-  Memory mem;
-  auto& w = mem.make<WordRegister>("w", 3, 2);
-  EXPECT_EQ(w.num_states(), 3u);
-  EXPECT_EQ(w.peek(), 2u);
-  Scheduler sched(1);
-  auto prog = [&w]() -> OpTask<std::uint32_t> {
-    co_await w.write(0);
-    co_return static_cast<std::uint32_t>(co_await w.read());
-  };
-  OpTask<std::uint32_t> t = prog();
-  EXPECT_EQ(run_solo(sched, 0, std::move(t)), 0u);
 }
 
 }  // namespace
