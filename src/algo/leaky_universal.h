@@ -1,8 +1,8 @@
 // Non-history-independent universal construction baseline (experiment E13),
 // written ONCE over an execution environment Env (src/env/env.h) and
 // instantiated over every Env: the tests and the voting-machine example name
-// LeakyUniversalAlg<env::SimEnv, S> / <env::RtEnv, S> directly, and the
-// replay backend calls it replay::LeakyUniversal.
+// LeakyUniversalAlg<env::SimEnv, S> / <env::RtEnv, S> / <env::ReplayEnv, S>
+// directly.
 //
 // Prior universal constructions [Herlihy '90/'93; Fatourou–Kallimanis '11]
 // are linearizable and wait-free but leak history: "the implementation in

@@ -68,6 +68,7 @@
 #include "env/env.h"
 #include "spec/set_spec.h"
 #include "util/bits.h"
+#include "util/padded.h"
 
 namespace hi::algo {
 
@@ -93,11 +94,16 @@ class ShardedHiSet {
   ///
   /// One pass, O(words + members): every shard's initial words live in ONE
   /// transient flat buffer (shard s owns a span of bin_words(shard_domain(s))
-  /// words), and a single walk over the set bits of `initial_words` drops
-  /// each member into its shard's span through the pure shard map. The
-  /// shards then copy their spans into shared memory. Separate per-shard
-  /// buffers cost more peak memory, and a per-shard walk over the members
-  /// pays shard_count × members map evaluations.
+  /// words), and util::MemberSink — the audit's branch-light decoder —
+  /// walks `initial_words` once, dropping each member into its shard's span
+  /// through the pure shard map. The shards then copy their spans into
+  /// shared memory (RtEnv: plain relaxed stores, one tail mask). The flat
+  /// buffer costs one allocation where per-shard buffers cost shard_count,
+  /// and a per-shard walk over the members would pay shard_count × members
+  /// map evaluations. HI_ALIGN_LOOPS pins the scatter loop's placement, as
+  /// it does the audit's: on perfbench's store it cut `setup_s` by about
+  /// 10% (docs/PERF.md "Store build cost").
+  HI_ALIGN_LOOPS
   ShardedHiSet(typename Env::Ctx ctx, std::uint32_t domain,
                std::uint32_t shard_count,
                ShardPlacement placement = ShardPlacement::kBlocked,
@@ -118,17 +124,18 @@ class ShardedHiSet {
       return std::span<std::uint64_t>(init).subspan(offset[s],
                                                     offset[s + 1] - offset[s]);
     };
-    const std::size_t seeded_words =
-        std::min<std::size_t>(initial_words.size(), util::bin_words(domain));
-    for (std::size_t w = 0; w < seeded_words; ++w) {
-      for (std::uint64_t bits = initial_words[w]; bits != 0;
-           bits &= bits - 1) {
-        const std::uint64_t key = w * 64 + util::lowest_set(bits) + 1;
-        if (key > domain_) break;  // ascending: the rest of the word too
-        const auto k = static_cast<std::uint32_t>(key);
-        util::bin_set(shard_words(shard_of(k)), local_of(k));
-      }
+    util::MemberSink scatter{[this, &shard_words](std::uint32_t key) {
+      util::bin_set(shard_words(shard_of(key)), local_of(key));
+    }};
+    // Words wholly inside the domain go in as they are; only the word
+    // holding key `domain` is masked, and later words are ignored.
+    const auto whole = static_cast<std::uint32_t>(
+        std::min<std::size_t>(initial_words.size(), domain / 64));
+    for (std::uint32_t w = 0; w < whole; ++w) scatter(w, initial_words[w]);
+    if (whole < initial_words.size()) {
+      scatter(whole, initial_words[whole] & util::bin_live_mask(domain, whole));
     }
+    scatter.done();
     shards_.reserve(shard_count);
     for (std::uint32_t s = 0; s < shard_count; ++s) {
       const std::string prefix = "S" + std::to_string(s);

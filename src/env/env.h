@@ -81,7 +81,6 @@
 // stress tests plus hardware benchmarks from the RtEnv instantiation.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <concepts>
 #include <coroutine>
@@ -91,6 +90,7 @@
 #include <utility>
 
 #include "util/bits.h"
+#include "util/padded.h"
 
 namespace hi::env {
 
@@ -322,8 +322,8 @@ struct PaddedBins {
   }
   /// Multi-word initializer: word w of `words` seeds bins 64w+1..64w+64
   /// (bit v-1 of the flat bitmap = bin v); missing trailing words read as 0
-  /// and bits beyond `count` are dropped (util::init_word is the single
-  /// source of that geometry).
+  /// and bits beyond `count` are dropped (util::init_word defines that
+  /// geometry).
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
@@ -430,7 +430,10 @@ struct PackedBins {
     return make_bits(ctx, prefix, count, util::one_hot_words(one_index));
   }
   /// Multi-word initializer — see the PaddedBins counterpart for the word
-  /// geometry contract (util::init_word single-sources the tail masking).
+  /// geometry contract. RtEnv copies the words in bulk rather than calling
+  /// util::init_word per word, and must produce init_word's words:
+  /// PackedRt.*BitsInitializationRoundTrip and
+  /// EnvParity.ShardedSeedIsInsertsOfSeededKeys check that.
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
                          std::span<const std::uint64_t> words) {
@@ -496,13 +499,18 @@ struct PackedBins {
   /// word, whatever the membership: each member is extracted from the one
   /// loaded value, so all members sharing a word come from one atomic
   /// observation. Returns the number of bins emitted. An Env::lift_each
-  /// over the loads, decoded by MemberSink (below).
+  /// over the loads, decoded by util::MemberSink.
+  ///
+  /// On RtEnv the word loop is inlined here, so HI_ALIGN_LOOPS pins its
+  /// head to a 64-byte boundary: without the pin, code added anywhere
+  /// earlier in a translation unit can shift the loop and move the audit's
+  /// latency by 20–30% (docs/PERF.md "How to read a regression").
   template <typename Emit>
-  static Sub<std::uint32_t> scan_members(Array& a, Emit emit) {
+  HI_ALIGN_LOOPS static Sub<std::uint32_t> scan_members(Array& a, Emit emit) {
     return Env::template lift_each<Sub<std::uint32_t>>(
         Env::packed_words(a),
         [&a](std::uint32_t w) { return Env::load_packed_word(a, w); },
-        MemberSink<Emit>{std::move(emit)});
+        util::MemberSink<Emit>{std::move(emit)});
   }
 
   /// A[from..1] ← 0 — ONE masked fetch_and per word, descending: the word
@@ -546,44 +554,6 @@ struct PackedBins {
   struct Cleared {
     void operator()(std::uint32_t, bool) const {}
     bool done() const { return true; }
-  };
-
-  /// scan_members' decode, kept branch-light because most words of a
-  /// sparse set are zero and a per-word `word != 0` branch mispredicts.
-  /// Each word makes one unconditional slot write — its lowest member, or
-  /// a junk entry (bit 63 of the zero word) that `n` does not count — and
-  /// only words with two or more members loop. Pending members flush to
-  /// `emit`, in order, once n ≥ kFlushAt, so fewer than kFlushAt wait
-  /// between words and at most kFlushAt − 1 + 64 = 127 are ever pending:
-  /// `slot` never overflows.
-  template <typename Emit>
-  struct MemberSink {
-    static constexpr std::uint32_t kFlushAt = 64;
-
-    Emit emit;
-    std::uint32_t found = 0;
-    std::uint32_t n = 0;
-    std::array<std::uint32_t, 128> slot{};
-
-    void operator()(std::uint32_t w, std::uint64_t word) {
-      const std::uint32_t base = w * 64 + 1;
-      slot[n] = base + util::lowest_set(word | std::uint64_t{1} << 63);
-      n += word != 0;
-      for (word &= word - 1; word != 0; word &= word - 1) {
-        slot[n++] = base + util::lowest_set(word);
-      }
-      if (n >= kFlushAt) flush();
-      assert(n < kFlushAt && "the pending bound that sizes slot");
-    }
-    std::uint32_t done() {
-      flush();
-      return found;
-    }
-    void flush() {
-      for (std::uint32_t i = 0; i < n; ++i) emit(slot[i]);
-      found += n;
-      n = 0;
-    }
   };
 };
 

@@ -34,6 +34,7 @@
 // env.allocs_per_op (docs/PERF.md).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -407,8 +408,9 @@ struct RtEnvT {
 
   /// Allocates ceil(count/64) contiguous atomic words; word w starts from
   /// `words[w]` (bit v-1 of the flat bitmap = bin v); missing trailing words
-  /// read as 0 and bits beyond `count` are dropped (util::init_word).
-  /// Construction only.
+  /// read as 0 and bits beyond `count` are dropped — the same words as
+  /// util::init_word, but copied with plain relaxed stores and only the
+  /// last copied word masked (util::bin_live_mask). Construction only.
   static PackedBinArray make_packed_bin_array_words(
       Ctx, const char* /*prefix*/, std::uint32_t count,
       std::span<const std::uint64_t> words) {
@@ -416,10 +418,14 @@ struct RtEnvT {
     array.bins = count;
     array.words = std::vector<std::atomic<std::uint64_t>>(
         util::bin_words(count));
-    for (std::size_t w = 0; w < array.words.size(); ++w) {
-      array.words[w].store(
-          util::init_word(words, count, static_cast<std::uint32_t>(w)),
-          std::memory_order_relaxed);
+    const std::size_t copied = std::min(words.size(), array.words.size());
+    for (std::size_t w = 0; w < copied; ++w) {
+      array.words[w].store(words[w], std::memory_order_relaxed);
+    }
+    if (copied > 0) {
+      const auto last = static_cast<std::uint32_t>(copied - 1);
+      array.words[last].store(words[last] & util::bin_live_mask(count, last),
+                              std::memory_order_relaxed);
     }
     return array;
   }

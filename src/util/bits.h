@@ -1,7 +1,10 @@
 // Bit-packing helpers used by the simulator's memory encodings and the
-// real-hardware 128-bit word layout (src/rt/atomic128.h).
+// real-hardware 128-bit word layout (src/rt/atomic128.h), the
+// packed-bin-array geometry, and the one decoder of a bitmap word stream
+// (MemberSink).
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cassert>
 #include <cstdint>
@@ -105,9 +108,11 @@ constexpr std::uint64_t bin_live_mask(std::uint32_t count,
 
 /// Word `w` of a multi-word bin initializer: words[w] when present (missing
 /// trailing words read as all-zero), with bits beyond `count` dropped so
-/// tail bins stay 0. The single source for the >64-bin make_bits factories
-/// of all three execution environments — generalizing the historical
-/// single-word `if (count < 64) bits &= (1 << count) - 1` masking.
+/// tail bins stay 0. The definition of the >64-bin make_bits geometry —
+/// generalizing the historical single-word
+/// `if (count < 64) bits &= (1 << count) - 1` masking. SchedEnvT calls it
+/// per word; RtEnv's packed factory copies the words in bulk and masks
+/// only the last one, and must give the same words.
 constexpr std::uint64_t init_word(std::span<const std::uint64_t> words,
                                   std::uint32_t count,
                                   std::uint32_t w) noexcept {
@@ -162,5 +167,48 @@ constexpr unsigned highest_set(std::uint64_t word) noexcept {
   assert(word != 0);
   return 63u - static_cast<unsigned>(std::countl_zero(word));
 }
+
+/// The one decoder of a bitmap word stream: `sink(w, word)` for ascending
+/// w (bit b of word w is member w * 64 + b + 1), then `done()`, passes
+/// every member to `emit`, ascending, and returns how many. Used by the
+/// packed audit (env::PackedBins::scan_members) and the sharded store's
+/// build scatter (algo::ShardedHiSet).
+///
+/// Kept branch-light because most words of a sparse set are zero and a
+/// per-word `word != 0` branch mispredicts. Each word makes one
+/// unconditional slot write — its lowest member, or a junk entry (bit 63
+/// of the zero word) that `n` does not count — and only words with two or
+/// more members loop. Pending members flush to `emit`, in order, once
+/// n ≥ kFlushAt, so fewer than kFlushAt wait between words and at most
+/// kFlushAt − 1 + 64 = 127 are ever pending: `slot` never overflows.
+template <typename Emit>
+struct MemberSink {
+  static constexpr std::uint32_t kFlushAt = 64;
+
+  Emit emit;
+  std::uint32_t found = 0;
+  std::uint32_t n = 0;
+  std::array<std::uint32_t, 128> slot{};
+
+  void operator()(std::uint32_t w, std::uint64_t word) {
+    const std::uint32_t base = w * 64 + 1;
+    slot[n] = base + lowest_set(word | std::uint64_t{1} << 63);
+    n += word != 0;
+    for (word &= word - 1; word != 0; word &= word - 1) {
+      slot[n++] = base + lowest_set(word);
+    }
+    if (n >= kFlushAt) flush();
+    assert(n < kFlushAt && "the pending bound that sizes slot");
+  }
+  std::uint32_t done() {
+    flush();
+    return found;
+  }
+  void flush() {
+    for (std::uint32_t i = 0; i < n; ++i) emit(slot[i]);
+    found += n;
+    n = 0;
+  }
+};
 
 }  // namespace hi::util

@@ -1,4 +1,5 @@
-// Cache-line padding for the real-hardware (src/rt) implementations.
+// Cache-line padding for the real-hardware (src/rt) implementations, and
+// cache-line placement of hot loops' code (HI_ALIGN_LOOPS).
 //
 // Per-process announce cells and statistics counters are padded to a cache
 // line each so that false sharing does not distort the benchmark shapes
@@ -8,6 +9,19 @@
 
 #include <cstddef>
 #include <utility>
+
+/// Puts every loop head of the marked function on a 64-byte boundary —
+/// GCC's -falign-loops=64 for that function alone — so a hot loop's
+/// placement, and with it its speed, no longer depends on the code ahead
+/// of it in the translation unit (docs/PERF.md "How to read a
+/// regression"). The function stays out of line: an inlined copy would
+/// take its caller's alignment. Clang has no per-function form of the
+/// flag, so there the macro is empty.
+#if defined(__GNUC__) && !defined(__clang__)
+#define HI_ALIGN_LOOPS [[gnu::optimize("align-loops=64"), gnu::noinline]]
+#else
+#define HI_ALIGN_LOOPS
+#endif
 
 namespace hi::util {
 

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "register_common.h"
-#include "replay/replay_objects.h"
 #include "spec/counter_spec.h"
 #include "spec/max_register_spec.h"
 #include "spec/rllsc_spec.h"

@@ -333,7 +333,9 @@ TEST(EnvParity, ShardedSeedIsInsertsOfSeededKeys) {
   // A store seeded with a bitmap must be, byte for byte, an empty store
   // after inserting each seeded key, and its audit must name exactly those
   // keys. The seeds carry bits past the domain (dropped) or fall short of
-  // the domain's word count (missing words read as 0).
+  // the domain's word count (missing words read as 0). The all-ones seed
+  // gives every word 64 members (the build decoder's fullest buffer); the
+  // all-zero seed gives none.
   util::Xoshiro256 rng(15);
   const auto random_words = [&rng](std::uint32_t count) {
     std::vector<std::uint64_t> words(count);
@@ -346,11 +348,14 @@ TEST(EnvParity, ShardedSeedIsInsertsOfSeededKeys) {
       for (const std::uint32_t domain : {150u, 1000u, 4097u}) {
         const std::uint32_t words = util::bin_words(domain);
         for (const auto& seed :
-             {random_words(words + 2), random_words(words / 2)}) {
+             {random_words(words + 2), random_words(words / 2),
+              std::vector<std::uint64_t>(words + 2, ~std::uint64_t{0}),
+              std::vector<std::uint64_t>(words, 0)}) {
           SCOPED_TRACE(::testing::Message()
                        << "placement " << static_cast<int>(placement)
                        << ", shards " << shards << ", domain " << domain
-                       << ", seed words " << seed.size());
+                       << ", seed words " << seed.size() << ", first word "
+                       << seed.front());
           const std::vector<std::uint32_t> keys = seeded_keys(seed, domain);
 
           sim::Memory seeded_memory;

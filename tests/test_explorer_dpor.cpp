@@ -33,8 +33,8 @@
 #include "core/sharded_set.h"
 #include "core/universal.h"
 #include "core/vidyasankar.h"
+#include "env/replay_env.h"
 #include "fuzz_common.h"
-#include "replay/replay_objects.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim_system.h"
@@ -418,7 +418,7 @@ TEST(ExplorerLimits, TraceOfCurrentPrefixRoundTripsThroughReplay) {
   core::HiSet sim_impl(sim_memory, spec);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::HiSet replay_impl(replay_memory, spec);
+  algo::HiSetAlgPadded<env::ReplayEnv> replay_impl(replay_memory, spec);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, work, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));

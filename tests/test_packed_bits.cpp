@@ -342,6 +342,16 @@ TEST(PackedRt, MultiWordBitsInitializationRoundTrip) {
   RtArray c = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "C",
                                                       70, ones);
   EXPECT_EQ(env::RtEnv::peek_packed_word(c, 1), 0x3fu);
+  // Words past the array are ignored; missing trailing words read as 0.
+  RtArray d = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "D",
+                                                      64, ones);
+  ASSERT_EQ(env::RtEnv::packed_words(d), 1u);
+  EXPECT_EQ(env::RtEnv::peek_packed_word(d, 0), ~std::uint64_t{0});
+  RtArray e = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "E",
+                                                      130, ones);
+  ASSERT_EQ(env::RtEnv::packed_words(e), 3u);
+  EXPECT_EQ(env::RtEnv::peek_packed_word(e, 1), ~std::uint64_t{0});
+  EXPECT_EQ(env::RtEnv::peek_packed_word(e, 2), 0u);
 }
 
 TEST(PackedRt, MultiWordHiSetSnapshotMembers) {

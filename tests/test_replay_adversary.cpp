@@ -28,8 +28,8 @@
 #include "algo/strawman_queue.h"
 #include "core/hi_register_lockfree.h"
 #include "core/hi_register_waitfree.h"
+#include "env/replay_env.h"
 #include "register_common.h"
-#include "replay/replay_objects.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -41,6 +41,7 @@
 namespace hi {
 namespace {
 
+using env::ReplayEnv;
 using testing::kReaderPid;
 using testing::kWriterPid;
 using SimStrawmanQueue = algo::StrawmanQueueAlg<env::SimEnv>;
@@ -94,7 +95,7 @@ TEST(ReplayAdversary, ReaderStarvationReplaysOverHardwareAtomics) {
   // performs one initial o_change plus one per round.
   const std::uint64_t responses =
       starvation_roundtrip<core::LockFreeHiRegister,
-                           replay::LockFreeHiRegister>(
+                           algo::LockFreeHiAlgPadded<ReplayEnv>>(
           3, /*max_rounds=*/50, /*expect_reader_returns=*/false);
   EXPECT_EQ(responses, 51u);  // changer ops only — the reader never returned
 }
@@ -104,7 +105,7 @@ TEST(ReplayAdversary, WaitFreeControlReaderReturnsOnBothBackends) {
   // escapes the same adversary; its response must replay equal too.
   const std::uint64_t responses =
       starvation_roundtrip<core::WaitFreeHiRegister,
-                           replay::WaitFreeHiRegister>(
+                           algo::WaitFreeHiAlgPadded<ReplayEnv>>(
           3, /*max_rounds=*/50, /*expect_reader_returns=*/true);
   EXPECT_GE(responses, 2u);  // at least one changer op AND the reader's read
 }
@@ -144,8 +145,8 @@ TEST(ReplayAdversary, PersistedReaderStarvationTrace) {
   testing::RegisterSystem<core::LockFreeHiRegister> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::LockFreeHiRegister replay_impl(replay_memory, spec, kWriterPid,
-                                         kReaderPid);
+  algo::LockFreeHiAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                   kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
@@ -198,8 +199,8 @@ TEST(ReplayAdversary, QueuePeekStarvationReplaysOverHardwareAtomics) {
   SimStrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::StrawmanQueue replay_impl(replay_memory, spec, kWriterPid,
-                                    kReaderPid);
+  algo::StrawmanQueueAlg<ReplayEnv> replay_impl(replay_memory, spec, kWriterPid,
+                                                kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));
@@ -263,8 +264,8 @@ TEST(ReplayAdversary, PersistedQueueStarvationTrace) {
   SimStrawmanQueue sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::StrawmanQueue replay_impl(replay_memory, spec, kWriterPid,
-                                    kReaderPid);
+  algo::StrawmanQueueAlg<ReplayEnv> replay_impl(replay_memory, spec, kWriterPid,
+                                                kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));

@@ -34,8 +34,8 @@
 #include "core/rllsc.h"
 #include "core/universal.h"
 #include "core/vidyasankar.h"
+#include "env/replay_env.h"
 #include "register_common.h"
-#include "replay/replay_objects.h"
 #include "replay_common.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
@@ -54,6 +54,7 @@
 namespace hi {
 namespace {
 
+using env::ReplayEnv;
 using testing::kReaderPid;
 using testing::kWriterPid;
 
@@ -106,23 +107,26 @@ void register_replay_roundtrip(std::uint32_t k, std::size_t num_writes,
 
 TEST(ReplayEquivalence, VidyasankarRecordedSchedules) {
   register_replay_roundtrip<core::VidyasankarRegister,
-                            replay::VidyasankarRegister>(5, 8, 6, 101);
+                            algo::VidyasankarAlgPadded<ReplayEnv>>(
+      5, 8, 6, 101);
   register_replay_roundtrip<core::VidyasankarRegister,
-                            replay::VidyasankarRegister>(3, 6, 8, 102);
+                            algo::VidyasankarAlgPadded<ReplayEnv>>(
+      3, 6, 8, 102);
 }
 
 TEST(ReplayEquivalence, LockFreeHiRegisterRecordedSchedules) {
   register_replay_roundtrip<core::LockFreeHiRegister,
-                            replay::LockFreeHiRegister>(5, 8, 6, 201);
+                            algo::LockFreeHiAlgPadded<ReplayEnv>>(5, 8, 6, 201);
   register_replay_roundtrip<core::LockFreeHiRegister,
-                            replay::LockFreeHiRegister>(4, 10, 4, 202);
+                            algo::LockFreeHiAlgPadded<ReplayEnv>>(
+      4, 10, 4, 202);
 }
 
 TEST(ReplayEquivalence, WaitFreeHiRegisterRecordedSchedules) {
   register_replay_roundtrip<core::WaitFreeHiRegister,
-                            replay::WaitFreeHiRegister>(5, 8, 6, 301);
+                            algo::WaitFreeHiAlgPadded<ReplayEnv>>(5, 8, 6, 301);
   register_replay_roundtrip<core::WaitFreeHiRegister,
-                            replay::WaitFreeHiRegister>(4, 6, 6, 302);
+                            algo::WaitFreeHiAlgPadded<ReplayEnv>>(4, 6, 6, 302);
 }
 
 // Packed-layout twins: K=70 spans two packed words, so the recorded
@@ -132,19 +136,23 @@ TEST(ReplayEquivalence, WaitFreeHiRegisterRecordedSchedules) {
 
 TEST(ReplayEquivalence, PackedVidyasankarRecordedSchedules) {
   register_replay_roundtrip<core::PackedVidyasankarRegister,
-                            replay::PackedVidyasankarRegister>(70, 8, 6, 111);
+                            algo::VidyasankarAlgPacked<ReplayEnv>>(
+      70, 8, 6, 111);
 }
 
 TEST(ReplayEquivalence, PackedLockFreeHiRegisterRecordedSchedules) {
   register_replay_roundtrip<core::PackedLockFreeHiRegister,
-                            replay::PackedLockFreeHiRegister>(70, 8, 6, 211);
+                            algo::LockFreeHiAlgPacked<ReplayEnv>>(
+      70, 8, 6, 211);
   register_replay_roundtrip<core::PackedLockFreeHiRegister,
-                            replay::PackedLockFreeHiRegister>(65, 10, 4, 212);
+                            algo::LockFreeHiAlgPacked<ReplayEnv>>(
+      65, 10, 4, 212);
 }
 
 TEST(ReplayEquivalence, PackedWaitFreeHiRegisterRecordedSchedules) {
   register_replay_roundtrip<core::PackedWaitFreeHiRegister,
-                            replay::PackedWaitFreeHiRegister>(70, 8, 6, 311);
+                            algo::WaitFreeHiAlgPacked<ReplayEnv>>(
+      70, 8, 6, 311);
 }
 
 // ---- §5.1 max register and perfect-HI set ----
@@ -167,8 +175,8 @@ TEST(ReplayEquivalence, MaxRegisterRecordedSchedules) {
   core::HiMaxRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::HiMaxRegister replay_impl(replay_memory, spec, kWriterPid,
-                                    kReaderPid);
+  algo::HiMaxRegisterAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                      kWriterPid, kReaderPid);
 
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
@@ -195,7 +203,7 @@ TEST(ReplayEquivalence, HiSetRecordedSchedules) {
   core::HiSet sim_impl(sim_memory, spec);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::HiSet replay_impl(replay_memory, spec);
+  algo::HiSetAlgPadded<ReplayEnv> replay_impl(replay_memory, spec);
 
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
@@ -227,7 +235,7 @@ TEST(ReplayEquivalence, RllscRecordedSchedules) {
     core::CasRllsc sim_impl(sim_memory, "X", {7, 0});
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
-    replay::CasRllsc replay_impl(replay_memory, "X", 7);
+    algo::CasRllscAlg<ReplayEnv> replay_impl(replay_memory, "X", 7);
 
     const verify::ReplayReport report = verify::replay_differential(
         spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
@@ -263,7 +271,9 @@ TEST(ReplayEquivalence, UniversalRecordedSchedules) {
                                                                 spec, n);
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
-    replay::Universal<spec::CounterSpec> replay_impl(replay_memory, spec, n);
+    algo::UniversalAlg<ReplayEnv, spec::CounterSpec,
+                       algo::CasRllscAlg<ReplayEnv>>
+        replay_impl(replay_memory, spec, n);
 
     const verify::ReplayReport report = verify::replay_differential(
         spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
@@ -294,7 +304,8 @@ TEST(ReplayEquivalence, LeakyUniversalRecordedSchedules) {
       sim_memory, spec, n);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(n);
-  replay::LeakyUniversal<spec::CounterSpec> replay_impl(replay_memory, spec, n);
+  algo::LeakyUniversalAlg<ReplayEnv, spec::CounterSpec> replay_impl(
+      replay_memory, spec, n);
 
   // Semantic comparison over the decoded leak fields: the LEAK itself must
   // reproduce identically on the hardware cells, per step.
@@ -368,7 +379,7 @@ void explorer_paths_roundtrip(std::uint32_t k, std::uint32_t write_value,
 
 TEST(ReplayEquivalence, ExplorerPathsLockFreeHiRegisterAllSchedules) {
   explorer_paths_roundtrip<core::LockFreeHiRegister,
-                           replay::LockFreeHiRegister>(3, 2, 20);
+                           algo::LockFreeHiAlgPadded<ReplayEnv>>(3, 2, 20);
 }
 
 TEST(ReplayEquivalence, ExplorerPathsPackedLockFreeHiRegisterAllSchedules) {
@@ -376,10 +387,10 @@ TEST(ReplayEquivalence, ExplorerPathsPackedLockFreeHiRegisterAllSchedules) {
   // interleaving (fetch_or/fetch_and vs word-load snapshots) model-checked
   // by the explorer, then differentially replayed over the hardware RMWs.
   explorer_paths_roundtrip<core::PackedLockFreeHiRegister,
-                           replay::PackedLockFreeHiRegister>(3, 2, 10);
+                           algo::LockFreeHiAlgPacked<ReplayEnv>>(3, 2, 10);
   // Two packed words: the boundary-crossing schedules.
   explorer_paths_roundtrip<core::PackedLockFreeHiRegister,
-                           replay::PackedLockFreeHiRegister>(70, 65, 10);
+                           algo::LockFreeHiAlgPacked<ReplayEnv>>(70, 65, 10);
 }
 
 // ---- A hand-written ScheduleTrace literal (the persisted-counterexample
@@ -400,8 +411,8 @@ TEST(ReplayEquivalence, HandWrittenTraceLiteralReplays) {
   testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::VidyasankarRegister replay_impl(replay_memory, spec, kWriterPid,
-                                          kReaderPid);
+  algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                    kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
@@ -429,8 +440,8 @@ TEST(ReplayEquivalence, CorruptedTraceAnnotationIsRejected) {
   testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::VidyasankarRegister replay_impl(replay_memory, spec, kWriterPid,
-                                          kReaderPid);
+  algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                    kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
@@ -450,8 +461,8 @@ TEST(ReplayEquivalence, OutOfRangePidInTraceIsRejected) {
   testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::VidyasankarRegister replay_impl(replay_memory, spec, kWriterPid,
-                                          kReaderPid);
+  algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                    kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
       trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
@@ -472,8 +483,8 @@ TEST(ReplayEquivalence, RejectsStartOfCrashedPid) {
   core::HiMaxRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::HiMaxRegister replay_impl(replay_memory, spec, kWriterPid,
-                                    kReaderPid);
+  algo::HiMaxRegisterAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                      kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));
@@ -556,7 +567,8 @@ TEST(DriversAgree, RunnerScheduleOnCombiningUniversal) {
         testing::SimSystem<S, core::Universal<S, core::CasRllsc>>>(
         spec, 3, 3, /*clear_contexts=*/true, /*combine=*/true);
   };
-  expect_runner_agrees<replay::Universal<S>>(
+  expect_runner_agrees<
+      algo::UniversalAlg<ReplayEnv, S, algo::CasRllscAlg<ReplayEnv>>>(
       spec, make, testing::counter_workload(3, 4, 91), 92, spec, 3,
       /*clear_contexts=*/true, /*combine=*/true);
 }
@@ -568,7 +580,7 @@ TEST(DriversAgree, RunnerScheduleOnPaddedRegister) {
     return std::make_unique<testing::SimSystem<S, core::LockFreeHiRegister>>(
         spec, 2, kWriterPid, kReaderPid);
   };
-  expect_runner_agrees<replay::LockFreeHiRegister>(
+  expect_runner_agrees<algo::LockFreeHiAlgPadded<ReplayEnv>>(
       spec, make, testing::register_workload(5, 8, 6, 93), 94, spec,
       kWriterPid, kReaderPid);
 }
@@ -603,7 +615,7 @@ TEST(DriversAgree, CrashedExplorerPath) {
   ASSERT_TRUE(history.has_value()) << "no crashed path with a later start";
   ASSERT_EQ(history->num_pending(), 1u);  // the crashed write
   const sim::ScheduleTrace trace = explorer.trace_of(path);
-  expect_drivers_agree<replay::LockFreeHiRegister>(
+  expect_drivers_agree<algo::LockFreeHiAlgPadded<ReplayEnv>>(
       spec, make, work, trace, *history, spec, kWriterPid, kReaderPid);
 }
 

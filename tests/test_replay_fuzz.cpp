@@ -30,9 +30,9 @@
 #include "core/universal.h"
 #include "core/vidyasankar.h"
 #include "core/wait_free_sim.h"
+#include "env/replay_env.h"
 #include "fuzz_common.h"
 #include "register_common.h"
-#include "replay/replay_objects.h"
 #include "replay_common.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
@@ -50,6 +50,7 @@
 namespace hi {
 namespace {
 
+using env::ReplayEnv;
 using testing::kReaderPid;
 using testing::kWriterPid;
 using SimStrawmanQueue = algo::StrawmanQueueAlg<env::SimEnv>;
@@ -139,13 +140,16 @@ void fuzz_register(std::uint32_t k) {
 }
 
 TEST(ReplayFuzz, Vidyasankar) {
-  fuzz_register<core::VidyasankarRegister, replay::VidyasankarRegister>(5);
+  fuzz_register<core::VidyasankarRegister,
+                algo::VidyasankarAlgPadded<ReplayEnv>>(5);
 }
 TEST(ReplayFuzz, LockFreeHiRegister) {
-  fuzz_register<core::LockFreeHiRegister, replay::LockFreeHiRegister>(5);
+  fuzz_register<core::LockFreeHiRegister,
+                algo::LockFreeHiAlgPadded<ReplayEnv>>(5);
 }
 TEST(ReplayFuzz, WaitFreeHiRegister) {
-  fuzz_register<core::WaitFreeHiRegister, replay::WaitFreeHiRegister>(5);
+  fuzz_register<core::WaitFreeHiRegister,
+                algo::WaitFreeHiAlgPadded<ReplayEnv>>(5);
 }
 
 // Wait-free-sim combinator (algo/wait_free_sim.h): the recorded schedules
@@ -155,7 +159,8 @@ TEST(ReplayFuzz, WaitFreeHiRegister) {
 // fast_limit=0 row forces EVERY read through the slow path, so each seed
 // exercises the helped-completion CAS race between owner and writer.
 TEST(ReplayFuzz, WaitFreeSimHiRegister) {
-  fuzz_register<core::WaitFreeSimHiRegister, replay::WaitFreeSimHiRegister>(5);
+  fuzz_register<core::WaitFreeSimHiRegister,
+                algo::WaitFreeSimHiAlgPadded<ReplayEnv>>(5);
 }
 TEST(ReplayFuzz, WaitFreeSimHiRegisterForcedSlowPath) {
   const std::uint32_t k = 4;
@@ -164,16 +169,15 @@ TEST(ReplayFuzz, WaitFreeSimHiRegisterForcedSlowPath) {
     const auto workload = testing::register_workload(k, 5, 4, seed);
     const auto failure =
         fuzz_once<spec::RegisterSpec, core::WaitFreeSimHiRegister,
-                  replay::WaitFreeSimHiRegister>(
+                  algo::WaitFreeSimHiAlgPadded<ReplayEnv>>(
             spec, 2, workload, seed,
             [&](sim::Memory& m) {
               return core::WaitFreeSimHiRegister(m, spec, kWriterPid,
                                                  kReaderPid, /*fast_limit=*/0);
             },
             [&](sim::Memory& m) {
-              return replay::WaitFreeSimHiRegister(m, spec, kWriterPid,
-                                                   kReaderPid,
-                                                   /*fast_limit=*/0);
+              return algo::WaitFreeSimHiAlgPadded<ReplayEnv>(
+                  m, spec, kWriterPid, kReaderPid, /*fast_limit=*/0);
             },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
@@ -185,15 +189,15 @@ TEST(ReplayFuzz, WaitFreeSimHiRegisterForcedSlowPath) {
 // word-load snapshots, differentially replayed over the hardware atomics.
 TEST(ReplayFuzz, PackedVidyasankar) {
   fuzz_register<core::PackedVidyasankarRegister,
-                replay::PackedVidyasankarRegister>(70);
+                algo::VidyasankarAlgPacked<ReplayEnv>>(70);
 }
 TEST(ReplayFuzz, PackedLockFreeHiRegister) {
   fuzz_register<core::PackedLockFreeHiRegister,
-                replay::PackedLockFreeHiRegister>(70);
+                algo::LockFreeHiAlgPacked<ReplayEnv>>(70);
 }
 TEST(ReplayFuzz, PackedWaitFreeHiRegister) {
   fuzz_register<core::PackedWaitFreeHiRegister,
-                replay::PackedWaitFreeHiRegister>(70);
+                algo::WaitFreeHiAlgPacked<ReplayEnv>>(70);
 }
 
 // ---- max register ----
@@ -204,13 +208,14 @@ TEST(ReplayFuzz, MaxRegister) {
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::max_register_workload(k, 6, seed);
     const auto failure = fuzz_once<spec::MaxRegisterSpec, core::HiMaxRegister,
-                                   replay::HiMaxRegister>(
+                                   algo::HiMaxRegisterAlgPadded<ReplayEnv>>(
         spec, 2, workload, seed,
         [&](sim::Memory& m) {
           return core::HiMaxRegister(m, spec, kWriterPid, kReaderPid);
         },
         [&](sim::Memory& m) {
-          return replay::HiMaxRegister(m, spec, kWriterPid, kReaderPid);
+          return algo::HiMaxRegisterAlgPadded<ReplayEnv>(m, spec, kWriterPid,
+                                                         kReaderPid);
         },
         word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
@@ -224,15 +229,15 @@ TEST(ReplayFuzz, PackedMaxRegister) {
     const auto workload = testing::max_register_workload(k, 6, seed);
     const auto failure =
         fuzz_once<spec::MaxRegisterSpec, core::PackedHiMaxRegister,
-                  replay::PackedHiMaxRegister>(
+                  algo::HiMaxRegisterAlgPacked<ReplayEnv>>(
             spec, 2, workload, seed,
             [&](sim::Memory& m) {
               return core::PackedHiMaxRegister(m, spec, kWriterPid,
                                                kReaderPid);
             },
             [&](sim::Memory& m) {
-              return replay::PackedHiMaxRegister(m, spec, kWriterPid,
-                                                 kReaderPid);
+              return algo::HiMaxRegisterAlgPacked<ReplayEnv>(
+                  m, spec, kWriterPid, kReaderPid);
             },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
@@ -246,10 +251,11 @@ TEST(ReplayFuzz, HiSet) {
   const spec::SetSpec spec(domain);
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::set_workload(domain, 6, seed);
-    const auto failure = fuzz_once<spec::SetSpec, core::HiSet, replay::HiSet>(
+    using Replay = algo::HiSetAlgPadded<ReplayEnv>;
+    const auto failure = fuzz_once<spec::SetSpec, core::HiSet, Replay>(
         spec, 2, workload, seed,
         [&](sim::Memory& m) { return core::HiSet(m, spec); },
-        [&](sim::Memory& m) { return replay::HiSet(m, spec); }, word_compare);
+        [&](sim::Memory& m) { return Replay(m, spec); }, word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
   }
 }
@@ -261,11 +267,12 @@ TEST(ReplayFuzz, PackedHiSet) {
   const spec::SetSpec spec(domain);
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::set_workload(domain, 6, seed);
+    using Replay = algo::HiSetAlgPacked<ReplayEnv>;
     const auto failure =
-        fuzz_once<spec::SetSpec, core::PackedHiSet, replay::PackedHiSet>(
+        fuzz_once<spec::SetSpec, core::PackedHiSet, Replay>(
             spec, 2, workload, seed,
             [&](sim::Memory& m) { return core::PackedHiSet(m, spec); },
-            [&](sim::Memory& m) { return replay::PackedHiSet(m, spec); },
+            [&](sim::Memory& m) { return Replay(m, spec); },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
   }
@@ -282,14 +289,15 @@ TEST(ReplayFuzz, ShardedHiSet) {
   constexpr auto kPlacement = algo::ShardPlacement::kStriped;
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::set_workload(domain, 6, seed);
+    using Replay = algo::ShardedHiSetPacked<ReplayEnv>;
     const auto failure =
-        fuzz_once<spec::SetSpec, core::ShardedHiSet, replay::ShardedHiSet>(
+        fuzz_once<spec::SetSpec, core::ShardedHiSet, Replay>(
             spec, 2, workload, seed,
             [&](sim::Memory& m) {
               return core::ShardedHiSet(m, spec, kShards, kPlacement);
             },
             [&](sim::Memory& m) {
-              return replay::ShardedHiSet(m, spec, kShards, kPlacement);
+              return Replay(m, spec, kShards, kPlacement);
             },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
@@ -303,11 +311,12 @@ TEST(ReplayFuzz, Rllsc) {
   const spec::RllscSpec spec(100, n, 0);
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::rllsc_workload(n, 5, seed);
+    using Replay = algo::CasRllscAlg<ReplayEnv>;
     const auto failure =
-        fuzz_once<spec::RllscSpec, core::CasRllsc, replay::CasRllsc>(
+        fuzz_once<spec::RllscSpec, core::CasRllsc, Replay>(
             spec, n, workload, seed,
             [&](sim::Memory& m) { return core::CasRllsc(m, "X", {0, 0}); },
-            [&](sim::Memory& m) { return replay::CasRllsc(m, "X", 0); },
+            [&](sim::Memory& m) { return Replay(m, "X", 0); },
             word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
   }
@@ -325,7 +334,8 @@ void fuzz_universal(bool combine) {
   const spec::CounterSpec spec(1u << 20, 10);
   const int n = 3;
   using SimUni = core::Universal<spec::CounterSpec, core::CasRllsc>;
-  using ReplayUni = replay::Universal<spec::CounterSpec>;
+  using ReplayUni = algo::UniversalAlg<ReplayEnv, spec::CounterSpec,
+                                       algo::CasRllscAlg<ReplayEnv>>;
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::counter_workload(n, 3, seed);
     const auto failure = fuzz_once<spec::CounterSpec, SimUni, ReplayUni>(
@@ -348,7 +358,7 @@ TEST(ReplayFuzz, LeakyUniversal) {
   const spec::CounterSpec spec(1u << 20, 10);
   const int n = 3;
   using SimLeaky = algo::LeakyUniversalAlg<env::SimEnv, spec::CounterSpec>;
-  using ReplayLeaky = replay::LeakyUniversal<spec::CounterSpec>;
+  using ReplayLeaky = algo::LeakyUniversalAlg<ReplayEnv, spec::CounterSpec>;
   for (std::uint64_t seed = 1; seed <= fuzz_seeds(); ++seed) {
     const auto workload = testing::counter_workload(n, 3, seed);
     const auto failure = fuzz_once<spec::CounterSpec, SimLeaky, ReplayLeaky>(
@@ -391,13 +401,14 @@ TEST(ReplayFuzz, StrawmanQueue) {
     }
     workload[kReaderPid].assign(3, spec::QueueSpec::peek());
     const auto failure = fuzz_once<spec::QueueSpec, SimStrawmanQueue,
-                                   replay::StrawmanQueue>(
+                                   algo::StrawmanQueueAlg<ReplayEnv>>(
         spec, 2, workload, seed,
         [&](sim::Memory& m) {
           return SimStrawmanQueue(m, spec, kWriterPid, kReaderPid);
         },
         [&](sim::Memory& m) {
-          return replay::StrawmanQueue(m, spec, kWriterPid, kReaderPid);
+          return algo::StrawmanQueueAlg<ReplayEnv>(m, spec, kWriterPid,
+                                                   kReaderPid);
         },
         word_compare);
     ASSERT_FALSE(failure.has_value()) << *failure;
@@ -444,8 +455,8 @@ TEST(ReplayFuzz, PersistedOverlappingReadTraceReplays) {
   core::LockFreeHiRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  replay::LockFreeHiRegister replay_impl(replay_memory, spec, kWriterPid,
-                                         kReaderPid);
+  algo::LockFreeHiAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
+                                                   kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, workload, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));

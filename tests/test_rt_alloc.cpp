@@ -29,9 +29,9 @@
 #include "algo/sharded_set.h"
 #include "algo/universal.h"
 #include "algo/wait_free_sim.h"
+#include "env/replay_env.h"
 #include "env/rt_env.h"
 #include "env/sim_env.h"
-#include "replay/replay_objects.h"
 #include "rt/rllsc_rt.h"
 #include "rt/sharded_set_rt.h"
 #include "rt/universal_rt.h"
@@ -610,8 +610,9 @@ TEST(RtAllocReplayExemption, ReplayFramesAreHeapBackedAndBypassTheArena) {
   const spec::RegisterSpec spec(8, 1);
   sim::Memory memory;
   sim::Scheduler sched(2);
-  replay::LockFreeHiRegister reg(memory, spec, /*writer_pid=*/0,
-                                 /*reader_pid=*/1);
+  algo::LockFreeHiAlgPadded<env::ReplayEnv> reg(memory, spec,
+                                                /*writer_pid=*/0,
+                                                /*reader_pid=*/1);
 
   for (int i = 0; i < 64; ++i) {  // warmup, mirroring the rt contracts
     (void)sim::run_solo(sched, 0, reg.write(0, (i % 8) + 1));

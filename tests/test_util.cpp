@@ -1,4 +1,5 @@
-// Unit tests for src/util: bit packing and RNG determinism.
+// Unit tests for src/util: bit packing, the member decoder and RNG
+// determinism.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,6 +60,36 @@ TEST(Bits, Popcount) {
   EXPECT_EQ(popcount64(0), 0u);
   EXPECT_EQ(popcount64(~std::uint64_t{0}), 64u);
   EXPECT_EQ(popcount64(0b1011), 3u);
+}
+
+TEST(Bits, MemberSinkDecodesAscendingWithinItsSlotBound) {
+  // Word 0 leaves 63 members pending, so the full word behind it fills the
+  // buffer to 63 + 64 = 127, its bound, before a flush. The zero words
+  // emit nothing: their junk slots would read as members 192 and 320.
+  const std::uint64_t ones = ~std::uint64_t{0};
+  const std::vector<std::uint64_t> words = {ones >> 1, ones, 0,   ones,
+                                            0,         0b1010, ones << 63};
+  std::vector<std::uint32_t> want;
+  for (std::uint32_t v = 1; v <= words.size() * 64; ++v) {
+    if (bin_test(words, v)) want.push_back(v);
+  }
+  std::vector<std::uint32_t> got;
+  MemberSink sink{[&got](std::uint32_t v) { got.push_back(v); }};
+  std::size_t largest_flush = 0;
+  for (std::uint32_t w = 0; w < words.size(); ++w) {
+    const std::size_t before = got.size();
+    sink(w, words[w]);
+    largest_flush = std::max(largest_flush, got.size() - before);
+    EXPECT_LT(sink.n, decltype(sink)::kFlushAt) << "word " << w;
+  }
+  EXPECT_EQ(largest_flush, 127u);
+  EXPECT_EQ(got.size() + 3, want.size()) << "the last 3 wait for done()";
+  EXPECT_EQ(sink.done(), want.size());
+  EXPECT_EQ(got, want);
+
+  MemberSink empty{[](std::uint32_t v) { ADD_FAILURE() << "emitted " << v; }};
+  for (std::uint32_t w = 0; w < 200; ++w) empty(w, 0);
+  EXPECT_EQ(empty.done(), 0u);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
