@@ -14,9 +14,8 @@
 #include <string>
 
 #include "adversary/reader_adversary.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
-#include "core/vidyasankar.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -57,14 +56,14 @@ hi::adversary::CanonicalMap canon() {
 int main() {
   std::printf("=== 1. Algorithm 1 leaks (the paper's K=3 example) ===\n");
   {
-    Sys<hi::core::VidyasankarRegister> sys;
+    Sys<hi::algo::VidyasankarAlgPadded<hi::env::SimEnv>> sys;
     (void)hi::sim::run_solo(sys.sched, kWriter, sys.impl.write(kWriter, 2));
     (void)hi::sim::run_solo(sys.sched, kWriter, sys.impl.write(kWriter, 1));
     std::printf("  after Write(2); Write(1):  %s   <- A[2] still set!\n",
                 sys.memory.dump().c_str());
   }
   {
-    Sys<hi::core::VidyasankarRegister> sys;
+    Sys<hi::algo::VidyasankarAlgPadded<hi::env::SimEnv>> sys;
     (void)hi::sim::run_solo(sys.sched, kWriter, sys.impl.write(kWriter, 1));
     std::printf("  after just Write(1):       %s\n", sys.memory.dump().c_str());
     std::printf("  same register value (1), different memory: an observer\n"
@@ -73,8 +72,8 @@ int main() {
 
   std::printf("=== 2. Algorithm 2: HI, but the adversary starves reads ===\n");
   {
-    const auto map = canon<hi::core::LockFreeHiRegister>();
-    Sys<hi::core::LockFreeHiRegister> sys;
+    const auto map = canon<hi::algo::LockFreeHiAlgPadded<hi::env::SimEnv>>();
+    Sys<hi::algo::LockFreeHiAlgPadded<hi::env::SimEnv>> sys;
     const auto plan = hi::adversary::ct_plan(sys.spec);
     const auto result = hi::adversary::run_starvation(
         sys.spec, sys.memory, sys.sched, sys.impl, plan, map, kWriter,
@@ -90,8 +89,8 @@ int main() {
 
   std::printf("=== 3. Algorithm 4: wait-free AND quiescent HI ===\n");
   {
-    const auto map = canon<hi::core::WaitFreeHiRegister>();
-    Sys<hi::core::WaitFreeHiRegister> sys;
+    const auto map = canon<hi::algo::WaitFreeHiAlgPadded<hi::env::SimEnv>>();
+    Sys<hi::algo::WaitFreeHiAlgPadded<hi::env::SimEnv>> sys;
     const auto plan = hi::adversary::ct_plan(sys.spec);
     const auto result = hi::adversary::run_starvation(
         sys.spec, sys.memory, sys.sched, sys.impl, plan, map, kWriter,

@@ -1,17 +1,12 @@
-// Algorithm 6 (lock-free perfect-HI R-LLSC from CAS, Theorem 28) over the
-// simulator, and the model-only native R-LLSC cell behind the same
-// interface. The algorithm and its commentary: algo/rllsc.h.
+// The model-only native R-LLSC cell (sim/native_rllsc.h), the ideal atomic
+// cell Algorithm 5 runs over when the Theorem 32 composition is not under
+// test. Algorithm 6 over the simulator is algo::CasRllscAlg<env::SimEnv>.
 #pragma once
 
-#include "algo/rllsc.h"
-#include "algo/values.h"
-#include "env/sim_env.h"
 #include "sim/native_rllsc.h"
 
 namespace hi::core {
 
-using algo::RllscValue;
-using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
 // perfbench/src/explore.h pins this name.
 using NativeRllsc = sim::NativeRllsc;
 

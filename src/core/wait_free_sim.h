@@ -1,6 +1,7 @@
 // The wait-free-simulated Alg 2/3 register (the Kogan–Petrank-style
 // combinator of algo/wait_free_sim.h over the lock-free HI register) over
-// the simulator. The combinator and its commentary: algo/wait_free_sim.h.
+// the simulator, padded layout. The combinator and its commentary:
+// algo/wait_free_sim.h.
 #pragma once
 
 #include "algo/wait_free_sim.h"
@@ -10,6 +11,5 @@ namespace hi::core {
 
 // perfbench/src/explore.h pins this name.
 using WaitFreeSimHiRegister = algo::WaitFreeSimHiAlgPadded<env::SimEnv>;
-using PackedWaitFreeSimHiRegister = algo::WaitFreeSimHiAlgPacked<env::SimEnv>;
 
 }  // namespace hi::core

@@ -2,7 +2,7 @@
 // surface: the wait-free state-quiescent-HI universal construction over
 // CAS-backed R-LLSC cells (16-byte atomic words) — the same Theorem 32
 // composition the simulator model-checks as
-// core::Universal<S, core::CasRllsc>. Packing limits (the DESIGN
+// core::Universal<S> (over algo::CasRllscAlg cells). Packing limits (the DESIGN
 // substitution carried by RllscWordCodec<uint64_t>): encoded abstract
 // states ≤ 32 bits, responses ≤ 24 bits, ≤ 64 processes.
 //

@@ -8,9 +8,11 @@
 // deterministic given that sequence, so depth-first enumeration with
 // re-execution visits every reachable execution of the workload exactly
 // once, up to the given depth/width caps. Coroutine frames cannot be forked,
-// so branching nodes re-execute their decision prefix — but straight-line
-// suffixes (exactly one candidate decision) step the live replay
-// incrementally, keeping a non-branching execution O(n) instead of O(n²).
+// so every child of a branching node but the first re-executes its decision
+// prefix on a fresh system; the first child continues the branching node's
+// live replay, and straight-line suffixes (exactly one candidate decision)
+// step it incrementally, keeping a non-branching execution O(n) instead of
+// O(n²).
 //
 // DPOR (ExploreMode::kDpor) prunes provably-equivalent interleavings using
 // the per-decision (base object, kind) access annotations the scheduler
@@ -57,6 +59,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -390,7 +393,12 @@ class Explorer {
               r.driver.state_changing_pending());
   }
 
-  void dfs() {
+  /// Explores the subtree below the current prefix. `r`, when given, is
+  /// the live replay of the parent configuration (the prefix minus its last
+  /// decision), handed down by the branching parent to its first child so
+  /// that child applies only its own decision instead of re-executing the
+  /// prefix on a fresh system.
+  void dfs(std::unique_ptr<Replay> r = nullptr) {
     if (!stats_.exhausted) return;
     if (stats_.executions_complete + stats_.executions_truncated +
             stats_.executions_pruned >=
@@ -401,15 +409,23 @@ class Explorer {
     const bool dpor = limits_.mode == ExploreMode::kDpor;
     const std::size_t base = prefix_.size();
     bool last_completed = false;
-    std::optional<Replay> r(std::in_place, *this);
-    replay(*r, base == 0 ? 0 : base - 1, &last_completed);
+    if (r == nullptr) {
+      r = std::make_unique<Replay>(*this);
+      replay(*r, base == 0 ? 0 : base - 1, &last_completed);
+    } else {
+      last_completed = apply_decision(*r, prefix_.back());
+      if (observer_) {
+        ++stats_.configurations;
+        notify(*r);
+      }
+    }
     if (dpor && base > 0) {
       nodes_[base - 1].completed = last_completed;
       race_detect(base - 1);
     }
 
     // Straight-line tail: while exactly one candidate decision exists, step
-    // the live replay instead of recursing (each recursion re-executes the
+    // the live replay instead of recursing (a later sibling re-executes the
     // whole prefix; a chain of forced moves must not).
     for (;;) {
       Node node;
@@ -463,10 +479,10 @@ class Explorer {
       if (dpor) race_detect(prefix_.size() - 1);
     }
 
-    // Branching node: free the live replay (children re-execute), then
-    // explore candidates — under DPOR only backtracked ones, and race
-    // detection inside a child's subtree may add more for later rounds.
-    r.reset();
+    // Branching node: explore candidates — under DPOR only backtracked
+    // ones, and race detection inside a child's subtree may add more for
+    // later rounds. The first child continues the live replay; later
+    // children re-execute the prefix.
     const std::size_t depth = prefix_.size();
     {
       Node& node = nodes_[depth];
@@ -504,7 +520,7 @@ class Explorer {
       nodes_[depth].done |= event_bit(chosen);
       nodes_[depth].taken = chosen;  // child fills .completed after replay
       prefix_.push_back(chosen.d);
-      dfs();
+      dfs(std::move(r));  // null after the first child
       prefix_.pop_back();
       if (!stats_.exhausted) {
         unwind_to(base);

@@ -13,26 +13,6 @@
 
 namespace hi::util {
 
-/// Extract `width` bits of `word` starting at bit `pos` (LSB = bit 0).
-constexpr std::uint64_t extract_bits(std::uint64_t word, unsigned pos,
-                                     unsigned width) noexcept {
-  assert(width >= 1 && width <= 64 && pos < 64 && pos + width <= 64);
-  const std::uint64_t mask =
-      width == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1);
-  return (word >> pos) & mask;
-}
-
-/// Return `word` with `width` bits at `pos` replaced by the low bits of `value`.
-constexpr std::uint64_t deposit_bits(std::uint64_t word, unsigned pos,
-                                     unsigned width,
-                                     std::uint64_t value) noexcept {
-  assert(width >= 1 && width <= 64 && pos < 64 && pos + width <= 64);
-  const std::uint64_t mask =
-      (width == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << width) - 1))
-      << pos;
-  return (word & ~mask) | ((value << pos) & mask);
-}
-
 /// Test a single bit.
 constexpr bool test_bit(std::uint64_t word, unsigned pos) noexcept {
   assert(pos < 64);
@@ -47,16 +27,6 @@ constexpr std::uint64_t set_bit(std::uint64_t word, unsigned pos) noexcept {
 constexpr std::uint64_t clear_bit(std::uint64_t word, unsigned pos) noexcept {
   assert(pos < 64);
   return word & ~(std::uint64_t{1} << pos);
-}
-
-/// Number of set bits (popcount); constexpr-friendly wrapper.
-constexpr unsigned popcount64(std::uint64_t word) noexcept {
-  unsigned count = 0;
-  while (word != 0) {
-    word &= word - 1;
-    ++count;
-  }
-  return count;
 }
 
 // ---- packed-bin-array geometry (env::PackedBins, src/env/env.h) ----

@@ -10,6 +10,7 @@
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
+#include "sim_system.h"
 #include "spec/register_spec.h"
 #include "util/rng.h"
 #include "verify/hi_checker.h"
@@ -22,16 +23,11 @@ inline constexpr int kReaderPid = 1;
 
 /// A fresh simulated system hosting one SWSR register implementation.
 template <typename Impl>
-struct RegisterSystem {
-  spec::RegisterSpec spec;
-  sim::Memory memory;
-  sim::Scheduler sched;
-  Impl impl;
-
+struct RegisterSystem : SimSystem<spec::RegisterSpec, Impl> {
   explicit RegisterSystem(std::uint32_t num_values, std::uint32_t initial = 1)
-      : spec(num_values, initial),
-        sched(2),
-        impl(memory, spec, kWriterPid, kReaderPid) {}
+      : SimSystem<spec::RegisterSpec, Impl>(
+            spec::RegisterSpec(num_values, initial), 2, kWriterPid,
+            kReaderPid) {}
 };
 
 /// can(v) for every value v, built the way the paper's proofs do: a solo
@@ -50,7 +46,7 @@ adversary::CanonicalMap build_register_canon(std::uint32_t num_values,
           sys.sched, kWriterPid,
           sys.impl.write(kWriterPid, v));
     }
-    canon.emplace(v, sys.memory.snapshot());
+    canon.emplace(v, sys.mem.snapshot());
   }
   return canon;
 }
@@ -71,21 +67,29 @@ std::uint64_t last_write_or(const Hist& history, std::uint64_t initial) {
   return value;
 }
 
+/// pid's random SWSR script: `ops` writes of uniform values for the
+/// writer, `ops` reads for everyone else (which draw nothing from `rng`).
+inline std::vector<spec::RegisterSpec::Op> register_script(
+    const spec::RegisterSpec& spec, int pid, util::Xoshiro256& rng, int ops) {
+  std::vector<spec::RegisterSpec::Op> out;
+  for (int i = 0; i < ops; ++i) {
+    out.push_back(pid == kWriterPid
+                      ? spec::RegisterSpec::write(static_cast<std::uint32_t>(
+                            rng.next_in(1, spec.num_values())))
+                      : spec::RegisterSpec::read());
+  }
+  return out;
+}
+
 /// Random SWSR workload: `num_writes` writes of uniform values for the
 /// writer, `num_reads` reads for the reader.
 inline std::vector<std::vector<spec::RegisterSpec::Op>> register_workload(
-    std::uint32_t num_values, std::size_t num_writes, std::size_t num_reads,
+    std::uint32_t num_values, int num_writes, int num_reads,
     std::uint64_t seed) {
+  const spec::RegisterSpec spec(num_values, 1);
   util::Xoshiro256 rng(seed);
-  std::vector<std::vector<spec::RegisterSpec::Op>> work(2);
-  for (std::size_t i = 0; i < num_writes; ++i) {
-    work[kWriterPid].push_back(spec::RegisterSpec::write(
-        static_cast<std::uint32_t>(rng.next_in(1, num_values))));
-  }
-  for (std::size_t i = 0; i < num_reads; ++i) {
-    work[kReaderPid].push_back(spec::RegisterSpec::read());
-  }
-  return work;
+  return {register_script(spec, kWriterPid, rng, num_writes),
+          register_script(spec, kReaderPid, rng, num_reads)};
 }
 
 }  // namespace hi::testing

@@ -3,7 +3,8 @@
 // sim::Explorer's factories must produce (sim::ExplorableSystem). A suite
 // names a configured system by deriving from it:
 //
-//   struct Set2System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+//   using Set = algo::HiSetAlgPadded<env::SimEnv>;
+//   struct Set2System : testing::SimSystem<spec::SetSpec, Set> {
 //     Set2System() : SimSystem(spec::SetSpec(4), 2) {}
 //   };
 #pragma once

@@ -8,9 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "algo/leaky_universal.h"
-#include "core/rllsc.h"
-#include "core/universal.h"
+#include "algo/rllsc.h"
+#include "env/sim_env.h"
 #include "universal_common.h"
+#include "sim_system.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
 
@@ -20,31 +21,25 @@ namespace {
 using spec::CounterSpec;
 using SimLeaky = algo::LeakyUniversalAlg<env::SimEnv, CounterSpec>;
 
-struct LeakySys {
-  CounterSpec spec;
-  sim::Memory memory;
-  sim::Scheduler sched;
-  SimLeaky object;
-
-  explicit LeakySys(int n)
-      : spec(1u << 20, 10), sched(n), object(memory, spec, n) {}
+struct LeakySys : testing::SimSystem<CounterSpec, SimLeaky> {
+  explicit LeakySys(int n) : SimSystem(CounterSpec(1u << 20, 10), n, n) {}
 };
 
 TEST(LeakyUniversal, SequentialSemantics) {
   LeakySys sys(2);
   EXPECT_EQ(sim::run_solo(sys.sched, 0,
-                          sys.object.apply(0, CounterSpec::inc())),
+                          sys.impl.apply(0, CounterSpec::inc())),
             10u);
   EXPECT_EQ(sim::run_solo(sys.sched, 1,
-                          sys.object.apply(1, CounterSpec::inc())),
+                          sys.impl.apply(1, CounterSpec::inc())),
             11u);
   EXPECT_EQ(sim::run_solo(sys.sched, 0,
-                          sys.object.apply(0, CounterSpec::read())),
+                          sys.impl.apply(0, CounterSpec::read())),
             12u);
   EXPECT_EQ(sim::run_solo(sys.sched, 0,
-                          sys.object.apply(0, CounterSpec::dec())),
+                          sys.impl.apply(0, CounterSpec::dec())),
             12u);
-  EXPECT_EQ(sys.object.head_state_encoded(), 11u);
+  EXPECT_EQ(sys.impl.head_state_encoded(), 11u);
 }
 
 TEST(LeakyUniversal, LinearizableUnderRandomSchedules) {
@@ -52,8 +47,8 @@ TEST(LeakyUniversal, LinearizableUnderRandomSchedules) {
     const int n = 3;
     LeakySys sys(n);
     sim::Runner<CounterSpec, SimLeaky> runner(
-        sys.spec, sys.memory, sys.sched, sys.object,
-        [&](const auto&) { return sys.object.head_state_encoded(); });
+        sys.spec, sys.mem, sys.sched, sys.impl,
+        [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(
         testing::universal_workload<CounterSpec>(n, 12, seed * 5),
         {.seed = seed});
@@ -70,21 +65,21 @@ TEST(LeakyUniversal, VersionCounterLeaksOperationCount) {
   // counter example, realized by the baseline.
   LeakySys short_run(2);
   (void)sim::run_solo(short_run.sched, 0,
-                      short_run.object.apply(0, CounterSpec::inc()));
+                      short_run.impl.apply(0, CounterSpec::inc()));
 
   LeakySys long_run(2);
   (void)sim::run_solo(long_run.sched, 0,
-                      long_run.object.apply(0, CounterSpec::inc()));
+                      long_run.impl.apply(0, CounterSpec::inc()));
   (void)sim::run_solo(long_run.sched, 0,
-                      long_run.object.apply(0, CounterSpec::inc()));
+                      long_run.impl.apply(0, CounterSpec::inc()));
   (void)sim::run_solo(long_run.sched, 0,
-                      long_run.object.apply(0, CounterSpec::dec()));
+                      long_run.impl.apply(0, CounterSpec::dec()));
 
-  ASSERT_EQ(short_run.object.head_state_encoded(),
-            long_run.object.head_state_encoded());
-  EXPECT_NE(short_run.memory.snapshot(), long_run.memory.snapshot());
-  EXPECT_EQ(short_run.object.version(), 1u);
-  EXPECT_EQ(long_run.object.version(), 3u);
+  ASSERT_EQ(short_run.impl.head_state_encoded(),
+            long_run.impl.head_state_encoded());
+  EXPECT_NE(short_run.mem.snapshot(), long_run.mem.snapshot());
+  EXPECT_EQ(short_run.impl.version(), 1u);
+  EXPECT_EQ(long_run.impl.version(), 3u);
 }
 
 TEST(LeakyUniversal, HiCheckerRejectsQuiescentPoints) {
@@ -93,8 +88,8 @@ TEST(LeakyUniversal, HiCheckerRejectsQuiescentPoints) {
     const int n = 2;
     LeakySys sys(n);
     sim::Runner<CounterSpec, SimLeaky> runner(
-        sys.spec, sys.memory, sys.sched, sys.object,
-        [&](const auto&) { return sys.object.head_state_encoded(); });
+        sys.spec, sys.mem, sys.sched, sys.impl,
+        [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(
         testing::universal_workload<CounterSpec>(n, 10, seed * 11),
         {.seed = seed});
@@ -112,7 +107,7 @@ TEST(LeakyUniversal, SideBySideWithAlgorithm5) {
   // baseline's memory depends on the path taken, Algorithm 5's does not.
   auto drive = [](auto& sys, const std::vector<CounterSpec::Op>& ops) {
     for (const auto& op : ops) {
-      (void)sim::run_solo(sys.sched, 0, sys.object.apply(0, op));
+      (void)sim::run_solo(sys.sched, 0, sys.impl.apply(0, op));
     }
   };
   const std::vector<CounterSpec::Op> path_a = {CounterSpec::inc()};
@@ -122,13 +117,14 @@ TEST(LeakyUniversal, SideBySideWithAlgorithm5) {
   LeakySys leaky_a(2), leaky_b(2);
   drive(leaky_a, path_a);
   drive(leaky_b, path_b);
-  EXPECT_NE(leaky_a.memory.snapshot(), leaky_b.memory.snapshot())
+  EXPECT_NE(leaky_a.mem.snapshot(), leaky_b.mem.snapshot())
       << "baseline should leak";
 
-  testing::UniversalSystem<CounterSpec, core::CasRllsc> hi_a(2), hi_b(2);
+  testing::UniversalSystem<CounterSpec, algo::CasRllscAlg<env::SimEnv>> hi_a(2),
+      hi_b(2);
   drive(hi_a, path_a);
   drive(hi_b, path_b);
-  EXPECT_EQ(hi_a.memory.snapshot(), hi_b.memory.snapshot())
+  EXPECT_EQ(hi_a.mem.snapshot(), hi_b.mem.snapshot())
       << "Algorithm 5 must not leak";
 }
 

@@ -38,9 +38,10 @@
 #include <utility>
 #include <vector>
 
+#include "algo/hi_set.h"
+#include "algo/registers.h"
 #include "algo/wait_free_sim.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_set.h"
+#include "core/rllsc.h"
 #include "core/universal.h"
 #include "core/wait_free_sim.h"
 #include "env/replay_env.h"
@@ -157,7 +158,8 @@ struct WfsSystem
                   /*reader_pid=*/1, /*fast_limit=*/0) {}
 };
 
-struct CrashSet2System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+struct CrashSet2System
+    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
   CrashSet2System() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
@@ -244,7 +246,7 @@ TEST(CrashAudit, LeakyRegisterControlFailsResidueAudit) {
 // ----------------------------------------------------------- real objects
 
 TEST(CrashAudit, LockFreeRegisterReaderDrainsAtEveryWriterCrashPoint) {
-  using Impl = core::LockFreeHiRegister;
+  using Impl = algo::LockFreeHiAlgPadded<env::SimEnv>;
   const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
       {spec::RegisterSpec::write(3)},
       {spec::RegisterSpec::read(), spec::RegisterSpec::read()}};

@@ -10,13 +10,13 @@
 #include <span>
 #include <vector>
 
-#include "core/hi_register_lockfree.h"
-#include "core/vidyasankar.h"
-#include "core/hi_register_waitfree.h"
-#include "core/hi_set.h"
+#include "algo/hi_set.h"
+#include "algo/registers.h"
+#include "algo/rllsc.h"
+#include "algo/sharded_set.h"
 #include "core/rllsc.h"
-#include "core/sharded_set.h"
 #include "core/universal.h"
+#include "env/sim_env.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim_system.h"
@@ -95,13 +95,13 @@ void exhaustive_register_check(std::uint32_t k,
 TEST(Exhaustive, Alg2_WriteVsRead_AllSchedules) {
   // Write(2) ‖ Read over K=3: every interleaving is linearizable and every
   // state-quiescent configuration is canonical. Fully exhaustive.
-  exhaustive_register_check<core::LockFreeHiRegister>(
+  exhaustive_register_check<algo::LockFreeHiAlgPadded<env::SimEnv>>(
       3, {spec::RegisterSpec::write(2)}, 1, /*max_depth=*/40,
       /*state_quiescent=*/true, /*min_complete=*/20);
 }
 
 TEST(Exhaustive, Alg2_TwoWritesOneRead_AllSchedules) {
-  exhaustive_register_check<core::LockFreeHiRegister>(
+  exhaustive_register_check<algo::LockFreeHiAlgPadded<env::SimEnv>>(
       3, {spec::RegisterSpec::write(3), spec::RegisterSpec::write(1)}, 1,
       /*max_depth=*/40, /*state_quiescent=*/true, /*min_complete=*/500);
 }
@@ -114,7 +114,7 @@ TEST(Exhaustive, Alg2Packed_WriteVsRead_AllSchedules) {
   // Fewer schedules than the padded run (a write is 3 word RMWs instead of
   // 3 bit writes ... but a read is 1–2 word loads instead of up to 2K-1 bit
   // reads), all of them exhausted.
-  exhaustive_register_check<core::PackedLockFreeHiRegister>(
+  exhaustive_register_check<algo::LockFreeHiAlgPacked<env::SimEnv>>(
       3, {spec::RegisterSpec::write(2)}, 1, /*max_depth=*/40,
       /*state_quiescent=*/true, /*min_complete=*/10);
 }
@@ -123,7 +123,7 @@ TEST(Exhaustive, Alg2Packed_TwoWordArray_AllSchedules) {
   // K=70 spans two packed words: the upward scan's word-0/word-1 boundary
   // and the clearing passes' two-word masks are the interesting
   // interleaving points; Write(65) ‖ Read crosses them all.
-  exhaustive_register_check<core::PackedLockFreeHiRegister>(
+  exhaustive_register_check<algo::LockFreeHiAlgPacked<env::SimEnv>>(
       70, {spec::RegisterSpec::write(65)}, 1, /*max_depth=*/40,
       /*state_quiescent=*/true, /*min_complete=*/10);
 }
@@ -131,7 +131,7 @@ TEST(Exhaustive, Alg2Packed_TwoWordArray_AllSchedules) {
 TEST(Exhaustive, Alg4_WriteVsRead_AllSchedules) {
   // Algorithm 4 with one Write(3) ‖ one Read over K=3: every interleaving
   // linearizable; every fully-quiescent configuration canonical.
-  exhaustive_register_check<core::WaitFreeHiRegister>(
+  exhaustive_register_check<algo::WaitFreeHiAlgPadded<env::SimEnv>>(
       3, {spec::RegisterSpec::write(3)}, 1, /*max_depth=*/46,
       /*state_quiescent=*/false, /*min_complete=*/1000);
 }
@@ -144,14 +144,15 @@ TEST(Exhaustive, Alg1Control_LeakIsFoundByExploration) {
   {
     // Seed the canonical representation of state 1 from a solo Write(1), so
     // the explored Write(2);Write(1) path has something to conflict with.
-    RegSystem<core::VidyasankarRegister> solo(3);
+    RegSystem<algo::VidyasankarAlgPadded<env::SimEnv>> solo(3);
     (void)sim::run_solo(solo.sched, 0, solo.impl.write(0, 1));
     ASSERT_TRUE(checker.set_canonical(1, solo.mem.snapshot()));
   }
-  sim::Explorer<spec::RegisterSpec, RegSystem<core::VidyasankarRegister>>
+  using Vidyasankar = RegSystem<algo::VidyasankarAlgPadded<env::SimEnv>>;
+  sim::Explorer<spec::RegisterSpec, Vidyasankar>
       explorer(
           spec,
-          [] { return std::make_unique<RegSystem<core::VidyasankarRegister>>(3); },
+          [] { return std::make_unique<Vidyasankar>(3); },
           {{spec::RegisterSpec::write(2), spec::RegisterSpec::write(1)}, {}});
   (void)explorer.explore(
       {.max_depth = 20, .max_executions = 10'000},
@@ -171,7 +172,8 @@ TEST(Exhaustive, Alg1Control_LeakIsFoundByExploration) {
 
 // ------------------------------------------------------------- perfect-HI set
 
-struct SetSystem : testing::SimSystem<spec::SetSpec, core::HiSet> {
+struct SetSystem
+    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
   SetSystem() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
@@ -209,7 +211,7 @@ TEST(Exhaustive, HiSet_AllSchedules_PerfectHI) {
 // ------------------------------------------------------- sharded perfect-HI
 
 struct ShardedSetSystem
-    : testing::SimSystem<spec::SetSpec, core::ShardedHiSet> {
+    : testing::SimSystem<spec::SetSpec, algo::ShardedHiSetPacked<env::SimEnv>> {
   ShardedSetSystem()
       : SimSystem(spec::SetSpec(8), 2, /*shard_count=*/2,
                   algo::ShardPlacement::kStriped) {}
@@ -368,7 +370,8 @@ TEST(Exhaustive, ShardedHiSet_TwoShardTwoWord_AllInterleavings) {
 
 // ----------------------------------------------------------------- R-LLSC
 
-struct RllscSystem : testing::SimSystem<spec::RllscSpec, core::CasRllsc> {
+struct RllscSystem
+    : testing::SimSystem<spec::RllscSpec, algo::CasRllscAlg<env::SimEnv>> {
   RllscSystem()
       : SimSystem(spec::RllscSpec(8, 2), 2, "X", algo::RllscValue{0, 0}) {}
 };
@@ -471,7 +474,8 @@ TEST(Exhaustive, UniversalCasCells_IncVsDec_Bounded) {
   // Full Algorithm 5-over-6 composition: the CAS retry loops blow up the
   // schedule space, so this run is capped — a prefix-closed subset of all
   // schedules, every one of which must still pass.
-  exhaustive_universal<core::CasRllsc>(150'000, /*expect_exhausted=*/false);
+  exhaustive_universal<algo::CasRllscAlg<env::SimEnv>>(
+      150'000, /*expect_exhausted=*/false);
 }
 
 }  // namespace

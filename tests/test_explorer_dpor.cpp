@@ -29,11 +29,13 @@
 #include <string>
 #include <vector>
 
-#include "core/hi_set.h"
-#include "core/sharded_set.h"
+#include "algo/hi_set.h"
+#include "algo/registers.h"
+#include "algo/sharded_set.h"
+#include "core/rllsc.h"
 #include "core/universal.h"
-#include "core/vidyasankar.h"
 #include "env/replay_env.h"
+#include "env/sim_env.h"
 #include "fuzz_common.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
@@ -92,7 +94,8 @@ std::string history_key(const S& spec, const Hist& hist) {
 
 // ------------------------------------------------------------------- systems
 
-struct Set3System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+struct Set3System
+    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
   Set3System() : SimSystem(spec::SetSpec(6), 3) {}
 };
 
@@ -101,7 +104,7 @@ struct Set3System : testing::SimSystem<spec::SetSpec, core::HiSet> {
 /// cross-shard): maximal inter-process independence, the configuration DPOR
 /// is for.
 struct CrossShard3System
-    : testing::SimSystem<spec::SetSpec, core::ShardedHiSet> {
+    : testing::SimSystem<spec::SetSpec, algo::ShardedHiSetPacked<env::SimEnv>> {
   CrossShard3System()
       : SimSystem(spec::SetSpec(12), 3, /*shard_count=*/4,
                   algo::ShardPlacement::kStriped) {}
@@ -292,7 +295,8 @@ TEST(ExplorerDpor, CombiningUniversal_DporExhaustsAndCoversNaiveHistories) {
 // --------------------------------------------------------- bug preservation
 
 struct VidySystem
-    : testing::SimSystem<spec::RegisterSpec, core::VidyasankarRegister> {
+    : testing::SimSystem<spec::RegisterSpec,
+                         algo::VidyasankarAlgPadded<env::SimEnv>> {
   VidySystem()
       : SimSystem(spec::RegisterSpec(3, 1), 2, /*writer=*/0, /*reader=*/1) {}
 };
@@ -331,7 +335,8 @@ TEST(ExplorerDpor, Alg1Control_LeakStillFoundUnderDpor) {
 
 // ------------------------------------------------------------------- limits
 
-struct Set2System : testing::SimSystem<spec::SetSpec, core::HiSet> {
+struct Set2System
+    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
   Set2System() : SimSystem(spec::SetSpec(4), 2) {}
 };
 
@@ -415,7 +420,7 @@ TEST(ExplorerLimits, TraceOfCurrentPrefixRoundTripsThroughReplay) {
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  core::HiSet sim_impl(sim_memory, spec);
+  algo::HiSetAlgPadded<env::SimEnv> sim_impl(sim_memory, spec);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::HiSetAlgPadded<env::ReplayEnv> replay_impl(replay_memory, spec);

@@ -24,6 +24,10 @@
 // and the result is printed as a paste-ready ScheduleTrace literal (and
 // persisted under $HI_TRACE_DUMP_DIR for the nightly soak's artifacts).
 //
+// The object rows are tests/objects.h's yield_rows(), one test per row
+// named FuzzRt.<entry>; an entry's object-specific asserts (yield_extra) run
+// inside its row.
+//
 // Iteration budget: HI_RT_FUZZ_ITERS (default 20 per object — the CI smoke
 // bound; the nightly workflow raises it). Every failure message carries the
 // iteration's seed, which fully determines the op scripts and the per-thread
@@ -34,11 +38,14 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -53,6 +60,7 @@
 #include "algo/wait_free_sim.h"
 #include "env/fuzz_env.h"
 #include "fuzz_common.h"
+#include "objects.h"
 #include "sim/explorer.h"
 #include "sim/trace.h"
 #include "spec/counter_spec.h"
@@ -72,65 +80,226 @@ using FuzzPacked = env::PackedBins<FuzzEnv>;
 
 constexpr int kDefaultIters = 20;
 
-/// One object family under the fuzzer: `iters` iterations, each with a
-/// fresh object, per-(seed, pid) deterministic op scripts, barrier-released
-/// armed threads, a solo audit phase pinning the final abstract state (see
-/// file comment), then a linearizability check over the extended history
-/// and a caller-supplied final check (witness replay, invariants). `policy`
-/// tunes the injection aggressiveness (default: the gentle CI policy).
-template <typename S, typename ScriptGen, typename MakeObject, typename RunOp,
-          typename Audit, typename FinalCheck>
-void fuzz_object_suite(const char* name, const S& spec, int num_threads,
-                       std::uint64_t seed0, ScriptGen&& script_gen,
-                       MakeObject&& make_object, RunOp&& run_op, Audit&& audit,
-                       FinalCheck&& final_check,
-                       env::YieldPolicy policy = env::YieldPolicy{}) {
-  using Op = typename S::Op;
-  using Resp = typename S::Resp;
-  const int iters = testing::rt_fuzz_iters(kDefaultIters);
-  for (int iter = 0; iter < iters; ++iter) {
-    const std::uint64_t seed =
-        util::hash_combine(seed0, static_cast<std::uint64_t>(iter));
-    auto object = make_object();
-    std::vector<std::vector<Op>> scripts(
-        static_cast<std::size_t>(num_threads));
-    for (int pid = 0; pid < num_threads; ++pid) {
-      util::Xoshiro256 rng(
-          util::hash_combine(seed, 0x5c21 + static_cast<std::uint64_t>(pid)));
-      scripts[static_cast<std::size_t>(pid)] = script_gen(pid, rng);
+/// One row of tests/objects.h's yield_rows(): `iters` iterations, each with
+/// a fresh object, per-(seed, pid) deterministic op scripts, barrier-released
+/// armed threads, the entry's solo audit pinning the final abstract state
+/// (see file comment), then a linearizability check over the extended
+/// history. Above HiLevel::kNone the quiescent image must equal a solo
+/// replay of the linearization witness. The loop reaches the object through
+/// type-erased calls, so it compiles once per spec rather than once per
+/// class.
+template <typename Spec, typename Image>
+struct YieldFuzz {
+  using Op = typename Spec::Op;
+  using Resp = typename Spec::Resp;
+  using Hist = verify::History<Op, Resp>;
+
+  /// One fresh object of the row's class. `extra(history, seed)`, if set,
+  /// runs last (the entry's yield_extra).
+  struct Object {
+    std::function<Resp(int, const Op&)> apply;
+    std::function<Image()> image;
+    std::function<void(const Hist&, std::uint64_t)> extra;
+  };
+
+  /// What the loop needs of an entry.
+  struct Entry {
+    std::string_view name;
+    testing::HiLevel hi;
+    std::function<Object()> make;
+    std::vector<Op> (*script)(const Spec&, int, util::Xoshiro256&, int);
+    std::vector<std::pair<int, Op>> (*audit)(const Spec&);
+  };
+
+  static void run(const Entry& e, const Spec& spec, std::uint64_t seed0,
+                  const std::vector<int>& ops, env::YieldPolicy policy) {
+    const int n = static_cast<int>(ops.size());
+    const int iters = testing::rt_fuzz_iters(kDefaultIters);
+    for (int iter = 0; iter < iters; ++iter) {
+      const std::uint64_t seed =
+          util::hash_combine(seed0, static_cast<std::uint64_t>(iter));
+      const Object object = e.make();
+      std::vector<std::vector<Op>> scripts;
+      for (int pid = 0; pid < n; ++pid) {
+        util::Xoshiro256 rng(util::hash_combine(
+            seed, 0x5c21 + static_cast<std::uint64_t>(pid)));
+        scripts.push_back(
+            e.script(spec, pid, rng, ops[static_cast<std::size_t>(pid)]));
+      }
+      testing::RtHistoryRecorder<Op, Resp> recorder(n);
+      const auto run_op = [&object, &recorder](int pid, const Op& op) {
+        recorder.run(pid, op, [&] { return object.apply(pid, op); });
+      };
+      testing::run_fuzz_threads(n, seed, policy, [&](int pid) {
+        for (const Op& op : scripts[static_cast<std::size_t>(pid)]) {
+          run_op(pid, op);
+        }
+      });
+      // Injector disarmed on this thread: the audit runs solo, unperturbed.
+      for (const auto& audit : e.audit(spec)) run_op(audit.first, audit.second);
+      const Hist history = recorder.build();
+      ASSERT_EQ(history.num_pending(), 0u);
+      const verify::LinResult lin = verify::check_linearizable(spec, history);
+      ASSERT_TRUE(lin.ok()) << e.name
+                            << ": non-linearizable real-thread history at seed "
+                            << seed;
+      if (e.hi != testing::HiLevel::kNone) {
+        const Object replayed = e.make();
+        for (const std::size_t idx : lin.witness) {
+          const auto& entry = history.entries()[idx];
+          (void)replayed.apply(entry.pid, entry.op);
+        }
+        EXPECT_EQ(object.image(), replayed.image())
+            << e.name << ": " << testing::hi_level_name(e.hi)
+            << " HI image diverges from witness replay at seed " << seed;
+      }
+      if (object.extra) object.extra(history, seed);
     }
-    testing::RtHistoryRecorder<Op, Resp> recorder(num_threads);
-    testing::run_fuzz_threads(num_threads, seed, policy,
-                              [&](int pid) {
-                                for (const Op& op :
-                                     scripts[static_cast<std::size_t>(pid)]) {
-                                  recorder.run(pid, op, [&] {
-                                    return run_op(*object, pid, op);
-                                  });
-                                }
-                              });
-    // Injector disarmed on this thread: the audit runs solo and unperturbed.
-    audit(*object, recorder);
-    const auto history = recorder.build();
-    ASSERT_EQ(history.num_pending(), 0u);
-    const verify::LinResult lin = verify::check_linearizable(spec, history);
-    ASSERT_TRUE(lin.ok())
-        << name << ": non-linearizable real-thread history at seed " << seed;
-    final_check(*object, history, lin.witness, seed);
+  }
+};
+
+/// Entry E's script for this rung: E::script, then E::settle(pid) if any.
+template <typename E>
+std::vector<typename E::Spec::Op> yield_script(const typename E::Spec& spec,
+                                               int pid, util::Xoshiro256& rng,
+                                               int ops) {
+  auto script = E::script(spec, pid, rng, ops);
+  if constexpr (requires { E::settle(pid); }) script.push_back(E::settle(pid));
+  return script;
+}
+
+template <typename Row>
+using RowImpl = typename Row::Entry::template Impl<FuzzEnv>;
+template <typename Row>
+using RowFuzz = YieldFuzz<
+    typename Row::Entry::Spec,
+    decltype(Row::Entry::image(std::declval<const RowImpl<Row>&>()))>;
+/// An object-specific check: (object, history, seed).
+template <typename Row>
+using Extra = std::function<void(
+    RowImpl<Row>&, const typename RowFuzz<Row>::Hist&, std::uint64_t)>;
+
+// ---- object-specific checks ----
+//
+// An entry's own asserts run on every iteration of its row, after the
+// row's history and image checks: (object, history, seed), where the last
+// history entry is the audit op.
+
+template <typename Row>
+Extra<Row> yield_extra(const Row& row) {
+  using E = typename Row::Entry;
+  if constexpr (std::is_same_v<E, testing::WaitFreeSimPacked>) {
+    // The combinator under the AGGRESSIVE policy (the default one is too
+    // gentle to force the slow path reliably): yields inside the fast-path
+    // scan push reads onto the announce/enqueue/help slow path, yields
+    // between a retirer's two CASes exercise the stale-head repair, and
+    // concurrent helpers race the record CAS. The row's image check is
+    // history-only (kNone: the records and queue counters depend on how many
+    // reads were helped, Thm 17), so this pins the INNER image to the
+    // audit-pinned unit vector e_state: Alg 2's canonical bins survive under
+    // the combinator.
+    const std::uint32_t k = row.spec.num_values();
+    const std::uint64_t ops =
+        std::accumulate(row.ops.begin(), row.ops.end(), std::uint64_t{1});
+    const std::uint64_t reads = ops - row.ops[testing::kWriterPid];
+    return [k, ops, reads](auto& reg, const auto& hist, std::uint64_t seed) {
+      const std::uint32_t audited = hist.entries().back().resp;
+      ASSERT_GE(audited, 1u);
+      std::vector<std::uint8_t> expected(k, 0);
+      expected[audited - 1] = 1;
+      EXPECT_EQ(algo::memory_image(reg.combinator().inner()), expected)
+          << "inner bins diverge from the audit-pinned unit vector at seed "
+          << seed;
+      // Every op (the audit read included) counted once; only reads can
+      // enter the slow path, and each slow entry completes exactly once
+      // (owner or helper).
+      EXPECT_EQ(reg.total_ops(), ops);
+      EXPECT_LE(reg.slow_path_entries(), reads);
+      EXPECT_LE(reg.helped_completions(), reg.slow_path_entries());
+    };
+  } else if constexpr (std::is_same_v<E, testing::CasRllsc>) {
+    // Every script ends with its pid's RL, so no context bit survives the
+    // run (perfect HI of the cell), and the audited load names its value.
+    return [](auto& cell, const auto& hist, std::uint64_t seed) {
+      const auto word = cell.peek_word();
+      EXPECT_EQ(word.value, hist.entries().back().resp.value)
+          << "cell value diverges from the audited load at seed " << seed;
+      EXPECT_EQ(word.ctx, 0u)
+          << "context bits leaked past the closing RLs at seed " << seed;
+    };
+  } else if constexpr (std::is_same_v<E, testing::UniversalPlain> ||
+                       std::is_same_v<E, testing::UniversalCombine>) {
+    // Quiescent canonical memory in both modes: head = the audited abstract
+    // state with no response, all announces ⊥, no context bits — nothing
+    // about WHICH ops ran survives beyond the abstract state (the combining
+    // record, the helped responses and the batch bookkeeping included).
+    // Flat-combining mode runs under the AGGRESSIVE policy: yields inside
+    // the winner's announce scan park it mid-combining-phase, forcing peers
+    // through the foreign-combining-record spin (Env::relax) and piling
+    // announcements up for the next batch. Every update in the history was
+    // then applied in exactly one installed batch; batches never exceed ops.
+    return [&row](auto& obj, const auto& hist, std::uint64_t seed) {
+      const std::uint32_t audited = hist.entries().back().resp;
+      EXPECT_EQ(obj.head_state_encoded(), row.spec.encode_state(audited))
+          << "head diverges from the audited state at seed " << seed;
+      EXPECT_FALSE(obj.head_has_response()) << "seed " << seed;
+      EXPECT_EQ(obj.context_union(), 0u) << "seed " << seed;
+      for (int pid = 0; pid < static_cast<int>(row.ops.size()); ++pid) {
+        EXPECT_TRUE(obj.announce_is_bottom(pid))
+            << "announce[" << pid << "] leaked at seed " << seed;
+      }
+      if constexpr (std::is_same_v<E, testing::UniversalCombine>) {
+        std::uint64_t updates = 0;
+        for (const auto& e : hist.entries()) {
+          if (e.op.kind != spec::CounterSpec::Kind::kRead) ++updates;
+        }
+        EXPECT_EQ(obj.ops_combined(), updates) << "seed " << seed;
+        EXPECT_LE(obj.batches_installed(), obj.ops_combined())
+            << "seed " << seed;
+        if (updates > 0) {
+          EXPECT_GE(obj.batches_installed(), 1u) << "seed " << seed;
+        }
+      }
+    };
+  } else {
+    return {};
   }
 }
 
-/// The abstract state a linearization witness ends in (spec fold).
-template <typename S, typename Hist>
-typename S::State witness_final_state(const S& spec, const Hist& hist,
-                                      const std::vector<std::size_t>& witness) {
-  typename S::State state = spec.initial_state();
-  for (const std::size_t idx : witness) {
-    state = spec.apply(state, hist.entries()[idx].op).first;
-  }
-  return state;
+template <typename Row>
+void run_yield_fuzz(const Row& row) {
+  using E = typename Row::Entry;
+  using Impl = RowImpl<Row>;
+  using Fuzz = RowFuzz<Row>;
+  const int n = static_cast<int>(row.ops.size());
+  const Extra<Row> extra = yield_extra(row);
+  const auto make = [&row, &extra, n] {
+    const std::shared_ptr<Impl> obj(
+        new Impl(E::template make<FuzzEnv>(FuzzEnv::Ctx{}, row.spec, n)));
+    typename Fuzz::Object object{
+        [obj](int pid, const typename Fuzz::Op& op) {
+          return obj->apply(pid, op).get();
+        },
+        [obj] { return E::image(*obj); },
+        {}};
+    if (extra) {
+      object.extra = [obj, &extra](const typename Fuzz::Hist& hist,
+                                   std::uint64_t seed) {
+        extra(*obj, hist, seed);
+      };
+    }
+    return object;
+  };
+  Fuzz::run({E::kName, E::kHi, make, &yield_script<E>, &E::audit}, row.spec,
+            row.seed, row.ops, row.policy);
 }
 
+const bool kRowsRegistered = testing::register_rows<testing::yield_rows<>>(
+    "FuzzRt",
+    [](const auto& row) {
+      return std::string(std::decay_t<decltype(row)>::Entry::kName);
+    },
+    [](const auto& row) { run_yield_fuzz(row); });
 // --------------------------------------------------------- positive control
 
 TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
@@ -214,479 +383,6 @@ TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
             << literal << std::endl;
   EXPECT_FALSE(literal.empty());
   testing::dump_failing_trace("broken_counter_shrunk", literal);
-}
-
-// --------------------------------------------------------- SWSR registers
-
-std::vector<spec::RegisterSpec::Op> writer_script(std::uint32_t k, int ops,
-                                                  util::Xoshiro256& rng) {
-  std::vector<spec::RegisterSpec::Op> script;
-  for (int i = 0; i < ops; ++i) {
-    script.push_back(spec::RegisterSpec::write(
-        static_cast<std::uint32_t>(rng.next_in(1, k))));
-  }
-  return script;
-}
-
-TEST(FuzzRt, VidyasankarRegister_Linearizable) {
-  // Algorithm 1: linearizable but NOT HI — history check only.
-  const std::uint32_t k = 6;
-  const spec::RegisterSpec spec(k, 1);
-  using Alg = algo::VidyasankarAlg<FuzzEnv, FuzzPacked>;
-  fuzz_object_suite(
-      "vidyasankar", spec, 2, 0xa101,
-      [&](int pid, util::Xoshiro256& rng) {
-        if (pid == 0) return writer_script(k, 5, rng);
-        return std::vector<spec::RegisterSpec::Op>(4,
-                                                   spec::RegisterSpec::read());
-      },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
-      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) {
-        return reg.apply(pid, op).get();
-      },
-      [](Alg&, auto&) {},  // no final check, so nothing to pin
-      [](Alg&, const auto&, const auto&, std::uint64_t) {});
-}
-
-TEST(FuzzRt, LockFreeHiRegister_LinearizableAndQuiescentCanonical) {
-  const std::uint32_t k = 6;
-  const spec::RegisterSpec spec(k, 1);
-  using Alg = algo::LockFreeHiAlg<FuzzEnv, FuzzPacked>;
-  fuzz_object_suite(
-      "lockfree-register", spec, 2, 0xa102,
-      [&](int pid, util::Xoshiro256& rng) {
-        if (pid == 0) return writer_script(k, 5, rng);
-        return std::vector<spec::RegisterSpec::Op>(4,
-                                                   spec::RegisterSpec::read());
-      },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
-      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) -> std::uint32_t {
-        if (op.kind == spec::RegisterSpec::Kind::kWrite) {
-          return reg.write(pid, op.value).get();
-        }
-        // Packed K ≤ 64: a TryRead is a full-array word snapshot, so it
-        // always succeeds — the bound never binds.
-        return reg.read_bounded(pid, 1'000'000).get().value();
-      },
-      [](Alg& reg, auto& recorder) {
-        recorder.run(1, spec::RegisterSpec::read(), [&] {
-          return reg.read_bounded(1, 1'000'000).get().value();
-        });
-      },
-      [&](Alg& reg, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, spec, 0, 1);
-        for (const std::size_t idx : witness) {
-          const auto& e = hist.entries()[idx];
-          if (e.op.kind == spec::RegisterSpec::Kind::kWrite) {
-            (void)replayed.write(0, e.op.value).get();
-          } else {
-            (void)replayed.read_bounded(1, 1).get();
-          }
-        }
-        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
-            << "state-quiescent HI image diverges from witness replay at seed "
-            << seed;
-      });
-}
-
-TEST(FuzzRt, WaitFreeHiRegister_LinearizableAndQuiescentCanonical) {
-  const std::uint32_t k = 6;
-  const spec::RegisterSpec spec(k, 1);
-  using Alg = algo::WaitFreeHiAlg<FuzzEnv, FuzzPacked>;
-  fuzz_object_suite(
-      "waitfree-register", spec, 2, 0xa103,
-      [&](int pid, util::Xoshiro256& rng) {
-        if (pid == 0) return writer_script(k, 5, rng);
-        return std::vector<spec::RegisterSpec::Op>(4,
-                                                   spec::RegisterSpec::read());
-      },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, 0, 1); },
-      [](Alg& reg, int pid, const spec::RegisterSpec::Op& op) {
-        return reg.apply(pid, op).get();
-      },
-      [](Alg& reg, auto& recorder) {
-        recorder.run(1, spec::RegisterSpec::read(),
-                     [&] { return reg.read(1).get(); });
-      },
-      [&](Alg& reg, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, spec, 0, 1);
-        for (const std::size_t idx : witness) {
-          const auto& op = hist.entries()[idx].op;
-          const int pid = op.kind == spec::RegisterSpec::Kind::kWrite ? 0 : 1;
-          (void)replayed.apply(pid, op).get();
-        }
-        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(replayed))
-            << "quiescent HI image diverges from witness replay at seed "
-            << seed;
-      });
-}
-
-TEST(FuzzRt, WaitFreeSimHiRegister_AggressiveYieldsAuditPinnedInnerImage) {
-  // The wait-free simulation combinator (algo/wait_free_sim.h) on real
-  // threads under the AGGRESSIVE injection policy (the positive control's
-  // knobs — fuzz_object_suite's default policy is too gentle to force the
-  // slow path reliably): writer pid 0 runs direct writes, reader pids 1/2
-  // run helped reads. Yields inside the fast-path scan push reads onto the
-  // announce/enqueue/help slow path; yields between a retirer's two CASes
-  // exercise the stale-head repair; concurrent helpers race the record CAS.
-  //
-  // Post-checks: the extended (audit-including) history linearizes, and the
-  // INNER image equals the audit-pinned unit vector e_state — Alg 2's
-  // canonical-bins property survives under the combinator. The FULL image
-  // is deliberately not compared against a witness replay: the combinator
-  // is not state-quiescent HI (Thm 17) — its records and queue counters
-  // depend on how many reads were helped, which varies per schedule.
-  const std::uint32_t k = 6;
-  const int num_threads = 3;
-  const spec::RegisterSpec spec(k, 1);
-  const env::YieldPolicy aggressive{/*permille=*/700, /*max_yields=*/4,
-                                    /*max_spins=*/64};
-  using Alg = algo::WaitFreeSimHiAlg<FuzzEnv, FuzzPacked>;
-  const int iters = testing::rt_fuzz_iters(kDefaultIters);
-  for (int iter = 0; iter < iters; ++iter) {
-    const std::uint64_t seed =
-        util::hash_combine(0xa10a, static_cast<std::uint64_t>(iter));
-    Alg reg(FuzzEnv::Ctx{}, spec, /*writer_pid=*/0, /*reader_pid=*/1,
-            /*fast_limit=*/1, /*num_processes=*/num_threads);
-    std::vector<std::vector<spec::RegisterSpec::Op>> scripts(num_threads);
-    for (int pid = 0; pid < num_threads; ++pid) {
-      util::Xoshiro256 rng(
-          util::hash_combine(seed, 0x5c21 + static_cast<std::uint64_t>(pid)));
-      scripts[static_cast<std::size_t>(pid)] =
-          pid == 0 ? writer_script(k, 5, rng)
-                   : std::vector<spec::RegisterSpec::Op>(
-                         4, spec::RegisterSpec::read());
-    }
-    testing::RtHistoryRecorder<spec::RegisterSpec::Op, spec::RegisterSpec::Resp>
-        recorder(num_threads);
-    testing::run_fuzz_threads(num_threads, seed, aggressive, [&](int pid) {
-      for (const spec::RegisterSpec::Op& op :
-           scripts[static_cast<std::size_t>(pid)]) {
-        recorder.run(pid, op, [&] { return reg.apply(pid, op).get(); });
-      }
-    });
-    // Audit (threads joined, injector disarmed here): one solo read follows
-    // everything in real time, pinning the final abstract state.
-    std::uint32_t audited = 0;
-    recorder.run(1, spec::RegisterSpec::read(), [&] {
-      audited = reg.read(1).get();
-      return audited;
-    });
-    const auto history = recorder.build();
-    ASSERT_EQ(history.num_pending(), 0u);
-    ASSERT_TRUE(verify::check_linearizable(spec, history).ok())
-        << "wait-free-sim: non-linearizable real-thread history at seed "
-        << seed;
-    ASSERT_GE(audited, 1u);
-    std::vector<std::uint8_t> expected(k, 0);
-    expected[audited - 1] = 1;
-    EXPECT_EQ(algo::memory_image(reg.combinator().inner()), expected)
-        << "inner bins diverge from the audit-pinned unit vector at seed "
-        << seed;
-    // Stats sanity: every op counted once; only reads can enter the slow
-    // path, and each slow entry completes exactly once (owner or helper).
-    EXPECT_EQ(reg.total_ops(), 14u);  // 5 writes + 8 reads + 1 audit read
-    EXPECT_LE(reg.slow_path_entries(), 9u);
-    EXPECT_LE(reg.helped_completions(), reg.slow_path_entries());
-  }
-}
-
-TEST(FuzzRt, MaxRegister_LinearizableAndQuiescentCanonical) {
-  const std::uint32_t k = 6;
-  const spec::MaxRegisterSpec spec(k, 1);
-  using Alg = algo::HiMaxRegisterAlg<FuzzEnv, FuzzPacked>;
-  const auto make = [&] {
-    return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, /*writer_pid=*/0,
-                                 /*reader_pid=*/1);
-  };
-  fuzz_object_suite(
-      "max-register", spec, 2, 0xa104,
-      [&](int pid, util::Xoshiro256& rng) {
-        std::vector<spec::MaxRegisterSpec::Op> script;
-        for (int i = 0; i < (pid == 0 ? 5 : 4); ++i) {
-          script.push_back(pid == 0
-                               ? spec::MaxRegisterSpec::write_max(
-                                     static_cast<std::uint32_t>(
-                                         rng.next_in(1, k)))
-                               : spec::MaxRegisterSpec::read_max());
-        }
-        return script;
-      },
-      make,
-      [](Alg& reg, int pid, const spec::MaxRegisterSpec::Op& op) {
-        return reg.apply(pid, op).get();
-      },
-      [](Alg& reg, auto& recorder) {
-        recorder.run(1, spec::MaxRegisterSpec::read_max(),
-                     [&] { return reg.read_max(1).get(); });
-      },
-      [&](Alg& reg, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        auto replayed = make();
-        for (const std::size_t idx : witness) {
-          const auto& op = hist.entries()[idx].op;
-          const int pid =
-              op.kind == spec::MaxRegisterSpec::Kind::kWriteMax ? 0 : 1;
-          (void)replayed->apply(pid, op).get();
-        }
-        EXPECT_EQ(algo::memory_image(reg), algo::memory_image(*replayed))
-            << "max-register HI image diverges from witness replay at seed "
-            << seed;
-      });
-}
-
-// ------------------------------------------------------------- MRMW sets
-
-std::vector<spec::SetSpec::Op> set_script(std::uint32_t domain, int ops,
-                                          util::Xoshiro256& rng) {
-  std::vector<spec::SetSpec::Op> script;
-  for (int i = 0; i < ops; ++i) {
-    const auto v = static_cast<std::uint32_t>(rng.next_in(1, domain));
-    switch (rng.next_below(3)) {
-      case 0: script.push_back(spec::SetSpec::insert(v)); break;
-      case 1: script.push_back(spec::SetSpec::remove(v)); break;
-      default: script.push_back(spec::SetSpec::lookup(v)); break;
-    }
-  }
-  return script;
-}
-
-TEST(FuzzRt, HiSet_LinearizableAndPerfectHI) {
-  const std::uint32_t domain = 10;
-  const spec::SetSpec spec(domain);
-  using Alg = algo::HiSetAlg<FuzzEnv, FuzzPacked>;
-  fuzz_object_suite(
-      "hi-set", spec, 3, 0xa105,
-      [&](int, util::Xoshiro256& rng) { return set_script(domain, 6, rng); },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec); },
-      [](Alg& set, int pid, const spec::SetSpec::Op& op) {
-        return set.apply(pid, op).get();
-      },
-      [&](Alg& set, auto& recorder) {
-        // Full-domain lookup sweep: pins every bit of the final abstract set.
-        for (std::uint32_t v = 1; v <= domain; ++v) {
-          recorder.run(0, spec::SetSpec::lookup(v),
-                       [&] { return set.lookup(v).get(); });
-        }
-      },
-      [&](Alg& set, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        Alg replayed(FuzzEnv::Ctx{}, spec);
-        for (const std::size_t idx : witness) {
-          (void)replayed.apply(0, hist.entries()[idx].op).get();
-        }
-        EXPECT_EQ(algo::memory_image(set), algo::memory_image(replayed))
-            << "perfect-HI set image diverges from witness replay at seed "
-            << seed;
-      });
-}
-
-TEST(FuzzRt, ShardedHiSet_LinearizableAndPerfectHI) {
-  const std::uint32_t domain = 12;
-  const spec::SetSpec spec(domain);
-  using Alg = algo::ShardedHiSet<FuzzEnv, FuzzPacked>;
-  const auto make = [&] {
-    return std::make_unique<Alg>(FuzzEnv::Ctx{}, domain, /*shard_count=*/4,
-                                 algo::ShardPlacement::kStriped,
-                                 std::span<const std::uint64_t>{});
-  };
-  fuzz_object_suite(
-      "sharded-hi-set", spec, 3, 0xa106,
-      [&](int, util::Xoshiro256& rng) { return set_script(domain, 6, rng); },
-      make,
-      [](Alg& set, int pid, const spec::SetSpec::Op& op) {
-        return set.apply(pid, op).get();
-      },
-      [&](Alg& set, auto& recorder) {
-        for (std::uint32_t v = 1; v <= domain; ++v) {
-          recorder.run(0, spec::SetSpec::lookup(v),
-                       [&] { return set.lookup(v).get(); });
-        }
-      },
-      [&](Alg& set, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        auto replayed = make();
-        for (const std::size_t idx : witness) {
-          (void)replayed->apply(0, hist.entries()[idx].op).get();
-        }
-        EXPECT_EQ(algo::memory_image(set), algo::memory_image(*replayed))
-            << "sharded-store image diverges from witness replay at seed "
-            << seed;
-      });
-}
-
-// ----------------------------------------------------------------- R-LLSC
-
-TEST(FuzzRt, CasRllsc_LinearizableAndContextClean) {
-  const int n = 3;
-  const spec::RllscSpec spec(16, n);
-  using Alg = algo::CasRllscAlg<FuzzEnv>;
-  fuzz_object_suite(
-      "cas-rllsc", spec, n, 0xa107,
-      [&](int pid, util::Xoshiro256& rng) {
-        std::vector<spec::RllscSpec::Op> script;
-        for (int i = 0; i < 5; ++i) {
-          const auto arg = static_cast<std::uint16_t>(rng.next_below(16));
-          switch (rng.next_below(6)) {
-            case 0: script.push_back(spec::RllscSpec::ll(pid)); break;
-            case 1: script.push_back(spec::RllscSpec::vl(pid)); break;
-            case 2: script.push_back(spec::RllscSpec::sc(pid, arg)); break;
-            case 3: script.push_back(spec::RllscSpec::rl(pid)); break;
-            case 4: script.push_back(spec::RllscSpec::load(pid)); break;
-            default: script.push_back(spec::RllscSpec::store(pid, arg)); break;
-          }
-        }
-        // End released: every workload closes its context bit so the final
-        // snapshot must show ctx == 0 (perfect HI of the cell).
-        script.push_back(spec::RllscSpec::rl(pid));
-        return script;
-      },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, "X", 0); },
-      [](Alg& cell, int pid, const spec::RllscSpec::Op& op) {
-        return cell.apply(pid, op).get();
-      },
-      [](Alg& cell, auto& recorder) {
-        recorder.run(0, spec::RllscSpec::load(0), [&] {
-          return spec::RllscSpec::Resp{
-              static_cast<std::uint32_t>(cell.load().get()), true};
-        });
-      },
-      [&](Alg& cell, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        const auto final_state = witness_final_state(spec, hist, witness);
-        const auto word = cell.peek_word();
-        EXPECT_EQ(word.value, final_state.val)
-            << "cell value diverges from the witness's final state at seed "
-            << seed;
-        EXPECT_EQ(word.ctx, 0u)
-            << "context bits leaked past the closing RLs at seed " << seed;
-        EXPECT_EQ(final_state.ctx, 0u);
-      });
-}
-
-// ------------------------------------------------------ universal objects
-
-std::vector<spec::CounterSpec::Op> counter_script(int ops,
-                                                  util::Xoshiro256& rng) {
-  std::vector<spec::CounterSpec::Op> script;
-  for (int i = 0; i < ops; ++i) {
-    switch (rng.next_below(4)) {
-      case 0: script.push_back(spec::CounterSpec::read()); break;
-      case 1: script.push_back(spec::CounterSpec::dec()); break;
-      default: script.push_back(spec::CounterSpec::inc()); break;
-    }
-  }
-  return script;
-}
-
-TEST(FuzzRt, UniversalCounter_LinearizableAndQuiescentCanonical) {
-  const int n = 3;
-  const spec::CounterSpec spec(1u << 20, 10);
-  using Alg = algo::UniversalAlg<FuzzEnv, spec::CounterSpec,
-                                 algo::CasRllscAlg<FuzzEnv>>;
-  fuzz_object_suite(
-      "universal-counter", spec, n, 0xa108,
-      [&](int, util::Xoshiro256& rng) { return counter_script(5, rng); },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, n); },
-      [](Alg& obj, int pid, const spec::CounterSpec::Op& op) {
-        return obj.apply(pid, op).get();
-      },
-      [](Alg& obj, auto& recorder) {
-        recorder.run(0, spec::CounterSpec::read(),
-                     [&] { return obj.apply(0, spec::CounterSpec::read()).get(); });
-      },
-      [&](Alg& obj, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        // Quiescent canonical memory: head = encoded abstract state with no
-        // response, all announces ⊥, no context bits — i.e. nothing about
-        // WHICH ops ran survives beyond the abstract state.
-        const auto final_state = witness_final_state(spec, hist, witness);
-        EXPECT_EQ(obj.head_state_encoded(), spec.encode_state(final_state))
-            << "head diverges from the witness's final state at seed " << seed;
-        EXPECT_FALSE(obj.head_has_response()) << "seed " << seed;
-        EXPECT_EQ(obj.context_union(), 0u) << "seed " << seed;
-        for (int pid = 0; pid < n; ++pid) {
-          EXPECT_TRUE(obj.announce_is_bottom(pid))
-              << "announce[" << pid << "] leaked at seed " << seed;
-        }
-      });
-}
-
-TEST(FuzzRt, UniversalCombineCounter_AggressiveYieldsLinearizableAndQuiescentCanonical) {
-  // Flat-combining mode on real threads under the AGGRESSIVE injection
-  // policy (the positive control's knobs): yields inside the winner's
-  // announce scan park it mid-combining-phase, forcing peers through the
-  // foreign-combining-record spin (Env::relax) and piling announcements up
-  // for the next batch. Post-checks are the same audit-pinned
-  // quiescent-image contract as plain mode — the combining record, the
-  // helped responses, and the batch bookkeeping must all be gone at rest,
-  // leaving the canonical head/⊥/ctx-free image — plus batch-counter
-  // sanity: every update is combined into exactly one installed batch.
-  const int n = 3;
-  const spec::CounterSpec spec(1u << 20, 10);
-  const env::YieldPolicy aggressive{/*permille=*/700, /*max_yields=*/4,
-                                    /*max_spins=*/64};
-  using Alg = algo::UniversalAlg<FuzzEnv, spec::CounterSpec,
-                                 algo::CasRllscAlg<FuzzEnv>>;
-  fuzz_object_suite(
-      "universal-combine-counter", spec, n, 0xa10b,
-      [&](int, util::Xoshiro256& rng) { return counter_script(5, rng); },
-      [&] {
-        return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, n,
-                                     /*clear_contexts=*/true,
-                                     /*combine=*/true);
-      },
-      [](Alg& obj, int pid, const spec::CounterSpec::Op& op) {
-        return obj.apply(pid, op).get();
-      },
-      [](Alg& obj, auto& recorder) {
-        recorder.run(0, spec::CounterSpec::read(),
-                     [&] { return obj.apply(0, spec::CounterSpec::read()).get(); });
-      },
-      [&](Alg& obj, const auto& hist, const std::vector<std::size_t>& witness,
-          std::uint64_t seed) {
-        const auto final_state = witness_final_state(spec, hist, witness);
-        EXPECT_EQ(obj.head_state_encoded(), spec.encode_state(final_state))
-            << "head diverges from the witness's final state at seed " << seed;
-        EXPECT_FALSE(obj.head_has_response()) << "seed " << seed;
-        EXPECT_EQ(obj.context_union(), 0u) << "seed " << seed;
-        for (int pid = 0; pid < n; ++pid) {
-          EXPECT_TRUE(obj.announce_is_bottom(pid))
-              << "announce[" << pid << "] leaked at seed " << seed;
-        }
-        // Batch accounting: every non-read-only op in the history was
-        // applied in exactly one installed batch; batches never exceed ops.
-        std::uint64_t updates = 0;
-        for (const auto& e : hist.entries()) {
-          if (e.op.kind != spec::CounterSpec::Kind::kRead) ++updates;
-        }
-        EXPECT_EQ(obj.ops_combined(), updates) << "seed " << seed;
-        EXPECT_LE(obj.batches_installed(), obj.ops_combined())
-            << "seed " << seed;
-        if (updates > 0) {
-          EXPECT_GE(obj.batches_installed(), 1u) << "seed " << seed;
-        }
-      },
-      aggressive);
-}
-
-TEST(FuzzRt, LeakyUniversalCounter_Linearizable) {
-  // The baseline leaks history on purpose (version counter, result table) —
-  // linearizability is its only contract under concurrency.
-  const int n = 3;
-  const spec::CounterSpec spec(1u << 20, 10);
-  using Alg = algo::LeakyUniversalAlg<FuzzEnv, spec::CounterSpec>;
-  fuzz_object_suite(
-      "leaky-universal", spec, n, 0xa109,
-      [&](int, util::Xoshiro256& rng) { return counter_script(5, rng); },
-      [&] { return std::make_unique<Alg>(FuzzEnv::Ctx{}, spec, n); },
-      [](Alg& obj, int pid, const spec::CounterSpec::Op& op) {
-        return obj.apply(pid, op).get();
-      },
-      [](Alg&, auto&) {},  // lin-only: no image to pin
-      [](Alg&, const auto&, const auto&, std::uint64_t) {});
 }
 
 // ------------------------------------------------- stalled-process rows

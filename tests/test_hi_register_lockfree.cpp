@@ -7,7 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "adversary/reader_adversary.h"
-#include "core/hi_register_lockfree.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -15,7 +16,7 @@
 namespace hi {
 namespace {
 
-using core::LockFreeHiRegister;
+using LockFreeHiRegister = algo::LockFreeHiAlgPadded<env::SimEnv>;
 using spec::RegisterSpec;
 using testing::kReaderPid;
 using testing::kWriterPid;
@@ -49,9 +50,9 @@ TEST(LockFreeHiRegister, RewritingSameValueLeavesCanonicalMemory) {
   // SHI's multi-observation requirement on a degenerate pair of points.
   Sys sys(4);
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 3));
-  const auto first = sys.memory.snapshot();
+  const auto first = sys.mem.snapshot();
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 3));
-  EXPECT_EQ(first, sys.memory.snapshot());
+  EXPECT_EQ(first, sys.mem.snapshot());
 }
 
 class LockFreeHiRegisterRandom
@@ -62,7 +63,7 @@ TEST_P(LockFreeHiRegisterRandom, Linearizable) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, LockFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 25, 25, seed),
                            {.seed = seed});
@@ -84,7 +85,7 @@ TEST_P(LockFreeHiRegisterRandom, StateQuiescentHI) {
 
   Sys sys(k);
   sim::Runner<RegisterSpec, LockFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 30, 30, seed),
                            {.seed = seed});
@@ -104,7 +105,7 @@ TEST_P(LockFreeHiRegisterRandom, WriterIsWaitFree) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, LockFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 30, 30, seed),
                            {.seed = seed});
@@ -132,7 +133,7 @@ TEST(LockFreeHiRegister, ReaderIsOnlyLockFree_AdversaryStarvesIt) {
   Sys sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, kRounds);
 
   EXPECT_FALSE(result.reader_returned);
@@ -148,7 +149,7 @@ TEST(LockFreeHiRegister, ReaderCompletesWhenRunSolo) {
   const auto canon = testing::build_register_canon<LockFreeHiRegister>(kValues);
   Sys sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
-  (void)adversary::run_starvation(sys.spec, sys.memory, sys.sched, sys.impl,
+  (void)adversary::run_starvation(sys.spec, sys.mem, sys.sched, sys.impl,
                                   plan, canon, kWriterPid, kReaderPid, 100);
   // The adversary abandoned the read. Start a fresh one and run it solo.
   const auto value =

@@ -6,7 +6,8 @@
 #include <gtest/gtest.h>
 
 #include "adversary/reader_adversary.h"
-#include "core/hi_register_waitfree.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -14,7 +15,7 @@
 namespace hi {
 namespace {
 
-using core::WaitFreeHiRegister;
+using WaitFreeHiRegister = algo::WaitFreeHiAlgPadded<env::SimEnv>;
 using spec::RegisterSpec;
 using testing::kReaderPid;
 using testing::kWriterPid;
@@ -57,13 +58,13 @@ TEST(WaitFreeHiRegister, NotStateQuiescentHI_PendingReadLeavesTraces) {
   // memory than the canon. (Corollary 18 says every wait-free
   // implementation from binary registers must fail state-quiescent HI.)
   Sys sys(4);
-  const auto canon_before = sys.memory.snapshot();
+  const auto canon_before = sys.mem.snapshot();
 
   sim::OpTask<std::uint32_t> read_task = sys.impl.read(kReaderPid);
   sys.sched.start(kReaderPid, read_task);
   sys.sched.step(kReaderPid);  // flag[1] <- 1
 
-  const auto mem_with_pending_read = sys.memory.snapshot();
+  const auto mem_with_pending_read = sys.mem.snapshot();
   EXPECT_NE(canon_before, mem_with_pending_read)
       << "expected the reader's announcement to be visible";
 
@@ -82,7 +83,7 @@ TEST_P(WaitFreeHiRegisterRandom, Linearizable) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, WaitFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 25, 25, seed),
                            {.seed = seed});
@@ -102,7 +103,7 @@ TEST_P(WaitFreeHiRegisterRandom, QuiescentHI) {
 
   Sys sys(k);
   sim::Runner<RegisterSpec, WaitFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 30, 30, seed),
                            {.seed = seed});
@@ -121,7 +122,7 @@ TEST_P(WaitFreeHiRegisterRandom, BothOperationsWaitFree) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, WaitFreeHiRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 40, 40, seed),
                            {.seed = seed, .step_weight = 6});
@@ -149,7 +150,7 @@ TEST(WaitFreeHiRegister, AdversaryCannotStarveTheReader) {
   Sys sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, /*max_rounds=*/10 * read_bound(kValues));
 
   EXPECT_TRUE(result.reader_returned);
@@ -168,7 +169,7 @@ TEST(WaitFreeHiRegister, HelpedReadUsesTheBArray) {
   Sys sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, /*max_rounds=*/10 * read_bound(kValues));
   ASSERT_TRUE(result.reader_returned);
   // Two full failed TryReads = 2 * (2K-1) steps; with announcement that is
@@ -185,12 +186,12 @@ TEST(WaitFreeHiRegister, MemoryReturnsToCanonAfterHelpedRead) {
   Sys sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, /*max_rounds=*/200);
   ASSERT_TRUE(result.reader_returned);
   // One more solo write to a known value, then compare against canon.
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 2));
-  EXPECT_EQ(sys.memory.snapshot(), canon.at(2));
+  EXPECT_EQ(sys.mem.snapshot(), canon.at(2));
 }
 
 }  // namespace

@@ -8,11 +8,13 @@
 #include <gtest/gtest.h>
 
 
-#include "core/hi_set.h"
+#include "algo/hi_set.h"
+#include "env/sim_env.h"
 #include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
+#include "sim_system.h"
 #include "spec/set_spec.h"
 #include "util/rng.h"
 #include "verify/hi_checker.h"
@@ -21,17 +23,12 @@
 namespace hi {
 namespace {
 
-using core::HiSet;
+using HiSet = algo::HiSetAlgPadded<env::SimEnv>;
 using spec::SetSpec;
 
-struct Sys {
-  SetSpec spec;
-  sim::Memory memory;
-  sim::Scheduler sched;
-  HiSet impl;
-
+struct Sys : testing::SimSystem<SetSpec, HiSet> {
   explicit Sys(std::uint32_t domain, int num_procs)
-      : spec(domain), sched(num_procs), impl(memory, spec) {}
+      : SimSystem(SetSpec(domain), num_procs) {}
 };
 
 std::uint64_t bitmap_from_memory(const sim::MemorySnapshot& snap) {
@@ -115,7 +112,7 @@ TEST(HiSet, PerfectHiAtEveryStep) {
     } else if (op.kind == SetSpec::Kind::kRemove) {
       shadow &= ~(std::uint64_t{1} << (op.value - 1));
     }
-    EXPECT_EQ(bitmap_from_memory(sys.memory.snapshot()), shadow);
+    EXPECT_EQ(bitmap_from_memory(sys.mem.snapshot()), shadow);
   }
 }
 
@@ -131,7 +128,7 @@ TEST(HiSet, Proposition6DistanceOne) {
         (void)sim::run_solo(sys.sched, 0, sys.impl.insert(v));
       }
     }
-    return sys.memory.snapshot();
+    return sys.mem.snapshot();
   };
   util::Xoshiro256 rng(5);
   for (int trial = 0; trial < 200; ++trial) {
@@ -151,8 +148,8 @@ TEST_P(HiSetRandom, LinearizableUnderFullConcurrency) {
   const auto [n, seed] = GetParam();
   Sys sys(10, n);
   sim::Runner<SetSpec, HiSet> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
-      [&](const auto&) { return bitmap_from_memory(sys.memory.snapshot()); });
+      sys.spec, sys.mem, sys.sched, sys.impl,
+      [&](const auto&) { return bitmap_from_memory(sys.mem.snapshot()); });
   auto result = runner.run(workload(10, n, 12, seed), {.seed = seed});
   ASSERT_FALSE(result.timed_out);
   ASSERT_EQ(result.history.num_pending(), 0u);
@@ -166,8 +163,8 @@ TEST_P(HiSetRandom, HiAcrossExecutions) {
   for (std::uint64_t sub = 0; sub < 8; ++sub) {
     Sys sys(10, n);
     sim::Runner<SetSpec, HiSet> runner(
-        sys.spec, sys.memory, sys.sched, sys.impl, [&](const auto&) {
-          return bitmap_from_memory(sys.memory.snapshot());
+        sys.spec, sys.mem, sys.sched, sys.impl, [&](const auto&) {
+          return bitmap_from_memory(sys.mem.snapshot());
         });
     auto result =
         runner.run(workload(10, n, 10, seed * 50 + sub), {.seed = sub + 1});

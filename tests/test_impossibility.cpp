@@ -12,11 +12,11 @@
 
 #include "adversary/queue_adversary.h"
 #include "adversary/reader_adversary.h"
+#include "algo/registers.h"
 #include "algo/strawman_queue.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
-#include "core/vidyasankar.h"
+#include "env/sim_env.h"
 #include "register_common.h"
+#include "sim_system.h"
 #include "spec/queue_spec.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -31,16 +31,9 @@ using testing::kWriterPid;
 
 // ---------------------------------------------------------------- E8: queue
 
-struct QueueSys {
-  QueueSpec spec;
-  sim::Memory memory;
-  sim::Scheduler sched;
-  StrawmanQueue impl;
-
+struct QueueSys : testing::SimSystem<QueueSpec, StrawmanQueue> {
   explicit QueueSys(std::uint32_t domain, std::size_t capacity = 4)
-      : spec(domain, capacity),
-        sched(2),
-        impl(memory, spec, kWriterPid, kReaderPid) {}
+      : SimSystem(QueueSpec(domain, capacity), 2, kWriterPid, kReaderPid) {}
 };
 
 adversary::CanonicalMap queue_canon(std::uint32_t domain,
@@ -56,7 +49,7 @@ adversary::CanonicalMap queue_canon(std::uint32_t domain,
       }
     }
     canon.emplace(spec.encode_state(spec.representative(i)),
-                  sys.memory.snapshot());
+                  sys.mem.snapshot());
   }
   return canon;
 }
@@ -98,7 +91,7 @@ TEST(QueueImpossibility, StrawmanQueueIsStateQuiescentHI) {
                           sys.impl.apply(kWriterPid, op));
       auto [next, resp] = spec.apply(mirror, op);
       mirror = next;
-      checker.observe(spec.encode_state(mirror), sys.memory.snapshot(),
+      checker.observe(spec.encode_state(mirror), sys.mem.snapshot(),
                       "seed=" + std::to_string(seed));
     }
   }
@@ -115,7 +108,7 @@ TEST(QueueImpossibility, AdversaryStarvesPeekForever) {
   QueueSys sys(kDomain);
   const auto plan = adversary::queue_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, kRounds);
 
   EXPECT_FALSE(result.reader_returned);
@@ -129,7 +122,7 @@ TEST(QueueImpossibility, PeekCompletesSolo) {
   const auto canon = queue_canon(kDomain);
   QueueSys sys(kDomain);
   const auto plan = adversary::queue_plan(sys.spec);
-  (void)adversary::run_starvation(sys.spec, sys.memory, sys.sched, sys.impl,
+  (void)adversary::run_starvation(sys.spec, sys.mem, sys.sched, sys.impl,
                                   plan, canon, kWriterPid, kReaderPid, 50);
   const auto value =
       sim::run_solo(sys.sched, kReaderPid, sys.impl.peek(kReaderPid));
@@ -163,7 +156,7 @@ TEST(PerfectHiImpossibility, CanonicalDistancesExceedOne) {
   // perfect-HI implementation with this (or, by Prop 14, any) small-base
   // canonical map exists.
   const auto canon =
-      testing::build_register_canon<core::LockFreeHiRegister>(6);
+      testing::build_register_canon<algo::LockFreeHiAlgPadded<env::SimEnv>>(6);
   for (std::uint32_t a = 1; a <= 6; ++a) {
     for (std::uint32_t b = a + 1; b <= 6; ++b) {
       EXPECT_EQ(canon.at(a).distance(canon.at(b)), 2u);
@@ -176,7 +169,8 @@ TEST(PerfectHiImpossibility, PigeonholePairsExistEverywhere) {
   // implementations (binary cells), there are two distinct states whose
   // canonical memories agree at ℓ — because 2 < K.
   const std::uint32_t k = 5;
-  const auto canon = testing::build_register_canon<core::LockFreeHiRegister>(k);
+  const auto canon =
+      testing::build_register_canon<algo::LockFreeHiAlgPadded<env::SimEnv>>(k);
   const std::size_t words = canon.at(1).words.size();
   for (std::size_t cell = 0; cell < words; ++cell) {
     bool found_pair = false;
@@ -193,8 +187,8 @@ TEST(PerfectHiImpossibility, DistinctStatesHaveDistinctCanon) {
   // Sanity premise of Proposition 14: distinct states must have distinct
   // canonical representations (o_read run solo must distinguish them).
   for (std::uint32_t k : {3u, 5u, 8u}) {
-    const auto canon =
-        testing::build_register_canon<core::WaitFreeHiRegister>(k);
+    using Alg4 = algo::WaitFreeHiAlgPadded<env::SimEnv>;
+    const auto canon = testing::build_register_canon<Alg4>(k);
     for (std::uint32_t a = 1; a <= k; ++a) {
       for (std::uint32_t b = a + 1; b <= k; ++b) {
         EXPECT_NE(canon.at(a), canon.at(b));
@@ -209,7 +203,7 @@ TEST(ReaderMustWrite, Algorithm4ReaderWritesToSharedMemory) {
   // Proposition 19: in any wait-free quiescent-HI SWSR register from binary
   // registers, the reader must write. Algorithm 4's reader indeed does —
   // even a solo Read performs flag and B writes.
-  testing::RegisterSystem<core::WaitFreeHiRegister> sys(4);
+  testing::RegisterSystem<algo::WaitFreeHiAlgPadded<env::SimEnv>> sys(4);
   const std::uint64_t steps_before = sys.sched.steps_of(kReaderPid);
   (void)sim::run_solo(sys.sched, kReaderPid, sys.impl.read(kReaderPid));
   const std::uint64_t read_steps = sys.sched.steps_of(kReaderPid) - steps_before;
@@ -227,24 +221,24 @@ TEST(ReaderMustWrite, SilentReadersComeAtAPrice) {
   //  * Algorithm 4 is wait-free and quiescent HI — and its reader writes.
   // Proposition 19 says this pattern is forced; here we pin the three facts.
   {
-    testing::RegisterSystem<core::VidyasankarRegister> sys(3);
-    sim::MemorySnapshot before = sys.memory.snapshot();
+    testing::RegisterSystem<algo::VidyasankarAlgPadded<env::SimEnv>> sys(3);
+    sim::MemorySnapshot before = sys.mem.snapshot();
     (void)sim::run_solo(sys.sched, kReaderPid, sys.impl.read(kReaderPid));
-    EXPECT_EQ(sys.memory.snapshot(), before) << "Vidyasankar reader is silent";
+    EXPECT_EQ(sys.mem.snapshot(), before) << "Vidyasankar reader is silent";
   }
   {
-    testing::RegisterSystem<core::LockFreeHiRegister> sys(3);
-    sim::MemorySnapshot before = sys.memory.snapshot();
+    testing::RegisterSystem<algo::LockFreeHiAlgPadded<env::SimEnv>> sys(3);
+    sim::MemorySnapshot before = sys.mem.snapshot();
     (void)sim::run_solo(sys.sched, kReaderPid, sys.impl.read(kReaderPid));
-    EXPECT_EQ(sys.memory.snapshot(), before) << "Algorithm 2 reader is silent";
+    EXPECT_EQ(sys.mem.snapshot(), before) << "Algorithm 2 reader is silent";
   }
   {
-    testing::RegisterSystem<core::WaitFreeHiRegister> sys(3);
+    testing::RegisterSystem<algo::WaitFreeHiAlgPadded<env::SimEnv>> sys(3);
     sim::OpTask<std::uint32_t> read = sys.impl.read(kReaderPid);
     sys.sched.start(kReaderPid, read);
     sys.sched.step(kReaderPid);  // first step is a WRITE (flag[1] <- 1)
     EXPECT_STREQ(sys.sched.pending_kind(kReaderPid), "read");
-    EXPECT_EQ(sys.memory.snapshot().words[2 * 3], 1u)
+    EXPECT_EQ(sys.mem.snapshot().words[2 * 3], 1u)
         << "flag[1] set: Algorithm 4's reader writes";
     sys.sched.abandon(kReaderPid);
   }

@@ -7,7 +7,8 @@
 // has no leverage (it cannot move the state freely).
 #include <gtest/gtest.h>
 
-#include "core/max_register.h"
+#include "algo/max_register.h"
+#include "env/sim_env.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -19,7 +20,7 @@
 namespace hi {
 namespace {
 
-using core::HiMaxRegister;
+using HiMaxRegister = algo::HiMaxRegisterAlgPadded<env::SimEnv>;
 using spec::MaxRegisterSpec;
 
 constexpr int kWriter = 0;

@@ -16,9 +16,8 @@
 #include "algo/hi_set.h"
 #include "algo/sharded_set.h"
 
-#include "core/hi_register_lockfree.h"
-#include "core/hi_set.h"
-#include "core/max_register.h"
+#include "algo/max_register.h"
+#include "algo/registers.h"
 #include "env/replay_env.h"
 #include "env/rt_env.h"
 #include "env/sim_env.h"
@@ -102,7 +101,7 @@ sim::OpTask<std::uint32_t> op_clear_up(SimArray& a, std::uint32_t from) {
 }
 
 struct SimPackedFixture {
-  sim::Memory memory;
+  sim::Memory mem;
   sim::Scheduler sched{1};
 
   std::uint32_t run(sim::OpTask<std::uint32_t> task) {
@@ -113,7 +112,7 @@ struct SimPackedFixture {
 TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
   SimPackedFixture sys;
   // K=70 (not a multiple of 64): 2 words, tail bits stay zero.
-  SimArray a = SimBins::make(sys.memory, "A", 70, 65);
+  SimArray a = SimBins::make(sys.mem, "A", 70, 65);
   ASSERT_EQ(env::SimEnv::packed_words(a), 2u);
   ASSERT_EQ(env::SimEnv::packed_bins(a), 70u);
   // one_index=65 lands on word 1, bit 0 (the boundary crossing).
@@ -147,7 +146,7 @@ TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
 TEST(PackedSim, BitsInitializationRoundTrip) {
   SimPackedFixture sys;
   const std::uint64_t bits = 0xdeadbeefcafef00dull;
-  SimArray a = SimBins::make_bits(sys.memory, "S", 64, {&bits, 1});
+  SimArray a = SimBins::make_bits(sys.mem, "S", 64, {&bits, 1});
   ASSERT_EQ(env::SimEnv::packed_words(a), 1u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
@@ -155,7 +154,7 @@ TEST(PackedSim, BitsInitializationRoundTrip) {
   }
   // Bits beyond a short domain are dropped so tail bins stay 0.
   const std::uint64_t all = ~std::uint64_t{0};
-  SimArray b = SimBins::make_bits(sys.memory, "T", 10, {&all, 1});
+  SimArray b = SimBins::make_bits(sys.mem, "T", 10, {&all, 1});
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -165,7 +164,7 @@ TEST(PackedSim, MultiWordBitsInitializationRoundTrip) {
                                          0x0123456789abcdefull};
   // Two full words: every bin round-trips through util::bin_test geometry.
   SimArray a =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "S", 128, words);
+      env::SimEnv::make_packed_bin_array_words(sys.mem, "S", 128, words);
   ASSERT_EQ(env::SimEnv::packed_words(a), 2u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), words[0]);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 1), words[1]);
@@ -175,24 +174,24 @@ TEST(PackedSim, MultiWordBitsInitializationRoundTrip) {
   }
   // 65 bins: word 1 keeps ONLY bit 0 (bin 65) of the initializer.
   SimArray b =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "B", 65, words);
+      env::SimEnv::make_packed_bin_array_words(sys.mem, "B", 65, words);
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), words[0]);
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 1), words[1] & 1u);
   // K%64 != 0 tail masking: 70 bins of all-ones leave 6 live tail bits.
   const std::vector<std::uint64_t> ones{~std::uint64_t{0}, ~std::uint64_t{0}};
   SimArray c =
-      env::SimEnv::make_packed_bin_array_words(sys.memory, "C", 70, ones);
+      env::SimEnv::make_packed_bin_array_words(sys.mem, "C", 70, ones);
   EXPECT_EQ(env::SimEnv::peek_packed_word(c, 1), 0x3fu);
   // Missing trailing words read as all-zero.
   const std::vector<std::uint64_t> short_init{~std::uint64_t{0}};
-  SimArray d = env::SimEnv::make_packed_bin_array_words(sys.memory, "D", 128,
+  SimArray d = env::SimEnv::make_packed_bin_array_words(sys.mem, "D", 128,
                                                         short_init);
   EXPECT_EQ(env::SimEnv::peek_packed_word(d, 0), ~std::uint64_t{0});
   EXPECT_EQ(env::SimEnv::peek_packed_word(d, 1), 0u);
 
   // The padded layout shares the same initializer geometry.
   auto padded =
-      env::SimEnv::make_bin_array_words(sys.memory, "P", 70, words);
+      env::SimEnv::make_bin_array_words(sys.mem, "P", 70, words);
   for (std::uint32_t v = 1; v <= 70; ++v) {
     EXPECT_EQ(env::SimEnv::peek_bit(padded, v),
               util::bin_test(words, v) ? 1u : 0u)
@@ -234,7 +233,7 @@ TEST(PackedSim, MultiWordHiSetAcrossWordBoundary) {
 
 TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
   SimPackedFixture sys;
-  SimArray a = SimBins::make(sys.memory, "A", 130, 0);
+  SimArray a = SimBins::make(sys.mem, "A", 130, 0);
   ASSERT_EQ(env::SimEnv::packed_words(a), 3u);
   EXPECT_EQ(sys.run(op_scan_up(a, 1)), 0u);
   EXPECT_EQ(sys.run(op_scan_up(a, 128)), 0u);
@@ -248,7 +247,7 @@ TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
 TEST(PackedSim, ClearRangesRespectWordBoundaries) {
   SimPackedFixture sys;
   const std::uint64_t all = ~std::uint64_t{0};
-  SimArray a = SimBins::make_bits(sys.memory, "A", 70, {&all, 1});
+  SimArray a = SimBins::make_bits(sys.mem, "A", 70, {&all, 1});
   for (std::uint32_t v = 65; v <= 70; ++v) {
     (void)sys.run(op_set(a, v));
   }
@@ -272,13 +271,13 @@ TEST(PackedSim, SnapshotIsThePackedWordVector) {
   // representation is itself the memory representation the HI definitions
   // compare.
   SimPackedFixture sys;
-  SimArray a = SimBins::make(sys.memory, "A", 70, 3);
-  const auto snap = sys.memory.snapshot();
+  SimArray a = SimBins::make(sys.mem, "A", 70, 3);
+  const auto snap = sys.mem.snapshot();
   ASSERT_EQ(snap.words.size(), 2u);
   EXPECT_EQ(snap.words[0], 4u);
   EXPECT_EQ(snap.words[1], 0u);
-  EXPECT_EQ(sys.memory.object(0).name(), "A.w[0]");
-  EXPECT_EQ(sys.memory.object(1).name(), "A.w[1]");
+  EXPECT_EQ(sys.mem.object(0).name(), "A.w[0]");
+  EXPECT_EQ(sys.mem.object(1).name(), "A.w[1]");
 }
 
 // ---- the same edge cases over RtEnv's eager atomics ----
@@ -399,7 +398,7 @@ TEST(PackedRt, FootprintIsTwoCacheLinesAtK1024) {
 
 TEST(PackedStepCounts, LockFreeWriteIsPerWordNotPerBin) {
   const std::uint32_t k = 70;  // 2 words
-  testing::RegisterSystem<core::PackedLockFreeHiRegister> sys(k);
+  testing::RegisterSystem<algo::LockFreeHiAlgPacked<env::SimEnv>> sys(k);
 
   // Write(2): set(2) = 1 fetch_or; clear_down(1) = 1 fetch_and (word 0);
   // clear_up(3) = 2 fetch_ands (words 0 and 1). Total 4 (padded: 70).
@@ -425,7 +424,7 @@ TEST(PackedStepCounts, LockFreeTryReadScansWordsNotBins) {
   // loads word 0 (zero) then word 1 (hit), and the downward confirmation
   // loads word 0 once more — 3 steps total (padded: 2·65−1 = 129).
   const std::uint32_t k = 70;
-  testing::RegisterSystem<core::PackedLockFreeHiRegister> sys(k);
+  testing::RegisterSystem<algo::LockFreeHiAlgPacked<env::SimEnv>> sys(k);
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 65));
 
   std::uint64_t before = sys.sched.steps_of(kReaderPid);
@@ -454,7 +453,8 @@ TEST(PackedStepCounts, MaxRegisterAbsorbedWriteStaysZeroSteps) {
   const spec::MaxRegisterSpec spec(k, 1);
   sim::Memory memory;
   sim::Scheduler sched(2);
-  core::PackedHiMaxRegister reg(memory, spec, kWriterPid, kReaderPid);
+  algo::HiMaxRegisterAlgPacked<env::SimEnv> reg(memory, spec, kWriterPid,
+                                                kReaderPid);
 
   // Raise the maximum to 65: set(65) = 1 fetch_or; clear_down(64) = 1
   // fetch_and (word 0 only — word 1 keeps the new maximum). 2 steps.
@@ -485,7 +485,7 @@ TEST(PackedStepCounts, HiSetOpsAreOnePrimitiveEach) {
   const spec::SetSpec spec(domain);
   sim::Memory memory;
   sim::Scheduler sched(1);
-  core::PackedHiSet set(memory, spec);
+  algo::HiSetAlgPacked<env::SimEnv> set(memory, spec);
 
   const std::uint64_t before = sched.steps_of(0);
   EXPECT_TRUE(sim::run_solo(sched, 0, set.insert(64)));

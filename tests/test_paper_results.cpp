@@ -41,9 +41,8 @@
 #include <vector>
 
 #include "adversary/reader_adversary.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
-#include "core/vidyasankar.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "sim/harness.h"
 #include "verify/hi_checker.h"
@@ -51,9 +50,9 @@
 namespace hi {
 namespace {
 
-using core::LockFreeHiRegister;
-using core::VidyasankarRegister;
-using core::WaitFreeHiRegister;
+using LockFreeHiRegister = algo::LockFreeHiAlgPadded<env::SimEnv>;
+using VidyasankarRegister = algo::VidyasankarAlgPadded<env::SimEnv>;
+using WaitFreeHiRegister = algo::WaitFreeHiAlgPadded<env::SimEnv>;
 using testing::kReaderPid;
 using testing::kWriterPid;
 using testing::RegisterSystem;
@@ -75,7 +74,7 @@ bool hi_holds(bool state_quiescent_points) {
   for (std::uint64_t seed = 1; seed <= 20 && checker.consistent(); ++seed) {
     RegisterSystem<Impl> sys(kValues);
     sim::Runner<spec::RegisterSpec, Impl> runner(
-        sys.spec, sys.memory, sys.sched, sys.impl,
+        sys.spec, sys.mem, sys.sched, sys.impl,
         [](const auto& hist) { return testing::last_write_or(hist, 1); });
     const auto result = runner.run(
         testing::register_workload(kValues, 30, 30, seed), {.seed = seed});
@@ -98,7 +97,7 @@ bool adversary_starves_reader(std::uint64_t rounds) {
   RegisterSystem<Impl> sys(kValues);
   const auto plan = adversary::ct_plan(sys.spec);
   const auto result = adversary::run_starvation(
-      sys.spec, sys.memory, sys.sched, sys.impl, plan, canon, kWriterPid,
+      sys.spec, sys.mem, sys.sched, sys.impl, plan, canon, kWriterPid,
       kReaderPid, rounds);
   return !result.reader_returned;
 }
@@ -165,8 +164,8 @@ Figure1Replay replay_figure1() {
   auto& sched = sys.sched;
   Figure1Replay out;
   const auto observe = [&](int point) {
-    out.dumps[point - 1] = sys.memory.dump();
-    out.snapshots[point - 1] = sys.memory.snapshot();
+    out.dumps[point - 1] = sys.mem.dump();
+    out.snapshots[point - 1] = sys.mem.snapshot();
   };
   observe(1);
 

@@ -25,10 +25,10 @@
 
 #include "adversary/queue_adversary.h"
 #include "adversary/reader_adversary.h"
+#include "algo/registers.h"
 #include "algo/strawman_queue.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
 #include "env/replay_env.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
@@ -70,7 +70,7 @@ std::uint64_t starvation_roundtrip(std::uint32_t k, std::uint64_t max_rounds,
   sim::ScheduleTrace trace;
   sys.sched.record_to(&trace);
   const auto result =
-      adversary::run_starvation(sys.spec, sys.memory, sys.sched, recorder,
+      adversary::run_starvation(sys.spec, sys.mem, sys.sched, recorder,
                                 plan, canon, kWriterPid, kReaderPid, max_rounds);
   sys.sched.record_to(nullptr);
   EXPECT_EQ(result.reader_returned, expect_reader_returns);
@@ -83,7 +83,7 @@ std::uint64_t starvation_roundtrip(std::uint32_t k, std::uint64_t max_rounds,
   const verify::ReplayReport report = verify::replay_differential(
       sim_sys.spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl,
       workload, trace,
-      verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_TRUE(report.ok) << report.message << "\ntrace:\n" << trace.pretty();
   EXPECT_EQ(report.steps_executed, trace.size() - count_starts(trace));
   return report.responses_compared;
@@ -94,7 +94,7 @@ TEST(ReplayAdversary, ReaderStarvationReplaysOverHardwareAtomics) {
   // backend, and every changer operation responds identically. The changer
   // performs one initial o_change plus one per round.
   const std::uint64_t responses =
-      starvation_roundtrip<core::LockFreeHiRegister,
+      starvation_roundtrip<algo::LockFreeHiAlgPadded<env::SimEnv>,
                            algo::LockFreeHiAlgPadded<ReplayEnv>>(
           3, /*max_rounds=*/50, /*expect_reader_returns=*/false);
   EXPECT_EQ(responses, 51u);  // changer ops only — the reader never returned
@@ -104,7 +104,7 @@ TEST(ReplayAdversary, WaitFreeControlReaderReturnsOnBothBackends) {
   // Positive control (Theorem 12 vs Theorem 17): Algorithm 4's reader
   // escapes the same adversary; its response must replay equal too.
   const std::uint64_t responses =
-      starvation_roundtrip<core::WaitFreeHiRegister,
+      starvation_roundtrip<algo::WaitFreeHiAlgPadded<env::SimEnv>,
                            algo::WaitFreeHiAlgPadded<ReplayEnv>>(
           3, /*max_rounds=*/50, /*expect_reader_returns=*/true);
   EXPECT_GE(responses, 2u);  // at least one changer op AND the reader's read
@@ -142,14 +142,14 @@ TEST(ReplayAdversary, PersistedReaderStarvationTrace) {
       {0, false, 2, "write"}, {1, false, 1, "read"},
   }};
 
-  testing::RegisterSystem<core::LockFreeHiRegister> sim_sys(3);
+  testing::RegisterSystem<algo::LockFreeHiAlgPadded<env::SimEnv>> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::LockFreeHiAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
                                                    kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-      trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_TRUE(report.ok) << report.message;
   EXPECT_EQ(report.responses_compared, 9u);  // 9 writes; the read starves
   EXPECT_EQ(report.steps_executed, 35u);     // 27 write + 8 starved reads

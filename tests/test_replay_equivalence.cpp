@@ -23,20 +23,16 @@
 
 #include "algo/hi_set.h"
 #include "algo/leaky_universal.h"
+#include "algo/max_register.h"
 #include "algo/registers.h"
 #include "algo/rllsc.h"
-#include "algo/universal.h"
 #include "algo/strawman_queue.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
-#include "core/hi_set.h"
-#include "core/max_register.h"
-#include "core/rllsc.h"
+#include "algo/universal.h"
 #include "core/universal.h"
-#include "core/vidyasankar.h"
 #include "env/replay_env.h"
+#include "env/sim_env.h"
+#include "objects.h"
 #include "register_common.h"
-#include "replay_common.h"
 #include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
@@ -87,7 +83,7 @@ void register_replay_roundtrip(std::uint32_t k, std::size_t num_writes,
   sim::ScheduleTrace trace;
   {
     testing::RegisterSystem<SimImpl> recorder(k);
-    trace = record_runner_trace(spec, recorder.memory, recorder.sched,
+    trace = record_runner_trace(spec, recorder.mem, recorder.sched,
                                 recorder.impl, workload, seed);
   }
   ASSERT_FALSE(trace.empty());
@@ -99,33 +95,33 @@ void register_replay_roundtrip(std::uint32_t k, std::size_t num_writes,
 
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-      trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_TRUE(report.ok) << report.message << "\ntrace:\n" << trace.pretty();
   EXPECT_GT(report.steps_executed, 0u);
   EXPECT_EQ(report.responses_compared, num_writes + num_reads);
 }
 
 TEST(ReplayEquivalence, VidyasankarRecordedSchedules) {
-  register_replay_roundtrip<core::VidyasankarRegister,
+  register_replay_roundtrip<algo::VidyasankarAlgPadded<env::SimEnv>,
                             algo::VidyasankarAlgPadded<ReplayEnv>>(
       5, 8, 6, 101);
-  register_replay_roundtrip<core::VidyasankarRegister,
+  register_replay_roundtrip<algo::VidyasankarAlgPadded<env::SimEnv>,
                             algo::VidyasankarAlgPadded<ReplayEnv>>(
       3, 6, 8, 102);
 }
 
 TEST(ReplayEquivalence, LockFreeHiRegisterRecordedSchedules) {
-  register_replay_roundtrip<core::LockFreeHiRegister,
+  register_replay_roundtrip<algo::LockFreeHiAlgPadded<env::SimEnv>,
                             algo::LockFreeHiAlgPadded<ReplayEnv>>(5, 8, 6, 201);
-  register_replay_roundtrip<core::LockFreeHiRegister,
+  register_replay_roundtrip<algo::LockFreeHiAlgPadded<env::SimEnv>,
                             algo::LockFreeHiAlgPadded<ReplayEnv>>(
       4, 10, 4, 202);
 }
 
 TEST(ReplayEquivalence, WaitFreeHiRegisterRecordedSchedules) {
-  register_replay_roundtrip<core::WaitFreeHiRegister,
+  register_replay_roundtrip<algo::WaitFreeHiAlgPadded<env::SimEnv>,
                             algo::WaitFreeHiAlgPadded<ReplayEnv>>(5, 8, 6, 301);
-  register_replay_roundtrip<core::WaitFreeHiRegister,
+  register_replay_roundtrip<algo::WaitFreeHiAlgPadded<env::SimEnv>,
                             algo::WaitFreeHiAlgPadded<ReplayEnv>>(4, 6, 6, 302);
 }
 
@@ -135,22 +131,22 @@ TEST(ReplayEquivalence, WaitFreeHiRegisterRecordedSchedules) {
 // each on both backends, so the comparison stays word-for-word.
 
 TEST(ReplayEquivalence, PackedVidyasankarRecordedSchedules) {
-  register_replay_roundtrip<core::PackedVidyasankarRegister,
+  register_replay_roundtrip<algo::VidyasankarAlgPacked<env::SimEnv>,
                             algo::VidyasankarAlgPacked<ReplayEnv>>(
       70, 8, 6, 111);
 }
 
 TEST(ReplayEquivalence, PackedLockFreeHiRegisterRecordedSchedules) {
-  register_replay_roundtrip<core::PackedLockFreeHiRegister,
+  register_replay_roundtrip<algo::LockFreeHiAlgPacked<env::SimEnv>,
                             algo::LockFreeHiAlgPacked<ReplayEnv>>(
       70, 8, 6, 211);
-  register_replay_roundtrip<core::PackedLockFreeHiRegister,
+  register_replay_roundtrip<algo::LockFreeHiAlgPacked<env::SimEnv>,
                             algo::LockFreeHiAlgPacked<ReplayEnv>>(
       65, 10, 4, 212);
 }
 
 TEST(ReplayEquivalence, PackedWaitFreeHiRegisterRecordedSchedules) {
-  register_replay_roundtrip<core::PackedWaitFreeHiRegister,
+  register_replay_roundtrip<algo::WaitFreeHiAlgPacked<env::SimEnv>,
                             algo::WaitFreeHiAlgPacked<ReplayEnv>>(
       70, 8, 6, 311);
 }
@@ -160,19 +156,22 @@ TEST(ReplayEquivalence, PackedWaitFreeHiRegisterRecordedSchedules) {
 TEST(ReplayEquivalence, MaxRegisterRecordedSchedules) {
   const std::uint32_t k = 8;
   const spec::MaxRegisterSpec spec(k, 1);
-  const auto workload = testing::max_register_workload(k, 10, 41);
+  const auto workload =
+      testing::workload<testing::MaxRegisterPadded>(spec, {10, 10}, 41);
 
   sim::ScheduleTrace trace;
   {
     sim::Memory memory;
     sim::Scheduler sched(2);
-    core::HiMaxRegister impl(memory, spec, kWriterPid, kReaderPid);
+    algo::HiMaxRegisterAlgPadded<env::SimEnv> impl(memory, spec, kWriterPid,
+                                                   kReaderPid);
     trace = record_runner_trace(spec, memory, sched, impl, workload, 42);
   }
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  core::HiMaxRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
+  algo::HiMaxRegisterAlgPadded<env::SimEnv> sim_impl(sim_memory, spec,
+                                                     kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::HiMaxRegisterAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
@@ -188,19 +187,20 @@ TEST(ReplayEquivalence, MaxRegisterRecordedSchedules) {
 TEST(ReplayEquivalence, HiSetRecordedSchedules) {
   const std::uint32_t domain = 10;
   const spec::SetSpec spec(domain);
-  const auto workload = testing::set_workload(domain, 10, 51);
+  const auto workload =
+      testing::workload<testing::HiSetPadded>(spec, {10, 10}, 51);
 
   sim::ScheduleTrace trace;
   {
     sim::Memory memory;
     sim::Scheduler sched(2);
-    core::HiSet impl(memory, spec);
+    algo::HiSetAlgPadded<env::SimEnv> impl(memory, spec);
     trace = record_runner_trace(spec, memory, sched, impl, workload, 52);
   }
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  core::HiSet sim_impl(sim_memory, spec);
+  algo::HiSetAlgPadded<env::SimEnv> sim_impl(sim_memory, spec);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::HiSetAlgPadded<ReplayEnv> replay_impl(replay_memory, spec);
@@ -220,19 +220,20 @@ TEST(ReplayEquivalence, RllscRecordedSchedules) {
   const int n = 3;
   const spec::RllscSpec spec(100, n, 7);
   for (const std::uint64_t seed : {61u, 62u, 63u}) {
-    const auto workload = testing::rllsc_workload(n, 8, seed);
+    const auto workload =
+        testing::workload<testing::CasRllsc>(spec, {8, 8, 8}, seed);
 
     sim::ScheduleTrace trace;
     {
       sim::Memory memory;
       sim::Scheduler sched(n);
-      core::CasRllsc impl(memory, "X", {7, 0});
+      algo::CasRllscAlg<env::SimEnv> impl(memory, "X", {7, 0});
       trace = record_runner_trace(spec, memory, sched, impl, workload, seed);
     }
 
     sim::Memory sim_memory;
     sim::Scheduler sim_sched(n);
-    core::CasRllsc sim_impl(sim_memory, "X", {7, 0});
+    algo::CasRllscAlg<env::SimEnv> sim_impl(sim_memory, "X", {7, 0});
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
     algo::CasRllscAlg<ReplayEnv> replay_impl(replay_memory, "X", 7);
@@ -255,20 +256,20 @@ TEST(ReplayEquivalence, UniversalRecordedSchedules) {
   const spec::CounterSpec spec(1u << 20, 10);
   const int n = 3;
   for (const std::uint64_t seed : {71u, 72u}) {
-    const auto workload = testing::counter_workload(n, 4, seed);
+    const auto workload =
+        testing::workload<testing::UniversalPlain>(spec, {4, 4, 4}, seed);
 
     sim::ScheduleTrace trace;
     {
       sim::Memory memory;
       sim::Scheduler sched(n);
-      core::Universal<spec::CounterSpec, core::CasRllsc> impl(memory, spec, n);
+      core::Universal<spec::CounterSpec> impl(memory, spec, n);
       trace = record_runner_trace(spec, memory, sched, impl, workload, seed);
     }
 
     sim::Memory sim_memory;
     sim::Scheduler sim_sched(n);
-    core::Universal<spec::CounterSpec, core::CasRllsc> sim_impl(sim_memory,
-                                                                spec, n);
+    core::Universal<spec::CounterSpec> sim_impl(sim_memory, spec, n);
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
     algo::UniversalAlg<ReplayEnv, spec::CounterSpec,
@@ -287,7 +288,8 @@ TEST(ReplayEquivalence, UniversalRecordedSchedules) {
 TEST(ReplayEquivalence, LeakyUniversalRecordedSchedules) {
   const spec::CounterSpec spec(1u << 20, 10);
   const int n = 3;
-  const auto workload = testing::counter_workload(n, 5, 81);
+  const auto workload =
+      testing::workload<testing::LeakyUniversal>(spec, {5, 5, 5}, 81);
 
   sim::ScheduleTrace trace;
   {
@@ -371,14 +373,14 @@ void explorer_paths_roundtrip(std::uint32_t k, std::uint32_t write_value,
     ReplayImpl replay_impl(replay_memory, spec, kWriterPid, kReaderPid);
     const verify::ReplayReport report = verify::replay_differential(
         spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-        trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+        trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
     ASSERT_TRUE(report.ok)
         << report.message << "\ntrace:\n" << trace.pretty();
   }
 }
 
 TEST(ReplayEquivalence, ExplorerPathsLockFreeHiRegisterAllSchedules) {
-  explorer_paths_roundtrip<core::LockFreeHiRegister,
+  explorer_paths_roundtrip<algo::LockFreeHiAlgPadded<env::SimEnv>,
                            algo::LockFreeHiAlgPadded<ReplayEnv>>(3, 2, 20);
 }
 
@@ -386,10 +388,10 @@ TEST(ReplayEquivalence, ExplorerPathsPackedLockFreeHiRegisterAllSchedules) {
   // The packed Write(2) ‖ Read equivalence: every word-granularity
   // interleaving (fetch_or/fetch_and vs word-load snapshots) model-checked
   // by the explorer, then differentially replayed over the hardware RMWs.
-  explorer_paths_roundtrip<core::PackedLockFreeHiRegister,
+  explorer_paths_roundtrip<algo::LockFreeHiAlgPacked<env::SimEnv>,
                            algo::LockFreeHiAlgPacked<ReplayEnv>>(3, 2, 10);
   // Two packed words: the boundary-crossing schedules.
-  explorer_paths_roundtrip<core::PackedLockFreeHiRegister,
+  explorer_paths_roundtrip<algo::LockFreeHiAlgPacked<env::SimEnv>,
                            algo::LockFreeHiAlgPacked<ReplayEnv>>(70, 65, 10);
 }
 
@@ -408,14 +410,14 @@ TEST(ReplayEquivalence, HandWrittenTraceLiteralReplays) {
       {0, false, 0, "write"}, {0, true}, {0, false, 0, "write"},
   }};
 
-  testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
+  testing::RegisterSystem<algo::VidyasankarAlgPadded<env::SimEnv>> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
                                                     kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-      trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_TRUE(report.ok) << report.message;
   EXPECT_EQ(report.steps_executed, 4u);
   EXPECT_EQ(report.responses_compared, 3u);
@@ -437,14 +439,14 @@ TEST(ReplayEquivalence, CorruptedTraceAnnotationIsRejected) {
                                           // (object 1), not object 2
   }};
 
-  testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
+  testing::RegisterSystem<algo::VidyasankarAlgPadded<env::SimEnv>> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
                                                     kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-      trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("deviates"), std::string::npos)
       << report.message;
@@ -458,14 +460,14 @@ TEST(ReplayEquivalence, OutOfRangePidInTraceIsRejected) {
       {spec::RegisterSpec::write(2)}, {}};
   const sim::ScheduleTrace trace{{{2, true}}};
 
-  testing::RegisterSystem<core::VidyasankarRegister> sim_sys(3);
+  testing::RegisterSystem<algo::VidyasankarAlgPadded<env::SimEnv>> sim_sys(3);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::VidyasankarAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
                                                     kWriterPid, kReaderPid);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sys.sched, sim_sys.impl, replay_sched, replay_impl, workload,
-      trace, verify::snapshot_word_compare(sim_sys.memory, replay_memory));
+      trace, verify::snapshot_word_compare(sim_sys.mem, replay_memory));
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.message.find("pid"), std::string::npos) << report.message;
 }
@@ -480,7 +482,8 @@ TEST(ReplayEquivalence, RejectsStartOfCrashedPid) {
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  core::HiMaxRegister sim_impl(sim_memory, spec, kWriterPid, kReaderPid);
+  algo::HiMaxRegisterAlgPadded<env::SimEnv> sim_impl(sim_memory, spec,
+                                                     kWriterPid, kReaderPid);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
   algo::HiMaxRegisterAlgPadded<ReplayEnv> replay_impl(replay_memory, spec,
@@ -563,21 +566,22 @@ TEST(DriversAgree, RunnerScheduleOnCombiningUniversal) {
   using S = spec::CounterSpec;
   const S spec(1u << 20, 10);
   const auto make = [&spec] {
-    return std::make_unique<
-        testing::SimSystem<S, core::Universal<S, core::CasRllsc>>>(
+    return std::make_unique<testing::SimSystem<S, core::Universal<S>>>(
         spec, 3, 3, /*clear_contexts=*/true, /*combine=*/true);
   };
   expect_runner_agrees<
       algo::UniversalAlg<ReplayEnv, S, algo::CasRllscAlg<ReplayEnv>>>(
-      spec, make, testing::counter_workload(3, 4, 91), 92, spec, 3,
-      /*clear_contexts=*/true, /*combine=*/true);
+      spec, make,
+      testing::workload<testing::UniversalCombine>(spec, {4, 4, 4}, 91), 92,
+      spec, 3, /*clear_contexts=*/true, /*combine=*/true);
 }
 
 TEST(DriversAgree, RunnerScheduleOnPaddedRegister) {
   using S = spec::RegisterSpec;
   const S spec(5, 1);
   const auto make = [&spec] {
-    return std::make_unique<testing::SimSystem<S, core::LockFreeHiRegister>>(
+    return std::make_unique<
+        testing::SimSystem<S, algo::LockFreeHiAlgPadded<env::SimEnv>>>(
         spec, 2, kWriterPid, kReaderPid);
   };
   expect_runner_agrees<algo::LockFreeHiAlgPadded<ReplayEnv>>(
@@ -589,7 +593,7 @@ TEST(DriversAgree, CrashedExplorerPath) {
   // A 1-crash path on which the reader starts an op after the writer
   // crashed: re-executing its trace yields the history exploration saw.
   using S = spec::RegisterSpec;
-  using System = testing::SimSystem<S, core::LockFreeHiRegister>;
+  using System = testing::SimSystem<S, algo::LockFreeHiAlgPadded<env::SimEnv>>;
   const S spec(3, 1);
   const std::vector<std::vector<S::Op>> work = {{S::write(2)},
                                                 {S::read(), S::read()}};

@@ -7,7 +7,10 @@
 
 #include <vector>
 
+#include "algo/rllsc.h"
+#include "algo/values.h"
 #include "core/rllsc.h"
+#include "env/sim_env.h"
 #include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
@@ -20,9 +23,9 @@
 namespace hi {
 namespace {
 
-using core::CasRllsc;
+using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
 using core::NativeRllsc;
-using core::RllscValue;
+using algo::RllscValue;
 using spec::RllscSpec;
 
 std::vector<std::vector<RllscSpec::Op>> rllsc_workload(int num_procs,

@@ -7,8 +7,8 @@
 
 #include <functional>
 
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "sim/driver.h"
 #include "verify/linearizability.h"
@@ -16,7 +16,7 @@
 namespace hi {
 namespace {
 
-using core::WaitFreeHiRegister;
+using WaitFreeHiRegister = algo::WaitFreeHiAlgPadded<env::SimEnv>;
 using spec::RegisterSpec;
 using testing::kReaderPid;
 using testing::kWriterPid;
@@ -36,11 +36,11 @@ bool step_until(sim::Scheduler& sched, int pid,
 
 /// B[j] words live right after the K A-words in Algorithm 4's layout.
 std::uint64_t b_word(const Sys& sys, std::uint32_t k, std::uint32_t j) {
-  return sys.memory.snapshot().words[k + (j - 1)];
+  return sys.mem.snapshot().words[k + (j - 1)];
 }
 std::uint64_t b_ones(const Sys& sys, std::uint32_t k) {
   std::uint64_t count = 0;
-  const auto snap = sys.memory.snapshot();
+  const auto snap = sys.mem.snapshot();
   for (std::uint32_t j = 1; j <= k; ++j) count += snap.words[k + j - 1];
   return count;
 }
@@ -108,7 +108,7 @@ TEST(Alg4Scenario, WriterClearsItsOwnHelpWhenReaderIsGone) {
   EXPECT_EQ(b_ones(sys, kValues), 0u);
   // Canonical at quiescence.
   const auto canon = testing::build_register_canon<WaitFreeHiRegister>(kValues);
-  EXPECT_EQ(sys.memory.snapshot(), canon.at(3));
+  EXPECT_EQ(sys.mem.snapshot(), canon.at(3));
 }
 
 TEST(Alg4Scenario, TwoFailedTryReadsFallBackToB_Lemma10) {
@@ -223,7 +223,8 @@ TEST(Alg2Scenario, ReadSpanningManyWritesReturnsAWrittenValue) {
   // A read that overlaps a burst of writes must return one of the values in
   // flight (never an out-of-thin-air or long-stale value).
   constexpr std::uint32_t kValues = 5;
-  testing::RegisterSystem<core::LockFreeHiRegister> sys(kValues);  // value 1
+  using LockFree = algo::LockFreeHiAlgPadded<env::SimEnv>;
+  testing::RegisterSystem<LockFree> sys(kValues);  // value 1
 
   sim::OpTask<std::uint32_t> read = sys.impl.read(kReaderPid);
   sys.sched.start(kReaderPid, read);

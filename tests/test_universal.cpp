@@ -11,6 +11,10 @@
 //   * helping: an announced operation completes even if its invoker stalls.
 #include <gtest/gtest.h>
 
+#include "algo/rllsc.h"
+#include "core/rllsc.h"
+#include "core/universal.h"
+#include "env/sim_env.h"
 #include "sim/driver.h"
 #include "universal_common.h"
 #include "verify/hi_checker.h"
@@ -19,7 +23,7 @@
 namespace hi {
 namespace {
 
-using core::CasRllsc;
+using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
 using core::NativeRllsc;
 using testing::SpecTraits;
 using testing::universal_workload;
@@ -50,11 +54,11 @@ TYPED_TEST(UniversalTyped, SequentialSemanticsMatchSpec) {
   for (int i = 0; i < 60; ++i) {
     const auto op = SpecTraits<S>::random_op(rng);
     const auto got =
-        sim::run_solo(sys.sched, i % 2, sys.object.apply(i % 2, op));
+        sim::run_solo(sys.sched, i % 2, sys.impl.apply(i % 2, op));
     auto [next, expected] = sys.spec.apply(model, op);
     model = next;
     EXPECT_EQ(sys.spec.encode_resp(got), sys.spec.encode_resp(expected));
-    EXPECT_EQ(sys.object.head_state_encoded(), sys.spec.encode_state(model));
+    EXPECT_EQ(sys.impl.head_state_encoded(), sys.spec.encode_state(model));
   }
 }
 
@@ -64,8 +68,8 @@ TYPED_TEST(UniversalTyped, LinearizableWithHeadCrossCheck) {
     for (int n : {2, 3, 4}) {
       UniversalSystem<S, typename TypeParam::CellT> sys(n);
       sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-          sys.spec, sys.memory, sys.sched, sys.object,
-          [&](const auto&) { return sys.object.head_state_encoded(); });
+          sys.spec, sys.mem, sys.sched, sys.impl,
+          [&](const auto&) { return sys.impl.head_state_encoded(); });
       auto result =
           runner.run(universal_workload<S>(n, 12, seed * 31 + n),
                      {.seed = seed * 17 + n});
@@ -75,7 +79,7 @@ TYPED_TEST(UniversalTyped, LinearizableWithHeadCrossCheck) {
       // Lemma 25: the state in head must be the final state of some
       // linearization of the *entire* history.
       const auto final_state =
-          sys.spec.decode_state(sys.object.head_state_encoded());
+          sys.spec.decode_state(sys.impl.head_state_encoded());
       const auto lin = verify::LinearizabilityChecker<S>(sys.spec).check(
           result.history, final_state);
       EXPECT_TRUE(lin.ok()) << "n=" << n << " seed=" << seed;
@@ -93,16 +97,16 @@ TYPED_TEST(UniversalTyped, StateQuiescentCanonicalInvariants) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
     bool checked_any = false;
     sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-        sys.spec, sys.memory, sys.sched, sys.object, [&](const auto&) {
+        sys.spec, sys.mem, sys.sched, sys.impl, [&](const auto&) {
           // Invoked exactly at state-quiescent points: assert the canonical
           // invariants as part of the oracle.
-          EXPECT_FALSE(sys.object.head_has_response());
-          EXPECT_EQ(sys.object.context_union(), 0u);
+          EXPECT_FALSE(sys.impl.head_has_response());
+          EXPECT_EQ(sys.impl.context_union(), 0u);
           for (int pid = 0; pid < n; ++pid) {
-            EXPECT_TRUE(sys.object.announce_is_bottom(pid));
+            EXPECT_TRUE(sys.impl.announce_is_bottom(pid));
           }
           checked_any = true;
-          return sys.object.head_state_encoded();
+          return sys.impl.head_state_encoded();
         });
     auto result = runner.run(universal_workload<S>(n, 12, seed * 77),
                              {.seed = seed * 13});
@@ -120,8 +124,8 @@ TYPED_TEST(UniversalTyped, StateQuiescentHiAcrossExecutions) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
     sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-        sys.spec, sys.memory, sys.sched, sys.object,
-        [&](const auto&) { return sys.object.head_state_encoded(); });
+        sys.spec, sys.mem, sys.sched, sys.impl,
+        [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 10, seed * 97),
                              {.seed = seed * 7});
     ASSERT_FALSE(result.timed_out);
@@ -142,14 +146,14 @@ TYPED_TEST(UniversalTyped, SixProcessHiAndLinearizability) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
     sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-        sys.spec, sys.memory, sys.sched, sys.object,
-        [&](const auto&) { return sys.object.head_state_encoded(); });
+        sys.spec, sys.mem, sys.sched, sys.impl,
+        [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 8, seed * 191),
                              {.seed = seed * 3 + 1});
     ASSERT_FALSE(result.timed_out);
     ASSERT_EQ(result.history.num_pending(), 0u);
     const auto final_state =
-        sys.spec.decode_state(sys.object.head_state_encoded());
+        sys.spec.decode_state(sys.impl.head_state_encoded());
     EXPECT_TRUE(verify::LinearizabilityChecker<S>(sys.spec)
                     .check(result.history, final_state)
                     .ok())
@@ -173,8 +177,8 @@ TYPED_TEST(UniversalTyped, WaitFreeStepBound) {
     const int n = 4;
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
     sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-        sys.spec, sys.memory, sys.sched, sys.object,
-        [&](const auto&) { return sys.object.head_state_encoded(); });
+        sys.spec, sys.mem, sys.sched, sys.impl,
+        [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 15, seed),
                              {.seed = seed, .start_weight = 2});
     ASSERT_FALSE(result.timed_out);
@@ -195,18 +199,18 @@ TYPED_TEST(UniversalTyped, ReadOnlyOpsTakeOneStepAndLeaveNoTrace) {
   // Reach a random state first.
   for (int i = 0; i < 10; ++i) {
     (void)sim::run_solo(sys.sched, 0,
-                        sys.object.apply(0, SpecTraits<S>::random_op(rng)));
+                        sys.impl.apply(0, SpecTraits<S>::random_op(rng)));
   }
-  const auto before = sys.memory.snapshot();
+  const auto before = sys.mem.snapshot();
   // Find a read-only op for this spec and run it solo.
   for (int tries = 0; tries < 100; ++tries) {
     const auto op = SpecTraits<S>::random_op(rng);
     if (!sys.spec.is_read_only(op)) continue;
     const std::uint64_t steps_before = sys.sched.steps_of(1);
-    (void)sim::run_solo(sys.sched, 1, sys.object.apply(1, op));
+    (void)sim::run_solo(sys.sched, 1, sys.impl.apply(1, op));
     EXPECT_EQ(sys.sched.steps_of(1) - steps_before, 1u)
         << "ApplyReadOnly is a single Load";
-    EXPECT_EQ(sys.memory.snapshot(), before)
+    EXPECT_EQ(sys.mem.snapshot(), before)
         << "read-only ops must not change the memory representation";
     break;
   }
@@ -219,17 +223,17 @@ TEST(UniversalHelping, StalledProcessIsHelpedToCompletion) {
   using S = spec::CounterSpec;
   UniversalSystem<S, CasRllsc> sys(2);
 
-  sim::OpTask<S::Resp> stalled = sys.object.apply(0, S::inc());
+  sim::OpTask<S::Resp> stalled = sys.impl.apply(0, S::inc());
   sys.sched.start(0, stalled);
   sys.sched.step(0);  // p0 executes only its announcement Store (line 4)
 
   // p1 runs two increments of its own; the priority rotation guarantees it
   // helps p0 within these.
-  (void)sim::run_solo(sys.sched, 1, sys.object.apply(1, S::inc()));
-  (void)sim::run_solo(sys.sched, 1, sys.object.apply(1, S::inc()));
+  (void)sim::run_solo(sys.sched, 1, sys.impl.apply(1, S::inc()));
+  (void)sim::run_solo(sys.sched, 1, sys.impl.apply(1, S::inc()));
 
   // All three increments must have been applied (initial value 10).
-  EXPECT_EQ(sys.object.head_state_encoded(), 13u);
+  EXPECT_EQ(sys.impl.head_state_encoded(), 13u);
 
   // p0 wakes up: it should find its response and return promptly.
   std::uint64_t steps = 0;
@@ -246,10 +250,10 @@ TEST(UniversalHelping, StalledProcessIsHelpedToCompletion) {
   EXPECT_GE(resp, 10u);
   EXPECT_LE(resp, 12u);
   // And the memory is canonical afterwards.
-  EXPECT_TRUE(sys.object.announce_is_bottom(0));
-  EXPECT_TRUE(sys.object.announce_is_bottom(1));
-  EXPECT_EQ(sys.object.context_union(), 0u);
-  EXPECT_FALSE(sys.object.head_has_response());
+  EXPECT_TRUE(sys.impl.announce_is_bottom(0));
+  EXPECT_TRUE(sys.impl.announce_is_bottom(1));
+  EXPECT_EQ(sys.impl.context_union(), 0u);
+  EXPECT_FALSE(sys.impl.head_has_response());
 }
 
 TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
@@ -260,11 +264,11 @@ TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
   UniversalSystem<S, CasRllsc> sys(n);
 
   const auto work = universal_workload<S>(n, 10, 99);
-  sim::Driver driver(sys.spec, sys.sched, sys.object, work);
+  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
   util::Xoshiro256 rng(123);
 
-  std::uint64_t prev_state = sys.object.head_state_encoded();
-  bool prev_has_resp = sys.object.head_has_response();
+  std::uint64_t prev_state = sys.impl.head_state_encoded();
+  bool prev_has_resp = sys.impl.head_has_response();
   EXPECT_FALSE(prev_has_resp);
   int transitions = 0;
 
@@ -279,8 +283,8 @@ TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
     const int pid = enabled[rng.next_below(enabled.size())];
     (void)(driver.can_start(pid) ? driver.start(pid) : driver.step(pid));
 
-    const std::uint64_t state = sys.object.head_state_encoded();
-    const bool has_resp = sys.object.head_has_response();
+    const std::uint64_t state = sys.impl.head_state_encoded();
+    const bool has_resp = sys.impl.head_has_response();
     if (state != prev_state || has_resp != prev_has_resp) {
       ++transitions;
       if (prev_has_resp) {
@@ -296,7 +300,7 @@ TEST(UniversalModes, HeadAlternatesBetweenAAndBModes) {
     }
   }
   EXPECT_GT(transitions, 10);
-  EXPECT_FALSE(sys.object.head_has_response());
+  EXPECT_FALSE(sys.impl.head_has_response());
 }
 
 TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
@@ -308,22 +312,22 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   UniversalSystem<S, CasRllsc> sys(3, /*clear_contexts=*/true,
                                    /*combine=*/true);
 
-  sim::OpTask<S::Resp> stalled0 = sys.object.apply(0, S::inc());
+  sim::OpTask<S::Resp> stalled0 = sys.impl.apply(0, S::inc());
   sys.sched.start(0, stalled0);
   sys.sched.step(0);  // p0 executes only its announcement Store (line 4)
-  sim::OpTask<S::Resp> stalled1 = sys.object.apply(1, S::inc());
+  sim::OpTask<S::Resp> stalled1 = sys.impl.apply(1, S::inc());
   sys.sched.start(1, stalled1);
   sys.sched.step(1);
 
   const std::uint64_t steps_before = sys.sched.steps_of(2);
-  const auto resp2 = sim::run_solo(sys.sched, 2, sys.object.apply(2, S::inc()));
+  const auto resp2 = sim::run_solo(sys.sched, 2, sys.impl.apply(2, S::inc()));
   const std::uint64_t winner_steps = sys.sched.steps_of(2) - steps_before;
 
   // One install covering three operations, folded in ascending pid order
   // from initial state 10: p0 sees 10, p1 sees 11, p2 sees 12.
-  EXPECT_EQ(sys.object.batches_installed(), 1u);
-  EXPECT_EQ(sys.object.ops_combined(), 3u);
-  EXPECT_EQ(sys.object.head_state_encoded(), 13u);
+  EXPECT_EQ(sys.impl.batches_installed(), 1u);
+  EXPECT_EQ(sys.impl.ops_combined(), 3u);
+  EXPECT_EQ(sys.impl.head_state_encoded(), 13u);
   EXPECT_EQ(resp2, 12u);
   // Step-exact (CasRllsc backend): announce Store 1 + line-5 Load 1 +
   // head LL 2 + scan n=3 Loads + combining SC 2 + k=3 response Stores +
@@ -345,15 +349,15 @@ TEST(UniversalCombining, WinnerSweepsStalledAnnouncesInOneInstall) {
   }
   EXPECT_EQ(stalled0.take_result(), 10u);
   EXPECT_EQ(stalled1.take_result(), 11u);
-  EXPECT_EQ(sys.object.batches_installed(), 1u);
-  EXPECT_EQ(sys.object.ops_combined(), 3u);
+  EXPECT_EQ(sys.impl.batches_installed(), 1u);
+  EXPECT_EQ(sys.impl.ops_combined(), 3u);
 
   // Quiescent memory is canonical: the combining excursion leaves no trace.
-  EXPECT_TRUE(sys.object.announce_is_bottom(0));
-  EXPECT_TRUE(sys.object.announce_is_bottom(1));
-  EXPECT_TRUE(sys.object.announce_is_bottom(2));
-  EXPECT_EQ(sys.object.context_union(), 0u);
-  EXPECT_FALSE(sys.object.head_has_response());
+  EXPECT_TRUE(sys.impl.announce_is_bottom(0));
+  EXPECT_TRUE(sys.impl.announce_is_bottom(1));
+  EXPECT_TRUE(sys.impl.announce_is_bottom(2));
+  EXPECT_EQ(sys.impl.context_union(), 0u);
+  EXPECT_FALSE(sys.impl.head_has_response());
 }
 
 TYPED_TEST(UniversalTyped, CombiningLinearizableAndQuiescentHi) {
@@ -368,17 +372,17 @@ TYPED_TEST(UniversalTyped, CombiningLinearizableAndQuiescentHi) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n,
                                                       /*clear_contexts=*/true,
                                                       /*combine=*/true);
-    ASSERT_TRUE(sys.object.combining_enabled());
+    ASSERT_TRUE(sys.impl.combining_enabled());
     sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
-        sys.spec, sys.memory, sys.sched, sys.object, [&](const auto&) {
+        sys.spec, sys.mem, sys.sched, sys.impl, [&](const auto&) {
           // State-quiescent oracle: canonical invariants must survive
           // combining (Lemmas 26, 27 arguments carry over).
-          EXPECT_FALSE(sys.object.head_has_response());
-          EXPECT_EQ(sys.object.context_union(), 0u);
+          EXPECT_FALSE(sys.impl.head_has_response());
+          EXPECT_EQ(sys.impl.context_union(), 0u);
           for (int pid = 0; pid < n; ++pid) {
-            EXPECT_TRUE(sys.object.announce_is_bottom(pid));
+            EXPECT_TRUE(sys.impl.announce_is_bottom(pid));
           }
-          return sys.object.head_state_encoded();
+          return sys.impl.head_state_encoded();
         });
     const auto work = universal_workload<S>(n, 12, seed * 53);
     std::uint64_t updates = 0;
@@ -390,14 +394,14 @@ TYPED_TEST(UniversalTyped, CombiningLinearizableAndQuiescentHi) {
     ASSERT_EQ(result.history.num_pending(), 0u);
 
     const auto final_state =
-        sys.spec.decode_state(sys.object.head_state_encoded());
+        sys.spec.decode_state(sys.impl.head_state_encoded());
     EXPECT_TRUE(verify::LinearizabilityChecker<S>(sys.spec)
                     .check(result.history, final_state)
                     .ok())
         << "seed=" << seed;
-    EXPECT_EQ(sys.object.ops_combined(), updates);
-    EXPECT_LE(sys.object.batches_installed(), sys.object.ops_combined());
-    EXPECT_GE(sys.object.batches_installed(), 1u);
+    EXPECT_EQ(sys.impl.ops_combined(), updates);
+    EXPECT_LE(sys.impl.batches_installed(), sys.impl.ops_combined());
+    EXPECT_GE(sys.impl.batches_installed(), 1u);
     for (const auto& obs : result.state_quiescent) {
       checker.observe(obs.state, obs.mem, "seed=" + std::to_string(seed));
     }
@@ -416,28 +420,28 @@ TEST(UniversalAblation, WithoutContextClearingHiBreaks) {
   // Reference canonical memory: a fresh object driven to state 12 with
   // clearing enabled, at quiescence.
   UniversalSystem<S, CasRllsc> reference(n);
-  (void)sim::run_solo(reference.sched, 0, reference.object.apply(0, S::inc()));
-  (void)sim::run_solo(reference.sched, 0, reference.object.apply(0, S::inc()));
-  const auto canonical = reference.memory.snapshot();
-  ASSERT_EQ(reference.object.context_union(), 0u);
+  (void)sim::run_solo(reference.sched, 0, reference.impl.apply(0, S::inc()));
+  (void)sim::run_solo(reference.sched, 0, reference.impl.apply(0, S::inc()));
+  const auto canonical = reference.mem.snapshot();
+  ASSERT_EQ(reference.impl.context_union(), 0u);
 
   // Ablated object, same abstract state, concurrent schedule.
   UniversalSystem<S, CasRllsc> ablated(n, /*clear_contexts=*/false);
   sim::Runner<S, core::Universal<S, CasRllsc>> runner(
-      ablated.spec, ablated.memory, ablated.sched, ablated.object,
-      [&](const auto&) { return ablated.object.head_state_encoded(); });
+      ablated.spec, ablated.mem, ablated.sched, ablated.impl,
+      [&](const auto&) { return ablated.impl.head_state_encoded(); });
   std::vector<std::vector<S::Op>> work(n);
   work[0] = {S::inc()};
   work[1] = {S::inc()};
   auto result = runner.run(work, {.seed = 3});
   ASSERT_FALSE(result.timed_out);
-  ASSERT_EQ(ablated.object.head_state_encoded(), 12u);
+  ASSERT_EQ(ablated.impl.head_state_encoded(), 12u);
 
   // Linearizability is unaffected...
   EXPECT_TRUE(verify::check_linearizable(ablated.spec, result.history).ok());
   // ...but the memory is NOT canonical: context residue reveals history.
-  EXPECT_NE(ablated.memory.snapshot(), canonical);
-  EXPECT_NE(ablated.object.context_union(), 0u);
+  EXPECT_NE(ablated.mem.snapshot(), canonical);
+  EXPECT_NE(ablated.impl.context_union(), 0u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for src/util: bit packing, the member decoder and RNG
+// Unit tests for src/util: single-bit helpers, the member decoder and RNG
 // determinism.
 #include <gtest/gtest.h>
 
@@ -12,38 +12,6 @@
 namespace hi::util {
 namespace {
 
-TEST(Bits, ExtractDepositRoundTrip) {
-  std::uint64_t word = 0;
-  word = deposit_bits(word, 0, 32, 0xdeadbeef);
-  word = deposit_bits(word, 32, 16, 0x1234);
-  word = deposit_bits(word, 48, 8, 0xab);
-  word = deposit_bits(word, 56, 8, 0xcd);
-  EXPECT_EQ(extract_bits(word, 0, 32), 0xdeadbeefu);
-  EXPECT_EQ(extract_bits(word, 32, 16), 0x1234u);
-  EXPECT_EQ(extract_bits(word, 48, 8), 0xabu);
-  EXPECT_EQ(extract_bits(word, 56, 8), 0xcdu);
-}
-
-TEST(Bits, DepositOverwritesOnlyItsField) {
-  std::uint64_t word = ~std::uint64_t{0};
-  word = deposit_bits(word, 8, 8, 0);
-  EXPECT_EQ(extract_bits(word, 0, 8), 0xffu);
-  EXPECT_EQ(extract_bits(word, 8, 8), 0u);
-  EXPECT_EQ(extract_bits(word, 16, 48), (std::uint64_t{1} << 48) - 1);
-}
-
-TEST(Bits, DepositTruncatesValueToWidth) {
-  const std::uint64_t word = deposit_bits(0, 4, 4, 0xff);
-  EXPECT_EQ(extract_bits(word, 4, 4), 0xfu);
-  EXPECT_EQ(extract_bits(word, 0, 4), 0u);
-  EXPECT_EQ(extract_bits(word, 8, 8), 0u);
-}
-
-TEST(Bits, FullWidthField) {
-  const std::uint64_t value = 0x0123456789abcdefULL;
-  EXPECT_EQ(extract_bits(deposit_bits(0, 0, 64, value), 0, 64), value);
-}
-
 TEST(Bits, SetClearTest) {
   std::uint64_t word = 0;
   word = set_bit(word, 0);
@@ -54,12 +22,6 @@ TEST(Bits, SetClearTest) {
   word = clear_bit(word, 63);
   EXPECT_FALSE(test_bit(word, 63));
   EXPECT_TRUE(test_bit(word, 0));
-}
-
-TEST(Bits, Popcount) {
-  EXPECT_EQ(popcount64(0), 0u);
-  EXPECT_EQ(popcount64(~std::uint64_t{0}), 64u);
-  EXPECT_EQ(popcount64(0b1011), 3u);
 }
 
 TEST(Bits, MemberSinkDecodesAscendingWithinItsSlotBound) {

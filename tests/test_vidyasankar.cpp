@@ -4,7 +4,8 @@
 // purely sequential executions.
 #include <gtest/gtest.h>
 
-#include "core/vidyasankar.h"
+#include "algo/registers.h"
+#include "env/sim_env.h"
 #include "register_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -12,7 +13,7 @@
 namespace hi {
 namespace {
 
-using core::VidyasankarRegister;
+using VidyasankarRegister = algo::VidyasankarAlgPadded<env::SimEnv>;
 using spec::RegisterSpec;
 using testing::kReaderPid;
 using testing::kWriterPid;
@@ -45,13 +46,13 @@ TEST(Vidyasankar, PaperLeakExampleK3) {
                       with_history.impl.write(kWriterPid, 2));
   (void)sim::run_solo(with_history.sched, kWriterPid,
                       with_history.impl.write(kWriterPid, 1));
-  const auto mem_with = with_history.memory.snapshot();
+  const auto mem_with = with_history.mem.snapshot();
   EXPECT_EQ(mem_with.words, (std::vector<std::uint64_t>{1, 1, 0}));
 
   Sys without_history(3);
   (void)sim::run_solo(without_history.sched, kWriterPid,
                       without_history.impl.write(kWriterPid, 1));
-  const auto mem_without = without_history.memory.snapshot();
+  const auto mem_without = without_history.mem.snapshot();
   EXPECT_EQ(mem_without.words, (std::vector<std::uint64_t>{1, 0, 0}));
 
   // Same abstract state (1), different memory: the history leaks.
@@ -70,7 +71,7 @@ TEST(Vidyasankar, HiCheckerRejectsSequentialExecutions) {
       const auto v = static_cast<std::uint32_t>(rng.next_in(1, 4));
       (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, v));
       state = v;
-      checker.observe(state, sys.memory.snapshot(),
+      checker.observe(state, sys.mem.snapshot(),
                       "seq seed=" + std::to_string(seed));
     }
   }
@@ -85,7 +86,7 @@ TEST_P(VidyasankarRandom, LinearizableUnderRandomSchedules) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, VidyasankarRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 25, 25, seed),
                            {.seed = seed});
@@ -101,7 +102,7 @@ TEST_P(VidyasankarRandom, WaitFreeStepBounds) {
   const auto [k, seed] = GetParam();
   Sys sys(k);
   sim::Runner<RegisterSpec, VidyasankarRegister> runner(
-      sys.spec, sys.memory, sys.sched, sys.impl,
+      sys.spec, sys.mem, sys.sched, sys.impl,
       [&](const auto& hist) { return testing::last_write_or(hist, 1); });
   auto result = runner.run(testing::register_workload(k, 30, 30, seed),
                            {.seed = seed, .step_weight = 5});

@@ -36,9 +36,8 @@
 #include <string>
 #include <vector>
 
+#include "algo/registers.h"
 #include "algo/wait_free_sim.h"
-#include "core/hi_register_lockfree.h"
-#include "core/hi_register_waitfree.h"
 #include "core/wait_free_sim.h"
 #include "env/sim_env.h"
 #include "register_common.h"
@@ -299,7 +298,7 @@ std::uint32_t adversary_value(int pending_object, std::uint32_t num_values) {
 }
 
 TEST(WaitFreeSim, PlainLockFreeReaderStarvesUnderValueAdaptiveAdversary) {
-  testing::RegisterSystem<core::LockFreeHiRegister> sys(3);
+  testing::RegisterSystem<algo::LockFreeHiAlgPadded<env::SimEnv>> sys(3);
   sim::OpTask<std::uint32_t> read = sys.impl.read(kReaderPid);
   sys.sched.start(kReaderPid, read);
 
@@ -501,7 +500,7 @@ TEST(WaitFreeSim, Thm17_HelpedReadLeavesLocalizedCombinatorResidue) {
   (void)sim::run_solo(canon.sched, kWriterPid, canon.impl.write(kWriterPid, 2));
   ASSERT_EQ(sim::run_solo(canon.sched, kReaderPid, canon.impl.read(kReaderPid)),
             2u);
-  const sim::MemorySnapshot sa = canon.memory.snapshot();
+  const sim::MemorySnapshot sa = canon.mem.snapshot();
 
   // Execution B: same abstract state 2 at quiescence, but the read was
   // forced slow — it scanned past A[1], A[2] while the state was 3, the
@@ -519,7 +518,7 @@ TEST(WaitFreeSim, Thm17_HelpedReadLeavesLocalizedCombinatorResidue) {
   sys.sched.finish(kReaderPid);
   EXPECT_EQ(read.take_result(), 2u);  // still linearizes
   ASSERT_EQ(sys.impl.slow_path_entries(), 1u);
-  const sim::MemorySnapshot sb = sys.memory.snapshot();
+  const sim::MemorySnapshot sb = sys.mem.snapshot();
 
   // State-quiescent HI is VIOLATED: same abstract state, different memory.
   // This is the Theorem 17 boundary — the combinator made reads wait-free,
@@ -552,13 +551,13 @@ TEST(WaitFreeSim, Thm17Control_PlainAlg4StaysCanonicalOnSameScheduleShape) {
   // and the quiescent memory is STILL canonical — Alg 4 erases its
   // footprint. The residue in the previous test is the combinator's price,
   // not an artifact of the schedule.
-  testing::RegisterSystem<core::WaitFreeHiRegister> canon(3);
+  testing::RegisterSystem<algo::WaitFreeHiAlgPadded<env::SimEnv>> canon(3);
   (void)sim::run_solo(canon.sched, kWriterPid, canon.impl.write(kWriterPid, 3));
   (void)sim::run_solo(canon.sched, kWriterPid, canon.impl.write(kWriterPid, 2));
   (void)sim::run_solo(canon.sched, kReaderPid, canon.impl.read(kReaderPid));
-  const sim::MemorySnapshot sa = canon.memory.snapshot();
+  const sim::MemorySnapshot sa = canon.mem.snapshot();
 
-  testing::RegisterSystem<core::WaitFreeHiRegister> sys(3);
+  testing::RegisterSystem<algo::WaitFreeHiAlgPadded<env::SimEnv>> sys(3);
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 3));
   sim::OpTask<std::uint32_t> read = sys.impl.read(kReaderPid);
   sys.sched.start(kReaderPid, read);
@@ -570,7 +569,7 @@ TEST(WaitFreeSim, Thm17Control_PlainAlg4StaysCanonicalOnSameScheduleShape) {
   ASSERT_TRUE(sys.sched.op_finished(kReaderPid));
   sys.sched.finish(kReaderPid);
   (void)read.take_result();
-  const sim::MemorySnapshot sb = sys.memory.snapshot();
+  const sim::MemorySnapshot sb = sys.mem.snapshot();
 
   verify::HiChecker checker;
   ASSERT_TRUE(checker.set_canonical(2, sa, "solo-sequential"));

@@ -7,11 +7,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/rllsc.h"
 #include "core/universal.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
+#include "sim_system.h"
 #include "spec/cas_spec.h"
 #include "spec/counter_spec.h"
 #include "spec/queue_spec.h"
@@ -118,17 +118,12 @@ std::vector<std::vector<typename S::Op>> universal_workload(
 
 /// A fresh simulated system hosting one universal object.
 template <typename S, typename Cell>
-struct UniversalSystem {
-  S spec;
-  sim::Memory memory;
-  sim::Scheduler sched;
-  core::Universal<S, Cell> object;
-
+struct UniversalSystem : SimSystem<S, core::Universal<S, Cell>> {
   explicit UniversalSystem(int num_procs, bool clear_contexts = true,
                            bool combine = false)
-      : spec(SpecTraits<S>::make()),
-        sched(num_procs),
-        object(memory, spec, num_procs, clear_contexts, combine) {}
+      : SimSystem<S, core::Universal<S, Cell>>(SpecTraits<S>::make(),
+                                               num_procs, num_procs,
+                                               clear_contexts, combine) {}
 };
 
 }  // namespace hi::testing
