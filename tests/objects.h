@@ -4,7 +4,10 @@
 // check: an entry names what to build and how to drive it, a rung names the
 // scheduler (sequential sim↔rt parity, a recorded sim schedule replayed over
 // hardware atomics, real threads under yield injection) and each row of a
-// rung is one line of today's values.
+// rung is one line of today's values. The explore rung (every schedule of
+// a small workload, naive and DPOR) and the crash rung (every crash point
+// of one operation) drive the sim instantiation only (tests/explore.h,
+// tests/test_crash.cpp).
 //
 // An entry E gives:
 //   * E::Spec and E::Impl<Env> — the sequential spec and the algo class;
@@ -28,7 +31,10 @@
 // script so the final state is pinned (the R-LLSC cell's closing RL);
 // E::kImageIsMemory, true when the sim mem(C) snapshot itself is the image
 // (one word per bin); E::kWordExact = false when the sim and replay
-// encodings differ and the replay rung compares images instead of mem(C).
+// encodings differ and the replay rung compares images instead of mem(C);
+// E::state(obj), the abstract state read back from the object, for an
+// entry whose operations take effect before they respond (the explore
+// rung's HI check otherwise folds the history's completed operations).
 //
 // The coverage test (test_env_parity.cpp, ObjectTable.CoverageMatrix)
 // prints the entry × rung matrix and fails when an entry lacks a rung that
@@ -56,7 +62,6 @@
 #include "algo/values.h"
 #include "algo/wait_free_sim.h"
 #include "env/env.h"
-#include "env/fuzz_env.h"
 #include "register_common.h"
 #include "spec/counter_spec.h"
 #include "spec/max_register_spec.h"
@@ -333,6 +338,12 @@ struct Rllsc {
   }
   /// Every script ends released, so every linearization ends with ctx = 0.
   static Op settle(int pid) { return Spec::rl(pid); }
+  /// The cell's (value, context) in RllscSpec::encode_state's layout: an
+  /// SC or RL takes effect at its CAS, steps before it responds.
+  template <typename Obj>
+  static std::uint64_t state(const Obj& obj) {
+    return (obj.peek_value().lo << 16) | obj.peek_context();
+  }
   static std::vector<std::pair<int, Op>> audit(const Spec&) {
     return {{0, Spec::load(0)}};
   }
@@ -498,27 +509,79 @@ struct YieldRow {
   typename E::Spec spec;
   std::uint64_t seed;
   std::vector<int> ops;
-  env::YieldPolicy policy = {};
+  /// Inject with test_fuzz_rt's aggressive knobs (enough to force slow
+  /// paths and combining-phase parks on a loaded single-core runner)
+  /// instead of the default policy.
+  bool aggressive = false;
 };
 
-/// The positive control's injection knobs: enough to force slow paths and
-/// combining-phase parks on a loaded single-core runner.
-inline constexpr env::YieldPolicy kAggressive{/*permille=*/700,
-                                              /*max_yields=*/4,
-                                              /*max_spins=*/64};
+/// How an explore row runs (tests/explore.h): the naive exploration
+/// always, DPOR as well when `dpor` is set, within which caps, and what
+/// each run must show.
+struct ExplorePlan {
+  /// Also explore under DPOR, and check that it finds exactly naive's set
+  /// of complete histories in fewer executions.
+  bool dpor = false;
+  std::size_t max_depth = 64;
+  std::uint64_t max_executions = 2'000'000;
+  /// Complete executions the naive run must reach (a DPOR run: one).
+  std::uint64_t min_complete = 1;
+  /// false: the cap cuts the tree, and the run must hit it.
+  bool exhausts = true;
+  /// Pinned naive complete-execution count (0: unpinned).
+  std::uint64_t naive_executions = 0;
+  /// A cap DPOR exhausts under and naive DFS overflows (0: none).
+  std::uint64_t dpor_cap = 0;
+};
+
+/// Every schedule of `work` (pid i runs work[i]), explored as `plan` says.
+template <typename E>
+struct ExploreRow {
+  using Entry = E;
+  std::string_view label;
+  typename E::Spec spec;
+  std::vector<Script<typename E::Spec::Op>> work;
+  ExplorePlan plan;
+};
+
+/// The crash-point sweep (tests/test_crash.cpp): `pid`'s first operation
+/// crashed after s steps, for every s; the survivors drain within `budget`
+/// steps, over at least min_crash_points crash points.
+template <typename E>
+struct CrashRow {
+  using Entry = E;
+  std::string_view label;
+  typename E::Spec spec;
+  std::vector<Script<typename E::Spec::Op>> work;
+  int pid;
+  std::uint64_t budget;
+  int min_crash_points;
+};
+
+/// The explore-labelled binary an explore row runs in: the one that
+/// already compiles its system's explorer. The WF-sim rows keep a binary
+/// of their own, as their naive control runs are tier-1's critical path.
+enum class ExploreSuite { kExhaustive, kDpor, kWaitFreeSim };
 
 using Reg = spec::RegisterSpec;
 using Max = spec::MaxRegisterSpec;
 using Set = spec::SetSpec;
 using Cnt = spec::CounterSpec;
+using Rll = spec::RllscSpec;
 inline const Cnt kCounter(1u << 20, 10);
 
-// Each list is a template so that a test TU compiles only the lists it
-// calls.
+// Each list is a template whose tuple is built by row_list<Arg>, a call
+// that depends on the list's template argument: a test TU instantiates the
+// tuple (whose element-wise constructor checks are most of a list's
+// compile cost) only for the lists it calls.
+template <auto, typename... Rows>
+std::tuple<Rows...> row_list(Rows... rows) {
+  return {std::move(rows)...};
+}
 // clang-format off
-template <int = 0>
+template <int N = 0>
 auto parity_rows() {
-  return std::tuple{
+  return row_list<N>(
       ParityRow<VidyasankarPadded, VidyasankarPacked>{Reg(6, 1), 2, 11, 200},
       ParityRow<VidyasankarPadded, VidyasankarPacked>{Reg(3, 2), 2, 12, 200},
       ParityRow<VidyasankarPacked>{Reg(70, 1), 2, 13, 200},
@@ -540,13 +603,12 @@ auto parity_rows() {
       ParityRow<CasRllsc>{spec::RllscSpec(100, 4, 7), 4, 41, 300},
       ParityRow<UniversalPlain>{kCounter, 4, 51, 300},
       ParityRow<UniversalCombine>{kCounter, 4, 52, 300},
-      ParityRow<LeakyUniversal>{kCounter, 4, 81, 300},
-  };
+      ParityRow<LeakyUniversal>{kCounter, 4, 81, 300});
 }
 
-template <int = 0>
+template <int N = 0>
 auto replay_rows() {
-  return std::tuple{
+  return row_list<N>(
       ReplayRow<VidyasankarPadded>{Reg(5, 1), {5, 4}},
       ReplayRow<VidyasankarPacked>{Reg(70, 1), {5, 4}},
       ReplayRow<LockFreeHiPadded>{Reg(5, 1), {5, 4}},
@@ -565,25 +627,101 @@ auto replay_rows() {
       ReplayRow<UniversalPlain>{kCounter, {3, 3, 3}},
       ReplayRow<UniversalCombine>{kCounter, {3, 3, 3}},
       ReplayRow<LeakyUniversal>{kCounter, {3, 3, 3}},
-      ReplayRow<StrawmanQueue>{spec::QueueSpec(4, 4), {6, 3}},
-  };
+      ReplayRow<StrawmanQueue>{spec::QueueSpec(4, 4), {6, 3}});
 }
 
-template <int = 0>
+template <int N = 0>
 auto yield_rows() {
-  return std::tuple{
+  return row_list<N>(
       YieldRow<VidyasankarPacked>{Reg(6, 1), 0xa101, {5, 4}},
       YieldRow<LockFreeHiPacked>{Reg(6, 1), 0xa102, {5, 4}},
       YieldRow<WaitFreeHiPacked>{Reg(6, 1), 0xa103, {5, 4}},
-      YieldRow<WaitFreeSimPacked>{Reg(6, 1), 0xa10a, {5, 4, 4}, kAggressive},
+      YieldRow<WaitFreeSimPacked>{Reg(6, 1), 0xa10a, {5, 4, 4}, /*aggressive=*/true},
       YieldRow<MaxRegisterPacked>{Max(6, 1), 0xa104, {5, 4}},
       YieldRow<HiSetPacked>{Set(10), 0xa105, {6, 6, 6}},
       YieldRow<ShardedHiSet>{Set(12), 0xa106, {6, 6, 6}},
       YieldRow<CasRllsc>{spec::RllscSpec(16, 3), 0xa107, {5, 5, 5}},
       YieldRow<UniversalPlain>{kCounter, 0xa108, {5, 5, 5}},
-      YieldRow<UniversalCombine>{kCounter, 0xa10b, {5, 5, 5}, kAggressive},
-      YieldRow<LeakyUniversal>{kCounter, 0xa109, {5, 5, 5}},
-  };
+      YieldRow<UniversalCombine>{kCounter, 0xa10b, {5, 5, 5}, /*aggressive=*/true},
+      YieldRow<LeakyUniversal>{kCounter, 0xa109, {5, 5, 5}});
+}
+
+template <ExploreSuite Suite>
+auto explore_rows() {
+  if constexpr (Suite == ExploreSuite::kExhaustive) {
+    return row_list<Suite>(
+        ExploreRow<VidyasankarPadded>{"TwoWritesVsRead", Reg(3, 1),
+            {{Reg::write(2), Reg::write(1)}, {Reg::read()}},
+            {.max_depth = 40, .max_executions = 400'000}},
+        ExploreRow<LockFreeHiPadded>{"WriteVsRead", Reg(3, 1),
+            {{Reg::write(2)}, {Reg::read()}},
+            {.max_depth = 40, .max_executions = 400'000, .min_complete = 20}},
+        ExploreRow<LockFreeHiPadded>{"TwoWritesVsRead", Reg(3, 1),
+            {{Reg::write(3), Reg::write(1)}, {Reg::read()}},
+            {.max_depth = 40, .max_executions = 400'000, .min_complete = 500}},
+        ExploreRow<LockFreeHiPacked>{"WriteVsRead", Reg(3, 1),
+            {{Reg::write(2)}, {Reg::read()}},
+            {.max_depth = 40, .max_executions = 400'000, .min_complete = 10}},
+        // K = 70 spans two packed words: Write(65) ‖ Read crosses the scan's
+        // word boundary and the clearing passes' two-word masks.
+        ExploreRow<LockFreeHiPacked>{"TwoWordArray", Reg(70, 1),
+            {{Reg::write(65)}, {Reg::read()}},
+            {.max_depth = 40, .max_executions = 400'000, .min_complete = 10}},
+        ExploreRow<WaitFreeHiPadded>{"WriteVsRead", Reg(3, 1),
+            {{Reg::write(3)}, {Reg::read()}},
+            {.max_depth = 46, .max_executions = 400'000, .min_complete = 1000}},
+        ExploreRow<CasRllsc>{"LlScVsLlSc", Rll(8, 2),
+            {{Rll::ll(0), Rll::sc(0, 3)}, {Rll::ll(1), Rll::sc(1, 5)}},
+            {.max_depth = 30, .max_executions = 500'000, .min_complete = 100}},
+        ExploreRow<CasRllsc>{"StoreVsLl", Rll(8, 2),
+            {{Rll::store(0, 7), Rll::vl(0)}, {Rll::ll(1), Rll::sc(1, 5), Rll::rl(1)}},
+            {.max_depth = 30, .max_executions = 500'000}},
+        // Algorithm 5 over 6: the CAS retry loops make the tree larger than
+        // any practical cap, so the row checks a prefix-closed subset.
+        ExploreRow<UniversalPlain>{"IncVsDec", Cnt(100, 5),
+            {{Cnt::inc()}, {Cnt::dec()}},
+            {.max_depth = 120, .max_executions = 150'000, .min_complete = 100,
+             .exhausts = false}});
+  } else if constexpr (Suite == ExploreSuite::kDpor) {
+    return row_list<Suite>(
+        ExploreRow<HiSetPadded>{"TwoProcs", Set(4),
+            {{Set::insert(1), Set::remove(2), Set::lookup(1)},
+             {Set::insert(2), Set::remove(1), Set::lookup(2)}},
+            {.max_depth = 20, .max_executions = 500'000, .min_complete = 800}},
+        ExploreRow<HiSetPadded>{"ThreeProcs", Set(6),
+            {{Set::insert(1), Set::remove(2)}, {Set::insert(2), Set::lookup(1)}, {Set::insert(3)}},
+            {.dpor = true}},
+        // Pairwise cross-shard keys (kStriped: key k → shard (k-1) % 4), the
+        // independence DPOR is for: 12!/(4!)³ = 34650 naive executions.
+        ExploreRow<ShardedHiSet>{"CrossShard3Proc", Set(12),
+            {{Set::insert(1), Set::remove(1)}, {Set::insert(2), Set::remove(2)},
+             {Set::insert(3), Set::remove(3)}},
+            {.dpor = true, .max_executions = 100'000, .naive_executions = 34650,
+             .dpor_cap = 20'000}});
+  } else {
+    return row_list<Suite>(
+        // Every read takes the slow path: the smallest workload in which
+        // the write's pre-help completes the reader's record.
+        ExploreRow<WaitFreeSimSlowPadded>{"SlowPair", Reg(2, 1),
+            {{Reg::write(2)}, {Reg::read()}}, {.dpor = true, .max_depth = 128}},
+        // One writer, two readers, fast path on: queue and record contention.
+        ExploreRow<WaitFreeSimPadded>{"TripleFast", Reg(2, 1),
+            {{Reg::write(2)}, {Reg::read()}, {Reg::read()}},
+            {.dpor = true, .max_depth = 128}});
+  }
+}
+
+template <int N = 0>
+auto crash_rows() {
+  return row_list<N>(
+      CrashRow<LockFreeHiPadded>{"WriterCrash", Reg(4, 1),
+          {{Reg::write(3)}, {Reg::read(), Reg::read()}},
+          kWriterPid, 200'000, 4},
+      // fast_limit 0: every read announces and enqueues itself, so the sweep
+      // crosses the announce-only, mid-enqueue and enqueued windows.
+      CrashRow<WaitFreeSimSlowPadded>{"ReaderCrash", Reg(4, 1),
+          {{Reg::write(2), Reg::write(3), Reg::write(2)}, {Reg::read()}},
+          kReaderPid, 200'000, 4});
 }
 // clang-format on
 
@@ -591,8 +729,11 @@ auto yield_rows() {
 /// row instantiates its class over FuzzEnv and adds about a second (≈4%)
 /// to test_fuzz_rt's compile, so no padded layout has one: the per-bin
 /// interleavings a padded layout adds are checked in the step model and
-/// replayed on hardware atomics instead.
-enum class Rung { kParity, kReplay, kYield };
+/// replayed on hardware atomics instead. An explore or crash row for a
+/// class its TU does not already explore or drive instantiates the class
+/// over SimEnv with an explorer or a driver, about 3–5 s of that TU's
+/// compile (≈4% of the four explore and crash TUs together).
+enum class Rung { kParity, kReplay, kYield, kExplore, kCrash };
 struct Exemption {
   std::string_view entry;
   Rung rung;
@@ -619,10 +760,10 @@ inline constexpr Exemption kExemptions[] = {
     {"WaitFreeHiPadded", Rung::kYield,
      "test_exhaustive explores its padded interleavings and "
      "ReplayFuzz.WaitFreeHiPadded replays them on hardware atomics; Alg 4 "
-     "runs real threads packed and in StallRt/KOfNSweep.Alg4_*"},
+     "runs real threads packed and in StallRt/KOfNSweep.*/Alg4_*"},
     {"WaitFreeSimPadded", Rung::kYield,
      "the combinator runs real threads in WaitFreeSimPacked's aggressive "
-     "row and StallRt/KOfNSweep.WaitFreeSim_*; its padded interleavings are "
+     "row and StallRt/KOfNSweep.*/WaitFreeSim_*; its padded interleavings are "
      "WaitFreeSimDpor.*'s and ReplayFuzz.WaitFreeSimPadded's"},
     {"WaitFreeSimSlowPadded", Rung::kYield,
      "as WaitFreeSimPadded: same class, fast_limit 0"},
@@ -633,6 +774,55 @@ inline constexpr Exemption kExemptions[] = {
     {"HiSetPadded", Rung::kYield,
      "every set op is one primitive on one bin in either layout, so the "
      "padded layout adds no interleaving the packed row lacks"},
+    // explore and crash: "priced" as above
+    {"VidyasankarPacked", Rung::kExplore, "non-HI, so a row checks "
+     "linearizability only, as Exhaustive.VidyasankarPadded_* does; priced"},
+    {"WaitFreeHiPacked", Rung::kExplore, "Exhaustive.WaitFreeHiPadded_* "
+     "explores Alg 4, Exhaustive.LockFreeHiPacked_* the packed scans; priced"},
+    {"WaitFreeSimPacked", Rung::kExplore, "WaitFreeSimDpor.* explores the "
+     "same class's helping paths over padded bins; priced"},
+    {"MaxRegisterPadded", Rung::kExplore, "priced; HiMaxRegisterRandom.* and "
+     "ReplayFuzz.MaxRegister* run it under random schedules"},
+    {"MaxRegisterPacked", Rung::kExplore, "as MaxRegisterPadded"},
+    {"HiSetPacked", Rung::kExplore, "each op is one word RMW or load, the "
+     "PackedBins ops ExplorerDpor.ShardedHiSet_* explores"},
+    {"UniversalCombine", Rung::kExplore, "naive DFS cannot exhaust even the "
+     "native-cell tree, which Exhaustive.CombiningUniversal_* explores under "
+     "DPOR; a CAS-cell row is priced"},
+    {"LeakyUniversal", Rung::kExplore, "the non-HI baseline; priced"},
+    {"StrawmanQueue", Rung::kExplore, "a non-HI strawman that "
+     "test_impossibility drives with the queue adversary; priced"},
+    {"VidyasankarPadded", Rung::kCrash, "priced: plain bin reads and writes, "
+     "as CrashAudit.LockFreeHiPadded_WriterCrash sweeps for Alg 2"},
+    {"VidyasankarPacked", Rung::kCrash, "as VidyasankarPadded"},
+    {"LockFreeHiPacked", Rung::kCrash, "CrashAudit.LockFreeHiPadded_* sweeps "
+     "the same algorithm at bin grain; priced"},
+    {"WaitFreeHiPadded", Rung::kCrash, "priced; StallRt/KOfNSweep.*/Alg4_* "
+     "stalls Alg 4's threads at every primitive boundary on hardware"},
+    {"WaitFreeHiPacked", Rung::kCrash, "as WaitFreeHiPadded"},
+    {"WaitFreeSimPadded", Rung::kCrash, "CrashAudit.WaitFreeSimSlowPadded_* "
+     "sweeps the same class with every read on the slow path"},
+    {"WaitFreeSimPacked", Rung::kCrash, "as WaitFreeSimPadded"},
+    {"MaxRegisterPadded", Rung::kCrash, "priced: Alg 2's scans over bins, as "
+     "CrashAudit.LockFreeHiPadded_WriterCrash sweeps"},
+    {"MaxRegisterPacked", Rung::kCrash, "as MaxRegisterPadded"},
+    {"HiSetPadded", Rung::kCrash, "every op is one primitive, so its only "
+     "crash point is before it has done anything"},
+    {"HiSetPacked", Rung::kCrash, "as HiSetPadded"},
+    {"ShardedHiSet", Rung::kCrash, "as HiSetPadded: one word op per key"},
+    {"CasRllsc", Rung::kCrash, "priced; swept inside Alg 5: "
+     "CrashAudit.PlainUniversal* over native cells, "
+     "StallRt/KOfNSweep.*/PlainUniversal_* over CAS cells"},
+    {"UniversalPlain", Rung::kCrash,
+     "CrashAudit.PlainUniversalResidueConfinedToCrashedAnnounceCell sweeps "
+     "Alg 5 over native cells; priced"},
+    {"UniversalCombine", Rung::kCrash,
+     "the documented blocking window, pinned by "
+     "CrashAudit.CombiningUniversalSurvivesWinnerCrashBeforeInstall and "
+     "CrashAudit.CombiningUniversalWinnerCrashedMidBatchBlocks"},
+    {"LeakyUniversal", Rung::kCrash, "the non-HI baseline; priced"},
+    {"StrawmanQueue", Rung::kCrash, "a non-HI strawman with no progress "
+     "claim to sweep"},
 };
 
 /// The replay rungs' workload: ops[pid] ops for each pid, drawn in pid

@@ -1,12 +1,12 @@
 // The system shape the simulator suites share: one spec, memory, scheduler
 // and implementation, with the scheduler()/memory()/apply() members that
-// sim::Explorer's factories must produce (sim::ExplorableSystem). A suite
-// names a configured system by deriving from it:
+// sim::Explorer's factories must produce (sim::ExplorableSystem). A table
+// entry's system is built by the entry's factory, an off-table object's by
+// its constructor arguments:
 //
-//   using Set = algo::HiSetAlgPadded<env::SimEnv>;
-//   struct Set2System : testing::SimSystem<spec::SetSpec, Set> {
-//     Set2System() : SimSystem(spec::SetSpec(4), 2) {}
-//   };
+//   testing::EntrySystem<testing::HiSetPadded> set(
+//       spec::SetSpec(4), 2, &testing::HiSetPadded::make<env::SimEnv>);
+//   testing::SimSystem<spec::CounterSpec, NativeUniversal> u(spec, 2, 2);
 #pragma once
 
 #include <type_traits>
@@ -31,6 +31,13 @@ struct SimSystem {
   template <typename... Args>
   SimSystem(S s, int num_processes, const Args&... args)
       : spec(std::move(s)), sched(num_processes), impl(build(args...)) {}
+
+  /// Builds impl as make(mem, spec, num_processes): a table entry's
+  /// E::make<env::SimEnv> (tests/objects.h).
+  SimSystem(S s, int num_processes, Impl (*make)(sim::Memory&, const S&, int))
+      : spec(std::move(s)),
+        sched(num_processes),
+        impl(make(mem, spec, num_processes)) {}
 
   sim::Scheduler& scheduler() { return sched; }
   sim::Memory& memory() { return mem; }

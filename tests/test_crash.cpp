@@ -1,57 +1,44 @@
 // Crash-fault injection in the step model (the sixth rung of the
 // verification ladder — docs/TESTING.md, docs/FAULTS.md):
 //
-//  * POSITIVE CONTROLS — the lock-based counter fails the progress gate
-//    (its lock dies with a crashed holder) and the leaky-on-crash register
-//    fails the crash-point HI audit (it journals the OLD value into a
-//    scratch word and only a completed write cleans it). Both are caught on
-//    every run, which is what certifies the audit can catch anything.
-//
-//  * REAL OBJECTS — at EVERY crash point of an operation, survivors drain
-//    (lock-free/wait-free progress survives crashes), responses stay
-//    consistent with the crashed op pending, and the quiescent image's
-//    residue is localized to the crashed op's own words (the fault
-//    containment discipline of verify/crash_audit.h). The wait_free_sim
-//    combinator's helpers finish a crashed owner's announced+enqueued op;
-//    the flat-combining universal survives a winner crashed anywhere BEFORE
-//    the combining-record install, and demonstrably blocks when the winner
-//    crashes after it — the documented fundamental limit (docs/FAULTS.md).
-//
-//  * EXPLORER — ExploreLimits::max_crashes enumerates ≤ k-crash
-//    configurations, naive and DPOR agree on the complete-history set, and
-//    max_crashes = 0 stays exactly crash-free (default behavior unchanged).
-//
-//  * ROUND TRIP — a caught crash failure records, shrinks (verify/shrink.h),
-//    prints as a paste-ready ScheduleTrace literal with its crash step, and
-//    replays differentially over hardware atomics (verify/replay.h) — the
-//    acceptance pipeline for crash regressions.
+//  * THE SWEEP — crash_sweep crashes one operation at EVERY crash point;
+//    survivors must drain and the history with the crashed op pending must
+//    linearize. The table's crash rows (tests/objects.h crash_rows(), named
+//    CrashAudit.<entry>_<label>) run it; the wait_free_sim row also checks
+//    that helpers finish a crashed owner's announced+enqueued op.
+//  * POSITIVE CONTROLS — through the same sweep, the lock-based counter
+//    fails the progress gate exactly where its lock dies with a crashed
+//    holder, and the leaky-on-crash register fails the crash-point HI audit
+//    exactly where a crashed write left its journal set.
+//  * OFF-TABLE OBJECTS — the universal over native cells keeps a crash's
+//    residue inside the crashed pid's own announce cell; the flat-combining
+//    universal survives a winner crashed BEFORE the combining-record
+//    install and blocks when it crashes after — the documented limit.
+//  * ROUND TRIP — a caught crash failure records, shrinks, prints as a
+//    paste-ready ScheduleTrace literal and replays over hardware atomics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <numeric>
 #include <optional>
-#include <set>
-#include <sstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "algo/hi_set.h"
-#include "algo/registers.h"
+#include "algo/universal.h"
 #include "algo/wait_free_sim.h"
-#include "core/rllsc.h"
-#include "core/universal.h"
-#include "core/wait_free_sim.h"
 #include "env/replay_env.h"
 #include "env/sim_env.h"
+#include "explore.h"
 #include "fuzz_common.h"
-#include "register_common.h"
+#include "objects.h"
 #include "sim/driver.h"
-#include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
+#include "sim/native_rllsc.h"
 #include "sim/scheduler.h"
 #include "sim/trace.h"
 #include "sim_system.h"
@@ -109,13 +96,13 @@ verify::ProgressResult drain_survivors(sim::Driver<S, Impl>& driver,
 }
 
 /// Responses of the completed operations in `driver`'s history, in
-/// invocation order — of every pid, or of `pid` only.
+/// invocation order.
 template <typename S, typename Impl>
 std::vector<typename S::Resp> completed_responses(
-    const sim::Driver<S, Impl>& driver, int pid = -1) {
+    const sim::Driver<S, Impl>& driver) {
   std::vector<typename S::Resp> out;
   for (const auto& e : driver.history().entries()) {
-    if (e.completed() && (pid < 0 || e.pid == pid)) out.push_back(e.resp);
+    if (e.completed()) out.push_back(e.resp);
   }
   return out;
 }
@@ -123,10 +110,147 @@ std::vector<typename S::Resp> completed_responses(
 /// Allowed-residue predicate over one object's snapshot word range.
 auto words_of(const sim::Memory& mem, int object_id) {
   const std::pair<std::size_t, std::size_t> range = mem.word_range(object_id);
-  return [range](std::size_t w) { return w >= range.first && w < range.second; };
+  return [range](std::size_t w) {
+    return w >= range.first && w < range.second;
+  };
 }
 
-// ----------------------------------------------------------------- systems
+// --------------------------------------------------------------- the sweep
+
+/// Object-specific checks on a sweep, with the crash point s.
+template <typename System>
+struct CrashHooks {
+  /// Right after the crash, before the survivors run.
+  std::function<void(System&, std::uint64_t)> crashed;
+  /// After the survivors drained (or ran out of budget).
+  std::function<void(System&, std::uint64_t)> drained;
+};
+
+struct CrashPoint {
+  std::uint64_t steps;  // the crashed op's steps before the crash
+  bool drained;    // survivors went quiescent in budget; only it is pending
+  bool linearizable;  // the history, the crashed op pending, linearizes
+};
+
+/// The one crash sweep: for s = 0, 1, … a fresh system from `make` runs
+/// pid's first op of `work` for s steps and crashes it, then the survivors
+/// run the rest of `work` within `budget` steps. Stops at the first s the
+/// op completes within.
+template <typename System, typename S>
+std::vector<CrashPoint> crash_sweep(
+    const S& spec, const std::function<std::unique_ptr<System>()>& make,
+    const std::vector<std::vector<typename S::Op>>& work, int pid,
+    std::uint64_t budget, const CrashHooks<System>& hooks = {}) {
+  std::vector<CrashPoint> points;
+  for (std::uint64_t s = 0;; ++s) {
+    const std::unique_ptr<System> sys = make();
+    sim::Driver driver(spec, sys->sched, sys->impl, work);
+    if (!start_and_crash_after(driver, pid, s)) return points;
+    if (hooks.crashed) hooks.crashed(*sys, s);
+    const verify::ProgressResult result = drain_survivors(driver, budget);
+    points.push_back(
+        {s, result.quiescent && driver.pending() == 1,
+         result.quiescent &&
+             verify::check_linearizable(spec, driver.history()).ok()});
+    if (hooks.drained) hooks.drained(*sys, s);
+  }
+}
+
+/// The rung's verdict on a sweep of a lock-free or wait-free object.
+void expect_survived(const std::vector<CrashPoint>& points,
+                     std::size_t min_crash_points) {
+  for (const CrashPoint& p : points) {
+    EXPECT_TRUE(p.drained) << "survivors blocked by a crash at step "
+                           << p.steps
+                           << " — progress must survive crashes";
+    EXPECT_TRUE(p.linearizable)
+        << "not linearizable with the op crashed at step " << p.steps
+        << " pending";
+  }
+  EXPECT_GE(points.size(), min_crash_points)
+      << "crash-point sweep never engaged";
+}
+
+/// True iff the help queue holds a live entry of pid.
+template <typename System>
+bool queue_holds(const System& sys, int pid) {
+  const auto& q = sys.impl.combinator().queue();
+  for (std::uint64_t h = q.peek_head(); h < q.peek_tail(); ++h) {
+    const std::uint64_t slot =
+        q.peek_slot(static_cast<std::uint32_t>(h % q.capacity()));
+    if (algo::wfs::slot_round(slot) == h / q.capacity() &&
+        algo::wfs::slot_pid(slot) == pid) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The wait-free simulation's helping obligation: an op of the crashed pid
+/// that was announced and visible in the queue at the crash is completed by
+/// survivors although its owner is dead, and no entry of the crashed pid
+/// is left in the queue once they are quiescent. Returns the sweep-level
+/// verdict: some crash point hit the announced+enqueued window.
+template <typename System>
+std::function<void()> helping_obligation(int pid, CrashHooks<System>& hooks) {
+  struct Seen {
+    bool announced = false;
+    bool enqueued = false;
+    int helped_cases = 0;
+  };
+  auto seen = std::make_shared<Seen>();
+  hooks.crashed = [seen, pid](System& sys, std::uint64_t) {
+    seen->announced =
+        algo::wfs::rec_state(sys.impl.combinator().peek_record(pid)) ==
+        algo::wfs::kPending;
+    seen->enqueued = queue_holds(sys, pid);
+  };
+  hooks.drained = [seen, pid](System& sys, std::uint64_t s) {
+    if (seen->announced && seen->enqueued) {
+      EXPECT_EQ(algo::wfs::rec_state(sys.impl.combinator().peek_record(pid)),
+                algo::wfs::kDone)
+          << "announced+enqueued crashed op left pending at crash point "
+          << s;
+      EXPECT_GE(sys.impl.combinator().helped_completions(), 1u);
+      ++seen->helped_cases;
+    }
+    EXPECT_FALSE(queue_holds(sys, pid))
+        << "crashed pid's entry stuck in the help queue at crash point " << s;
+  };
+  return [seen] {
+    EXPECT_GT(seen->helped_cases, 0)
+        << "no crash point ever hit the announced+enqueued window — the "
+           "helping obligation was never exercised";
+  };
+}
+
+template <typename Row>
+void run_crash(const Row& row) {
+  using E = typename Row::Entry;
+  using System = testing::EntrySystem<E>;
+  CrashHooks<System> hooks;
+  std::function<void()> verdict;
+  if constexpr (requires { E::kFastLimit; }) {
+    std::function<void()> obligation = helping_obligation(row.pid, hooks);
+    // With a fast path the reads may never reach the helping path (as on
+    // the explore rung), so only a fast_limit 0 sweep must exercise it.
+    if (E::kFastLimit == 0) verdict = std::move(obligation);
+  }
+  expect_survived(
+      crash_sweep<System>(
+          row.spec,
+          testing::entry_factory<E>(row.spec,
+                                    static_cast<int>(row.work.size())),
+          row.work, row.pid, row.budget, hooks),
+      static_cast<std::size_t>(row.min_crash_points));
+  if (verdict) verdict();
+}
+
+const bool kRowsRegistered = testing::register_rows<testing::crash_rows<>>(
+    "CrashAudit", [](const auto& row) { return testing::row_name(row); },
+    [](const auto& row) { run_crash(row); });
+
+// ----------------------------------------------------------------- controls
 
 struct SpinLockSystem
     : testing::SimSystem<testing::NaiveCounterSpec,
@@ -141,44 +265,31 @@ struct LeakySystem
   LeakySystem() : SimSystem(spec::RegisterSpec(4, 1), 2, 1) {}
 };
 
-struct UniversalSystem
-    : testing::SimSystem<spec::CounterSpec,
-                         core::Universal<spec::CounterSpec, core::NativeRllsc>> {
-  explicit UniversalSystem(bool combine)
-      : SimSystem(spec::CounterSpec(1u << 20, 10), 2, /*num_processes=*/2,
-                  /*clear_contexts=*/true, combine) {}
-};
-
-// fast_limit = 0: every read announces + enqueues (slow path always), so
-// each crash-point sweep exercises the helping obligation directly.
-struct WfsSystem
-    : testing::SimSystem<spec::RegisterSpec, core::WaitFreeSimHiRegister> {
-  WfsSystem()
-      : SimSystem(spec::RegisterSpec(4, 1), 2, /*writer_pid=*/0,
-                  /*reader_pid=*/1, /*fast_limit=*/0) {}
-};
-
-struct CrashSet2System
-    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
-  CrashSet2System() : SimSystem(spec::SetSpec(4), 2) {}
-};
-
-// ------------------------------------------------------- positive controls
-
 TEST(CrashAudit, SpinLockControlFailsProgressGate) {
-  const std::vector<std::vector<testing::NaiveCounterSpec::Op>> work = {
-      {testing::NaiveCounterSpec::inc()}, {testing::NaiveCounterSpec::inc()}};
-  SpinLockSystem sys(2);
-  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
-  // Step 1 executes the lock CAS; the crash lands with the lock held.
-  ASSERT_TRUE(start_and_crash_after(driver, 0, 1));
-  ASSERT_TRUE(sys.impl.lock_held()) << "crash staged before the acquire";
-
-  const auto result = drain_survivors(driver, 5'000);
-  EXPECT_FALSE(result.quiescent)
+  // The sweep over the lock-based counter (inc = lock CAS, read, write,
+  // unlock): a crash with the lock held leaves the survivor spinning, so
+  // the gate must fail exactly at those crash points, and pass where the
+  // crash left the lock free.
+  using Spec = testing::NaiveCounterSpec;
+  const Spec spec;
+  const std::vector<std::vector<Spec::Op>> work = {{Spec::inc()},
+                                                   {Spec::inc()}};
+  std::vector<bool> held;
+  const auto points = crash_sweep<SpinLockSystem>(
+      spec, [] { return std::make_unique<SpinLockSystem>(2); }, work, 0,
+      5'000,
+      {.crashed = [&held](SpinLockSystem& sys, std::uint64_t) {
+        held.push_back(sys.impl.lock_held());
+      }});
+  ASSERT_EQ(points.size(), held.size());
+  int blocked = 0;
+  for (const CrashPoint& p : points) {
+    EXPECT_EQ(p.drained, !held[p.steps]) << "crash point " << p.steps;
+    if (!p.drained) ++blocked;
+  }
+  EXPECT_GT(blocked, 0)
       << "a lock-based object must FAIL the progress gate when its lock "
          "holder crashes — the positive control lost its teeth";
-  EXPECT_GE(result.steps_used, 5'000u);
 }
 
 TEST(CrashAudit, SpinLockDrainsWithoutCrashes) {
@@ -207,75 +318,51 @@ TEST(CrashAudit, LeakyRegisterControlFailsResidueAudit) {
     canon_written = s.mem.snapshot();
   }
 
-  const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
-      {spec::RegisterSpec::write(2)}, {spec::RegisterSpec::read()}};
-
-  // write = (read value, store journal, store value, clear journal). Crash
-  // after step 3: the new value landed but the journal still holds the OLD
-  // value — the leak a seized machine reads.
-  LeakySystem sys;
-  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
-  ASSERT_TRUE(start_and_crash_after(driver, 0, 3));
-  ASSERT_EQ(sys.impl.peek_journal(), 1u) << "crash staged at the wrong step";
-
-  const auto result = drain_survivors(driver, 10'000);
-  ASSERT_TRUE(result.quiescent) << "plain reads/writes cannot block";
-
-  // Residue allowed only inside the value cell (object 0) — the crashed
-  // write's own words. The journal word (object 1) is not the op's own.
-  const auto report = verify::residue_against_best(
-      canon_initial, canon_written, sys.mem.snapshot(), words_of(sys.mem, 0));
-  EXPECT_FALSE(report.ok)
+  // write = (read value, store journal, store value, clear journal). A
+  // crash after the journal store and before the clear leaves the OLD value
+  // in the journal — the leak a seized machine reads. Residue is allowed
+  // only inside the value cell (object 0), the crashed write's own words;
+  // the journal word (object 1) is not the op's own. So the audit must fail
+  // exactly where the crash left the journal set, and pass elsewhere (it is
+  // not trivially firing).
+  const spec::RegisterSpec spec(4, 1);
+  bool journal_set = false;
+  int leaks = 0;
+  const auto points = crash_sweep<LeakySystem>(
+      spec, [] { return std::make_unique<LeakySystem>(); },
+      {{spec::RegisterSpec::write(2)}, {spec::RegisterSpec::read()}}, 0,
+      10'000,
+      {.crashed = [&](LeakySystem& sys, std::uint64_t s) {
+         // The journal holds 0 or the OLD value, 1.
+         EXPECT_LE(sys.impl.peek_journal(), 1u) << "crash point " << s;
+         journal_set = sys.impl.peek_journal() != 0;
+       },
+       .drained = [&](LeakySystem& sys, std::uint64_t s) {
+         const auto report = verify::residue_against_best(
+             canon_initial, canon_written, sys.mem.snapshot(),
+             words_of(sys.mem, 0));
+         EXPECT_EQ(report.ok, !journal_set) << "crash point " << s;
+         EXPECT_EQ(report.unlocalized.empty(), !journal_set);
+         if (!report.ok) ++leaks;
+       }});
+  expect_survived(points, 4);  // plain reads/writes cannot block
+  EXPECT_GT(leaks, 0)
       << "the leaky register's journal residue escaped the HI audit — the "
          "positive control lost its teeth";
-  EXPECT_FALSE(report.unlocalized.empty());
-
-  // And the audit is not trivially firing: a crash BEFORE the journal store
-  // leaves a perfectly canonical image.
-  LeakySystem clean;
-  sim::Driver clean_driver(clean.spec, clean.sched, clean.impl, work);
-  ASSERT_TRUE(start_and_crash_after(clean_driver, 0, 1));
-  const auto clean_result = drain_survivors(clean_driver, 10'000);
-  ASSERT_TRUE(clean_result.quiescent);
-  EXPECT_TRUE(verify::residue_against_best(canon_initial, canon_written,
-                                           clean.mem.snapshot(),
-                                           words_of(clean.mem, 0))
-                  .ok);
 }
 
-// ----------------------------------------------------------- real objects
+// ------------------------------------------------------ off-table objects
 
-TEST(CrashAudit, LockFreeRegisterReaderDrainsAtEveryWriterCrashPoint) {
-  using Impl = algo::LockFreeHiAlgPadded<env::SimEnv>;
-  const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
-      {spec::RegisterSpec::write(3)},
-      {spec::RegisterSpec::read(), spec::RegisterSpec::read()}};
-  int crash_points = 0;
-  for (std::uint64_t s = 0;; ++s) {
-    testing::RegisterSystem<Impl> sys(4);
-    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
-    if (!start_and_crash_after(driver, testing::kWriterPid, s)) break;
-    ++crash_points;
+/// Algorithm 5 over native R-LLSC cells, plain or flat-combining, for 2
+/// processes from state 10.
+using NativeUniversal = testing::SimSystem<
+    spec::CounterSpec,
+    algo::UniversalAlg<env::SimEnv, spec::CounterSpec, sim::NativeRllsc>>;
 
-    const auto result = drain_survivors(driver, 200'000);
-    const std::vector<std::uint32_t> reads =
-        completed_responses(driver, testing::kReaderPid);
-    ASSERT_TRUE(result.quiescent)
-        << "reader starved by a CRASHED writer at crash point " << s
-        << " — lock-freedom must survive crashes";
-    ASSERT_EQ(reads.size(), 2u);
-    for (const std::uint32_t r : reads) {
-      EXPECT_TRUE(r == 1 || r == 3)
-          << "read returned " << r << " at crash point " << s
-          << " — neither the initial nor the crashed-pending value";
-    }
-    // The crashed write may take effect at most once, and never un-happen:
-    // observing 3 then 1 is not linearizable for any placement.
-    EXPECT_FALSE(reads[0] == 3 && reads[1] == 1)
-        << "crashed write un-happened between two reads (crash point " << s
-        << ")";
-  }
-  EXPECT_GT(crash_points, 3) << "crash-point sweep never engaged";
+std::unique_ptr<NativeUniversal> native_universal(bool combine) {
+  return std::make_unique<NativeUniversal>(
+      spec::CounterSpec(1u << 20, 10), 2, /*num_processes=*/2,
+      /*clear_contexts=*/true, combine);
 }
 
 TEST(CrashAudit, PlainUniversalResidueConfinedToCrashedAnnounceCell) {
@@ -283,48 +370,34 @@ TEST(CrashAudit, PlainUniversalResidueConfinedToCrashedAnnounceCell) {
   // (who ran the incs must not matter at quiescence — that is the object's
   // state-quiescent-HI claim, tested elsewhere; here it feeds the audit).
   const auto canon_after = [](int incs) {
-    UniversalSystem s(/*combine=*/false);
+    const auto s = native_universal(/*combine=*/false);
     for (int i = 0; i < incs; ++i) {
-      (void)sim::run_solo(s.sched, 1,
-                          s.impl.apply(1, spec::CounterSpec::inc()));
+      (void)sim::run_solo(s->sched, 1,
+                          s->impl.apply(1, spec::CounterSpec::inc()));
     }
-    return s.mem.snapshot();
+    return s->mem.snapshot();
   };
   const sim::MemorySnapshot canon_lost = canon_after(1);    // crashed inc lost
   const sim::MemorySnapshot canon_taken = canon_after(2);   // crashed inc took
 
-  const std::vector<std::vector<spec::CounterSpec::Op>> work = {
-      {spec::CounterSpec::inc()}, {spec::CounterSpec::inc()}};
-  int crash_points = 0;
-  for (std::uint64_t s = 0;; ++s) {
-    UniversalSystem sys(/*combine=*/false);
-    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
-    if (!start_and_crash_after(driver, 0, s)) break;
-    ++crash_points;
-
-    const auto result = drain_survivors(driver, 200'000);
-    const std::vector<std::uint32_t> responses = completed_responses(driver);
-    ASSERT_TRUE(result.quiescent)
-        << "survivor starved at crash point " << s
-        << " — the universal construction must complete on survivors";
-    ASSERT_EQ(responses.size(), 1u);
-    // Fetch-and-inc returns the pre-op value: 10 if the crashed inc was
-    // lost, 11 if it took effect before the crash.
-    EXPECT_TRUE(responses[0] == 10 || responses[0] == 11)
-        << "survivor's inc returned " << responses[0] << " at crash point "
-        << s;
-
-    // Memory layout: object 0 = head cell, objects 1..n = announce cells.
-    // The only residue a crash may leave is in the crashed pid's OWN
-    // announce cell (its abandoned announcement / unconsumed helped
-    // response); head is cleaned by any survivor's successful SC.
-    const auto report = verify::residue_against_best(
-        canon_lost, canon_taken, sys.mem.snapshot(), words_of(sys.mem, 1));
-    EXPECT_TRUE(report.ok) << "crash point " << s
-                           << " leaked outside announce[0]: "
-                           << report.describe();
-  }
-  EXPECT_GT(crash_points, 5) << "crash-point sweep never engaged";
+  // The survivor's inc drains and linearizes at every crash point of pid
+  // 0's inc (fetch-and-inc returns 10 if the crashed inc was lost, 11 if it
+  // took effect). Memory layout: object 0 = head cell, objects 1..n =
+  // announce cells. The only residue a crash may leave is in the crashed
+  // pid's OWN announce cell (its abandoned announcement / unconsumed helped
+  // response); head is cleaned by any survivor's successful SC.
+  const spec::CounterSpec spec(1u << 20, 10);
+  const auto points = crash_sweep<NativeUniversal>(
+      spec, [] { return native_universal(/*combine=*/false); },
+      {{spec::CounterSpec::inc()}, {spec::CounterSpec::inc()}}, 0, 200'000,
+      {.drained = [&](NativeUniversal& sys, std::uint64_t s) {
+        const auto report = verify::residue_against_best(
+            canon_lost, canon_taken, sys.mem.snapshot(), words_of(sys.mem, 1));
+        EXPECT_TRUE(report.ok) << "crash point " << s
+                               << " leaked outside announce[0]: "
+                               << report.describe();
+      }});
+  expect_survived(points, 6);
 }
 
 TEST(CrashAudit, CombiningUniversalSurvivesWinnerCrashBeforeInstall) {
@@ -334,10 +407,10 @@ TEST(CrashAudit, CombiningUniversalSurvivesWinnerCrashBeforeInstall) {
   // Find the step at which a solo winner SC-installs its combining record.
   std::uint64_t install_step = 0;
   {
-    UniversalSystem sys(/*combine=*/true);
-    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    const auto sys = native_universal(/*combine=*/true);
+    sim::Driver driver(sys->spec, sys->sched, sys->impl, work);
     ASSERT_FALSE(driver.start(0));
-    while (!sys.impl.head_is_combining()) {
+    while (!sys->impl.head_is_combining()) {
       ASSERT_LT(install_step, 10'000u) << "no combining record ever installed";
       ASSERT_TRUE(driver.can_step(0));
       ASSERT_FALSE(driver.step(0))
@@ -351,10 +424,10 @@ TEST(CrashAudit, CombiningUniversalSurvivesWinnerCrashBeforeInstall) {
   // drain and their announced ops must complete with a correct response
   // (helped responses are never lost).
   for (std::uint64_t s = 0; s < install_step; ++s) {
-    UniversalSystem sys(/*combine=*/true);
-    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+    const auto sys = native_universal(/*combine=*/true);
+    sim::Driver driver(sys->spec, sys->sched, sys->impl, work);
     ASSERT_TRUE(start_and_crash_after(driver, 0, s));
-    ASSERT_FALSE(sys.impl.head_is_combining());
+    ASSERT_FALSE(sys->impl.head_is_combining());
 
     const auto result = drain_survivors(driver, 200'000);
     const std::vector<std::uint32_t> responses = completed_responses(driver);
@@ -375,11 +448,11 @@ TEST(CrashAudit, CombiningUniversalWinnerCrashedMidBatchBlocks) {
   // prove nothing about where the boundary is).
   const std::vector<std::vector<spec::CounterSpec::Op>> work = {
       {spec::CounterSpec::inc()}, {spec::CounterSpec::inc()}};
-  UniversalSystem sys(/*combine=*/true);
-  sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
+  const auto sys = native_universal(/*combine=*/true);
+  sim::Driver driver(sys->spec, sys->sched, sys->impl, work);
   (void)driver.start(0);
   std::uint64_t guard = 0;
-  while (!sys.impl.head_is_combining()) {
+  while (!sys->impl.head_is_combining()) {
     ASSERT_LT(++guard, 10'000u);
     (void)driver.step(0);
   }
@@ -390,177 +463,6 @@ TEST(CrashAudit, CombiningUniversalWinnerCrashedMidBatchBlocks) {
       << "a survivor completed past a crashed mid-batch combiner — either "
          "the algorithm grew crash recovery (update docs/FAULTS.md and this "
          "test) or the staging is wrong";
-}
-
-TEST(CrashAudit, WaitFreeSimHelpersFinishCrashedOwnersAnnouncedOp) {
-  const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
-      {spec::RegisterSpec::write(2), spec::RegisterSpec::write(3),
-       spec::RegisterSpec::write(2)},
-      {spec::RegisterSpec::read()}};
-
-  const auto queue_holds = [](const WfsSystem& sys, int pid) {
-    const auto& q = sys.impl.combinator().queue();
-    for (std::uint64_t h = q.peek_head(); h < q.peek_tail(); ++h) {
-      const std::uint64_t slot =
-          q.peek_slot(static_cast<std::uint32_t>(h % q.capacity()));
-      if (algo::wfs::slot_round(slot) == h / q.capacity() &&
-          algo::wfs::slot_pid(slot) == pid) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  int crash_points = 0;
-  int helped_cases = 0;
-  for (std::uint64_t s = 0;; ++s) {
-    WfsSystem sys;
-    sim::Driver driver(sys.spec, sys.sched, sys.impl, work);
-    // Crash the READER mid-read: with fast_limit = 0 every read announces a
-    // record and enqueues itself, so the sweep crosses announce-only,
-    // mid-enqueue, and fully-enqueued windows.
-    if (!start_and_crash_after(driver, 1, s)) break;
-    ++crash_points;
-    const bool announced =
-        algo::wfs::rec_state(sys.impl.combinator().peek_record(1)) ==
-        algo::wfs::kPending;
-    const bool enqueued = queue_holds(sys, 1);
-
-    const auto result = drain_survivors(driver, 200'000);
-    ASSERT_TRUE(result.quiescent)
-        << "writer blocked by a crashed reader at crash point " << s
-        << " — run_direct's helping must not depend on the owner";
-
-    if (announced && enqueued) {
-      // The helping obligation: an announced + visible op is completed by
-      // survivors even though its owner is dead.
-      EXPECT_EQ(algo::wfs::rec_state(sys.impl.combinator().peek_record(1)),
-                algo::wfs::kDone)
-          << "announced+enqueued crashed op left pending at crash point " << s;
-      EXPECT_GE(sys.impl.combinator().helped_completions(), 1u);
-      ++helped_cases;
-    }
-    // Whatever the crash window: no entry of the crashed pid may be left
-    // visible in the queue once the survivors are quiescent.
-    EXPECT_FALSE(queue_holds(sys, 1))
-        << "crashed reader's entry stuck in the help queue at crash point "
-        << s;
-  }
-  EXPECT_GT(crash_points, 3) << "crash-point sweep never engaged";
-  EXPECT_GT(helped_cases, 0)
-      << "no crash point ever hit the announced+enqueued window — the "
-         "helping obligation was never exercised";
-}
-
-// --------------------------------------------------------------- explorer
-
-/// Canonical history key (same construction as test_explorer_dpor.cpp):
-/// per-op (pid, encoded op, encoded response-or-'?') labels plus the
-/// real-time precedence relation — invariant under DPOR-pruned reorderings,
-/// and pending (crashed) ops key as '?'.
-template <typename S, typename Hist>
-std::string history_key(const S& spec, const Hist& hist) {
-  const auto& entries = hist.entries();
-  std::vector<std::size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (entries[a].pid != entries[b].pid) {
-      return entries[a].pid < entries[b].pid;
-    }
-    return entries[a].invoked_at < entries[b].invoked_at;
-  });
-  std::vector<std::size_t> label(entries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) label[order[i]] = i;
-
-  std::ostringstream out;
-  for (const std::size_t idx : order) {
-    const auto& e = entries[idx];
-    out << 'p' << e.pid << ':' << spec.encode_op(e.op) << ':';
-    if (e.completed()) {
-      out << spec.encode_resp(e.resp);
-    } else {
-      out << '?';
-    }
-    out << ';';
-  }
-  out << '|';
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = 0; j < entries.size(); ++j) {
-      if (i != j && entries[i].precedes(entries[j])) {
-        out << label[i] << '<' << label[j] << ';';
-      }
-    }
-  }
-  return out.str();
-}
-
-struct CrashExploreOutcome {
-  sim::ExploreStats stats;
-  std::set<std::string> keys;
-  std::uint64_t lin_failures = 0;
-  std::uint64_t crash_walks = 0;
-  std::uint64_t max_crashes_seen = 0;
-};
-
-CrashExploreOutcome explore_set_with_crashes(sim::ExploreMode mode,
-                                             std::uint32_t max_crashes) {
-  const spec::SetSpec spec(4);
-  const std::vector<std::vector<spec::SetSpec::Op>> work = {
-      {spec::SetSpec::insert(1)}, {spec::SetSpec::insert(2)}};
-  sim::Explorer<spec::SetSpec, CrashSet2System> explorer(
-      spec, [] { return std::make_unique<CrashSet2System>(); }, work);
-  CrashExploreOutcome out;
-  out.stats = explorer.explore(
-      {.max_depth = 64,
-       .max_executions = 2'000'000,
-       .mode = mode,
-       .max_crashes = max_crashes},
-      nullptr, [&](CrashSet2System&, const auto& hist) {
-        out.keys.insert(history_key(spec, hist));
-        if (!verify::check_linearizable(spec, hist).ok()) ++out.lin_failures;
-        std::uint64_t crashes = 0;
-        for (const sim::Decision& d : explorer.current_prefix()) {
-          if (d.crash) ++crashes;
-        }
-        if (crashes > 0) ++out.crash_walks;
-        out.max_crashes_seen = std::max(out.max_crashes_seen, crashes);
-      });
-  return out;
-}
-
-TEST(CrashExplorer, EnumeratesCrashConfigurationsNaiveAndDporAgree) {
-  const auto naive0 = explore_set_with_crashes(sim::ExploreMode::kNaive, 0);
-  const auto naive1 = explore_set_with_crashes(sim::ExploreMode::kNaive, 1);
-  const auto dpor1 = explore_set_with_crashes(sim::ExploreMode::kDpor, 1);
-  ASSERT_TRUE(naive0.stats.exhausted);
-  ASSERT_TRUE(naive1.stats.exhausted);
-  ASSERT_TRUE(dpor1.stats.exhausted);
-
-  // max_crashes = 0 (the default) stays exactly crash-free.
-  EXPECT_EQ(naive0.crash_walks, 0u);
-  EXPECT_EQ(naive0.max_crashes_seen, 0u);
-
-  // k = 1 enumerates strictly more configurations, every walk respects the
-  // budget, and crashed histories stay linearizable (pending op may or may
-  // not take effect — the checker's existing semantics).
-  EXPECT_GT(naive1.crash_walks, 0u);
-  EXPECT_LE(naive1.max_crashes_seen, 1u);
-  EXPECT_GT(naive1.stats.executions_complete, naive0.stats.executions_complete);
-  EXPECT_EQ(naive0.lin_failures, 0u);
-  EXPECT_EQ(naive1.lin_failures, 0u);
-  EXPECT_EQ(dpor1.lin_failures, 0u);
-
-  // Crash-free histories are a subset of the crash-enabled set (every
-  // crash-free walk is still enumerated).
-  EXPECT_TRUE(std::includes(naive1.keys.begin(), naive1.keys.end(),
-                            naive0.keys.begin(), naive0.keys.end()));
-
-  // DPOR with crash decisions: fewer (or equal) executions, the SAME
-  // complete-history set — crashes are conservatively dependent on
-  // everything, so pruning must never drop a crash configuration class.
-  EXPECT_LE(dpor1.stats.executions_complete, naive1.stats.executions_complete);
-  EXPECT_EQ(naive1.keys, dpor1.keys)
-      << "DPOR pruned (or invented) a crash-configuration history class";
 }
 
 // -------------------------------------------------------------- round trip
@@ -596,21 +498,23 @@ TEST(CrashRoundTrip, LeakCaughtShrunkPrintedAndReplayed) {
 
   // 1. CATCH — crash-enumerating exploration finds a configuration whose
   //    quiescent image leaks history.
-  sim::Explorer<spec::RegisterSpec, LeakySystem> explorer(
-      spec, [] { return std::make_unique<LeakySystem>(); }, work);
   std::vector<sim::Decision> failing;
-  (void)explorer.explore(
+  const auto caught = testing::explore<LeakySystem>(
+      spec, [] { return std::make_unique<LeakySystem>(); }, work,
       {.max_depth = 32,
        .max_executions = 100'000,
        .mode = sim::ExploreMode::kNaive,
        .max_crashes = 1},
-      nullptr, [&](LeakySystem& sys, const auto&) {
+      {.complete = [&](LeakySystem& sys, const auto&,
+                       const std::vector<sim::Decision>& prefix) {
         if (failing.empty() && leak_escapes(sys.mem.snapshot())) {
-          failing = explorer.current_prefix();
+          failing = prefix;
         }
-      });
+      }});
   ASSERT_FALSE(failing.empty())
       << "exploration never caught the seeded crash leak";
+  // The leak is an HI failure only: every crashed history still linearizes.
+  EXPECT_EQ(caught.lin_failures, 0u);
 
   // Tolerant executor over a fresh system: invalid schedules are rejected
   // (nullopt); valid ones are driven to quiescence on the survivors — the
@@ -650,7 +554,7 @@ TEST(CrashRoundTrip, LeakCaughtShrunkPrintedAndReplayed) {
                           [](const sim::Decision& d) { return d.crash; }));
 
   // 3. PRINT — the paste-ready regression literal carries the crash step.
-  const sim::ScheduleTrace trace = explorer.trace_of(shrunk);
+  const sim::ScheduleTrace trace = caught.explorer->trace_of(shrunk);
   ASSERT_EQ(trace.steps.size(), shrunk.size());
   const std::string literal = trace.pretty();
   EXPECT_NE(literal.find(sim::TraceStep::kCrashKind), std::string::npos)

@@ -407,7 +407,7 @@ const testing::Exemption* exemption(std::string_view entry,
 }
 
 constexpr const char* kRungNames[] = {"parity", "replay fuzz",
-                                     "rt yield fuzz"};
+                                     "rt yield fuzz", "explore", "crash"};
 
 /// One matrix cell: the entry's row count in a rung, or "exempt".
 void print_cell(std::ostream& out, std::string_view entry, testing::Rung rung,
@@ -432,8 +432,10 @@ TEST(ObjectTable, CoverageMatrix) {
   // an exemption for an entry that has rows there is stale.
   std::ostringstream out;
   std::set<std::string_view> names;
-  out << "| entry | HI level | parity | replay fuzz | rt yield fuzz |\n"
-      << "|---|---|---|---|---|\n";
+  using testing::ExploreSuite;
+  out << "| entry | HI level | parity | replay fuzz | rt yield fuzz | explore "
+         "| crash |\n"
+      << "|---|---|---|---|---|---|---|\n";
   std::apply(
       [&](auto... entry) {
         ((names.insert(decltype(entry)::kName),
@@ -445,6 +447,16 @@ TEST(ObjectTable, CoverageMatrix) {
                      rows_of<decltype(entry), testing::replay_rows<>>()),
           print_cell(out, decltype(entry)::kName, testing::Rung::kYield,
                      rows_of<decltype(entry), testing::yield_rows<>>()),
+          print_cell(
+              out, decltype(entry)::kName, testing::Rung::kExplore,
+              rows_of<decltype(entry),
+                      testing::explore_rows<ExploreSuite::kExhaustive>>() +
+                  rows_of<decltype(entry),
+                          testing::explore_rows<ExploreSuite::kDpor>>() +
+                  rows_of<decltype(entry),
+                          testing::explore_rows<ExploreSuite::kWaitFreeSim>>()),
+          print_cell(out, decltype(entry)::kName, testing::Rung::kCrash,
+                     rows_of<decltype(entry), testing::crash_rows<>>()),
           out << '\n'),
          ...);
       },

@@ -10,187 +10,71 @@
 //      blows a deliberately tight max_executions cap exhausts under DPOR
 //      (the point of the reduction: sharded/multi-word compositions were
 //      already at the naive explorer's practical depth limit).
-//   3. BUG PRESERVATION — the two known positive controls (Algorithm 1's
-//      HI leak, the broken counter's lost update) are still caught when
-//      exploring only DPOR representatives.
+//   3. BUG PRESERVATION — the broken counter's lost update is still caught
+//      when exploring only DPOR representatives (Algorithm 1's HI leak:
+//      Exhaustive.Alg1Control_LeakStillFoundUnderDpor).
 //   4. LIMITS — max_executions clears `exhausted`, max_depth counts
 //      truncated walks, try_execute rejects invalid sequences, and
 //      trace_of(current_prefix()) round-trips through verify/replay.h.
+//   5. CRASH DECISIONS — ExploreLimits::max_crashes enumerates ≤ k-crash
+//      configurations, naive and DPOR agree on the complete-history set,
+//      and max_crashes = 0 stays exactly crash-free (docs/FAULTS.md).
+//
+// Claims 1 and 2 on table objects are explore_rows<kDpor>() (tests/
+// objects.h), named ExplorerDpor.<entry>_<label>, beside the set's naive
+// 2-process row, which shares this TU's set explorer; the rest are TESTs
+// through the same explore(), with the off-table 2-shard store, which
+// shares this TU's sharded explorer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <numeric>
 #include <optional>
 #include <set>
-#include <sstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "algo/hi_set.h"
-#include "algo/registers.h"
 #include "algo/sharded_set.h"
-#include "core/rllsc.h"
-#include "core/universal.h"
 #include "env/replay_env.h"
 #include "env/sim_env.h"
+#include "explore.h"
 #include "fuzz_common.h"
-#include "sim/explorer.h"
-#include "sim/harness.h"
+#include "objects.h"
+#include "sim/memory.h"
+#include "sim/scheduler.h"
+#include "sim/trace.h"
 #include "sim_system.h"
-#include "spec/counter_spec.h"
-#include "spec/register_spec.h"
 #include "spec/set_spec.h"
-#include "verify/hi_checker.h"
-#include "verify/linearizability.h"
+#include "util/bits.h"
 #include "verify/replay.h"
 
 namespace hi {
 namespace {
 
-// ---------------------------------------------------------------- history keys
+const bool kRowsRegistered = testing::register_rows<
+    testing::explore_rows<testing::ExploreSuite::kDpor>>(
+    "ExplorerDpor", [](const auto& row) { return testing::row_name(row); },
+    [](const auto& row) { testing::run_explore(row); });
 
-/// Canonical key of a history: per-operation (pid, encoded op, encoded
-/// response) labelled in (pid, invocation-order) order, plus the real-time
-/// precedence relation over those labels. Invariant under exactly the
-/// reorderings DPOR prunes (swaps of adjacent independent events preserve
-/// per-process order, responses, and precedence), so equality of key SETS
-/// across modes is the soundness assertion.
-template <typename S, typename Hist>
-std::string history_key(const S& spec, const Hist& hist) {
-  const auto& entries = hist.entries();
-  std::vector<std::size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (entries[a].pid != entries[b].pid) return entries[a].pid < entries[b].pid;
-    return entries[a].invoked_at < entries[b].invoked_at;
-  });
-  std::vector<std::size_t> label(entries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) label[order[i]] = i;
-
-  std::ostringstream out;
-  for (const std::size_t idx : order) {
-    const auto& e = entries[idx];
-    out << 'p' << e.pid << ':' << spec.encode_op(e.op) << ':';
-    if (e.completed()) {
-      out << spec.encode_resp(e.resp);
-    } else {
-      out << '?';
-    }
-    out << ';';
-  }
-  out << '|';
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = 0; j < entries.size(); ++j) {
-      if (i != j && entries[i].precedes(entries[j])) {
-        out << label[i] << '<' << label[j] << ';';
-      }
-    }
-  }
-  return out.str();
-}
-
-// ------------------------------------------------------------------- systems
-
-struct Set3System
-    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
-  Set3System() : SimSystem(spec::SetSpec(6), 3) {}
-};
-
-/// 3 processes × 4 striped shards, each process working a key in its OWN
-/// shard (kStriped: key k → shard (k-1) % 4, so keys 1/2/3 are pairwise
-/// cross-shard): maximal inter-process independence, the configuration DPOR
-/// is for.
-struct CrossShard3System
-    : testing::SimSystem<spec::SetSpec, algo::ShardedHiSetPacked<env::SimEnv>> {
-  CrossShard3System()
-      : SimSystem(spec::SetSpec(12), 3, /*shard_count=*/4,
-                  algo::ShardPlacement::kStriped) {}
-};
-
-template <typename System>
-struct ExploreOutcome {
-  sim::ExploreStats stats;
-  std::set<std::string> history_keys;
-  std::uint64_t lin_failures = 0;
-};
-
-template <typename S, typename System>
-ExploreOutcome<System> explore_mode(
-    const S& spec, std::vector<std::vector<typename S::Op>> work,
-    sim::ExploreMode mode, std::uint64_t max_executions = 2'000'000,
-    typename sim::Explorer<S, System>::Factory factory = nullptr,
-    std::size_t max_depth = 64) {
-  if (!factory) {
-    if constexpr (std::default_initializable<System>) {
-      factory = [] { return std::make_unique<System>(); };
-    }
-  }
-  sim::Explorer<S, System> explorer(spec, std::move(factory), std::move(work));
-  ExploreOutcome<System> outcome;
-  outcome.stats = explorer.explore(
-      {.max_depth = max_depth, .max_executions = max_executions, .mode = mode},
-      nullptr, [&](System&, const auto& hist) {
-        outcome.history_keys.insert(history_key(spec, hist));
-        if (!verify::check_linearizable(spec, hist).ok()) {
-          ++outcome.lin_failures;
-        }
-      });
-  return outcome;
-}
-
-// ------------------------------------------------- soundness + reduction ratio
-
-TEST(ExplorerDpor, HiSet3Proc_SameHistorySetStrictlyFewerExecutions) {
-  const spec::SetSpec spec(6);
-  const std::vector<std::vector<spec::SetSpec::Op>> work = {
-      {spec::SetSpec::insert(1), spec::SetSpec::remove(2)},
-      {spec::SetSpec::insert(2), spec::SetSpec::lookup(1)},
-      {spec::SetSpec::insert(3)}};
-
-  const auto naive =
-      explore_mode<spec::SetSpec, Set3System>(spec, work, sim::ExploreMode::kNaive);
-  const auto dpor =
-      explore_mode<spec::SetSpec, Set3System>(spec, work, sim::ExploreMode::kDpor);
-
-  ASSERT_TRUE(naive.stats.exhausted);
-  ASSERT_TRUE(dpor.stats.exhausted);
-  EXPECT_EQ(naive.lin_failures, 0u);
-  EXPECT_EQ(dpor.lin_failures, 0u);
-
-  // Strict reduction: DPOR must complete fewer walks than the unreduced
-  // enumeration (the ratio on this workload is well over 2×; assert the
-  // direction, not the brittle exact counts).
-  EXPECT_GT(naive.stats.executions_complete, 0u);
-  EXPECT_LT(dpor.stats.executions_complete, naive.stats.executions_complete)
-      << "DPOR explored as many executions as naive DFS — no reduction";
-
-  // Soundness: identical complete-execution history sets.
-  EXPECT_FALSE(naive.history_keys.empty());
-  EXPECT_EQ(naive.history_keys, dpor.history_keys)
-      << "DPOR pruned a non-equivalent interleaving (or invented one)";
-}
+// --------------------------------------------------------- positive controls
 
 TEST(ExplorerDpor, BrokenCounter_SameHistorySetIncludingViolations) {
   // inc ‖ inc ‖ read on the lost-update counter: the history set contains
-  // non-linearizable members; DPOR must preserve them exactly.
-  const testing::NaiveCounterSpec spec;
-  const std::vector<std::vector<testing::NaiveCounterSpec::Op>> work = {
-      {testing::NaiveCounterSpec::inc()},
-      {testing::NaiveCounterSpec::inc()},
-      {testing::NaiveCounterSpec::read()}};
-
-  const auto factory = [] {
-    return std::make_unique<testing::BrokenCounterSystem>(3);
+  // non-linearizable members; the rung's exploration must count them in
+  // both modes, and DPOR must preserve the set exactly.
+  using Spec = testing::NaiveCounterSpec;
+  const Spec spec;
+  const auto run = [&spec](sim::ExploreMode mode) {
+    return testing::explore<testing::BrokenCounterSystem>(
+        spec, [] { return std::make_unique<testing::BrokenCounterSystem>(3); },
+        {{Spec::inc()}, {Spec::inc()}, {Spec::read()}},
+        {.max_depth = 64, .mode = mode}, {.keys = true});
   };
-  const auto naive = explore_mode<testing::NaiveCounterSpec,
-                                  testing::BrokenCounterSystem>(
-      spec, work, sim::ExploreMode::kNaive, 2'000'000, factory);
-  const auto dpor = explore_mode<testing::NaiveCounterSpec,
-                                 testing::BrokenCounterSystem>(
-      spec, work, sim::ExploreMode::kDpor, 2'000'000, factory);
+  const auto naive = run(sim::ExploreMode::kNaive);
+  const auto dpor = run(sim::ExploreMode::kDpor);
 
   ASSERT_TRUE(naive.stats.exhausted);
   ASSERT_TRUE(dpor.stats.exhausted);
@@ -198,160 +82,162 @@ TEST(ExplorerDpor, BrokenCounter_SameHistorySetIncludingViolations) {
   EXPECT_GT(dpor.lin_failures, 0u)
       << "DPOR pruned every execution exhibiting the seeded lost update";
   EXPECT_LT(dpor.stats.executions_complete, naive.stats.executions_complete);
-  EXPECT_EQ(naive.history_keys, dpor.history_keys);
+  EXPECT_EQ(naive.keys, dpor.keys);
 }
 
-// -------------------------------------------------------------------- scale
+// ------------------------------------------------- the 2-shard sharded store
 
-TEST(ExplorerDpor, CrossShard3Proc_ExhaustsUnderCapWhereNaiveCannot) {
-  // 3 processes × (insert k; remove k) on pairwise cross-shard keys: 12
-  // decisions, 12!/(4!)³ = 34650 naive complete executions. kCap is sized
-  // between the DPOR and naive counts, so the SAME limits exhaust under
-  // DPOR and overflow under naive DFS — the "previously exceeded
-  // max_executions, now exhausts" acceptance criterion, in miniature.
-  const spec::SetSpec spec(12);
-  const std::vector<std::vector<spec::SetSpec::Op>> work = {
-      {spec::SetSpec::insert(1), spec::SetSpec::remove(1)},
-      {spec::SetSpec::insert(2), spec::SetSpec::remove(2)},
-      {spec::SetSpec::insert(3), spec::SetSpec::remove(3)}};
-  constexpr std::uint64_t kCap = 20'000;
-
-  const auto dpor = explore_mode<spec::SetSpec, CrossShard3System>(
-      spec, work, sim::ExploreMode::kDpor, kCap);
-  ASSERT_TRUE(dpor.stats.exhausted)
-      << "DPOR needed more than " << kCap << " executions ("
-      << dpor.stats.executions_complete << " complete, "
-      << dpor.stats.executions_pruned << " pruned)";
-  EXPECT_EQ(dpor.lin_failures, 0u);
-
-  const auto naive = explore_mode<spec::SetSpec, CrossShard3System>(
-      spec, work, sim::ExploreMode::kNaive, kCap);
-  EXPECT_FALSE(naive.stats.exhausted)
-      << "the cap is no longer tight for naive DFS — shrink kCap";
-
-  // And the reduced run still covers the full history set: every complete
-  // history naive found below the cap is (a representative of) one DPOR
-  // found, and the full naive enumeration is known to be 34650 executions.
-  const auto naive_full = explore_mode<spec::SetSpec, CrossShard3System>(
-      spec, work, sim::ExploreMode::kNaive, 100'000);
-  ASSERT_TRUE(naive_full.stats.exhausted);
-  EXPECT_EQ(naive_full.stats.executions_complete, 34650u);
-  EXPECT_EQ(naive_full.history_keys, dpor.history_keys);
-}
-
-// ------------------------------------------------- flat-combining universal
-
-/// 2-process flat-combining universal counter over native R-LLSC cells (the
-/// shallowest step count, which is what bounds the naive tree).
-struct UniversalCombine2System
-    : testing::SimSystem<spec::CounterSpec,
-                         core::Universal<spec::CounterSpec, core::NativeRllsc>> {
-  UniversalCombine2System()
-      : SimSystem(spec::CounterSpec(1u << 20, 10), 2, /*num_processes=*/2,
-                  /*clear_contexts=*/true, /*combine=*/true) {}
-};
-
-TEST(ExplorerDpor, CombiningUniversal_DporExhaustsAndCoversNaiveHistories) {
-  // inc ‖ inc over the combine=true universal. Combining is lock-free, not
-  // wait-free: a process scheduled against a parked winner spins on the
-  // combining record, so at ANY depth admitting completions (~30 decisions)
-  // the unreduced tree holds millions of starvation walks — naive DFS
-  // cannot exhaust it under a practical cap (measured: >5M leaves at depth
-  // 32 and 36 alike). DPOR exhausts it outright. So the history-set
-  // comparison runs in two directions that ARE decidable:
-  //   * DPOR's complete-history set is exactly the 4 analytically possible
-  //     classes for inc ‖ inc from state 10 — responses a permutation of
-  //     {10, 11}, precedence p0<p1 / p1<p0 (assignment forced) or
-  //     concurrent (both assignments) — i.e. batching invented nothing and
-  //     lost nothing;
-  //   * every history the capped naive walk DID reach is one DPOR kept.
-  const spec::CounterSpec spec(1u << 20, 10);
-  const std::vector<std::vector<spec::CounterSpec::Op>> work = {
-      {spec::CounterSpec::inc()}, {spec::CounterSpec::inc()}};
-  constexpr std::size_t kDepth = 36;
-  constexpr std::uint64_t kCap = 400'000;
-
-  const auto dpor = explore_mode<spec::CounterSpec, UniversalCombine2System>(
-      spec, work, sim::ExploreMode::kDpor, kCap, nullptr, kDepth);
-  ASSERT_TRUE(dpor.stats.exhausted)
-      << "DPOR needed more than " << kCap << " executions";
-  EXPECT_EQ(dpor.lin_failures, 0u);
-  EXPECT_EQ(dpor.history_keys.size(), 4u)
-      << "expected exactly the 4 response/precedence classes of inc ‖ inc";
-
-  const auto naive = explore_mode<spec::CounterSpec, UniversalCombine2System>(
-      spec, work, sim::ExploreMode::kNaive, kCap, nullptr, kDepth);
-  EXPECT_FALSE(naive.stats.exhausted)
-      << "naive DFS exhausted the combining tree — the spin blowup is gone, "
-         "tighten this test back to full set equality";
-  EXPECT_EQ(naive.lin_failures, 0u);
-  EXPECT_FALSE(naive.history_keys.empty());
-  EXPECT_TRUE(std::includes(dpor.history_keys.begin(), dpor.history_keys.end(),
-                            naive.history_keys.begin(),
-                            naive.history_keys.end()))
-      << "naive DFS reached a history DPOR pruned away";
-}
-
-// --------------------------------------------------------- bug preservation
-
-struct VidySystem
-    : testing::SimSystem<spec::RegisterSpec,
-                         algo::VidyasankarAlgPadded<env::SimEnv>> {
-  VidySystem()
-      : SimSystem(spec::RegisterSpec(3, 1), 2, /*writer=*/0, /*reader=*/1) {}
-};
-
-TEST(ExplorerDpor, Alg1Control_LeakStillFoundUnderDpor) {
-  // The Exhaustive.Alg1Control negative control, re-run over DPOR
-  // representatives only: equivalent executions share quiescent memory
-  // images, so one representative per class must still expose the leak.
-  const spec::RegisterSpec spec(3, 1);
-  using System = VidySystem;
-  verify::HiChecker checker;
-  {
-    System solo;
-    (void)sim::run_solo(solo.sched, 0, solo.impl.write(0, 1));
-    ASSERT_TRUE(checker.set_canonical(1, solo.mem.snapshot()));
-  }
-  sim::Explorer<spec::RegisterSpec, System> explorer(
-      spec, [] { return std::make_unique<System>(); },
-      {{spec::RegisterSpec::write(2), spec::RegisterSpec::write(1)}, {}});
-  (void)explorer.explore(
-      {.max_depth = 20, .max_executions = 10'000,
-       .mode = sim::ExploreMode::kDpor},
-      [&](System& sys, const auto& hist, int, int state_changing_pending) {
-        if (state_changing_pending != 0) return;
-        std::uint64_t state = 1;
-        for (const auto& e : hist.entries()) {
-          if (e.completed() && e.op.kind == spec::RegisterSpec::Kind::kWrite) {
-            state = e.op.value;
-          }
-        }
-        checker.observe(state, sys.mem.snapshot(), "dpor-explored");
+TEST(ShardedHiSet, TwoShards_AllSchedules_PerfectHI) {
+  // The sharded facade at 2 striped shards over domain 8, under every
+  // schedule: keys 1 and 3 share shard 0 (same packed word — real word
+  // contention through the facade), key 2 lives in shard 1 (cross-shard
+  // commuting ops). Perfect HI: at EVERY configuration the memory must be
+  // the canonical image of the abstract membership.
+  using System = testing::EntrySystem<testing::ShardedHiSet>;
+  const spec::SetSpec spec(8);
+  const auto naive = testing::explore<System>(
+      spec,
+      [&spec] {
+        return std::make_unique<System>(spec, 2, /*shard_count=*/2,
+                                        algo::ShardPlacement::kStriped);
       },
-      nullptr);
-  EXPECT_FALSE(checker.consistent()) << "DPOR exploration missed the Alg 1 leak";
+      {{spec::SetSpec::insert(1), spec::SetSpec::remove(3),
+        spec::SetSpec::lookup(2)},
+       {spec::SetSpec::insert(3), spec::SetSpec::remove(1),
+        spec::SetSpec::lookup(1)}},
+      {.max_depth = 20, .max_executions = 500'000},
+      {.hi = testing::HiLevel::kPerfect});
+  testing::expect_clean(naive, /*exhausts=*/true, /*min_complete=*/800);
+}
+
+TEST(ShardedHiSet, TwoShardTwoWord_AllInterleavings) {
+  // The spec harness caps domains at 64 keys, so the explorer above cannot
+  // reach a shard that spans MULTIPLE packed words. This test drives the
+  // algo-layer facade directly at domain 256 with 2 striped shards — 128
+  // bins = 2 words per shard — and enumerates ALL interleavings of
+  // Insert(129) ‖ Remove(2) ‖ Contains(129) by hand (each op is exactly one
+  // primitive step, so the 6 step orders ARE the full schedule space).
+  // After EVERY step, the 4 words of memory must equal the shadow
+  // membership scattered through the placement map (perfect HI at every
+  // configuration), and responses must match the shadow at the step that
+  // linearizes them. Key 129 sits at word 1 / bit 0 of shard 0 — the
+  // word-boundary crossing the multi-word lift exists for.
+  constexpr std::uint32_t kDomain = 256;
+  constexpr std::uint32_t kShards = 2;
+  // Initial membership {2, 129}: global bitmap over 4 words.
+  const std::vector<std::uint64_t> init = {0b10, 0, 1, 0};
+
+  struct Step {
+    enum Kind { kInsert, kRemove, kContains } kind;
+    std::uint32_t key;
+  };
+  const std::vector<std::vector<Step>> workloads = {
+      // Cross-shard + word-boundary mix.
+      {{Step::kInsert, 129}, {Step::kRemove, 2}, {Step::kContains, 129}},
+      // All three ops racing on ONE bin of the second word of shard 0.
+      {{Step::kInsert, 129}, {Step::kRemove, 129}, {Step::kContains, 129}},
+  };
+
+  int perm[3] = {0, 1, 2};
+  for (const auto& ops : workloads) {
+    std::sort(perm, perm + 3);
+    do {
+      sim::Memory mem;
+      sim::Scheduler sched(3);
+      algo::ShardedHiSetPacked<env::SimEnv> set(
+          mem, kDomain, kShards, algo::ShardPlacement::kStriped,
+          std::span<const std::uint64_t>(init));
+
+      // Shadow abstract state: the global membership bitmap.
+      std::vector<std::uint64_t> shadow = init;
+
+      // Expected memory words from the shadow, through the placement map.
+      const auto expected_words = [&] {
+        std::vector<std::uint64_t> words;
+        for (std::uint32_t s = 0; s < kShards; ++s) {
+          std::vector<std::uint64_t> sw(util::bin_words(set.shard_domain(s)),
+                                        0);
+          for (std::uint32_t local = 1; local <= set.shard_domain(s);
+               ++local) {
+            if (util::bin_test(shadow, set.global_key(s, local))) {
+              util::bin_set(sw, local);
+            }
+          }
+          words.insert(words.end(), sw.begin(), sw.end());
+        }
+        return words;
+      };
+
+      // Start all three ops (start consumes no step; each suspends at its
+      // single primitive).
+      std::vector<sim::OpTask<bool>> tasks;
+      tasks.reserve(3);
+      for (const Step& op : ops) {
+        switch (op.kind) {
+          case Step::kInsert: tasks.push_back(set.insert(op.key)); break;
+          case Step::kRemove: tasks.push_back(set.remove(op.key)); break;
+          case Step::kContains: tasks.push_back(set.lookup(op.key)); break;
+        }
+      }
+      for (int pid = 0; pid < 3; ++pid) sched.start(pid, tasks[pid]);
+      ASSERT_EQ(mem.snapshot().words, expected_words())
+          << "initial image wrong";
+
+      for (const int pid : perm) {
+        const Step& op = ops[pid];
+        const bool was_member = util::bin_test(shadow, op.key);
+        sched.step(pid);  // the op's one primitive — its linearization point
+        ASSERT_TRUE(sched.op_finished(pid));
+        sched.finish(pid);
+        switch (op.kind) {
+          case Step::kInsert:
+            util::bin_set(shadow, op.key);
+            EXPECT_TRUE(tasks[pid].take_result());
+            break;
+          case Step::kRemove:
+            util::bin_clear(shadow, op.key);
+            EXPECT_TRUE(tasks[pid].take_result());
+            break;
+          case Step::kContains:
+            EXPECT_EQ(tasks[pid].take_result(), was_member)
+                << "Contains(" << op.key << ") disagrees with the shadow "
+                << "at its linearization step";
+            break;
+        }
+        EXPECT_EQ(mem.snapshot().words, expected_words())
+            << "memory is not the canonical image after stepping pid "
+            << pid;
+      }
+    } while (std::next_permutation(perm, perm + 3));
+  }
 }
 
 // ------------------------------------------------------------------- limits
 
-struct Set2System
-    : testing::SimSystem<spec::SetSpec, algo::HiSetAlgPadded<env::SimEnv>> {
-  Set2System() : SimSystem(spec::SetSpec(4), 2) {}
-};
+using Set2 = testing::EntrySystem<testing::HiSetPadded>;
 
 std::vector<std::vector<spec::SetSpec::Op>> two_proc_set_work() {
   return {{spec::SetSpec::insert(1), spec::SetSpec::remove(2)},
           {spec::SetSpec::insert(2), spec::SetSpec::lookup(1)}};
 }
 
+/// The 2-process HI set of the limit tests, explored within `limits`.
+testing::Explored<spec::SetSpec, Set2> explore_set2(
+    const spec::SetSpec& spec,
+    std::vector<std::vector<spec::SetSpec::Op>> work,
+    const sim::ExploreLimits& limits,
+    const testing::ExploreChecks<spec::SetSpec, Set2>& checks = {}) {
+  return testing::explore<Set2>(
+      spec, testing::entry_factory<testing::HiSetPadded>(spec, 2),
+      std::move(work), limits, checks);
+}
+
 TEST(ExplorerLimits, MaxExecutionsCapClearsExhausted) {
   const spec::SetSpec spec(4);
-  sim::Explorer<spec::SetSpec, Set2System> explorer(
-      spec, [] { return std::make_unique<Set2System>(); },
-      two_proc_set_work());
   const auto stats =
-      explorer.explore({.max_depth = 64, .max_executions = 5}, nullptr, nullptr);
+      explore_set2(spec, two_proc_set_work(),
+                   {.max_depth = 64, .max_executions = 5})
+          .stats;
   EXPECT_FALSE(stats.exhausted);
   EXPECT_EQ(stats.executions_complete + stats.executions_truncated +
                 stats.executions_pruned,
@@ -363,11 +249,10 @@ TEST(ExplorerLimits, MaxDepthCountsTruncatedExecutions) {
   // Every walk of this workload needs >3 decisions, so with max_depth=3
   // nothing completes and every walk counts as truncated.
   const spec::SetSpec spec(4);
-  sim::Explorer<spec::SetSpec, Set2System> explorer(
-      spec, [] { return std::make_unique<Set2System>(); },
-      two_proc_set_work());
-  const auto stats = explorer.explore(
-      {.max_depth = 3, .max_executions = 1'000'000}, nullptr, nullptr);
+  const auto stats =
+      explore_set2(spec, two_proc_set_work(),
+                   {.max_depth = 3, .max_executions = 1'000'000})
+          .stats;
   EXPECT_TRUE(stats.exhausted);
   EXPECT_EQ(stats.executions_complete, 0u);
   EXPECT_GT(stats.executions_truncated, 0u);
@@ -375,9 +260,10 @@ TEST(ExplorerLimits, MaxDepthCountsTruncatedExecutions) {
 
 TEST(ExplorerLimits, TryExecuteRejectsInvalidSequences) {
   const spec::SetSpec spec(4);
-  sim::Explorer<spec::SetSpec, Set2System> explorer(
-      spec, [] { return std::make_unique<Set2System>(); },
-      two_proc_set_work());
+  // A run capped at its first execution leaves the explorer to probe.
+  const auto out = explore_set2(spec, two_proc_set_work(),
+                                {.max_depth = 64, .max_executions = 1});
+  auto& explorer = *out.explorer;
   // Stepping a process with no pending operation.
   EXPECT_FALSE(explorer.try_execute({{0, false}}).has_value());
   // Out-of-range pid.
@@ -397,33 +283,31 @@ TEST(ExplorerLimits, TraceOfCurrentPrefixRoundTripsThroughReplay) {
   // ScheduleTrace, and re-execute it differentially over ReplayEnv
   // (hardware atomics) — the verify/replay.h round trip for
   // explorer-captured schedules.
-  const std::uint32_t domain = 4;
-  const spec::SetSpec spec(domain);
+  const spec::SetSpec spec(4);
   const auto work = two_proc_set_work();
-  sim::Explorer<spec::SetSpec, Set2System> explorer(
-      spec, [] { return std::make_unique<Set2System>(); }, work);
 
   std::optional<std::vector<sim::Decision>> captured;
   std::uint64_t seen = 0;
-  (void)explorer.explore(
-      {.max_depth = 64, .max_executions = 200}, nullptr,
-      [&](Set2System&, const auto&) {
+  const auto out = explore_set2(
+      spec, work, {.max_depth = 64, .max_executions = 200},
+      {.complete = [&](Set2&, const auto&,
+                       const std::vector<sim::Decision>& prefix) {
         // Skip a few executions so the captured path is not the all-p0
         // leftmost walk.
-        if (++seen == 7 && !captured.has_value()) {
-          captured = explorer.current_prefix();
-        }
-      });
+        if (++seen == 7 && !captured.has_value()) captured = prefix;
+      }});
   ASSERT_TRUE(captured.has_value());
-  const sim::ScheduleTrace trace = explorer.trace_of(*captured);
+  const sim::ScheduleTrace trace = out.explorer->trace_of(*captured);
   ASSERT_EQ(trace.steps.size(), captured->size());
 
   sim::Memory sim_memory;
   sim::Scheduler sim_sched(2);
-  algo::HiSetAlgPadded<env::SimEnv> sim_impl(sim_memory, spec);
+  auto sim_impl =
+      testing::HiSetPadded::make<env::SimEnv>(sim_memory, spec, 2);
   sim::Memory replay_memory;
   sim::Scheduler replay_sched(2);
-  algo::HiSetAlgPadded<env::ReplayEnv> replay_impl(replay_memory, spec);
+  auto replay_impl =
+      testing::HiSetPadded::make<env::ReplayEnv>(replay_memory, spec, 2);
   const verify::ReplayReport report = verify::replay_differential(
       spec, sim_sched, sim_impl, replay_sched, replay_impl, work, trace,
       verify::snapshot_word_compare(sim_memory, replay_memory));
@@ -440,18 +324,88 @@ TEST(ExplorerDpor, SingleProcessChainMatchesNaive) {
   // One process ⇒ one interleaving: both modes must walk exactly one
   // execution over the incremental straight-line path, with nothing pruned.
   const spec::SetSpec spec(4);
-  const std::vector<std::vector<spec::SetSpec::Op>> work = {
-      {spec::SetSpec::insert(1), spec::SetSpec::lookup(1),
-       spec::SetSpec::remove(1)}};
   for (const auto mode : {sim::ExploreMode::kNaive, sim::ExploreMode::kDpor}) {
-    const auto outcome =
-        explore_mode<spec::SetSpec, Set2System>(spec, work, mode);
-    EXPECT_TRUE(outcome.stats.exhausted);
-    EXPECT_EQ(outcome.stats.executions_complete, 1u);
-    EXPECT_EQ(outcome.stats.executions_pruned, 0u);
-    EXPECT_EQ(outcome.lin_failures, 0u);
-    EXPECT_EQ(outcome.history_keys.size(), 1u);
+    const auto out = explore_set2(
+        spec,
+        {{spec::SetSpec::insert(1), spec::SetSpec::lookup(1),
+          spec::SetSpec::remove(1)}},
+        {.max_depth = 64, .mode = mode}, {.keys = true});
+    EXPECT_TRUE(out.stats.exhausted);
+    EXPECT_EQ(out.stats.executions_complete, 1u);
+    EXPECT_EQ(out.stats.executions_pruned, 0u);
+    EXPECT_EQ(out.lin_failures, 0u);
+    EXPECT_EQ(out.keys.size(), 1u);
   }
+}
+
+// ------------------------------------------------------------ crash decisions
+
+struct CrashExploreOutcome {
+  sim::ExploreStats stats;
+  std::set<std::string> keys;
+  std::uint64_t lin_failures = 0;
+  std::uint64_t crash_walks = 0;
+  std::uint64_t max_crashes_seen = 0;
+};
+
+CrashExploreOutcome explore_set_with_crashes(sim::ExploreMode mode,
+                                             std::uint32_t max_crashes) {
+  const spec::SetSpec spec(4);
+  CrashExploreOutcome out;
+  auto explored = explore_set2(
+      spec, {{spec::SetSpec::insert(1)}, {spec::SetSpec::insert(2)}},
+      {.max_depth = 64,
+       .max_executions = 2'000'000,
+       .mode = mode,
+       .max_crashes = max_crashes},
+      {.complete = [&out](Set2&, const auto&,
+                          const std::vector<sim::Decision>& prefix) {
+         const auto crashes = static_cast<std::uint64_t>(std::count_if(
+             prefix.begin(), prefix.end(),
+             [](const sim::Decision& d) { return d.crash; }));
+         if (crashes > 0) ++out.crash_walks;
+         out.max_crashes_seen = std::max(out.max_crashes_seen, crashes);
+       },
+       .keys = true});
+  out.stats = explored.stats;
+  out.keys = std::move(explored.keys);
+  out.lin_failures = explored.lin_failures;
+  return out;
+}
+
+TEST(CrashExplorer, EnumeratesCrashConfigurationsNaiveAndDporAgree) {
+  const auto naive0 = explore_set_with_crashes(sim::ExploreMode::kNaive, 0);
+  const auto naive1 = explore_set_with_crashes(sim::ExploreMode::kNaive, 1);
+  const auto dpor1 = explore_set_with_crashes(sim::ExploreMode::kDpor, 1);
+  ASSERT_TRUE(naive0.stats.exhausted);
+  ASSERT_TRUE(naive1.stats.exhausted);
+  ASSERT_TRUE(dpor1.stats.exhausted);
+
+  // max_crashes = 0 (the default) stays exactly crash-free.
+  EXPECT_EQ(naive0.crash_walks, 0u);
+  EXPECT_EQ(naive0.max_crashes_seen, 0u);
+
+  // k = 1 enumerates strictly more configurations, every walk respects the
+  // budget, and crashed histories stay linearizable (pending op may or may
+  // not take effect — the checker's existing semantics).
+  EXPECT_GT(naive1.crash_walks, 0u);
+  EXPECT_LE(naive1.max_crashes_seen, 1u);
+  EXPECT_GT(naive1.stats.executions_complete, naive0.stats.executions_complete);
+  EXPECT_EQ(naive0.lin_failures, 0u);
+  EXPECT_EQ(naive1.lin_failures, 0u);
+  EXPECT_EQ(dpor1.lin_failures, 0u);
+
+  // Crash-free histories are a subset of the crash-enabled set (every
+  // crash-free walk is still enumerated).
+  EXPECT_TRUE(std::includes(naive1.keys.begin(), naive1.keys.end(),
+                            naive0.keys.begin(), naive0.keys.end()));
+
+  // DPOR with crash decisions: fewer (or equal) executions, the SAME
+  // complete-history set — crashes are conservatively dependent on
+  // everything, so pruning must never drop a crash configuration class.
+  EXPECT_LE(dpor1.stats.executions_complete, naive1.stats.executions_complete);
+  EXPECT_EQ(naive1.keys, dpor1.keys)
+      << "DPOR pruned (or invented) a crash-configuration history class";
 }
 
 }  // namespace

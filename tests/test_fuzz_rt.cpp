@@ -80,6 +80,12 @@ using FuzzPacked = env::PackedBins<FuzzEnv>;
 
 constexpr int kDefaultIters = 20;
 
+/// The positive control's injection knobs, and the policy of the yield rows
+/// marked aggressive: enough to force slow paths and combining-phase parks
+/// on a loaded single-core runner.
+constexpr env::YieldPolicy kAggressive{/*permille=*/700, /*max_yields=*/4,
+                                       /*max_spins=*/64};
+
 /// One row of tests/objects.h's yield_rows(): `iters` iterations, each with
 /// a fresh object, per-(seed, pid) deterministic op scripts, barrier-released
 /// armed threads, the entry's solo audit pinning the final abstract state
@@ -291,7 +297,8 @@ void run_yield_fuzz(const Row& row) {
     return object;
   };
   Fuzz::run({E::kName, E::kHi, make, &yield_script<E>, &E::audit}, row.spec,
-            row.seed, row.ops, row.policy);
+            row.seed, row.ops,
+            row.aggressive ? kAggressive : env::YieldPolicy{});
 }
 
 const bool kRowsRegistered = testing::register_rows<testing::yield_rows<>>(
@@ -309,8 +316,6 @@ TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
   // yields inside the read-then-write window, so the lost update surfaces
   // well within the default budget. Aggressive policy: the control should
   // fire fast even on a loaded single-core CI runner.
-  const env::YieldPolicy aggressive{/*permille=*/700, /*max_yields=*/4,
-                                    /*max_spins=*/64};
   const int iters = testing::rt_fuzz_iters(kDefaultIters) + 30;
   std::optional<std::uint64_t> caught_seed;
   for (int iter = 0; iter < iters && !caught_seed.has_value(); ++iter) {
@@ -320,7 +325,7 @@ TEST(FuzzRt, PositiveControl_BrokenCounterCaughtReproducedShrunk) {
     testing::RtHistoryRecorder<testing::NaiveCounterSpec::Op,
                                testing::NaiveCounterSpec::Resp>
         recorder(2);
-    testing::run_fuzz_threads(2, seed, aggressive, [&](int pid) {
+    testing::run_fuzz_threads(2, seed, kAggressive, [&](int pid) {
       for (int i = 0; i < 6; ++i) {
         recorder.run(pid, testing::NaiveCounterSpec::inc(),
                      [&] { return counter.inc().get(); });

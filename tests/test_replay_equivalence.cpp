@@ -28,7 +28,6 @@
 #include "algo/rllsc.h"
 #include "algo/strawman_queue.h"
 #include "algo/universal.h"
-#include "core/universal.h"
 #include "env/replay_env.h"
 #include "env/sim_env.h"
 #include "objects.h"
@@ -263,13 +262,13 @@ TEST(ReplayEquivalence, UniversalRecordedSchedules) {
     {
       sim::Memory memory;
       sim::Scheduler sched(n);
-      core::Universal<spec::CounterSpec> impl(memory, spec, n);
+      testing::UniversalPlain::Impl<env::SimEnv> impl(memory, spec, n);
       trace = record_runner_trace(spec, memory, sched, impl, workload, seed);
     }
 
     sim::Memory sim_memory;
     sim::Scheduler sim_sched(n);
-    core::Universal<spec::CounterSpec> sim_impl(sim_memory, spec, n);
+    testing::UniversalPlain::Impl<env::SimEnv> sim_impl(sim_memory, spec, n);
     sim::Memory replay_memory;
     sim::Scheduler replay_sched(n);
     algo::UniversalAlg<ReplayEnv, spec::CounterSpec,
@@ -566,7 +565,8 @@ TEST(DriversAgree, RunnerScheduleOnCombiningUniversal) {
   using S = spec::CounterSpec;
   const S spec(1u << 20, 10);
   const auto make = [&spec] {
-    return std::make_unique<testing::SimSystem<S, core::Universal<S>>>(
+    return std::make_unique<
+        testing::SimSystem<S, testing::UniversalCombine::Impl<env::SimEnv>>>(
         spec, 3, 3, /*clear_contexts=*/true, /*combine=*/true);
   };
   expect_runner_agrees<

@@ -9,11 +9,11 @@
 
 #include "algo/rllsc.h"
 #include "algo/values.h"
-#include "core/rllsc.h"
 #include "env/sim_env.h"
 #include "sim/driver.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
+#include "sim/native_rllsc.h"
 #include "sim/scheduler.h"
 #include "spec/rllsc_spec.h"
 #include "util/rng.h"
@@ -24,7 +24,7 @@ namespace hi {
 namespace {
 
 using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
-using core::NativeRllsc;
+using sim::NativeRllsc;
 using algo::RllscValue;
 using spec::RllscSpec;
 

@@ -12,10 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "algo/rllsc.h"
-#include "core/rllsc.h"
-#include "core/universal.h"
+#include "algo/universal.h"
 #include "env/sim_env.h"
 #include "sim/driver.h"
+#include "sim/native_rllsc.h"
 #include "universal_common.h"
 #include "verify/hi_checker.h"
 #include "verify/linearizability.h"
@@ -24,7 +24,8 @@ namespace hi {
 namespace {
 
 using CasRllsc = algo::CasRllscAlg<env::SimEnv>;
-using core::NativeRllsc;
+using sim::NativeRllsc;
+using testing::SimUniversal;
 using testing::SpecTraits;
 using testing::universal_workload;
 using testing::UniversalSystem;
@@ -67,7 +68,7 @@ TYPED_TEST(UniversalTyped, LinearizableWithHeadCrossCheck) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     for (int n : {2, 3, 4}) {
       UniversalSystem<S, typename TypeParam::CellT> sys(n);
-      sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+      sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
           sys.spec, sys.mem, sys.sched, sys.impl,
           [&](const auto&) { return sys.impl.head_state_encoded(); });
       auto result =
@@ -96,7 +97,7 @@ TYPED_TEST(UniversalTyped, StateQuiescentCanonicalInvariants) {
     const int n = 3;
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
     bool checked_any = false;
-    sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+    sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
         sys.spec, sys.mem, sys.sched, sys.impl, [&](const auto&) {
           // Invoked exactly at state-quiescent points: assert the canonical
           // invariants as part of the oracle.
@@ -123,7 +124,7 @@ TYPED_TEST(UniversalTyped, StateQuiescentHiAcrossExecutions) {
   verify::HiChecker checker;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
-    sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+    sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
         sys.spec, sys.mem, sys.sched, sys.impl,
         [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 10, seed * 97),
@@ -145,7 +146,7 @@ TYPED_TEST(UniversalTyped, SixProcessHiAndLinearizability) {
   verify::HiChecker checker;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
-    sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+    sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
         sys.spec, sys.mem, sys.sched, sys.impl,
         [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 8, seed * 191),
@@ -176,7 +177,7 @@ TYPED_TEST(UniversalTyped, WaitFreeStepBound) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const int n = 4;
     UniversalSystem<S, typename TypeParam::CellT> sys(n);
-    sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+    sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
         sys.spec, sys.mem, sys.sched, sys.impl,
         [&](const auto&) { return sys.impl.head_state_encoded(); });
     auto result = runner.run(universal_workload<S>(n, 15, seed),
@@ -373,7 +374,7 @@ TYPED_TEST(UniversalTyped, CombiningLinearizableAndQuiescentHi) {
                                                       /*clear_contexts=*/true,
                                                       /*combine=*/true);
     ASSERT_TRUE(sys.impl.combining_enabled());
-    sim::Runner<S, core::Universal<S, typename TypeParam::CellT>> runner(
+    sim::Runner<S, SimUniversal<S, typename TypeParam::CellT>> runner(
         sys.spec, sys.mem, sys.sched, sys.impl, [&](const auto&) {
           // State-quiescent oracle: canonical invariants must survive
           // combining (Lemmas 26, 27 arguments carry over).
@@ -427,7 +428,7 @@ TEST(UniversalAblation, WithoutContextClearingHiBreaks) {
 
   // Ablated object, same abstract state, concurrent schedule.
   UniversalSystem<S, CasRllsc> ablated(n, /*clear_contexts=*/false);
-  sim::Runner<S, core::Universal<S, CasRllsc>> runner(
+  sim::Runner<S, SimUniversal<S, CasRllsc>> runner(
       ablated.spec, ablated.mem, ablated.sched, ablated.impl,
       [&](const auto&) { return ablated.impl.head_state_encoded(); });
   std::vector<std::vector<S::Op>> work(n);

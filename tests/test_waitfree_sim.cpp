@@ -16,7 +16,7 @@
 //   4. DPOR SOUNDNESS — naive and kDpor exploration of helped workloads
 //      produce the same complete-execution history set with zero
 //      linearizability failures, including executions where a helper
-//      completes another process's operation.
+//      completes another process's operation (the table's explore rows).
 //   5. THEOREM 17 — the combinator is wait-free, so it MUST lose
 //      state-quiescent HI: two executions ending in the same abstract state
 //      diverge at quiescence, and the divergence is localized entirely to
@@ -27,35 +27,30 @@
 //      artifact of the schedule.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <numeric>
-#include <set>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "algo/registers.h"
 #include "algo/wait_free_sim.h"
-#include "core/wait_free_sim.h"
 #include "env/sim_env.h"
+#include "explore.h"
+#include "objects.h"
 #include "register_common.h"
-#include "sim/explorer.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
-#include "sim_system.h"
 #include "spec/register_spec.h"
 #include "verify/divergence.h"
 #include "verify/hi_checker.h"
-#include "verify/linearizability.h"
 
 namespace hi {
 namespace {
 
 using testing::kReaderPid;
 using testing::kWriterPid;
+using Wfs = algo::WaitFreeSimHiAlgPadded<env::SimEnv>;
 
 // ------------------------------------------------------------- queue drivers
 
@@ -199,7 +194,7 @@ TEST(WaitFreeSimQueue, StaleHeadRepairedByPeekAdvance) {
 // --------------------------------------------------------- fast/slow handoff
 
 TEST(WaitFreeSim, SoloFastPathStepExactNoResidue) {
-  testing::RegisterSystem<core::WaitFreeSimHiRegister> sys(3);  // fast_limit 1
+  testing::RegisterSystem<Wfs> sys(3);  // fast_limit 1
 
   // Solo write, K=3, 1→2: help_head on the empty queue (head read + slot
   // read) + Alg 2's set A[2] / clear A[1] / clear A[3].
@@ -229,7 +224,7 @@ TEST(WaitFreeSim, SoloSlowPathStepExactSelfHelp) {
   sim::Memory mem;
   sim::Scheduler sched(2);
   const spec::RegisterSpec spec(3, 1);
-  core::WaitFreeSimHiRegister impl(mem, spec, kWriterPid, kReaderPid,
+  Wfs impl(mem, spec, kWriterPid, kReaderPid,
                                    /*fast_limit=*/0);
   (void)sim::run_solo(sched, kWriterPid, impl.write(kWriterPid, 2));
 
@@ -257,7 +252,7 @@ TEST(WaitFreeSim, SoloSlowPathStepExactSelfHelp) {
 }
 
 TEST(WaitFreeSim, FailStreakObservableBetweenFailureAndCompletion) {
-  testing::RegisterSystem<core::WaitFreeSimHiRegister> sys(3);
+  testing::RegisterSystem<Wfs> sys(3);
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 3));
 
   // Reader scans past A[1], A[2] while the state is 3 (both 0)...
@@ -319,7 +314,7 @@ TEST(WaitFreeSim, CombinatorReadCompletesUnderSameAdversary) {
   sim::Memory mem;
   sim::Scheduler sched(2);
   const spec::RegisterSpec spec(3, 1);
-  core::WaitFreeSimHiRegister impl(mem, spec, kWriterPid, kReaderPid,
+  Wfs impl(mem, spec, kWriterPid, kReaderPid,
                                    /*fast_limit=*/1);
 
   sim::OpTask<std::uint32_t> read = impl.read(kReaderPid);
@@ -348,138 +343,32 @@ TEST(WaitFreeSim, CombinatorReadCompletesUnderSameAdversary) {
 
 // --------------------------------------------------------------- DPOR rows
 
-// Canonical history key (same construction as tests/test_explorer_dpor.cpp):
-// per-operation (pid, op, resp) labelled in (pid, invocation-order) order
-// plus the real-time precedence relation — invariant under exactly the
-// reorderings DPOR prunes.
-template <typename S, typename Hist>
-std::string history_key(const S& spec, const Hist& hist) {
-  const auto& entries = hist.entries();
-  std::vector<std::size_t> order(entries.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (entries[a].pid != entries[b].pid) return entries[a].pid < entries[b].pid;
-    return entries[a].invoked_at < entries[b].invoked_at;
-  });
-  std::vector<std::size_t> label(entries.size());
-  for (std::size_t i = 0; i < order.size(); ++i) label[order[i]] = i;
-
-  std::ostringstream out;
-  for (const std::size_t idx : order) {
-    const auto& e = entries[idx];
-    out << 'p' << e.pid << ':' << spec.encode_op(e.op) << ':';
-    if (e.completed()) {
-      out << spec.encode_resp(e.resp);
-    } else {
-      out << '?';
-    }
-    out << ';';
+// The rows are explore_rows<kWaitFreeSim>() (tests/objects.h), named
+// WaitFreeSimDpor.<entry>_<label>. With fast_limit 0 each mode must also
+// explore schedules in which a helper completes another process's op
+// (TripleFast's K = 2 reads never fail their fast attempt).
+template <typename Row>
+testing::ExploreExtra<Row> helped_executions(const Row&) {
+  if constexpr (Row::Entry::kFastLimit != 0) {
+    return nullptr;
+  } else {
+    return [](auto& checks) -> std::function<void()> {
+      auto helped = std::make_shared<std::uint64_t>(0);
+      checks.complete = [helped](auto& sys, const auto&, const auto&) {
+        if (sys.impl.helped_completions() > 0) ++*helped;
+      };
+      return [helped] {
+        EXPECT_GT(*helped, 0u) << "no explored schedule has a helper "
+                                  "complete another process's operation";
+      };
+    };
   }
-  out << '|';
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    for (std::size_t j = 0; j < entries.size(); ++j) {
-      if (i != j && entries[i].precedes(entries[j])) {
-        out << label[i] << '<' << label[j] << ';';
-      }
-    }
-  }
-  return out.str();
 }
 
-/// 2 processes with every read forced onto the slow path: the smallest
-/// workload in which the write's pre-help completes the reader's record.
-struct WfsSlowPairSystem
-    : testing::SimSystem<spec::RegisterSpec, core::WaitFreeSimHiRegister> {
-  WfsSlowPairSystem()
-      : SimSystem(spec::RegisterSpec(2, 1), 2, kWriterPid, kReaderPid,
-                  /*fast_limit=*/0) {}
-};
-
-/// 3 processes (single writer pid 0, two reader pids) with the fast path on:
-/// the combinator under cross-process queue/record contention.
-struct WfsTripleSystem
-    : testing::SimSystem<spec::RegisterSpec,
-                         algo::WaitFreeSimHiAlgPadded<env::SimEnv>> {
-  WfsTripleSystem()
-      : SimSystem(spec::RegisterSpec(2, 1), 3, kWriterPid, kReaderPid,
-                  /*fast_limit=*/1, /*num_processes=*/3) {}
-};
-
-struct ExploreOutcome {
-  sim::ExploreStats stats;
-  std::set<std::string> history_keys;
-  std::uint64_t lin_failures = 0;
-  std::uint64_t helped_executions = 0;
-};
-
-template <typename System>
-ExploreOutcome explore_mode(
-    const spec::RegisterSpec& spec,
-    std::vector<std::vector<spec::RegisterSpec::Op>> work,
-    sim::ExploreMode mode) {
-  sim::Explorer<spec::RegisterSpec, System> explorer(
-      spec, [] { return std::make_unique<System>(); }, std::move(work));
-  ExploreOutcome outcome;
-  outcome.stats = explorer.explore(
-      {.max_depth = 128, .max_executions = 2'000'000, .mode = mode}, nullptr,
-      [&](System& sys, const auto& hist) {
-        outcome.history_keys.insert(history_key(spec, hist));
-        if (!verify::check_linearizable(spec, hist).ok()) {
-          ++outcome.lin_failures;
-        }
-        if (sys.impl.helped_completions() > 0) ++outcome.helped_executions;
-      });
-  return outcome;
-}
-
-TEST(WaitFreeSimDpor, SlowPair_SameHistorySetAndHelperCompletedExecutions) {
-  const spec::RegisterSpec spec(2, 1);
-  const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
-      {spec::RegisterSpec::write(2)}, {spec::RegisterSpec::read()}};
-
-  const auto naive =
-      explore_mode<WfsSlowPairSystem>(spec, work, sim::ExploreMode::kNaive);
-  const auto dpor =
-      explore_mode<WfsSlowPairSystem>(spec, work, sim::ExploreMode::kDpor);
-
-  ASSERT_TRUE(naive.stats.exhausted);
-  ASSERT_TRUE(dpor.stats.exhausted);
-  EXPECT_EQ(naive.stats.executions_truncated, 0u);
-  EXPECT_EQ(naive.lin_failures, 0u);
-  EXPECT_EQ(dpor.lin_failures, 0u);
-
-  EXPECT_GT(naive.stats.executions_complete, 0u);
-  EXPECT_LT(dpor.stats.executions_complete, naive.stats.executions_complete)
-      << "DPOR explored as many executions as naive DFS — no reduction";
-  EXPECT_FALSE(naive.history_keys.empty());
-  EXPECT_EQ(naive.history_keys, dpor.history_keys)
-      << "DPOR pruned a non-equivalent interleaving (or invented one)";
-
-  // Schedules in which the write's pre-help completes the enqueued read
-  // exist in BOTH modes' explored sets (and all of them linearized above).
-  EXPECT_GT(naive.helped_executions, 0u);
-  EXPECT_GT(dpor.helped_executions, 0u);
-}
-
-TEST(WaitFreeSimDpor, TripleFast_SameHistorySetAcrossModes) {
-  const spec::RegisterSpec spec(2, 1);
-  const std::vector<std::vector<spec::RegisterSpec::Op>> work = {
-      {spec::RegisterSpec::write(2)},
-      {spec::RegisterSpec::read()},
-      {spec::RegisterSpec::read()}};
-
-  const auto naive =
-      explore_mode<WfsTripleSystem>(spec, work, sim::ExploreMode::kNaive);
-  const auto dpor =
-      explore_mode<WfsTripleSystem>(spec, work, sim::ExploreMode::kDpor);
-
-  ASSERT_TRUE(naive.stats.exhausted);
-  ASSERT_TRUE(dpor.stats.exhausted);
-  EXPECT_EQ(naive.lin_failures, 0u);
-  EXPECT_EQ(dpor.lin_failures, 0u);
-  EXPECT_LT(dpor.stats.executions_complete, naive.stats.executions_complete);
-  EXPECT_EQ(naive.history_keys, dpor.history_keys);
-}
+const bool kRowsRegistered = testing::register_rows<
+    testing::explore_rows<testing::ExploreSuite::kWaitFreeSim>>(
+    "WaitFreeSimDpor", [](const auto& row) { return testing::row_name(row); },
+    [](const auto& row) { testing::run_explore(row, helped_executions(row)); });
 
 // ------------------------------------------------------------- Theorem 17
 
@@ -495,7 +384,7 @@ constexpr std::size_t kTailWord = 14;
 TEST(WaitFreeSim, Thm17_HelpedReadLeavesLocalizedCombinatorResidue) {
   // Canonical execution A: solo write(3), write(2), read — everything fast
   // path, quiescent state 2.
-  testing::RegisterSystem<core::WaitFreeSimHiRegister> canon(3);
+  testing::RegisterSystem<Wfs> canon(3);
   (void)sim::run_solo(canon.sched, kWriterPid, canon.impl.write(kWriterPid, 3));
   (void)sim::run_solo(canon.sched, kWriterPid, canon.impl.write(kWriterPid, 2));
   ASSERT_EQ(sim::run_solo(canon.sched, kReaderPid, canon.impl.read(kReaderPid)),
@@ -506,7 +395,7 @@ TEST(WaitFreeSim, Thm17_HelpedReadLeavesLocalizedCombinatorResidue) {
   // forced slow — it scanned past A[1], A[2] while the state was 3, the
   // write 3→2 landed, and the failed attempt sent it through
   // announce/enqueue/self-help.
-  testing::RegisterSystem<core::WaitFreeSimHiRegister> sys(3);
+  testing::RegisterSystem<Wfs> sys(3);
   (void)sim::run_solo(sys.sched, kWriterPid, sys.impl.write(kWriterPid, 3));
   sim::OpTask<std::uint32_t> read = sys.impl.read(kReaderPid);
   sys.sched.start(kReaderPid, read);

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/universal.h"
+#include "algo/rllsc.h"
+#include "algo/universal.h"
+#include "env/sim_env.h"
 #include "sim/harness.h"
 #include "sim/memory.h"
 #include "sim/scheduler.h"
@@ -116,14 +118,18 @@ std::vector<std::vector<typename S::Op>> universal_workload(
   return work;
 }
 
+/// Algorithm 5 over `Cell`s in the step model.
+template <typename S, typename Cell>
+using SimUniversal = algo::UniversalAlg<env::SimEnv, S, Cell>;
+
 /// A fresh simulated system hosting one universal object.
 template <typename S, typename Cell>
-struct UniversalSystem : SimSystem<S, core::Universal<S, Cell>> {
+struct UniversalSystem : SimSystem<S, SimUniversal<S, Cell>> {
   explicit UniversalSystem(int num_procs, bool clear_contexts = true,
                            bool combine = false)
-      : SimSystem<S, core::Universal<S, Cell>>(SpecTraits<S>::make(),
-                                               num_procs, num_procs,
-                                               clear_contexts, combine) {}
+      : SimSystem<S, SimUniversal<S, Cell>>(SpecTraits<S>::make(), num_procs,
+                                            num_procs, clear_contexts,
+                                            combine) {}
 };
 
 }  // namespace hi::testing
