@@ -21,7 +21,6 @@
 // either.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -56,19 +55,26 @@ class HiSetAlg {
   /// contend on that word (the padded-vs-packed tradeoff, docs/PERF.md).
   /// `prefix` names the backing cells on the registering backends (the
   /// sharded facade labels each shard's array distinctly: "S0", "S1", …).
+  /// By value: the packed rt array adopts the words as its storage.
+  HiSetAlg(typename Env::Ctx ctx, std::uint32_t domain,
+           std::vector<std::uint64_t> initial_words, const char* prefix = "S")
+      : domain_(domain),
+        s_(Bins::make_bits(ctx, prefix, domain, std::move(initial_words))) {
+    assert(domain >= 1);
+  }
+  /// For callers that hold a span: the words are copied once, here.
   HiSetAlg(typename Env::Ctx ctx, std::uint32_t domain,
            std::span<const std::uint64_t> initial_words,
            const char* prefix = "S")
-      : domain_(domain),
-        s_(Bins::make_bits(ctx, prefix, domain, initial_words)) {
-    assert(domain >= 1);
-  }
+      : HiSetAlg(ctx, domain,
+                 std::vector(initial_words.begin(), initial_words.end()),
+                 prefix) {}
 
   /// From the spec: its domain and initial membership bitmap (one word:
   /// spec domains are ≤ 64).
   HiSetAlg(typename Env::Ctx ctx, const spec::SetSpec& spec)
       : HiSetAlg(ctx, spec.domain(),
-                 std::array<std::uint64_t, 1>{spec.initial_state()}) {}
+                 std::vector<std::uint64_t>{spec.initial_state()}) {}
 
   /// Fully symmetric: any process may invoke any operation.
   Op<bool> apply(int /*pid*/, spec::SetSpec::Op op) {

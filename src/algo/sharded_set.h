@@ -92,17 +92,16 @@ class ShardedHiSet {
   /// the registering backends; shards are constructed in shard order, so
   /// object ids line up across backends for parity/replay.
   ///
-  /// One pass, O(words + members): every shard's initial words live in ONE
-  /// transient flat buffer (shard s owns a span of bin_words(shard_domain(s))
-  /// words), and util::MemberSink — the audit's branch-light decoder —
-  /// walks `initial_words` once, dropping each member into its shard's span
-  /// through the pure shard map. The shards then copy their spans into
-  /// shared memory (RtEnv: plain relaxed stores, one tail mask). The flat
-  /// buffer costs one allocation where per-shard buffers cost shard_count,
-  /// and a per-shard walk over the members would pay shard_count × members
-  /// map evaluations. HI_ALIGN_LOOPS pins the scatter loop's placement, as
-  /// it does the audit's: on perfbench's store it cut `setup_s` by about
-  /// 10% (docs/PERF.md "Store build cost").
+  /// One pass, O(words + members), and no copy: every shard's bitmap is
+  /// its own zeroed vector of bin_words(shard_domain(s)) words, and
+  /// util::MemberSink — the audit's branch-light decoder — walks
+  /// `initial_words` once, dropping each member into its shard's vector
+  /// through the pure shard map. Each shard then adopts its vector as its
+  /// storage (RtEnv: the words the scatter wrote ARE the shared words; the
+  /// scheduler-driven backends read them into their cells). A per-shard
+  /// walk over the members would pay shard_count × members map evaluations.
+  /// HI_ALIGN_LOOPS pins the scatter loop's placement, as it does the
+  /// audit's (docs/PERF.md "Store build cost").
   HI_ALIGN_LOOPS
   ShardedHiSet(typename Env::Ctx ctx, std::uint32_t domain,
                std::uint32_t shard_count,
@@ -114,18 +113,12 @@ class ShardedHiSet {
         base_(domain / shard_count),
         rem_(domain % shard_count) {
     assert(domain >= 1 && shard_count >= 1 && shard_count <= domain);
-    // Shard s's initial words are init[offset[s] .. offset[s + 1]).
-    std::vector<std::size_t> offset(shard_count + 1, 0);
+    std::vector<std::vector<std::uint64_t>> init(shard_count);
     for (std::uint32_t s = 0; s < shard_count; ++s) {
-      offset[s + 1] = offset[s] + util::bin_words(shard_domain(s));
+      init[s].resize(util::bin_words(shard_domain(s)));
     }
-    std::vector<std::uint64_t> init(offset.back(), 0);
-    const auto shard_words = [&init, &offset](std::uint32_t s) {
-      return std::span<std::uint64_t>(init).subspan(offset[s],
-                                                    offset[s + 1] - offset[s]);
-    };
-    util::MemberSink scatter{[this, &shard_words](std::uint32_t key) {
-      util::bin_set(shard_words(shard_of(key)), local_of(key));
+    util::MemberSink scatter{[this, &init](std::uint32_t key) {
+      util::bin_set(init[shard_of(key)], local_of(key));
     }};
     // Words wholly inside the domain go in as they are; only the word
     // holding key `domain` is masked, and later words are ignored.
@@ -139,8 +132,7 @@ class ShardedHiSet {
     shards_.reserve(shard_count);
     for (std::uint32_t s = 0; s < shard_count; ++s) {
       const std::string prefix = "S" + std::to_string(s);
-      shards_.emplace_back(ctx, shard_domain(s),
-                           std::span<const std::uint64_t>(shard_words(s)),
+      shards_.emplace_back(ctx, shard_domain(s), std::move(init[s]),
                            prefix.c_str());
     }
   }

@@ -88,6 +88,7 @@
 #include <optional>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "util/bits.h"
 #include "util/padded.h"
@@ -323,10 +324,11 @@ struct PaddedBins {
   /// Multi-word initializer: word w of `words` seeds bins 64w+1..64w+64
   /// (bit v-1 of the flat bitmap = bin v); missing trailing words read as 0
   /// and bits beyond `count` are dropped (util::init_word defines that
-  /// geometry).
+  /// geometry). By value, as PackedBins takes them, so HiSetAlg forwards
+  /// one vector to either layout.
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
-                         std::span<const std::uint64_t> words) {
+                         std::vector<std::uint64_t> words) {
     return Env::make_bin_array_words(ctx, prefix, count, words);
   }
 
@@ -430,14 +432,15 @@ struct PackedBins {
     return make_bits(ctx, prefix, count, util::one_hot_words(one_index));
   }
   /// Multi-word initializer — see the PaddedBins counterpart for the word
-  /// geometry contract. RtEnv copies the words in bulk rather than calling
-  /// util::init_word per word, and must produce init_word's words:
-  /// PackedRt.*BitsInitializationRoundTrip and
+  /// geometry contract. RtEnv adopts the vector as the array's storage
+  /// rather than calling util::init_word per word, and must produce
+  /// init_word's words: PackedRt.*BitsInitializationRoundTrip and
   /// EnvParity.ShardedSeedIsInsertsOfSeededKeys check that.
   static Array make_bits(typename Env::Ctx ctx, const char* prefix,
                          std::uint32_t count,
-                         std::span<const std::uint64_t> words) {
-    return Env::make_packed_bin_array_words(ctx, prefix, count, words);
+                         std::vector<std::uint64_t> words) {
+    return Env::make_packed_bin_array_words(ctx, prefix, count,
+                                            std::move(words));
   }
 
   static std::uint32_t size(const Array& a) { return Env::packed_bins(a); }

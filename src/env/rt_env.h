@@ -34,7 +34,6 @@
 // env.allocs_per_op (docs/PERF.md).
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cassert>
@@ -399,35 +398,27 @@ struct RtEnvT {
 
   // ---- packed bin arrays: 64 bins per UNPADDED atomic word ----
   //
-  // Storage and primitive bodies shared with ReplayEnv (rt/cells.h). The
+  // Primitive bodies shared with ReplayEnv (rt/cells.h). The
   // density is the point: K=1024 bins occupy 2 cache lines instead of the
   // padded layout's 64 KiB, so scans are O(K/64) loads; the tradeoff is
   // word contention between bins sharing a word (docs/PERF.md).
 
   using PackedBinArray = rt::PackedBits;
 
-  /// Allocates ceil(count/64) contiguous atomic words; word w starts from
-  /// `words[w]` (bit v-1 of the flat bitmap = bin v); missing trailing words
-  /// read as 0 and bits beyond `count` are dropped — the same words as
-  /// util::init_word, but copied with plain relaxed stores and only the
-  /// last copied word masked (util::bin_live_mask). Construction only.
+  /// Adopts `words` as the array's storage, no copy: word w starts from
+  /// `words[w]` (bit v-1 of the flat bitmap = bin v). Resized to
+  /// ceil(count/64) words, so missing trailing words read as 0 and words
+  /// past the array are dropped, and the last word is masked so bits beyond
+  /// `count` stay 0 — the same words as util::init_word. Construction only.
   static PackedBinArray make_packed_bin_array_words(
       Ctx, const char* /*prefix*/, std::uint32_t count,
-      std::span<const std::uint64_t> words) {
-    PackedBinArray array;
-    array.bins = count;
-    array.words = std::vector<std::atomic<std::uint64_t>>(
-        util::bin_words(count));
-    const std::size_t copied = std::min(words.size(), array.words.size());
-    for (std::size_t w = 0; w < copied; ++w) {
-      array.words[w].store(words[w], std::memory_order_relaxed);
+      std::vector<std::uint64_t> words) {
+    words.resize(util::bin_words(count));
+    if (!words.empty()) {
+      words.back() &= util::bin_live_mask(
+          count, static_cast<std::uint32_t>(words.size() - 1));
     }
-    if (copied > 0) {
-      const auto last = static_cast<std::uint32_t>(copied - 1);
-      array.words[last].store(words[last] & util::bin_live_mask(count, last),
-                              std::memory_order_relaxed);
-    }
-    return array;
+    return PackedBinArray{count, std::move(words)};
   }
 
   static std::uint32_t packed_bins(const PackedBinArray& array) {
@@ -439,13 +430,13 @@ struct RtEnvT {
 
   /// Word load — one seq_cst atomic load; 1 step, 64 bins atomically.
   static auto load_packed_word(PackedBinArray& array, std::uint32_t w) {
-    return probed([&] { return rt::packed_load(array.words[w]); });
+    return probed([&] { return rt::packed_load(rt::packed_word(array, w)); });
   }
   /// One LOCK OR; 1 step — sets every bin in `mask`.
   static auto or_packed_word(PackedBinArray& array, std::uint32_t w,
                              std::uint64_t mask) {
     return probed([&] {
-      rt::packed_or(array.words[w], mask);
+      rt::packed_or(rt::packed_word(array, w), mask);
       return true;
     });
   }
@@ -453,18 +444,18 @@ struct RtEnvT {
   static auto and_packed_word(PackedBinArray& array, std::uint32_t w,
                               std::uint64_t mask) {
     return probed([&] {
-      rt::packed_and(array.words[w], mask);
+      rt::packed_and(rt::packed_word(array, w), mask);
       return true;
     });
   }
   /// Observer-side peek — not an algorithm step.
   static std::uint64_t peek_packed_word(const PackedBinArray& array,
                                         std::uint32_t w) {
-    return array.words[w].load(std::memory_order_seq_cst);
+    return rt::packed_load(rt::packed_word(array, w));
   }
   /// Actual bytes of shared storage (observer-side).
   static std::size_t packed_storage_bytes(const PackedBinArray& array) {
-    return array.words.size() * sizeof(std::atomic<std::uint64_t>);
+    return array.words.size() * sizeof(std::uint64_t);
   }
 
   // ---- one CAS base object: 16-byte atomic word, cache-line padded ----

@@ -134,7 +134,7 @@ struct SchedEnvT {
   /// stay 0 (util::init_word). Construction only.
   static PackedBinArray make_packed_bin_array_words(
       Ctx memory, const char* prefix, std::uint32_t count,
-      std::span<const std::uint64_t> words) {
+      std::vector<std::uint64_t> words) {
     PackedBinArray array;
     array.bins = count;
     const std::uint32_t nwords = util::bin_words(count);

@@ -30,17 +30,30 @@ namespace hi::rt {
 /// One binary (Boolean) register — the small base object of §4/§5.1.
 using BinCell = util::Padded<std::atomic<std::uint8_t>>;
 
-/// Packed bin-array storage: 64 binary registers per 64-bit atomic word,
+/// Packed bin-array storage: 64 binary registers per 64-bit word,
 /// deliberately UNPADDED — the whole point of the packed layout is spatial
 /// density (K=1024 bins fit in 128 bytes = 2 cache lines, vs 64 KiB for the
 /// padded-per-bit layout), so scans touch O(K/64) lines. The flip side is
 /// word contention: writers to bins sharing a word serialize on one RMW
 /// cache line, which is why the padded layout stays first-class for
 /// per-element-parallel workloads (docs/PERF.md "padded vs packed").
+/// The words are plain so that RtEnv's factory can adopt its caller's
+/// vector; once constructed, every access goes through packed_word.
 struct PackedBits {
   std::uint32_t bins = 0;  // number of 1-based bins; tail bits stay 0
-  std::vector<std::atomic<std::uint64_t>> words;
+  std::vector<std::uint64_t> words;
 };
+static_assert(std::atomic_ref<std::uint64_t>::required_alignment ==
+                  alignof(std::uint64_t),
+              "PackedBits words must be atomically accessible in place");
+
+/// Word `w` as an atomic object, const arrays too: a peek is still an
+/// atomic load of shared memory.
+inline std::atomic_ref<std::uint64_t> packed_word(const PackedBits& bits,
+                                                  std::uint32_t w) {
+  return std::atomic_ref<std::uint64_t>(
+      const_cast<std::uint64_t&>(bits.words[w]));
+}
 
 /// One 64-bit CAS word — the per-process announce/result table cells of the
 /// leaky universal baseline.
@@ -88,16 +101,20 @@ inline void cas128_write(CasCell128& cell, const CasWord& desired) {
 // Packed bin-array primitives (env::PackedBins): one atomic operation on
 // one 64-bin word each. The word load is a free 64-bin snapshot — strictly
 // stronger than the paper's single-bit register read — and the masked RMWs
-// set/clear up to 64 bins in one step.
-inline std::uint64_t packed_load(const std::atomic<std::uint64_t>& word) {
+// set/clear up to 64 bins in one step. `Word` is any 64-bit atomic handle:
+// RtEnv's std::atomic_ref (packed_word), ReplayEnv's std::atomic store.
+template <typename Word>
+std::uint64_t packed_load(const Word& word) {
   return word.load(std::memory_order_seq_cst);
 }
 /// One LOCK OR: sets every bin in `mask`.
-inline void packed_or(std::atomic<std::uint64_t>& word, std::uint64_t mask) {
+template <typename Word>
+void packed_or(Word&& word, std::uint64_t mask) {
   word.fetch_or(mask, std::memory_order_seq_cst);
 }
 /// One LOCK AND: keeps only the bins in `mask`.
-inline void packed_and(std::atomic<std::uint64_t>& word, std::uint64_t mask) {
+template <typename Word>
+void packed_and(Word&& word, std::uint64_t mask) {
   word.fetch_and(mask, std::memory_order_seq_cst);
 }
 

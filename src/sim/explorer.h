@@ -45,12 +45,13 @@
 // (pid + 32 — so ≤ 32 processes with crashes on) and are conservatively
 // dependent on every other event under DPOR.
 //
-// At every visited configuration the caller's observer runs (memory
-// snapshots for the HI checker at the appropriate observation points); every
-// *complete* execution's history is handed to the caller for linearizability
-// checking. Tests use this to verify Algorithms 2, 4, 6 and the perfect-HI
-// set over every interleaving of small op mixes — the strongest evidence
-// this repository produces short of the paper's proofs. NOTE: under DPOR
+// At every visited configuration, the initial one included, the caller's
+// observer runs (memory snapshots for the HI checker at the appropriate
+// observation points); every *complete* execution's history is handed to
+// the caller for linearizability checking. Tests use this to verify
+// Algorithms 2, 4, 6 and the perfect-HI set over every interleaving of
+// small op mixes — the strongest evidence this repository produces short
+// of the paper's proofs. NOTE: under DPOR
 // the observer sees one representative configuration sequence per
 // equivalence class, not every configuration of every interleaving — HI
 // canonical-map checks that need full coverage should keep kNaive.
@@ -96,7 +97,7 @@ struct ExploreStats {
   std::uint64_t executions_complete = 0;
   std::uint64_t executions_truncated = 0;  // hit max_depth
   std::uint64_t executions_pruned = 0;     // DPOR: sleep-set-blocked walks
-  std::uint64_t configurations = 0;
+  std::uint64_t configurations = 0;  // reached by a decision: not the root
   bool exhausted = true;  // false if max_executions cap was hit
 };
 
@@ -412,6 +413,9 @@ class Explorer {
     if (r == nullptr) {
       r = std::make_unique<Replay>(*this);
       replay(*r, base == 0 ? 0 : base - 1, &last_completed);
+      // The root: the initial configuration, reached by no decision, so
+      // shown to the observer but not counted as a configuration.
+      if (base == 0 && observer_) notify(*r);
     } else {
       last_completed = apply_decision(*r, prefix_.back());
       if (observer_) {

@@ -81,8 +81,8 @@ constexpr std::uint64_t bin_live_mask(std::uint32_t count,
 /// tail bins stay 0. The definition of the >64-bin make_bits geometry —
 /// generalizing the historical single-word
 /// `if (count < 64) bits &= (1 << count) - 1` masking. SchedEnvT calls it
-/// per word; RtEnv's packed factory copies the words in bulk and masks
-/// only the last one, and must give the same words.
+/// per word; RtEnv's packed factory adopts the words, resizes them and
+/// masks only the last one, and must give the same words.
 constexpr std::uint64_t init_word(std::span<const std::uint64_t> words,
                                   std::uint32_t count,
                                   std::uint32_t w) noexcept {

@@ -171,13 +171,6 @@ Explored<S, System> explore(
     return checks.state_of ? checks.state_of(sys, hist)
                            : completed_state(spec, hist);
   };
-  if (checks.hi != HiLevel::kNone) {
-    // The explorer observes the configurations its decisions reach, so the
-    // initial one (quiescent, in the initial state) is observed here.
-    const std::unique_ptr<System> sys = factory();
-    out.hi.observe(state_of(*sys, Hist{}), sys->memory().snapshot(),
-                   "initial");
-  }
   out.explorer = std::make_unique<sim::Explorer<S, System>>(
       spec, std::move(factory), std::move(work));
   const sim::Explorer<S, System>& explorer = *out.explorer;

@@ -822,7 +822,7 @@ std::uint64_t points_during(Call&& call) {
 
 TEST(ProbeContract, EachPrimitiveCallsPointTwiceNothingElseCallsIt) {
   using E = CountingEnv;
-  const std::uint64_t init[] = {0x5};
+  const std::vector<std::uint64_t> init{0x5};
   const std::uint64_t before = CountingProbe::points;
   auto bins = E::make_bin_array_words(E::Ctx{}, "A", 4, init);
   auto packed = E::make_packed_bin_array_words(E::Ctx{}, "P", 70, init);

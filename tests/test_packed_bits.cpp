@@ -146,7 +146,7 @@ TEST(PackedSim, NonMultipleOf64SizesAndWordBoundaryBins) {
 TEST(PackedSim, BitsInitializationRoundTrip) {
   SimPackedFixture sys;
   const std::uint64_t bits = 0xdeadbeefcafef00dull;
-  SimArray a = SimBins::make_bits(sys.mem, "S", 64, {&bits, 1});
+  SimArray a = SimBins::make_bits(sys.mem, "S", 64, {bits});
   ASSERT_EQ(env::SimEnv::packed_words(a), 1u);
   EXPECT_EQ(env::SimEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
@@ -154,7 +154,7 @@ TEST(PackedSim, BitsInitializationRoundTrip) {
   }
   // Bits beyond a short domain are dropped so tail bins stay 0.
   const std::uint64_t all = ~std::uint64_t{0};
-  SimArray b = SimBins::make_bits(sys.mem, "T", 10, {&all, 1});
+  SimArray b = SimBins::make_bits(sys.mem, "T", 10, {all});
   EXPECT_EQ(env::SimEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -247,7 +247,7 @@ TEST(PackedSim, ScansOnAllZeroArrayReturnZero) {
 TEST(PackedSim, ClearRangesRespectWordBoundaries) {
   SimPackedFixture sys;
   const std::uint64_t all = ~std::uint64_t{0};
-  SimArray a = SimBins::make_bits(sys.mem, "A", 70, {&all, 1});
+  SimArray a = SimBins::make_bits(sys.mem, "A", 70, {all});
   for (std::uint32_t v = 65; v <= 70; ++v) {
     (void)sys.run(op_set(a, v));
   }
@@ -311,13 +311,13 @@ TEST(PackedRt, NonMultipleOf64SizesAndWordBoundaryBins) {
 
 TEST(PackedRt, BitsInitializationRoundTrip) {
   const std::uint64_t bits = 0x123456789abcdef0ull;
-  RtArray a = RtBins::make_bits(env::RtEnv::Ctx{}, "S", 64, {&bits, 1});
+  RtArray a = RtBins::make_bits(env::RtEnv::Ctx{}, "S", 64, {bits});
   EXPECT_EQ(env::RtEnv::peek_packed_word(a, 0), bits);
   for (std::uint32_t v = 1; v <= 64; ++v) {
     EXPECT_EQ(RtBins::peek(a, v), (bits >> (v - 1)) & 1) << "bin " << v;
   }
   const std::uint64_t all = ~std::uint64_t{0};
-  RtArray b = RtBins::make_bits(env::RtEnv::Ctx{}, "T", 10, {&all, 1});
+  RtArray b = RtBins::make_bits(env::RtEnv::Ctx{}, "T", 10, {all});
   EXPECT_EQ(env::RtEnv::peek_packed_word(b, 0), (std::uint64_t{1} << 10) - 1);
 }
 
@@ -351,6 +351,26 @@ TEST(PackedRt, MultiWordBitsInitializationRoundTrip) {
   ASSERT_EQ(env::RtEnv::packed_words(e), 3u);
   EXPECT_EQ(env::RtEnv::peek_packed_word(e, 1), ~std::uint64_t{0});
   EXPECT_EQ(env::RtEnv::peek_packed_word(e, 2), 0u);
+
+  // Moved-in words become the array's storage, not a copy of it. Exact,
+  // extra and fewer words end as the copies above: tail-masked, truncated,
+  // zero-extended.
+  std::vector<std::uint64_t> exact = ones;
+  const std::uint64_t* const exact_buffer = exact.data();
+  RtArray f = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "F",
+                                                      70, std::move(exact));
+  EXPECT_EQ(f.words.data(), exact_buffer);
+  EXPECT_EQ(f.words, c.words);
+  std::vector<std::uint64_t> extra = ones;
+  const std::uint64_t* const extra_buffer = extra.data();
+  RtArray g = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "G",
+                                                      64, std::move(extra));
+  EXPECT_EQ(g.words.data(), extra_buffer);
+  EXPECT_EQ(g.words, d.words);
+  std::vector<std::uint64_t> fewer = ones;
+  RtArray h = env::RtEnv::make_packed_bin_array_words(env::RtEnv::Ctx{}, "H",
+                                                      130, std::move(fewer));
+  EXPECT_EQ(h.words, e.words);
 }
 
 TEST(PackedRt, MultiWordHiSetSnapshotMembers) {
