@@ -107,15 +107,11 @@ class LeakyUniversalAlg {
                                       0)),
         result_(Env::make_word_array(ctx, "fk-result",
                                      static_cast<std::uint32_t>(num_processes),
-                                     0)) {
+                                     0)),
+        local_(static_cast<std::size_t>(num_processes)) {
     assert(num_processes >= 1 && num_processes <= 64);
     assert(spec.encode_state(spec.initial_state()) <= 0xffffffffull);
-    local_seq_.resize(n_);
-    priority_.resize(n_);
-    for (int i = 0; i < n_; ++i) {
-      *local_seq_[i] = 0;
-      *priority_[i] = i;
-    }
+    for (int i = 0; i < n_; ++i) local_[i]->priority = i;
   }
 
   OpT<Resp> apply(int pid, Op op) {
@@ -139,7 +135,8 @@ class LeakyUniversalAlg {
   /// table, persisting each installed head record on the way.
   OpT<Resp> apply_update(int pid, Op op) {
     assert(pid >= 0 && pid < n_);
-    const std::uint64_t seq = ++*local_seq_[pid];
+    Local& me = *local_[pid];
+    const std::uint64_t seq = ++me.seq;
     assert(seq <= 0xffffffu);
     co_await Env::write_word(announce_, pid,
                              (seq << 32) | spec_.encode_op(op));
@@ -175,7 +172,7 @@ class LeakyUniversalAlg {
       // Pick a target: the rotating candidate if it has an unapplied
       // announcement, else self. "Applied" means either persisted in the
       // result table or recorded in the head we just read.
-      int target = *priority_[pid];
+      int target = me.priority;
       std::uint64_t ann = co_await Env::read_word(
           announce_, static_cast<std::uint32_t>(target));
       const std::uint64_t target_done =
@@ -201,7 +198,7 @@ class LeakyUniversalAlg {
       const Word desired = Codec::make(spec_.encode_state(next_state),
                                        Codec::version(head) + 1, record);
       const CasResult<Word> r = co_await Env::cas(head_, head, desired);
-      if (r.installed) *priority_[pid] = (*priority_[pid] + 1) % n_;
+      if (r.installed) me.priority = (me.priority + 1) % n_;
     }
   }
 
@@ -244,10 +241,13 @@ class LeakyUniversalAlg {
   typename Env::CasCell head_;
   typename Env::WordArray announce_;
   typename Env::WordArray result_;
-  // Per-process local variables; padded so hardware threads do not
+  // One process's local variables; padded so hardware threads do not
   // false-share (a scheduler-local no-op in the simulator).
-  std::vector<util::Padded<std::uint64_t>> local_seq_;
-  std::vector<util::Padded<int>> priority_;
+  struct Local {
+    std::uint64_t seq = 0;
+    int priority = 0;
+  };
+  std::vector<util::Padded<Local>> local_;
 };
 
 }  // namespace hi::algo

@@ -87,9 +87,12 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <new>
 #include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -250,20 +253,28 @@ class UniversalAlg {
         combine_(combine),
         head_(ctx, "head",
               Codec::make_head(spec.encode_state(spec.initial_state()),
-                               std::nullopt)) {
-    assert(num_processes >= 1 && num_processes <= 64);
-    for (int i = 0; i < n_; ++i) {
-      // deque: cells are constructed in place (hardware cells are padded
-      // atomics, not movable) and references stay stable.
-      announce_.emplace_back(ctx, "announce[" + std::to_string(i) + "]",
-                             Codec::bottom());
-    }
-    for (int i = 0; i < n_; ++i) priority_.emplace_back(i);
-    for (int i = 0; i < n_; ++i) {
-      batches_installed_.emplace_back(0);
-      ops_combined_.emplace_back(0);
+                               std::nullopt)),
+        local_(make_block(num_processes)),
+        announce_(static_cast<Cell*>(
+                      static_cast<void*>(local_.data() + local_.size())),
+                  local_.size()) {
+    // The cells are built in place, in pid order after head (hardware cells
+    // are padded atomics, not movable; sim object ids follow this order).
+    std::size_t built = 0;
+    try {
+      for (; built < announce_.size(); ++built) {
+        std::construct_at(&announce_[built], ctx,
+                          "announce[" + std::to_string(built) + "]",
+                          Codec::bottom());
+      }
+    } catch (...) {
+      release_block(built);
+      throw;
     }
   }
+  ~UniversalAlg() { release_block(announce_.size()); }
+  UniversalAlg(const UniversalAlg&) = delete;
+  UniversalAlg& operator=(const UniversalAlg&) = delete;
 
   OpT<Resp> apply(int pid, Op op) {
     if (spec_.is_read_only(op)) return apply_read_only(pid, op);
@@ -365,8 +376,9 @@ class UniversalAlg {
         // written anywhere in that window and every scanned op is still in
         // its cell with its owner parked at line 5 — so nobody contends
         // these Stores (which also reset the cells' contexts).
-        *batches_installed_[pid] += 1;
-        *ops_combined_[pid] += static_cast<std::uint64_t>(std::popcount(batch));
+        local_[pid].batches_installed += 1;
+        local_[pid].ops_combined +=
+            static_cast<std::uint64_t>(std::popcount(batch));
         for (int j = 0; j < n_; ++j) {
           if (((batch >> j) & 1u) == 0) continue;
           co_await announce_[j].store(
@@ -380,7 +392,7 @@ class UniversalAlg {
       if (!head_view.has_response) {  // line 7: in-between operations
         std::uint32_t apply_word = 0;
         int target = -1;
-        const int candidate = *priority_[pid];
+        const int candidate = local_[pid].priority;
         const V help = co_await announce_[candidate].load();  // line 8
         if (Codec::is_op(help)) {  // line 9: apply another's operation
           apply_word = Codec::payload(help);
@@ -399,11 +411,12 @@ class UniversalAlg {
                                   HeadResp{spec_.encode_resp(rsp),
                                            target}));  // line 14
         if (installed) {
-          *priority_[pid] = (*priority_[pid] + 1) % n_;  // line 15
+          Local& me = local_[pid];
+          me.priority = (me.priority + 1) % n_;  // line 15
           // A plain mode-A install is a batch of one (so batch_size_mean
           // reads 1.0 on non-combining rows).
-          *batches_installed_[pid] += 1;
-          *ops_combined_[pid] += 1;
+          me.batches_installed += 1;
+          me.ops_combined += 1;
         }
       } else {  // lines 16–22: finish the half-applied operation
         const std::uint32_t rsp_word = head_view.rsp;  // line 17
@@ -498,7 +511,7 @@ class UniversalAlg {
   /// by observers at rest, so no atomics are needed.
   std::uint64_t batches_installed() const {
     std::uint64_t total = 0;
-    for (const auto& c : batches_installed_) total += *c;
+    for (const Local& l : local_) total += l.batches_installed;
     return total;
   }
   /// Operations applied through those installs; ops_combined() /
@@ -506,12 +519,11 @@ class UniversalAlg {
   /// combine=false).
   std::uint64_t ops_combined() const {
     std::uint64_t total = 0;
-    for (const auto& c : ops_combined_) total += *c;
+    for (const Local& l : local_) total += l.ops_combined;
     return total;
   }
   void reset_batch_stats() {
-    for (auto& c : batches_installed_) *c = 0;
-    for (auto& c : ops_combined_) *c = 0;
+    for (Local& l : local_) l.batches_installed = l.ops_combined = 0;
   }
   bool combining_enabled() const { return combine_; }
 
@@ -539,19 +551,48 @@ class UniversalAlg {
     });
   }
 
+  /// One process's owner-local variables: Algorithm 5's priority_i and the
+  /// batch statistics (instrumentation, not part of the shared-memory
+  /// image). A cache line each, so hardware threads do not false-share (a
+  /// scheduler-local no-op in the simulator).
+  struct alignas(util::kCacheLine) Local {
+    int priority = 0;
+    std::uint64_t batches_installed = 0;
+    std::uint64_t ops_combined = 0;
+  };
+  static_assert(std::is_trivially_destructible_v<Local> &&
+                alignof(Cell) <= alignof(Local));
+  static constexpr std::align_val_t kBlockAlign{alignof(Local)};
+
+  /// Allocates the per-process block — n Locals, then room for n announce
+  /// cells — and builds the Locals. Their size is a multiple of the line,
+  /// so the cells that follow are aligned and each keeps its own line.
+  static std::span<Local> make_block(int num_processes) {
+    assert(num_processes >= 1 && num_processes <= 64);
+    const auto n = static_cast<std::size_t>(num_processes);
+    auto* locals = static_cast<Local*>(
+        ::operator new(n * (sizeof(Local) + sizeof(Cell)), kBlockAlign));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::construct_at(locals + i, Local{static_cast<int>(i)});
+    }
+    return {locals, n};
+  }
+
+  /// Destroys the first `built` announce cells, last first, and frees the
+  /// block.
+  void release_block(std::size_t built) noexcept {
+    while (built > 0) std::destroy_at(&announce_[--built]);
+    ::operator delete(local_.data(), kBlockAlign);
+  }
+
   const S& spec_;
   int n_;
   bool clear_contexts_;
   bool combine_;
   Cell head_;
-  std::deque<Cell> announce_;
-  // Per-process local variable priority_i; padded so hardware threads do not
-  // false-share (a scheduler-local no-op in the simulator).
-  std::deque<util::Padded<int>> priority_;
-  // Per-process batch statistics (instrumentation, not part of the
-  // shared-memory image): padded and owner-written like priority_.
-  std::deque<util::Padded<std::uint64_t>> batches_installed_;
-  std::deque<util::Padded<std::uint64_t>> ops_combined_;
+  // Both views point into one allocation (make_block): locals first.
+  std::span<Local> local_;
+  std::span<Cell> announce_;
 };
 
 }  // namespace hi::algo

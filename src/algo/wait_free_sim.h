@@ -79,6 +79,7 @@
 #include "algo/values.h"
 #include "env/env.h"
 #include "spec/register_spec.h"
+#include "util/padded.h"
 
 namespace hi::algo {
 
@@ -265,8 +266,7 @@ class WaitFreeSim {
         queue_(ctx, num_processes),
         num_processes_(num_processes),
         fast_limit_(fast_limit),
-        seq_(static_cast<std::size_t>(num_processes), 0),
-        fail_streak_(static_cast<std::size_t>(num_processes), 0) {
+        local_(static_cast<std::size_t>(num_processes)) {
     assert(num_processes >= 1);
   }
 
@@ -281,16 +281,17 @@ class WaitFreeSim {
     // completion — fast success here, slow-path completion below — so it is
     // nonzero exactly between a failed attempt and the end of its operation,
     // which is when the tests observe it.
-    while (fail_streak_[static_cast<std::size_t>(pid)] < fast_limit_) {
+    Local& me = *local_[static_cast<std::size_t>(pid)];
+    while (me.fail_streak < fast_limit_) {
       const std::optional<std::uint64_t> got = co_await inner_.attempt(op_word);
       if (got.has_value()) {
-        fail_streak_[static_cast<std::size_t>(pid)] = 0;
+        me.fail_streak = 0;
         co_return *got;
       }
-      ++fail_streak_[static_cast<std::size_t>(pid)];
+      ++me.fail_streak;
     }
     slow_entries_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t seq = ++seq_[static_cast<std::size_t>(pid)];
+    const std::uint64_t seq = ++me.seq;
     const bool announced = co_await Env::write_word(
         rec_, static_cast<std::uint32_t>(pid),
         wfs::rec_word(wfs::kPending, seq, op_word));
@@ -304,7 +305,7 @@ class WaitFreeSim {
           co_await Env::read_word(rec_, static_cast<std::uint32_t>(pid));
       if (wfs::rec_state(mine) == wfs::kDone &&
           wfs::rec_seq(mine) == (seq & wfs::kSeqMask)) {
-        fail_streak_[static_cast<std::size_t>(pid)] = 0;
+        me.fail_streak = 0;
         co_return wfs::rec_payload(mine);
       }
       const bool progressed = co_await help_head(pid);
@@ -372,7 +373,7 @@ class WaitFreeSim {
     return Env::peek_word(rec_, static_cast<std::uint32_t>(pid));
   }
   std::uint32_t fail_streak(int pid) const {
-    return fail_streak_[static_cast<std::size_t>(pid)];
+    return local_[static_cast<std::size_t>(pid)]->fail_streak;
   }
   std::uint64_t total_ops() const {
     return total_ops_.load(std::memory_order_relaxed);
@@ -424,9 +425,13 @@ class WaitFreeSim {
   int num_processes_;
   std::uint32_t fast_limit_;
   // Owner-local bookkeeping (never shared memory, never part of mem(C)):
-  // per-pid entries are touched only by their owning process.
-  std::vector<std::uint64_t> seq_;
-  std::vector<std::uint32_t> fail_streak_;
+  // each entry is touched only by its owning process, and padded so
+  // hardware threads do not false-share.
+  struct Local {
+    std::uint64_t seq = 0;
+    std::uint32_t fail_streak = 0;
+  };
+  std::vector<util::Padded<Local>> local_;
   // Observer-side stats; relaxed atomics so real-thread harnesses can read
   // them race-free.
   std::atomic<std::uint64_t> total_ops_{0};

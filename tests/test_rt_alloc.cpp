@@ -12,12 +12,17 @@
 //     slabs nor double-park them; under TSan (this file carries the rt
 //     ctest label) the same test doubles as a race check on the
 //     thread-locality of the arena.
+// The universal's build is pinned too: a count of allocations that does not
+// grow with n, and the fresh memory image on every backend.
 #include "util/alloc_probe.h"  // FIRST: replaces global operator new/delete
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -343,6 +348,122 @@ TEST(RtAllocSteadyState, LeakyUniversal) {
   EXPECT_EQ(0u, steady_state_allocs([&](int) {
               (void)object.apply(0, spec::CounterSpec::inc()).get();
             }));
+}
+
+// ---- The universal build: one block, the same image on every backend ----
+
+using RtUniversalAlg =
+    algo::UniversalAlg<RtEnv, spec::CounterSpec, algo::CasRllscAlg<RtEnv>>;
+
+TEST(RtAllocBuild, UniversalIsOneBlockForEveryN) {
+  // Every per-process field (announce cell, priority, batch counters) lives
+  // in one block, so a build allocates the same few times whatever n is,
+  // frees all of it when destroyed, and each cell keeps its own line.
+  const spec::CounterSpec spec(0xffffff, 0);
+  for (const bool combine : {false, true}) {
+    std::optional<std::uint64_t> first;
+    for (const int n : {1, 3, 9, 64}) {
+      const util::AllocTally tally;
+      std::uint64_t allocs = 0;
+      {
+        const RtUniversalAlg object(RtEnv::Ctx{}, spec, n, true, combine);
+        allocs = tally.allocs();
+        EXPECT_EQ(object.memory_bytes(),
+                  64 * (1 + static_cast<std::size_t>(n)));
+      }
+      EXPECT_LE(allocs, 2u) << "n=" << n << " combine=" << combine;
+      EXPECT_EQ(allocs, first.value_or(allocs))
+          << "n=" << n << " combine=" << combine;
+      first = allocs;
+      EXPECT_EQ(tally.frees(), allocs) << "n=" << n << " combine=" << combine;
+    }
+  }
+}
+
+/// A cell that records its lifetime and throws from its `throw_at`-th
+/// construction (0 = never): enough of a cell for UniversalAlg's
+/// constructor and destructor, which are all this test instantiates.
+struct TracingCell {
+  struct BuildFailed {};
+  static inline int built = 0;
+  static inline int throw_at = 0;
+  static inline std::vector<std::string> destroyed;
+
+  std::string name;
+  TracingCell(RtEnv::Ctx, std::string cell_name, std::uint64_t)
+      : name(std::move(cell_name)) {
+    if (++built == throw_at) throw BuildFailed{};
+  }
+  ~TracingCell() { destroyed.push_back(name); }
+};
+
+TEST(RtAllocBuild, UniversalBuildThatThrowsUndoesItself) {
+  // A throwing announce cell: the cells built before it are destroyed, last
+  // first, then head, and every allocation is freed. A whole object
+  // destroys its cells the same way.
+  using Alg = algo::UniversalAlg<RtEnv, spec::CounterSpec, TracingCell>;
+  const spec::CounterSpec spec(0xffffff, 0);
+  TracingCell::built = 0;
+  TracingCell::throw_at = 4;  // head, announce[0], [1], then [2] throws
+  TracingCell::destroyed.clear();
+  TracingCell::destroyed.reserve(8);  // so the tally counts only the build
+  {
+    const util::AllocTally tally;
+    EXPECT_THROW(Alg(RtEnv::Ctx{}, spec, 5), TracingCell::BuildFailed);
+    EXPECT_EQ(tally.frees(), tally.allocs());
+  }
+  EXPECT_EQ(TracingCell::destroyed,
+            (std::vector<std::string>{"announce[1]", "announce[0]", "head"}));
+
+  TracingCell::throw_at = 0;
+  TracingCell::destroyed.clear();
+  { const Alg object(RtEnv::Ctx{}, spec, 3); }
+  EXPECT_EQ(TracingCell::destroyed,
+            (std::vector<std::string>{"announce[2]", "announce[1]",
+                                      "announce[0]", "head"}));
+}
+
+/// One construction context per backend: the scheduler-driven Envs
+/// register their cells in a sim::Memory; RtEnv's cells own their storage.
+template <typename E>
+struct BuildHost {
+  sim::Memory memory;
+  typename E::Ctx ctx() { return memory; }
+};
+template <>
+struct BuildHost<RtEnv> {
+  RtEnv::Ctx ctx() { return {}; }
+};
+
+template <typename E>
+class UniversalBuild : public ::testing::Test {};
+using AllEnvs = ::testing::Types<env::SimEnv, env::ReplayEnv, RtEnv>;
+TYPED_TEST_SUITE(UniversalBuild, AllEnvs);
+
+// A fresh object at the smallest n and at the codec's 64-process maximum is
+// the state-quiescent image of the initial state: head ⟨q0, ⊥⟩, then n ⊥
+// announce words, no context, no batch installed.
+TYPED_TEST(UniversalBuild, FreshImageIsHeadThenBottoms) {
+  using E = TypeParam;
+  using Alg = algo::UniversalAlg<E, spec::CounterSpec, algo::CasRllscAlg<E>>;
+  using Codec = typename Alg::Codec;
+  const spec::CounterSpec spec(0xffffff, 5);
+  for (const int n : {1, 64}) {
+    for (const bool combine : {false, true}) {
+      BuildHost<E> host;
+      const Alg object(host.ctx(), spec, n, true, combine);
+      std::vector<algo::CtxWord<typename E::Value>> expected(
+          1 + static_cast<std::size_t>(n), {Codec::bottom(), 0});
+      expected[0].value = Codec::make_head(5, std::nullopt);
+      EXPECT_EQ(object.memory_words(), expected)
+          << "n=" << n << " combine=" << combine;
+      EXPECT_EQ(object.head_state_encoded(), 5u);
+      EXPECT_EQ(object.context_union(), 0u);
+      EXPECT_EQ(object.batches_installed(), 0u);
+      EXPECT_EQ(object.ops_combined(), 0u);
+      EXPECT_EQ(object.num_processes(), n);
+    }
+  }
 }
 
 // ---- Lifted single-primitive ops: no frame on RtEnv, one step elsewhere ----
